@@ -5,7 +5,6 @@ strictly optimal frequency hopping sequence, both fully certified.
 import numpy as np
 
 from framedf import catalog, codes, families, lifting
-from framedf.cli import _map_family
 from framedf.groups import crt_iso
 
 fdf = lifting.lift_sdf(catalog.lifting_datum("fdf_z7xF89"))
@@ -22,7 +21,7 @@ print(f"  code: ({ccc.n}, {ccc.size}, {d}) over {len(ccc.composition)} symbols")
 print(f"  size bound: {bound}  -> optimal: {bound == ccc.size}")
 
 print("\n=== frequency hopping sequence ===")
-cyclic = _map_family(fdf, crt_iso(fdf.group))
+cyclic = families.relabel_family(fdf, crt_iso(fdf.group))
 x = codes.fhs_from_elementary_fdf(cyclic)
 print(f"  sequence length {x.n} over {x.alphabet_size} symbols")
 print("  first 25 symbols:", x.seq[:25].tolist())

@@ -11,7 +11,7 @@ from . import catalog, codes, designs, families, fields, groups, lifting, search
 
 from .fields import FiniteField, FieldElement, CyclotomicIndexer, make_field
 from .groups import AbelianGroup, GroupElement, crt_iso
-from .families import (BaseBlock, DesignFamily, DifferenceMatrix, delta_block,
+from .families import (DesignFamily, DifferenceMatrix, delta_block, relabel_family,
                        verify_sdf, verify_relative_df, verify_fdf, verify_pdf, verify_dm)
 from .lifting import (LiftingData, check_lifting_conditions, lift_sdf, mul_table_dm,
                       homogenize, compose_fdf_dm, fdf_to_pdf)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .fields import FiniteField, make_field, is_prime
+from .fields import FiniteField, field_of_order, make_field
 from .groups import AbelianGroup
 from .families import SDF, DesignFamily
 from .lifting import LiftingData, check_lifting_conditions, lift_sdf
@@ -36,7 +36,7 @@ def paley2(p: int) -> DesignFamily:
     """Doubled {0} + squares: an (F_p^+, p+1, p+1)-SDF for p = 3 (mod 4)."""
     if p % 4 != 3:
         raise CatalogDataError("paley2 needs a prime power p = 3 (mod 4)")
-    fld = _field_of_order(p)
+    fld = field_of_order(p)
     group = AbelianGroup.additive(fld) if fld.m > 1 else AbelianGroup.cyclic(p)
     block = tuple(sorted([0] + _squares(fld)) * 2)
     block = tuple(sorted(block))
@@ -47,7 +47,7 @@ def paley3(p: int) -> DesignFamily:
     """Doubled {0}+squares and {0}+nonsquares: an (F_p^+, p+1, 2p+2)-SDF, p odd."""
     if p % 2 == 0 or p < 3:
         raise CatalogDataError("paley3 needs an odd prime power")
-    fld = _field_of_order(p)
+    fld = field_of_order(p)
     group = AbelianGroup.additive(fld) if fld.m > 1 else AbelianGroup.cyclic(p)
     sq = _squares(fld)
     nonsq = sorted(set(range(1, p)) - set(sq)) if fld.m == 1 else \
@@ -60,8 +60,8 @@ def paley3(p: int) -> DesignFamily:
 def twin_prime(p: int) -> DesignFamily:
     """Twin prime power difference multiset on F_p x F_{p+2}, doubled complement
     of the classical twin-prime-power difference set."""
-    f1 = _field_of_order(p)
-    f2 = _field_of_order(p + 2)
+    f1 = field_of_order(p)
+    f2 = field_of_order(p + 2)
     g1 = AbelianGroup.additive(f1) if f1.m > 1 else AbelianGroup.cyclic(p)
     g2 = AbelianGroup.additive(f2) if f2.m > 1 else AbelianGroup.cyclic(p + 2)
     group = AbelianGroup.product(g1, g2)
@@ -99,7 +99,7 @@ def singer(p: int, m: int) -> DesignFamily:
         for _ in range(m):
             tr = fld.add(tr, x)
             x = _frob(fld, x)
-        if _in_prime_subfield_zero(fld, tr):
+        if tr == 0:
             hyper.add(i % v)
     ds = sorted(hyper)
     if len(ds) != (p ** (m - 1) - 1) // (p - 1):
@@ -115,27 +115,6 @@ def _frob(fld: FiniteField, enc: int) -> int:
     for _ in range(fld.p - 1):
         out = int(fld.mul(out, enc))
     return out
-
-
-def _in_prime_subfield_zero(fld: FiniteField, enc: int) -> bool:
-    return enc == 0
-
-
-def _field_of_order(q: int) -> FiniteField:
-    if is_prime(q):
-        return make_field(q)
-    for p in range(2, q):
-        if is_prime(p):
-            m = 0
-            qq = q
-            while qq % p == 0:
-                qq //= p
-                m += 1
-            if qq == 1 and m >= 1:
-                return make_field(p, m)
-            if q % p == 0:
-                break
-    raise CatalogDataError(f"{q} is not a prime power")
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +341,9 @@ def family(name: str, *params) -> DesignFamily:
     if e.takes_params:
         if not params:
             raise CatalogDataError(f"catalog entry {name!r} needs parameters")
-        return e.builder(*params).with_provenance(
-            "%s(%s)" % (name, ",".join(map(str, params))))
+        try:
+            fam = e.builder(*params)
+        except ValueError as exc:       # e.g. an order that is not a prime power
+            raise CatalogDataError(str(exc)) from exc
+        return fam.with_provenance("%s(%s)" % (name, ",".join(map(str, params))))
     return e.builder().with_provenance(name)

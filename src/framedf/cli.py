@@ -1,8 +1,9 @@
 """Batch command line: catalog browsing, lifting, searching, design assembly,
 code derivation, verification, and recipe execution.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 search
-budget exhausted.  All randomness is seeded (default 0).
+Exit codes: 0 success, 1 verification failure (a recipe step that raises
+counts as one), 2 usage error, 3 search budget exhausted.  Searches are
+deterministic; their order does not depend on --seed.
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ def cmd_fhs_from_fdf(args) -> int:
     fdf = serialize.family_from_dict(serialize.load(args.fdf))
     if fdf.group.kind == "product":
         iso = crt_iso(fdf.group)
-        fdf = _map_family(fdf, iso)
+        fdf = families.relabel_family(fdf, iso)
     fhs = codes.fhs_from_elementary_fdf(fdf)
     rep = codes.verify_strictly_optimal(fhs)
     if args.out:
@@ -202,15 +203,6 @@ def cmd_fhs_from_fdf(args) -> int:
            "strictly_optimal": bool(rep.ok),
            "failing_L": list(rep.failing_L)}, args.format)
     return 0 if rep.ok else VERIFY_FAIL
-
-
-def _map_family(fam, iso):
-    from .families import DesignFamily
-    blocks = tuple(tuple(int(iso.apply(x)) for x in b) for b in fam.blocks)
-    sub = tuple(sorted(int(iso.apply(x)) for x in fam.subgroup)) if fam.subgroup else None
-    return DesignFamily(fam.kind, iso.target, fam.lam, blocks, subgroup=sub,
-                        frame_partition=fam.frame_partition,
-                        provenance=fam.provenance + " (cyclic relabel)")
 
 
 def cmd_verify_fhs(args) -> int:
@@ -247,7 +239,10 @@ def cmd_run(args) -> int:
     for step in recipe.get("steps", []):
         t0 = time.time()
         op = step["op"]
-        rc, info = _run_step(op, step, env, workdir, args.seed)
+        try:
+            rc, info = _run_step(op, step, env, workdir, args.seed)
+        except (ValueError, KeyError) as exc:
+            rc, info = VERIFY_FAIL, {"error": str(exc)}
         summary.append({"step": step.get("id", op), "op": op,
                         "verified": rc == 0, "seconds": round(time.time() - t0, 2),
                         **info})
@@ -298,7 +293,8 @@ def _run_step(op, step, env, workdir, seed):
             serialize.dump(serialize.design_to_dict(design, res), workdir / step["file"])
         return (0 if ok else VERIFY_FAIL), {"v": design.v, "blocks": len(design.blocks)}
     if op == "crt":
-        env[step["out"]] = _map_family(resolve(step["in"]), crt_iso(resolve(step["in"]).group))
+        fam = resolve(step["in"])
+        env[step["out"]] = families.relabel_family(fam, crt_iso(fam.group))
         return 0, {}
     if op == "pdf":
         pdf = lifting.fdf_to_pdf(resolve(step["in"]))
@@ -334,8 +330,8 @@ def _run_step(op, step, env, workdir, seed):
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="framedf")
     ap.add_argument("--format", choices=("json", "text"), default="text")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--jobs", type=int, default=1, help="worker cap (verification scans)")
+    ap.add_argument("--seed", type=int, default=0,
+                    help="solver seed; the search order does not depend on it")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     c = sub.add_parser("catalog", help="list or show catalog entries")

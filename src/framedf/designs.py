@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
+from .fields import field_of_order
 from .groups import AbelianGroup
 from .families import DesignFamily, FDF, coset_labels
 
@@ -79,12 +80,7 @@ def trivial_rbibd(k: int) -> tuple[BlockDesign, Resolution]:
 def affine_plane(q: int) -> tuple[BlockDesign, Resolution]:
     """AG(2,q): points GF(q)^2, blocks the q^2+q lines, resolved into q+1
     pencils of parallel lines.  A resolvable (q^2, q, 1) design."""
-    from .fields import make_field, is_prime
-    if is_prime(q):
-        fld = make_field(q)
-    else:
-        from .catalog import _field_of_order
-        fld = _field_of_order(q)
+    fld = field_of_order(q)
     encs = np.arange(q, dtype=np.int64)
     point = lambda x, y: int(x) * q + int(y)
     blocks: list[tuple[int, ...]] = []
@@ -168,13 +164,19 @@ def rbibd_from_fdf(fdf: DesignFamily, ingredient: BlockDesign,
 
 def verify_bibd(design: BlockDesign) -> DesignReport:
     """Exact pair coverage: every 2-subset of points in exactly lam blocks.
-    Pairs are indexed min*v+max and counted in one exact pass."""
+    Points must lie in 0..v-1; pairs are indexed min*v+max and counted in
+    one exact pass."""
     v = design.v
     k = design.k
     if any(len(blk) != k for blk in design.blocks):
         return DesignReport(False, detail="block of wrong size present")
     if design.blocks:
         mat = np.asarray(design.blocks, dtype=np.int64)
+        stray = np.argwhere((mat < 0) | (mat >= v))
+        if len(stray):
+            bi, pos = stray[0]
+            return DesignReport(False, detail=f"block {bi} holds point {mat[bi, pos]} "
+                                              f"outside 0..{v - 1}")
         ii, jj = np.triu_indices(k, k=1)
         a = mat[:, ii].ravel()
         b = mat[:, jj].ravel()
@@ -194,7 +196,8 @@ def verify_bibd(design: BlockDesign) -> DesignReport:
 
 
 def verify_resolution(design: BlockDesign, res: Resolution) -> DesignReport:
-    """Classes partition the block list; each class partitions the points."""
+    """Classes partition the block list; each class partitions the points
+    0..v-1."""
     seen = sorted(i for cls in res.classes for i in cls)
     if seen != list(range(len(design.blocks))):
         return DesignReport(False, detail="classes do not partition the block list")
@@ -203,6 +206,10 @@ def verify_resolution(design: BlockDesign, res: Resolution) -> DesignReport:
         return DesignReport(False, detail=f"{len(res.classes)} classes, expected {expected}")
     for ci, cls in enumerate(res.classes):
         pts = np.concatenate([np.asarray(design.blocks[i], dtype=np.int64) for i in cls])
+        stray = pts[(pts < 0) | (pts >= design.v)]
+        if len(stray):
+            return DesignReport(False, detail=f"class {ci} holds point {stray[0]} "
+                                              f"outside 0..{design.v - 1}")
         if len(pts) != design.v or len(np.unique(pts)) != design.v:
             return DesignReport(False, detail=f"class {ci} does not partition the points")
     return DesignReport(True)

@@ -18,8 +18,8 @@ import numpy as np
 from .groups import AbelianGroup
 
 __all__ = [
-    "BaseBlock",
     "DesignFamily",
+    "relabel_family",
     "DifferenceMatrix",
     "delta_block",
     "delta_counts",
@@ -38,16 +38,6 @@ PDF = "PDF"
 
 
 @dataclass(frozen=True)
-class BaseBlock:
-    group: AbelianGroup
-    elems: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.elems:
-            raise ValueError("empty base block")
-
-
-@dataclass(frozen=True)
 class DesignFamily:
     kind: str
     group: AbelianGroup
@@ -63,6 +53,17 @@ class DesignFamily:
     def with_provenance(self, text: str) -> "DesignFamily":
         return DesignFamily(self.kind, self.group, self.lam, self.blocks,
                             self.subgroup, self.frame_partition, text)
+
+
+def relabel_family(fam: DesignFamily, iso) -> DesignFamily:
+    """The image of a family under a group isomorphism (e.g. crt_iso onto
+    the cyclic group): blocks and subgroup mapped elementwise, block order
+    and frame partition kept."""
+    blocks = tuple(tuple(int(iso.apply(x)) for x in b) for b in fam.blocks)
+    sub = tuple(sorted(int(iso.apply(x)) for x in fam.subgroup)) if fam.subgroup else None
+    return DesignFamily(fam.kind, iso.target, fam.lam, blocks, subgroup=sub,
+                        frame_partition=fam.frame_partition,
+                        provenance=fam.provenance + " (cyclic relabel)")
 
 
 @dataclass(frozen=True)

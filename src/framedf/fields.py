@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +21,7 @@ __all__ = [
     "FieldElement",
     "CyclotomicIndexer",
     "make_field",
+    "field_of_order",
     "least_primitive_root",
     "is_prime",
 ]
@@ -252,10 +253,6 @@ class FiniteField:
     def nonzero_encodings(self) -> np.ndarray:
         return np.arange(1, self.q, dtype=np.int64) if self.m == 1 else self._exp.copy()
 
-    def elements(self) -> Iterable["FieldElement"]:
-        for enc in range(self.q):
-            yield FieldElement(self, enc)
-
     # -- misc ---------------------------------------------------------------
 
     def descriptor(self) -> dict:
@@ -309,6 +306,20 @@ def _default_primitive_poly(p: int, m: int) -> tuple[int, ...]:
 def make_field(p: int, m: int = 1, modulus: Optional[tuple] = None) -> FiniteField:
     """Build (and cache) GF(p^m).  A supplied modulus must be primitive."""
     return FiniteField(p, m, modulus)
+
+
+def field_of_order(q: int) -> FiniteField:
+    """The default GF(q), i.e. make_field(p, m) for q = p^m; ValueError
+    when q is not a prime power."""
+    for p in range(2, q + 1):
+        if q % p == 0:              # p is the least prime factor of q
+            m, r = 1, q // p
+            while r % p == 0:
+                m, r = m + 1, r // p
+            if r == 1:
+                return make_field(p, m)
+            break
+    raise ValueError(f"{q} is not a prime power")
 
 
 @dataclass(frozen=True)

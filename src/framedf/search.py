@@ -1,6 +1,6 @@
 """Computer-search machinery: the explicit cyclotomic existence threshold,
-constraint systems over cyclotomic classes, a deterministic seeded solver,
-and repair of suspect lifting data.
+constraint systems over cyclotomic classes, a deterministic solver, and
+repair of suspect lifting data.
 
 A ConstraintSystem carries one symbolic linear form per needed field
 expression (y, -y, 2y, y_i +- y_j, ...) and uniformity groups demanding
@@ -13,28 +13,28 @@ clusters (connected components of the form graph) and
 * enumerates each cluster's feasible label signatures by vectorized
   frontier expansion and runs forward-checking DFS over the clusters
   (fail-first, hint-preferred order) when every cluster is enumerable;
-* otherwise runs depth-first search over unknown values with value-level
-  forward checking, a scaling gauge on the first unknown, and seeded
-  restarts.
+* otherwise runs one complete depth-first search over unknown values with
+  value-level forward checking, a scaling gauge on the first unknown, and
+  candidates in ascending discrete-log order.
 
 Hints order candidates (signatures agreeing with the hinted label plan are
 tried first) but never exclude assignments.  Every success is re-verified
 against the full system, and against the lifting conditions whenever the
-system knows how to assemble a lifting datum.  All searches are
-deterministic for a fixed seed.
+system knows how to assemble a lifting datum.  The search order is fixed:
+the same system always yields the same result and node count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fields import FiniteField, make_field
+from .fields import FiniteField, field_of_order
 from .families import DesignFamily, SDF
 from .lifting import LiftingData, check_lifting_conditions
 
@@ -69,9 +69,10 @@ def q_bound(d: int, m: int) -> Decimal:
     if d < 1 or m < 1:
         raise ValueError("need d, m >= 1")
     U = _bound_u(d, m)
-    getcontext().prec = max(60, len(str(U)) * 2 + 30)
-    disc = (Decimal(U) ** 2 + 4 * Decimal(d) ** (m - 1) * m).sqrt()
-    return ((Decimal(U) + disc) / 2) ** 2
+    with localcontext() as ctx:
+        ctx.prec = max(60, len(str(U)) * 2 + 30)
+        disc = (Decimal(U) ** 2 + 4 * Decimal(d) ** (m - 1) * m).sqrt()
+        return ((Decimal(U) + disc) / 2) ** 2
 
 
 def q_bound_bracket(d: int, m: int) -> tuple[Fraction, Fraction]:
@@ -117,9 +118,6 @@ class ConstraintSystem:
     # tuples behind the pattern lemmas
     reductions: tuple[dict, ...] = ()
 
-    def forms_of_unknown(self, u: int) -> list[int]:
-        return [fi for fi, f in enumerate(self.forms) if any(t[0] == u for t in f.terms)]
-
     def eval_form(self, fi: int, assignment: Sequence[int]) -> int:
         fld = self.field
         acc = 0
@@ -161,19 +159,6 @@ class _SystemBuilder:
         return self.index[terms]
 
 
-def _prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            m, qq = 0, q
-            while qq % p == 0:
-                qq //= p
-                m += 1
-            if qq != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, m
-    raise ValueError(f"{q} is not a prime power")
-
-
 def generic_system(sdf: DesignFamily, q: int, e: int, d: int, lam: int,
                    partition: Optional[Sequence[Sequence[int]]] = None) -> ConstraintSystem:
     """Symbolic label system for lifting an SDF over GF(q) with e = q - 1:
@@ -184,7 +169,7 @@ def generic_system(sdf: DesignFamily, q: int, e: int, d: int, lam: int,
         raise ValueError("need an SDF")
     if e != q - 1:
         raise ValueError("the symbolic system requires e = q - 1")
-    fld = make_field(*_prime_power(q))
+    fld = field_of_order(q)
     G = sdf.group
     k = len(sdf.blocks[0])
     if d * (q - 1) % (e * k):
@@ -273,16 +258,20 @@ def _pattern_values(block: Sequence[int]) -> list[int]:
     return xs
 
 
-def _sign_paired_groups(sb: _SystemBuilder, G, rows, d: int):
-    """Difference groups for blocks zipped with fully sign-paired tuples.
+def _sign_paired_system(sdf: DesignFamily, q: int, rows, d: int, partition,
+                        provenance: str) -> ConstraintSystem:
+    """System for blocks zipped with fully sign-paired tuples, e = (q-1)/2.
 
     rows: list of (xs, base) with xs the distinct repeated values of the
     block and base the first unknown index of its y's; the tuple at the
     block is (y_base, -y_base, y_base+1, -y_base+1, ...).  Classes mod d
     are sign-invariant in the intended fields, so each +- quadruple of
     expressions is represented by its two canonical forms y_i +- y_j and
-    each slot pair {h, -h} by one group.
+    each slot pair {h, -h} by one difference group.
     """
+    fld = field_of_order(q)
+    G = sdf.group
+    sb = _SystemBuilder()
     slot_forms: dict[int, list[int]] = {}
     zero_forms: list[int] = []
     for xs, base in rows:
@@ -300,9 +289,18 @@ def _sign_paired_groups(sb: _SystemBuilder, G, rows, d: int):
                 slot_forms[hm].append(sb.form(((hi, 1), (lo, 1)), f"y_{hi}+y_{lo}"))
     groups = [UniformityGroup(tuple(zero_forms), d, 1)]
     for h in sorted(slot_forms):
-        fis = tuple(sorted(set(slot_forms[h])))
-        groups.append(UniformityGroup(fis, d, 1))
-    return groups
+        groups.append(UniformityGroup(tuple(sorted(set(slot_forms[h]))), d, 1))
+    unknowns = tuple(f"y_{i}" for i in range(sum(len(xs) for xs, _ in rows)))
+
+    def builder(assignment):
+        phi = tuple(tuple(w for v in map(int, assignment[base:base + len(xs)])
+                          for w in (v, fld.neg(v)))
+                    for xs, base in rows)
+        return LiftingData(sdf, fld, e=(q - 1) // 2, d=d, lam=1, phi=phi,
+                           partition=partition, provenance=provenance)
+
+    return ConstraintSystem(fld, d, unknowns, tuple(sb.forms), tuple(groups),
+                            lifting_builder=builder, provenance=provenance)
 
 
 def paired_pattern_system(sdf: DesignFamily, q: int) -> ConstraintSystem:
@@ -315,25 +313,8 @@ def paired_pattern_system(sdf: DesignFamily, q: int) -> ConstraintSystem:
     l = 2 * len(xs) - 1
     if (q - 1) % (l + 1):
         raise ValueError("need q = 1 (mod l+1)")
-    d = (l + 1) // 2
-    fld = make_field(*_prime_power(q))
-    G = sdf.group
-    sb = _SystemBuilder()
-    groups = _sign_paired_groups(sb, G, [(xs, 0)], d)
-    unknowns = tuple(f"y_{i}" for i in range(len(xs)))
-
-    def builder(assignment):
-        row = []
-        for i in range(len(xs)):
-            v = int(assignment[i])
-            row += [v, fld.neg(v)]
-        return LiftingData(sdf, fld, e=(q - 1) // 2, d=d, lam=1,
-                           phi=(tuple(row),), partition=((0,),),
-                           provenance=f"paired({sdf.provenance},q={q})")
-
-    return ConstraintSystem(fld, d, unknowns, tuple(sb.forms), tuple(groups),
-                            lifting_builder=builder,
-                            provenance=f"paired({sdf.provenance},q={q})")
+    return _sign_paired_system(sdf, q, [(xs, 0)], (l + 1) // 2, ((0,),),
+                               f"paired({sdf.provenance},q={q})")
 
 
 def paley3_pattern_system(p: int, q: int) -> ConstraintSystem:
@@ -345,37 +326,16 @@ def paley3_pattern_system(p: int, q: int) -> ConstraintSystem:
         raise ValueError("need p = 1 (mod 4)")
     if (q - 1) % (2 * p + 2):
         raise ValueError("need q = 1 (mod 2p+2)")
-    pp, pm = _prime_power(p)
-    pfld = make_field(pp, pm)
+    pfld = field_of_order(p)
     from .groups import AbelianGroup
-    G = AbelianGroup.additive(pfld) if pm > 1 else AbelianGroup.cyclic(p)
+    G = AbelianGroup.additive(pfld) if pfld.m > 1 else AbelianGroup.cyclic(p)
     evens = [0] + [pfld.pow_generator(2 * j) for j in range(1, (p - 1) // 2 + 1)]
     odds = [0] + [pfld.pow_generator(2 * j + 1) for j in range((p - 1) // 2)]
     b1 = tuple(v for x in evens for v in (x, x))
     b2 = tuple(v for x in odds for v in (x, x))
     sdf = DesignFamily(SDF, G, 2 * p + 2, (b1, b2), provenance=f"paley3({p})")
-    d = p + 1
-    fld = make_field(*_prime_power(q))
-    half = (p + 1) // 2
-    sb = _SystemBuilder()
-    groups = _sign_paired_groups(sb, G, [(evens, 0), (odds, half)], d)
-    unknowns = tuple(f"y_{i}" for i in range(p + 1))
-
-    def builder(assignment):
-        rows = []
-        for base, xs in ((0, evens), (half, odds)):
-            row = []
-            for i in range(len(xs)):
-                v = int(assignment[base + i])
-                row += [v, fld.neg(v)]
-            rows.append(tuple(row))
-        return LiftingData(sdf, fld, e=(q - 1) // 2, d=d, lam=1,
-                           phi=tuple(rows), partition=((0, 1),),
-                           provenance=f"paley3({p},q={q})")
-
-    return ConstraintSystem(fld, d, unknowns, tuple(sb.forms), tuple(groups),
-                            lifting_builder=builder,
-                            provenance=f"paley3({p},q={q})")
+    return _sign_paired_system(sdf, q, [(evens, 0), (odds, (p + 1) // 2)], p + 1,
+                               ((0, 1),), f"paley3({p},q={q})")
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +366,7 @@ def z125_system(q: int) -> ConstraintSystem:
     from .catalog import z125_6_6
     sdf = z125_6_6()
     G = sdf.group
-    fld = make_field(*_prime_power(q))
+    fld = field_of_order(q)
     # unknown layout: 0..2 -> y_{1,t}; 3 + 4*(i-1) + s-1 -> y_{2i,s}
     names = [f"y_1_{t}" for t in (1, 2, 3)]
     for i in range(1, 13):
@@ -542,41 +502,36 @@ def _clusters_of(system: ConstraintSystem) -> list[list[int]]:
     return [sorted(v) for _, v in sorted(out.items())]
 
 
-class _Evaluator:
-    """Vectorized form evaluation and class bookkeeping for one system."""
-
-    def __init__(self, system: ConstraintSystem):
-        self.system = system
-        fld = system.field
-        self._log = fld._log
-        self.q = fld.q
-        self.form_groups = [[] for _ in system.forms]
-        for gi, g in enumerate(system.groups):
-            for fi in g.forms:
-                self.form_groups[fi].append(gi)
-
-    def eval_forms_array(self, fis: Sequence[int], cols: dict[int, np.ndarray]) -> np.ndarray:
-        """Evaluate forms on column vectors of unknown values; (rows, len(fis))."""
-        fld = self.system.field
-        nrows = len(next(iter(cols.values())))
-        out = np.empty((nrows, len(fis)), dtype=np.int64)
-        for k, fi in enumerate(fis):
-            acc = np.zeros(nrows, dtype=np.int64)
-            for u, c in self.system.forms[fi].terms:
-                v = cols[u]
-                if c == 1:
-                    term = v
-                elif c == -1:
-                    term = fld.neg(v)
-                else:
-                    term = fld.mul(v, c % self.q)
-                acc = fld.add(acc, term)
-            out[:, k] = acc
-        return out
+def _eval_forms_array(system: ConstraintSystem, fis: Sequence[int],
+                      cols: dict[int, np.ndarray]) -> np.ndarray:
+    """Evaluate forms on column vectors of unknown values; (rows, len(fis))."""
+    fld = system.field
+    nrows = len(next(iter(cols.values())))
+    out = np.empty((nrows, len(fis)), dtype=np.int64)
+    for k, fi in enumerate(fis):
+        acc = np.zeros(nrows, dtype=np.int64)
+        for u, c in system.forms[fi].terms:
+            v = cols[u]
+            if c == 1:
+                term = v
+            elif c == -1:
+                term = fld.neg(v)
+            else:
+                term = fld.mul(v, c % fld.q)
+            acc = fld.add(acc, term)
+        out[:, k] = acc
+    return out
 
 
-def _enumerate_cluster(system: ConstraintSystem, ev: _Evaluator, cluster: list[int],
-                       frontier_cap: int = 2_500_000, work_cap: int = 80_000_000):
+# Cluster enumeration gives up (and the solver falls back to _dfs_direct) once
+# the candidate rows it has expanded exceed _WORK_CAP; frontiers are expanded
+# in chunks of at most _FRONTIER_CAP rows.
+_FRONTIER_CAP = 2_500_000
+_WORK_CAP = 80_000_000
+
+
+def _enumerate_cluster(system: ConstraintSystem, form_groups: list[list[int]],
+                       cluster: list[int]):
     """All value assignments of the cluster satisfying every group whose forms
     lie entirely inside it, with partial-count caps for straddling groups.
 
@@ -585,6 +540,7 @@ def _enumerate_cluster(system: ConstraintSystem, ev: _Evaluator, cluster: list[i
     None when the expansion is too large or a multiplicity > 1 appears.
     """
     sysd = system
+    log = system.field._log
     cluster_set = set(cluster)
     inner_forms = [fi for fi, f in enumerate(sysd.forms)
                    if f.terms and all(u in cluster_set for u, _ in f.terms)]
@@ -610,14 +566,14 @@ def _enumerate_cluster(system: ConstraintSystem, ev: _Evaluator, cluster: list[i
 
     def apply_forms(frontier, masks, fis, level):
         cols = {order[i]: frontier[:, i] for i in range(level + 1)}
-        vals = ev.eval_forms_array(fis, cols)
+        vals = _eval_forms_array(sysd, fis, cols)
         keep = ~np.any(vals == 0, axis=1)
         frontier, masks, vals = frontier[keep], masks[keep], vals[keep]
         for k, fi in enumerate(fis):
             if len(frontier) == 0:
                 break
-            logs = ev._log[vals[:, k]]
-            for gi in ev.form_groups[fi]:
+            logs = log[vals[:, k]]
+            for gi in form_groups[fi]:
                 if gi not in gslot:
                     continue
                 mod = sysd.groups[gi].modulus
@@ -638,12 +594,12 @@ def _enumerate_cluster(system: ConstraintSystem, ev: _Evaluator, cluster: list[i
         fi = form_index.get(((u, 1),))
         if fi is None:
             return None
-        cands = [gi for gi in ev.form_groups[fi] if gi in gslot]
+        cands = [gi for gi in form_groups[fi] if gi in gslot]
         if not cands:
             return None
         gi = max(cands, key=lambda g: sysd.groups[g].modulus)
         mod = sysd.groups[gi].modulus
-        cls = ev._log[values] % mod
+        cls = log[values] % mod
         return gslot[gi], mod, [values[cls == c] for c in range(mod)]
 
     def expand(fr, mk, level):
@@ -678,10 +634,10 @@ def _enumerate_cluster(system: ConstraintSystem, ev: _Evaluator, cluster: list[i
     for level in range(1, len(order)):
         n0 = len(frontier)
         work += n0 * len(values)
-        if work > work_cap:
+        if work > _WORK_CAP:
             return None
         parts_f, parts_m = [], []
-        chunk = max(1, frontier_cap // max(1, len(values)))
+        chunk = max(1, _FRONTIER_CAP // max(1, len(values)))
         for lo in range(0, n0, chunk):
             fr2, mk2 = expand(frontier[lo:lo + chunk], masks[lo:lo + chunk], level)
             if level in completes_at and len(fr2):
@@ -692,22 +648,18 @@ def _enumerate_cluster(system: ConstraintSystem, ev: _Evaluator, cluster: list[i
         masks = np.concatenate(parts_m) if parts_m else masks[:0]
         if len(frontier) == 0:
             break
-    for gi in local_groups:
-        g = sysd.groups[gi]
-        if len(g.forms) != g.modulus * g.multiplicity:
-            frontier = frontier[:0]
     if len(frontier) == 0:
         return (np.zeros((0, len(order)), dtype=np.int64),
                 np.zeros((0, len(cross_forms)), dtype=np.int8), cross_forms)
     cols = {order[i]: frontier[:, i] for i in range(len(order))}
     sigl = np.zeros((len(frontier), len(cross_forms)), dtype=np.int8)
     if cross_forms:
-        sig = ev.eval_forms_array(cross_forms, cols)
+        sig = _eval_forms_array(sysd, cross_forms, cols)
         mods = []
         for k, fi in enumerate(cross_forms):
-            ms = [sysd.groups[gi].modulus for gi in ev.form_groups[fi] if gi in gslot]
+            ms = [sysd.groups[gi].modulus for gi in form_groups[fi] if gi in gslot]
             mods.append(ms[0] if ms else sysd.d)
-            sigl[:, k] = ev._log[sig[:, k]] % mods[-1]
+            sigl[:, k] = log[sig[:, k]] % mods[-1]
         if math.prod(mods) < 2**62:
             enc = np.zeros(len(sigl), dtype=np.int64)
             for k in range(len(cross_forms)):
@@ -722,15 +674,15 @@ def _enumerate_cluster(system: ConstraintSystem, ev: _Evaluator, cluster: list[i
     return frontier, sigl, cross_forms
 
 
-def _fc_over_clusters(system: ConstraintSystem, ev: _Evaluator, clusters, domains,
-                      seed: int, budget: _Budget):
+def _fc_over_clusters(system: ConstraintSystem, form_groups: list[list[int]], clusters,
+                      domains, budget: _Budget):
     """Forward-checking DFS over enumerated cluster domains (complete)."""
     ncl = len(clusters)
     # cross constraint incidence: (cluster, col in its signature, group, modulus)
     slots = []
     for ci, (_, sigl, cross) in enumerate(domains):
         for k, fi in enumerate(cross):
-            for gi in ev.form_groups[fi]:
+            for gi in form_groups[fi]:
                 slots.append((ci, k, gi))
     bygroup: dict[int, list[tuple[int, int]]] = {}
     for ci, k, gi in slots:
@@ -765,7 +717,7 @@ def _fc_over_clusters(system: ConstraintSystem, ev: _Evaluator, clusters, domain
             ok = True
             for k, fi in enumerate(cross):
                 lab = sigl[row, k]
-                for gi in ev.form_groups[fi]:
+                for gi in form_groups[fi]:
                     for cj, kk in bygroup.get(gi, ()):
                         if cj == ci or cj in assigned:
                             if cj != ci and cj in assigned and \
@@ -794,8 +746,8 @@ def _fc_over_clusters(system: ConstraintSystem, ev: _Evaluator, clusters, domain
     return SolveResult(status, nodes=budget.nodes)
 
 
-def _dfs_direct(system: ConstraintSystem, ev: _Evaluator, seed: int, budget: _Budget,
-                restarts: int = 4):
+def _dfs_direct(system: ConstraintSystem, form_groups: list[list[int]],
+                budget: _Budget) -> SolveResult:
     """Complete DFS over unknown values with value-level forward checking.
 
     All requirements are uniformity groups, which are invariant under
@@ -804,19 +756,16 @@ def _dfs_direct(system: ConstraintSystem, ev: _Evaluator, seed: int, budget: _Bu
     satisfiable system has a solution in that gauge).  After each
     placement, every form with exactly one unassigned unknown prunes that
     unknown's value domain through the form's group counts; the next
-    unknown is always one of minimal live domain.
+    unknown is always one of minimal live domain, and its candidate values
+    are tried in ascending discrete-log order.
     """
     sysd = system
     fld = sysd.field
     q = fld.q
     n = len(sysd.unknowns)
-    nf = len(sysd.forms)
     values = np.arange(1, q, dtype=np.int64)
-    # per-modulus class lookup for candidate vectors
-    moduli = sorted({g.modulus for g in sysd.groups})
-    cls_of = {m: (fld._log[values] % m).astype(np.int64) for m in moduli}
+    by_log = values[np.argsort(fld._log[values])]
     # form bookkeeping
-    term_count = [len(f.terms) for f in sysd.forms]
     counts = [np.zeros(g.modulus, dtype=np.int64) for g in sysd.groups]
     assign = [0] * n
     assigned = [False] * n
@@ -826,7 +775,7 @@ def _dfs_direct(system: ConstraintSystem, ev: _Evaluator, seed: int, budget: _Bu
     for fi, us in enumerate(unknowns_of_form):
         for u in us:
             forms_by_unknown[u].append(fi)
-    rng = np.random.default_rng(seed)
+    domains = [np.ones(q - 1, dtype=bool) for _ in range(n)]
 
     def form_partial(fi, free_u):
         """Value of form fi as (coeff, const) in the single free unknown."""
@@ -839,9 +788,9 @@ def _dfs_direct(system: ConstraintSystem, ev: _Evaluator, seed: int, budget: _Bu
             const = int(fld.add(const, t))
         return coeff_of[fi][free_u], const
 
-    def prune_domain(u, dom, form_subset=None):
+    def prune_domain(u, dom, form_subset):
         """Filter dom (bool over values) through nearly-complete forms of u."""
-        for fi in (form_subset if form_subset is not None else forms_by_unknown[u]):
+        for fi in form_subset:
             others = [x for x in unknowns_of_form[fi] if x != u]
             if any(not assigned[x] for x in others):
                 continue
@@ -851,7 +800,7 @@ def _dfs_direct(system: ConstraintSystem, ev: _Evaluator, seed: int, budget: _Bu
             fv = fld.add(cv, const)
             ok = fv != 0
             logs = fld._log[np.where(ok, fv, 1)]
-            for gi in ev.form_groups[fi]:
+            for gi in form_groups[fi]:
                 g = sysd.groups[gi]
                 full = counts[gi] >= g.multiplicity
                 if full.any():
@@ -859,113 +808,87 @@ def _dfs_direct(system: ConstraintSystem, ev: _Evaluator, seed: int, budget: _Bu
             dom = dom & ok
         return dom
 
-    exhausted_fully = True
+    def undo_counts(touched):
+        for gi, cls in reversed(touched):
+            counts[gi][cls] -= 1
 
-    def run(value_perm):
-        nonlocal exhausted_fully
-        domains = [np.ones(q - 1, dtype=bool) for _ in range(n)]
-        trail = []
-
-        def do_assign(u, v):
-            """Returns undo token or None on contradiction."""
-            assign[u] = v
-            assigned[u] = True
-            touched = []
-            for fi in forms_by_unknown[u]:
-                if any(not assigned[x] for x in unknowns_of_form[fi]):
-                    continue
-                val = sysd.eval_form(fi, assign)
-                if val == 0:
-                    _undo_counts(touched)
+    def do_assign(u, v):
+        """Returns undo token or None on contradiction."""
+        assign[u] = v
+        assigned[u] = True
+        touched = []
+        for fi in forms_by_unknown[u]:
+            if any(not assigned[x] for x in unknowns_of_form[fi]):
+                continue
+            val = sysd.eval_form(fi, assign)
+            if val == 0:
+                undo_counts(touched)
+                assigned[u] = False
+                return None
+            lg = fld.dlog(val)
+            for gi in form_groups[fi]:
+                g = sysd.groups[gi]
+                cls = lg % g.modulus
+                if counts[gi][cls] >= g.multiplicity:
+                    undo_counts(touched)
                     assigned[u] = False
                     return None
-                lg = fld.dlog(val)
-                for gi in ev.form_groups[fi]:
-                    g = sysd.groups[gi]
-                    cls = lg % g.modulus
-                    if counts[gi][cls] >= g.multiplicity:
-                        _undo_counts(touched)
-                        assigned[u] = False
-                        return None
-                    counts[gi][cls] += 1
-                    touched.append((gi, cls))
-            saved = []
-            affected: dict[int, set[int]] = {}
-            cand_forms = set(forms_by_unknown[u])
-            for gi, _ in touched:
-                cand_forms.update(sysd.groups[gi].forms)
-            for fi in cand_forms:
-                free = [x for x in unknowns_of_form[fi] if not assigned[x]]
-                if len(free) == 1:
-                    affected.setdefault(free[0], set()).add(fi)
-            for u2, fis in affected.items():
-                nd = prune_domain(u2, domains[u2], fis)
-                if nd is not domains[u2]:
-                    saved.append((u2, domains[u2]))
-                    domains[u2] = nd
-                if not nd.any():
-                    for u3, old in reversed(saved):
-                        domains[u3] = old
-                    _undo_counts(touched)
-                    assigned[u] = False
-                    return None
-            return (u, touched, saved)
+                counts[gi][cls] += 1
+                touched.append((gi, cls))
+        saved = []
+        affected: dict[int, set[int]] = {}
+        cand_forms = set(forms_by_unknown[u])
+        for gi, _ in touched:
+            cand_forms.update(sysd.groups[gi].forms)
+        for fi in cand_forms:
+            free = [x for x in unknowns_of_form[fi] if not assigned[x]]
+            if len(free) == 1:
+                affected.setdefault(free[0], set()).add(fi)
+        for u2, fis in affected.items():
+            nd = prune_domain(u2, domains[u2], fis)
+            if nd is not domains[u2]:
+                saved.append((u2, domains[u2]))
+                domains[u2] = nd
+            if not nd.any():
+                for u3, old in reversed(saved):
+                    domains[u3] = old
+                undo_counts(touched)
+                assigned[u] = False
+                return None
+        return (u, touched, saved)
 
-        def _undo_counts(touched):
-            for gi, cls in reversed(touched):
-                counts[gi][cls] -= 1
+    def undo(token):
+        u, touched, saved = token
+        for u3, old in reversed(saved):
+            domains[u3] = old
+        undo_counts(touched)
+        assigned[u] = False
 
-        def und(token):
-            u, touched, saved = token
-            for u3, old in reversed(saved):
-                domains[u3] = old
-            _undo_counts(touched)
-            assigned[u] = False
+    def dfs(depth):
+        if depth == n:
+            return all(bool(np.all(counts[gi] == g.multiplicity))
+                       for gi, g in enumerate(sysd.groups))
+        live = [(int(domains[u].sum()), u) for u in range(n) if not assigned[u]]
+        _, u = min(live)
+        # scaling gauge at the root; elsewhere the live domain by discrete log
+        cand = values[:1] if depth == 0 else by_log[domains[u][by_log - 1]]
+        for v in cand:
+            if not budget.spend():
+                return False
+            token = do_assign(u, int(v))
+            if token is None:
+                continue
+            if dfs(depth + 1):
+                return True
+            undo(token)
+            if budget.nodes > budget.limit:
+                return False
+        return False
 
-        def dfs(depth):
-            nonlocal exhausted_fully
-            if depth == n:
-                return all(bool(np.all(counts[gi] == g.multiplicity))
-                           for gi, g in enumerate(sysd.groups))
-            live = [(int(domains[u].sum()), u) for u in range(n) if not assigned[u]]
-            _, u = min(live)
-            cand = values[domains[u]]
-            if depth == 0:
-                cand = values[:1]      # scaling gauge
-            else:
-                cand = cand[np.argsort(value_perm[cand - 1], kind="stable")]
-            for v in cand:
-                if not budget.spend():
-                    exhausted_fully = False
-                    return False
-                token = do_assign(u, int(v))
-                if token is None:
-                    continue
-                if dfs(depth + 1):
-                    return True
-                und(token)
-                if budget.nodes > budget.limit:
-                    return False
-            return False
-
-        return dfs(0)
-
-    for r in range(restarts + 1):
-        exhausted_fully = True
-        if r == 0:
-            perm = fld._log[values].copy()     # ascending discrete log
-        else:
-            perm = rng.permutation(q - 1)
-        assigned = [False] * n
-        for gi in range(len(sysd.groups)):
-            counts[gi][:] = 0
-        if run(perm):
-            return SolveResult("sat", {u: assign[u] for u in range(n)}, budget.nodes)
-        if budget.nodes > budget.limit:
-            return SolveResult("budget_exceeded", nodes=budget.nodes)
-        if exhausted_fully:
-            return SolveResult("exhausted", nodes=budget.nodes)
-    return SolveResult("budget_exceeded", nodes=budget.nodes)
+    if dfs(0):
+        return SolveResult("sat", {u: assign[u] for u in range(n)}, budget.nodes)
+    status = "exhausted" if budget.nodes <= budget.limit else "budget_exceeded"
+    return SolveResult(status, nodes=budget.nodes)
 
 
 def _apply_reduction(system: ConstraintSystem, red: dict):
@@ -1011,24 +934,29 @@ def _apply_reduction(system: ConstraintSystem, red: dict):
     return reduced, expand
 
 
-def _solve_one(system: ConstraintSystem, seed: int, bud: _Budget) -> SolveResult:
-    ev = _Evaluator(system)
+def _solve_one(system: ConstraintSystem, bud: _Budget) -> SolveResult:
+    form_groups: list[list[int]] = [[] for _ in system.forms]
+    for gi, g in enumerate(system.groups):
+        for fi in g.forms:
+            form_groups[fi].append(gi)
     clusters = _clusters_of(system)
     if len(clusters) <= 1:
-        return _dfs_direct(system, ev, seed, bud)
+        return _dfs_direct(system, form_groups, bud)
     domains = []
     for cl in clusters:
-        dom = _enumerate_cluster(system, ev, cl)
+        dom = _enumerate_cluster(system, form_groups, cl)
         if dom is None:
-            return _dfs_direct(system, ev, seed, bud)
+            return _dfs_direct(system, form_groups, bud)
         domains.append(dom)
-    return _fc_over_clusters(system, ev, clusters, domains, seed, bud)
+    return _fc_over_clusters(system, form_groups, clusters, domains, bud)
 
 
 def solve(system: ConstraintSystem, seed: int = 0, budget: int = 10**8) -> SolveResult:
     """Find nonzero field values for all unknowns meeting every requirement.
 
-    Deterministic for fixed seed.  Sign-pairing reductions attached to the
+    Deterministic: the search order does not depend on `seed`, which is
+    accepted for interface stability only, so every seed returns the same
+    assignment and node count.  Sign-pairing reductions attached to the
     system are searched first (they carry the pattern structure of the
     underlying constructions); the unrestricted space follows.  "exhausted"
     is only reported when a complete space was fully explored; budget
@@ -1049,7 +977,7 @@ def solve(system: ConstraintSystem, seed: int = 0, budget: int = 10**8) -> Solve
     attempts.append((system, None))
     last = None
     for sub, expand in attempts:
-        res = _solve_one(sub, seed, bud)
+        res = _solve_one(sub, bud)
         last = res
         if res.status == "sat":
             values = [res.assignment[u] for u in range(len(sub.unknowns))]

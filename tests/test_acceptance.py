@@ -8,8 +8,7 @@ from fractions import Fraction
 import numpy as np
 from framedf import catalog, codes, designs, families, lifting, search
 from framedf.designs import RotationalStructure
-from framedf.families import DesignFamily
-from framedf.fields import is_prime, make_field
+from framedf.fields import field_of_order, make_field
 from framedf.groups import crt_iso
 
 
@@ -22,15 +21,11 @@ def _stamp(name, t0, limit):
 def _prime_powers(lo, hi):
     out = []
     for q in range(lo, hi + 1):
-        for p in range(2, q + 1):
-            if q % p == 0:
-                m, qq = 0, q
-                while qq % p == 0:
-                    qq //= p
-                    m += 1
-                if qq == 1 and is_prime(p):
-                    out.append(q)
-                break
+        try:
+            field_of_order(q)
+        except ValueError:
+            continue
+        out.append(q)
     return out
 
 
@@ -166,12 +161,7 @@ def test_criterion_7_ccc_chain():
 def test_criterion_8_fhs_chain():
     t0 = time.time()
     fdf = lifting.lift_sdf(catalog.lifting_datum("fdf_z7xF89"))
-    iso = crt_iso(fdf.group)
-    cyc = DesignFamily("FDF", iso.target, 1,
-                       tuple(tuple(int(iso.apply(x)) for x in b) for b in fdf.blocks),
-                       subgroup=tuple(sorted(int(iso.apply(x)) for x in fdf.subgroup)),
-                       frame_partition=fdf.frame_partition)
-    x = codes.fhs_from_elementary_fdf(cyc)
+    x = codes.fhs_from_elementary_fdf(families.relabel_family(fdf, crt_iso(fdf.group)))
     assert x.n == 623 and x.alphabet_size == 78
     rep = codes.verify_strictly_optimal(x)
     assert rep.ok

@@ -3,7 +3,7 @@ from pathlib import Path
 
 from framedf import catalog, serialize
 from framedf.cli import main
-from framedf.designs import affine_plane
+from framedf.designs import BlockDesign, affine_plane
 
 
 def run(capsys, *argv):
@@ -61,6 +61,28 @@ def test_import_accepts_and_rejects(tmp_path, capsys):
     serialize.dump(blob, bad)
     rc, _, err = run(capsys, "import", str(bad))
     assert rc == 1 and "rejected" in err
+
+
+def test_import_rejects_out_of_range_point(tmp_path, capsys):
+    design = BlockDesign(3, 2, 1, ((0, 1), (0, 2), (0, 5)))
+    bad = tmp_path / "stray.json"
+    serialize.dump(serialize.design_to_dict(design), bad)
+    rc, _, err = run(capsys, "import", str(bad))
+    assert rc == 1 and "point 5" in err
+
+
+def test_run_step_that_raises_reports_and_exits_1(tmp_path, capsys):
+    recipe = tmp_path / "lift_printed_z63.json"
+    recipe.write_text(json.dumps({"steps": [
+        {"id": "datum", "op": "catalog-lifting", "params": {"name": "fdf_z63xF25"},
+         "out": "$d"},
+        {"id": "lift", "op": "lift", "in": "$d", "out": "$fdf"}]}))
+    rc, out, _ = run(capsys, "--format", "json", "run", str(recipe))
+    assert rc == 1
+    steps = json.loads(out)
+    assert [s["step"] for s in steps] == ["datum", "lift"]
+    assert steps[0]["verified"] and not steps[1]["verified"]
+    assert "lifting conditions fail" in steps[1]["error"]
 
 
 def test_run_recipe_624(tmp_path, capsys):

@@ -75,6 +75,20 @@ def test_verify_bibd_against_dict_oracle():
         assert verify_bibd(design).ok == expect
 
 
+def test_verify_bibd_rejects_out_of_range_point():
+    # point 5 of v = 3 would alias onto the pair index of (1, 2)
+    rep = verify_bibd(BlockDesign(3, 2, 1, ((0, 1), (0, 2), (0, 5))))
+    assert not rep.ok and "point 5" in rep.detail
+    assert not verify_bibd(BlockDesign(3, 2, 1, ((0, 1), (0, 2), (-1, 2)))).ok
+
+
+def test_verify_resolution_rejects_out_of_range_point():
+    # the last class holds four distinct values, but 7 stands in for point 2
+    d = BlockDesign(4, 2, 1, ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 7)))
+    rep = verify_resolution(d, Resolution(((0, 1), (2, 3), (4, 5))))
+    assert not rep.ok and "point 7" in rep.detail
+
+
 def test_resolution_perturbation():
     d, r = affine_plane(3)
     assert verify_resolution(d, r).ok

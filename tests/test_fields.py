@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from framedf.fields import (CyclotomicIndexer, FiniteField, is_prime,
+from framedf.fields import (CyclotomicIndexer, FiniteField, field_of_order, is_prime,
                             least_primitive_root, make_field)
 
 
@@ -143,3 +143,12 @@ def test_class_members_partition():
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_field_of_order():
+    assert field_of_order(89) == make_field(89)
+    assert field_of_order(25) == make_field(5, 2, (2, 4, 1))    # the paper's GF(25)
+    assert (field_of_order(8).p, field_of_order(8).m) == (2, 3)
+    for q in (0, 1, 6, 12, 45, 100):
+        with pytest.raises(ValueError):
+            field_of_order(q)

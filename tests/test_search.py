@@ -1,4 +1,4 @@
-from decimal import Decimal
+from decimal import Decimal, getcontext, localcontext
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from framedf.families import verify_fdf
 from framedf.fields import make_field
 from framedf.lifting import check_lifting_conditions, lift_sdf
 from framedf.search import (ConstraintSystem, Form, RepairError, UniformityGroup,
-                            generic_system, paired_pattern_system,
+                            _clusters_of, generic_system, paired_pattern_system,
                             paley3_pattern_system, q_bound, q_bound_bracket,
                             repair_block, solve, z125_system)
 
@@ -28,6 +28,14 @@ def test_q_bound_printed_values(d, m, printed):
     mant, expo = printed.split("E+")
     digits = len(mant.replace(".", ""))
     assert f"%.{digits - 1}E" % val == f"{mant}E+{int(expo):02d}"
+
+
+def test_q_bound_leaves_decimal_context_alone():
+    with localcontext() as ctx:
+        ctx.prec = 28
+        val = q_bound(12, 12)
+        assert getcontext().prec == 28
+    assert sig6(val) == "7.94968E+27"
 
 
 def test_q_bound_within_exact_bracket():
@@ -197,6 +205,18 @@ def test_solver_determinism():
     s1 = solve(paired_pattern_system(catalog.family("twinPrime", 3), 17), seed=5)
     s2 = solve(paired_pattern_system(catalog.family("twinPrime", 3), 17), seed=5)
     assert s1.status == "sat" and s1.assignment == s2.assignment
+
+
+@pytest.mark.parametrize("make,clusters", [
+    (lambda: paley3_pattern_system(5, 61), 2),                               # cluster path
+    (lambda: paired_pattern_system(catalog.family("twinPrime", 3), 17), 1),  # _dfs_direct
+    (lambda: generic_system(catalog.family("z7_8_8"), 41, 40, 8, 1), 1),     # _dfs_direct
+])
+def test_solve_does_not_depend_on_seed(make, clusters):
+    assert len(_clusters_of(make())) == clusters
+    r0, r7 = solve(make(), seed=0), solve(make(), seed=7)
+    assert r0.status == "sat"
+    assert (r0.assignment, r0.nodes) == (r7.assignment, r7.nodes)
 
 
 def test_solver_exhausts_toy_unsat():
