@@ -2,8 +2,8 @@
 code derivation, verification, and recipe execution.
 
 Exit codes: 0 success, 1 verification failure (a recipe step that raises
-counts as one), 2 usage error, 3 search budget exhausted.  Searches are
-deterministic; their order does not depend on --seed.
+counts as one), 2 usage error, 3 search or repair budget exhausted.
+Searches are deterministic; their order does not depend on --seed.
 """
 
 from __future__ import annotations
@@ -269,6 +269,8 @@ def _run_step(op, step, env, workdir, seed):
             return 0, {}
         except search.RepairError as exc:
             return VERIFY_FAIL, {"error": str(exc)}
+        except search.RepairBudgetExceeded as exc:
+            return BUDGET_FAIL, {"error": str(exc)}
     if op == "check-conditions":
         rep = lifting.check_lifting_conditions(resolve(step["in"]))
         return (0 if rep.ok else VERIFY_FAIL), {"detail": rep.detail}

@@ -168,6 +168,8 @@ def verify_bibd(design: BlockDesign) -> DesignReport:
     one exact pass."""
     v = design.v
     k = design.k
+    if k < 2:
+        return DesignReport(False, detail=f"block size {k} < 2 covers no pairs")
     if any(len(blk) != k for blk in design.blocks):
         return DesignReport(False, detail="block of wrong size present")
     if design.blocks:
@@ -201,6 +203,8 @@ def verify_resolution(design: BlockDesign, res: Resolution) -> DesignReport:
     seen = sorted(i for cls in res.classes for i in cls)
     if seen != list(range(len(design.blocks))):
         return DesignReport(False, detail="classes do not partition the block list")
+    if design.k < 2:
+        return DesignReport(False, detail=f"block size {design.k} < 2 covers no pairs")
     expected = design.lam * (design.v - 1) // (design.k - 1)
     if len(res.classes) != expected:
         return DesignReport(False, detail=f"{len(res.classes)} classes, expected {expected}")

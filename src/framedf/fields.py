@@ -302,9 +302,31 @@ def _default_primitive_poly(p: int, m: int) -> tuple[int, ...]:
     raise ArithmeticError(f"no primitive polynomial of degree {m} over GF({p})")
 
 
+def make_field(p: int, m: int = 1, modulus: Optional[Sequence[int]] = None) -> FiniteField:
+    """Build (and cache) GF(p^m).  A supplied modulus must be primitive.
+
+    The arguments are normalised before the cache lookup, so every spelling
+    of one field returns the same object: for m = 1 the modulus is dropped
+    (after checking it is monic linear), and for m > 1 an omitted modulus
+    becomes the default primitive polynomial and a given one is reduced
+    mod p.  Elements built from any spelling therefore share one owner."""
+    if not is_prime(p):
+        raise ValueError(f"characteristic {p} is not prime")
+    if m < 1:
+        raise ValueError("extension degree must be >= 1")
+    if m == 1:
+        if modulus is not None and (len(modulus) != 2 or modulus[1] % p != 1):
+            raise ValueError("prime-field modulus must be monic linear")
+        modulus = None
+    elif modulus is None:
+        modulus = _default_primitive_poly(p, m)
+    else:
+        modulus = tuple(x % p for x in modulus)
+    return _cached_field(p, m, modulus)
+
+
 @lru_cache(maxsize=None)
-def make_field(p: int, m: int = 1, modulus: Optional[tuple] = None) -> FiniteField:
-    """Build (and cache) GF(p^m).  A supplied modulus must be primitive."""
+def _cached_field(p: int, m: int, modulus: Optional[tuple]) -> FiniteField:
     return FiniteField(p, m, modulus)
 
 

@@ -17,6 +17,15 @@ clusters (connected components of the form graph) and
   value-level forward checking, a scaling gauge on the first unknown, and
   candidates in ascending discrete-log order.
 
+Field arithmetic in the search goes through one set of lookup tables per
+field, built on first use: exp/log lists, a q x q addition table and one
+multiplication row per prime-subfield element, since a form coefficient c
+is the element c mod p.  The scalar loops (the depth-first search,
+form evaluation, repair) index the Python lists; cluster enumeration
+gathers from numpy copies.  The depth-first search keeps each unknown's
+live domain as an int bitset indexed by discrete log, and prunes it by
+ORing precomputed class bitsets.
+
 Hints order candidates (signatures agreeing with the hinted label plan are
 tried first) but never exclude assignments.  Every success is re-verified
 against the full system, and against the lifting conditions whenever the
@@ -30,6 +39,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -52,6 +62,7 @@ __all__ = [
     "SolveResult",
     "repair_block",
     "RepairError",
+    "RepairBudgetExceeded",
 ]
 
 
@@ -84,12 +95,51 @@ def q_bound_bracket(d: int, m: int) -> tuple[Fraction, Fraction]:
 
 
 # ---------------------------------------------------------------------------
+# Plain-int field tables for the search loops
+
+
+class _FieldTables:
+    """Arithmetic of one field as lookup tables on integer encodings.
+
+    exp, log (log[0] = -1) and the q x q addition table `add` are Python
+    lists for the scalar loops; `add_flat` and `mul_arr` are numpy copies
+    for the vectorised cluster enumeration.  mul[s] is the row x -> s*x of
+    the prime-subfield element s (encoding s, 0 <= s < p); a form
+    coefficient c acts as the element c mod p, through row(c).
+    """
+
+    def __init__(self, fld: FiniteField):
+        q, p = fld.q, fld.p
+        enc = np.arange(q, dtype=np.int64)
+        add = fld.add(enc[:, None], enc[None, :])
+        mul = np.zeros((p, q), dtype=np.int64)
+        for s in range(1, p):
+            mul[s] = fld.mul(enc, s)
+        self.p = p
+        self.exp = fld._exp.tolist()
+        self.log = fld._log.tolist()
+        self.add = add.tolist()
+        self.mul = mul.tolist()
+        self.add_flat = add.ravel()
+        self.mul_arr = mul
+
+    def row(self, c: int) -> list[int]:
+        return self.mul[c % self.p]
+
+
+@lru_cache(maxsize=None)
+def _field_tables(fld: FiniteField) -> _FieldTables:
+    return _FieldTables(fld)
+
+
+# ---------------------------------------------------------------------------
 # Constraint systems
 
 
 @dataclass(frozen=True)
 class Form:
-    """A linear expression over unknowns: value = sum(coeff * y) in GF(q)."""
+    """A linear expression over unknowns: value = sum(coeff * y) in GF(q),
+    each integer coefficient read as the prime-subfield element coeff mod p."""
     name: str
     terms: tuple[tuple[int, int], ...]
 
@@ -119,25 +169,19 @@ class ConstraintSystem:
     reductions: tuple[dict, ...] = ()
 
     def eval_form(self, fi: int, assignment: Sequence[int]) -> int:
-        fld = self.field
+        tab = _field_tables(self.field)
+        add = tab.add
         acc = 0
         for u, c in self.forms[fi].terms:
-            v = int(assignment[u])
-            if c == 1:
-                term = v
-            elif c == -1:
-                term = fld.neg(v)
-            else:
-                term = int(fld.mul(v, c % fld.q))
-            acc = int(fld.add(acc, term))
+            acc = add[acc][tab.row(c)[int(assignment[u])]]
         return acc
 
     def check_assignment(self, assignment: Sequence[int]) -> bool:
-        fld = self.field
+        log = _field_tables(self.field).log
         vals = [self.eval_form(fi, assignment) for fi in range(len(self.forms))]
         if any(v == 0 for v in vals):
             return False
-        logs = [fld.dlog(v) for v in vals]
+        logs = [log[v] for v in vals]
         for g in self.groups:
             counts = [0] * g.modulus
             for fi in g.forms:
@@ -504,21 +548,17 @@ def _clusters_of(system: ConstraintSystem) -> list[list[int]]:
 
 def _eval_forms_array(system: ConstraintSystem, fis: Sequence[int],
                       cols: dict[int, np.ndarray]) -> np.ndarray:
-    """Evaluate forms on column vectors of unknown values; (rows, len(fis))."""
-    fld = system.field
+    """Evaluate forms on column vectors of unknown values; (rows, len(fis)).
+    Products and sums are gathers from the flat field tables."""
+    tab = _field_tables(system.field)
+    q = system.field.q
     nrows = len(next(iter(cols.values())))
     out = np.empty((nrows, len(fis)), dtype=np.int64)
     for k, fi in enumerate(fis):
-        acc = np.zeros(nrows, dtype=np.int64)
+        acc = None
         for u, c in system.forms[fi].terms:
-            v = cols[u]
-            if c == 1:
-                term = v
-            elif c == -1:
-                term = fld.neg(v)
-            else:
-                term = fld.mul(v, c % fld.q)
-            acc = fld.add(acc, term)
+            term = cols[u] if c % tab.p == 1 else tab.mul_arr[c % tab.p][cols[u]]
+            acc = term if acc is None else tab.add_flat[acc * q + term]
         out[:, k] = acc
     return out
 
@@ -563,28 +603,28 @@ def _enumerate_cluster(system: ConstraintSystem, form_groups: list[list[int]],
     values = np.arange(1, sysd.field.q, dtype=np.int64)
     gids = sorted(set(local_groups) | set(straddle))
     gslot = {gi: k for k, gi in enumerate(gids)}
+    # per tracked modulus, the bit of each encoding's class (the entry for
+    # 0 is never read into a kept row: rows with a zero value are dropped)
+    class_bit = {m: np.int64(1) << (log % m)
+                 for m in {sysd.groups[gi].modulus for gi in gids}}
 
     def apply_forms(frontier, masks, fis, level):
+        """Keep the rows whose new form values are nonzero and whose labels
+        fill no class twice; one filter per level.  masks is always freshly
+        allocated (by expand or at level 0), so it is updated in place: rows
+        that are dropped carry meaningless bits, kept rows their own labels."""
         cols = {order[i]: frontier[:, i] for i in range(level + 1)}
         vals = _eval_forms_array(sysd, fis, cols)
-        keep = ~np.any(vals == 0, axis=1)
-        frontier, masks, vals = frontier[keep], masks[keep], vals[keep]
+        good = (vals != 0).all(axis=1)
         for k, fi in enumerate(fis):
-            if len(frontier) == 0:
-                break
-            logs = log[vals[:, k]]
             for gi in form_groups[fi]:
-                if gi not in gslot:
+                col = gslot.get(gi)
+                if col is None:
                     continue
-                mod = sysd.groups[gi].modulus
-                bit = np.int64(1) << (logs % mod).astype(np.int64)
-                col = gslot[gi]
-                good = (masks[:, col] & bit) == 0
-                if not good.all():
-                    frontier, masks, vals = frontier[good], masks[good], vals[good]
-                    logs, bit = logs[good], bit[good]
-                masks[:, col] = masks[:, col] | bit
-        return frontier, masks
+                bit = class_bit[sysd.groups[gi].modulus][vals[:, k]]
+                good &= (masks[:, col] & bit) == 0
+                masks[:, col] |= bit
+        return frontier[good], masks[good]
 
     # class-directed expansion: when the new unknown's identity form sits in a
     # tracked group, only classes still free in that group's bitmask are tried
@@ -626,28 +666,34 @@ def _enumerate_cluster(system: ConstraintSystem, form_groups: list[list[int]],
             return fr[:0, :].reshape(0, fr.shape[1] + 1), mk[:0]
         return np.concatenate(parts_f), np.concatenate(parts_m)
 
+    def grow(frontier, masks, level):
+        """Place order[level] on every row, in chunks of at most
+        _FRONTIER_CAP rows; the chunks are freed on return."""
+        parts_f, parts_m = [], []
+        chunk = max(1, _FRONTIER_CAP // max(1, len(values)))
+        for lo in range(0, len(frontier), chunk):
+            fr2, mk2 = expand(frontier[lo:lo + chunk], masks[lo:lo + chunk], level)
+            if level in completes_at and len(fr2):
+                fr2, mk2 = apply_forms(fr2, mk2, completes_at[level], level)
+            parts_f.append(fr2)
+            parts_m.append(mk2)
+        if not parts_f:
+            return frontier[:0], masks[:0]
+        return np.concatenate(parts_f), np.concatenate(parts_m)
+
     frontier = values[:, None]
     masks = np.zeros((len(frontier), len(gids)), dtype=np.int64)
     if 0 in completes_at:
         frontier, masks = apply_forms(frontier, masks, completes_at[0], 0)
     work = 0
     for level in range(1, len(order)):
-        n0 = len(frontier)
-        work += n0 * len(values)
+        work += len(frontier) * len(values)
         if work > _WORK_CAP:
             return None
-        parts_f, parts_m = [], []
-        chunk = max(1, _FRONTIER_CAP // max(1, len(values)))
-        for lo in range(0, n0, chunk):
-            fr2, mk2 = expand(frontier[lo:lo + chunk], masks[lo:lo + chunk], level)
-            if level in completes_at and len(fr2):
-                fr2, mk2 = apply_forms(fr2, mk2, completes_at[level], level)
-            parts_f.append(fr2)
-            parts_m.append(mk2)
-        frontier = np.concatenate(parts_f) if parts_f else frontier[:0]
-        masks = np.concatenate(parts_m) if parts_m else masks[:0]
+        frontier, masks = grow(frontier, masks, level)
         if len(frontier) == 0:
             break
+    del masks       # the signatures never read it; free it before their peak
     if len(frontier) == 0:
         return (np.zeros((0, len(order)), dtype=np.int64),
                 np.zeros((0, len(cross_forms)), dtype=np.int8), cross_forms)
@@ -660,6 +706,7 @@ def _enumerate_cluster(system: ConstraintSystem, form_groups: list[list[int]],
             ms = [sysd.groups[gi].modulus for gi in form_groups[fi] if gi in gslot]
             mods.append(ms[0] if ms else sysd.d)
             sigl[:, k] = log[sig[:, k]] % mods[-1]
+        del sig
         if math.prod(mods) < 2**62:
             enc = np.zeros(len(sigl), dtype=np.int64)
             for k in range(len(cross_forms)):
@@ -670,7 +717,7 @@ def _enumerate_cluster(system: ConstraintSystem, form_groups: list[list[int]],
         first = np.sort(first)
         frontier, sigl = frontier[first], sigl[first]
     else:
-        frontier = frontier[:1]
+        frontier, sigl = frontier[:1], sigl[:1]
     return frontier, sigl, cross_forms
 
 
@@ -753,134 +800,160 @@ def _dfs_direct(system: ConstraintSystem, form_groups: list[list[int]],
     All requirements are uniformity groups, which are invariant under
     scaling every unknown by a common nonzero element, so the first
     unknown searched is pinned to 1 (completeness is preserved: every
-    satisfiable system has a solution in that gauge).  After each
-    placement, every form with exactly one unassigned unknown prunes that
-    unknown's value domain through the form's group counts; the next
-    unknown is always one of minimal live domain, and its candidate values
-    are tried in ascending discrete-log order.
+    satisfiable system has a solution in that gauge).  The next unknown is
+    always one of minimal live domain, and its candidate values are tried
+    in ascending discrete-log order.
+
+    The loop runs on plain ints through the shared field tables; group
+    counts are lists.  Each live domain is an int bitset in which bit i
+    stands for generator^i, so reading the set bits from the lowest gives
+    ascending discrete-log order and int.bit_count() the live size.  A
+    form left with one unassigned unknown x reads s*x + const, with s its
+    coefficient and const the sum of its assigned terms; for each
+    (s, const, modulus) the bitsets of the x landing in each class are
+    built once, and pruning ORs together those of the full classes plus
+    the bit where the form vanishes.  A form is pruned in full when it
+    comes down to one free unknown, and again for each class of its groups
+    that fills up later; this leaves every domain where a full re-check of
+    all such forms after each placement would.
     """
-    sysd = system
-    fld = sysd.field
-    q = fld.q
-    n = len(sysd.unknowns)
-    values = np.arange(1, q, dtype=np.int64)
-    by_log = values[np.argsort(fld._log[values])]
-    # form bookkeeping
-    counts = [np.zeros(g.modulus, dtype=np.int64) for g in sysd.groups]
+    tab = _field_tables(system.field)
+    add, log, exp, mul = tab.add, tab.log, tab.exp, tab.mul
+    p, q1 = tab.p, system.field.q - 1
+    everything = (1 << q1) - 1
+    n = len(system.unknowns)
+    group_forms = [g.forms for g in system.groups]
+    mods = [g.modulus for g in system.groups]
+    mults = [g.multiplicity for g in system.groups]
+    counts = [[0] * mod for mod in mods]
     assign = [0] * n
     assigned = [False] * n
-    unknowns_of_form = [tuple(u for u, _ in f.terms) for f in sysd.forms]
-    coeff_of = [dict(f.terms) for f in sysd.forms]
+    terms = [[(u, c % p) for u, c in f.terms] for f in system.forms]
+    nfree = [len(ts) for ts in terms]              # unassigned terms per form
     forms_by_unknown = [[] for _ in range(n)]
-    for fi, us in enumerate(unknowns_of_form):
-        for u in us:
+    for fi, ts in enumerate(terms):
+        for u, _ in ts:
             forms_by_unknown[u].append(fi)
-    domains = [np.ones(q - 1, dtype=bool) for _ in range(n)]
+    domains = [everything] * n
+    class_bits: dict[tuple[int, int, int], list[int]] = {}
 
-    def form_partial(fi, free_u):
-        """Value of form fi as (coeff, const) in the single free unknown."""
+    def bits_by_class(s, const, mod):
+        """Per class mod `mod`, the bits of the x with s*x + const in it."""
+        key = (s, const, mod)
+        out = class_bits.get(key)
+        if out is None:
+            row, out = mul[s], [0] * mod
+            for i in range(q1):
+                val = add[row[exp[i]]][const]
+                if val:
+                    out[log[val] % mod] |= 1 << i
+            class_bits[key] = out
+        return out
+
+    def vanishing(s, const):
+        """The bits of the x with s*x + const = 0."""
+        if s == 0:
+            return everything if const == 0 else 0
+        return 1 << ((log[mul[p - 1][const]] - log[s]) % q1) if const else 0
+
+    def free_term(fi):
+        """(unknown, coefficient) of the one unassigned term of form fi,
+        and the sum of its assigned terms."""
         const = 0
-        for u, c in sysd.forms[fi].terms:
-            if u == free_u:
-                continue
-            v = assign[u]
-            t = v if c == 1 else (fld.neg(v) if c == -1 else int(fld.mul(v, c % q)))
-            const = int(fld.add(const, t))
-        return coeff_of[fi][free_u], const
+        for w, s in terms[fi]:
+            if assigned[w]:
+                const = add[const][mul[s][assign[w]]]
+            else:
+                free = w, s
+        return free[0], free[1], const
 
-    def prune_domain(u, dom, form_subset):
-        """Filter dom (bool over values) through nearly-complete forms of u."""
-        for fi in form_subset:
-            others = [x for x in unknowns_of_form[fi] if x != u]
-            if any(not assigned[x] for x in others):
-                continue
-            c, const = form_partial(fi, u)
-            cv = values if c == 1 else (fld.neg(values) if c == -1
-                                        else fld.mul(values, c % q))
-            fv = fld.add(cv, const)
-            ok = fv != 0
-            logs = fld._log[np.where(ok, fv, 1)]
-            for gi in form_groups[fi]:
-                g = sysd.groups[gi]
-                full = counts[gi] >= g.multiplicity
-                if full.any():
-                    ok = ok & ~full[logs % g.modulus]
-            dom = dom & ok
-        return dom
+    def narrow(u, banned, saved):
+        """Drop the banned bits from u's domain; False when it empties."""
+        dom = domains[u]
+        if dom & banned:
+            saved.append((u, dom))
+            domains[u] = dom = dom & ~banned
+        return dom != 0
 
-    def undo_counts(touched):
-        for gi, cls in reversed(touched):
-            counts[gi][cls] -= 1
-
-    def do_assign(u, v):
-        """Returns undo token or None on contradiction."""
-        assign[u] = v
-        assigned[u] = True
-        touched = []
-        for fi in forms_by_unknown[u]:
-            if any(not assigned[x] for x in unknowns_of_form[fi]):
-                continue
-            val = sysd.eval_form(fi, assign)
-            if val == 0:
-                undo_counts(touched)
-                assigned[u] = False
-                return None
-            lg = fld.dlog(val)
-            for gi in form_groups[fi]:
-                g = sysd.groups[gi]
-                cls = lg % g.modulus
-                if counts[gi][cls] >= g.multiplicity:
-                    undo_counts(touched)
-                    assigned[u] = False
-                    return None
-                counts[gi][cls] += 1
-                touched.append((gi, cls))
-        saved = []
-        affected: dict[int, set[int]] = {}
-        cand_forms = set(forms_by_unknown[u])
-        for gi, _ in touched:
-            cand_forms.update(sysd.groups[gi].forms)
-        for fi in cand_forms:
-            free = [x for x in unknowns_of_form[fi] if not assigned[x]]
-            if len(free) == 1:
-                affected.setdefault(free[0], set()).add(fi)
-        for u2, fis in affected.items():
-            nd = prune_domain(u2, domains[u2], fis)
-            if nd is not domains[u2]:
-                saved.append((u2, domains[u2]))
-                domains[u2] = nd
-            if not nd.any():
-                for u3, old in reversed(saved):
-                    domains[u3] = old
-                undo_counts(touched)
-                assigned[u] = False
-                return None
-        return (u, touched, saved)
-
-    def undo(token):
-        u, touched, saved = token
+    def undo(u, touched, saved):
         for u3, old in reversed(saved):
             domains[u3] = old
-        undo_counts(touched)
+        for gi, cls in touched:
+            counts[gi][cls] -= 1
+        for fi in forms_by_unknown[u]:
+            nfree[fi] += 1
         assigned[u] = False
+
+    def do_assign(u, v):
+        """Place u = v; returns an undo token, or None on contradiction."""
+        assign[u] = v
+        assigned[u] = True
+        mine = forms_by_unknown[u]
+        for fi in mine:
+            nfree[fi] -= 1
+        touched, filled, saved = [], [], []
+        token = (u, touched, saved)
+        for fi in mine:
+            if nfree[fi]:
+                continue
+            val = 0
+            for w, s in terms[fi]:
+                val = add[val][mul[s][assign[w]]]
+            if val == 0:
+                undo(*token)
+                return None
+            lg = log[val]
+            for gi in form_groups[fi]:
+                cls = lg % mods[gi]
+                cnt = counts[gi]
+                if cnt[cls] >= mults[gi]:
+                    undo(*token)
+                    return None
+                cnt[cls] += 1
+                touched.append((gi, cls))
+                if cnt[cls] == mults[gi]:
+                    filled.append((gi, cls))
+        for fi in mine:
+            if nfree[fi] != 1:
+                continue
+            u2, s, const = free_term(fi)
+            banned = vanishing(s, const)
+            for gi in form_groups[fi]:
+                by_class = bits_by_class(s, const, mods[gi])
+                for cls, cnt in enumerate(counts[gi]):
+                    if cnt >= mults[gi]:
+                        banned |= by_class[cls]
+            if not narrow(u2, banned, saved):
+                undo(*token)
+                return None
+        for gi, cls in filled:
+            for fi in group_forms[gi]:
+                if nfree[fi] != 1:
+                    continue
+                u2, s, const = free_term(fi)
+                if not narrow(u2, bits_by_class(s, const, mods[gi])[cls], saved):
+                    undo(*token)
+                    return None
+        return token
 
     def dfs(depth):
         if depth == n:
-            return all(bool(np.all(counts[gi] == g.multiplicity))
-                       for gi, g in enumerate(sysd.groups))
-        live = [(int(domains[u].sum()), u) for u in range(n) if not assigned[u]]
-        _, u = min(live)
-        # scaling gauge at the root; elsewhere the live domain by discrete log
-        cand = values[:1] if depth == 0 else by_log[domains[u][by_log - 1]]
-        for v in cand:
+            return all(c == m for cnt, m in zip(counts, mults) for c in cnt)
+        _, u = min((domains[u].bit_count(), u) for u in range(n) if not assigned[u])
+        # scaling gauge at the root (bit 0 is generator^0 = 1); elsewhere
+        # the live domain, lowest discrete log first
+        dom = 1 if depth == 0 else domains[u]
+        while dom:
+            low = dom & -dom
+            dom ^= low
             if not budget.spend():
                 return False
-            token = do_assign(u, int(v))
+            token = do_assign(u, exp[low.bit_length() - 1])
             if token is None:
                 continue
             if dfs(depth + 1):
                 return True
-            undo(token)
+            undo(*token)
             if budget.nodes > budget.limit:
                 return False
         return False
@@ -894,8 +967,10 @@ def _dfs_direct(system: ConstraintSystem, form_groups: list[list[int]],
 def _apply_reduction(system: ConstraintSystem, red: dict):
     """Substitute follower unknowns by signed leaders; returns the reduced
     system plus an expander back to full assignments, or None when some form
-    collapses to the zero expression under the substitution."""
-    q = system.field.q
+    collapses to the zero expression under the substitution.  Merged
+    coefficients are reduced mod p, the characteristic, and written as the
+    residue of least absolute value."""
+    p = system.field.p
 
     def resolve(u):
         sign = 1
@@ -912,9 +987,9 @@ def _apply_reduction(system: ConstraintSystem, red: dict):
         acc: dict[int, int] = {}
         for u, c in f.terms:
             base, sign = resolve(u)
-            acc[base] = (acc.get(base, 0) + c * sign) % q
-        terms = tuple(sorted((newidx[u], c if c <= q // 2 else c - q)
-                             for u, c in acc.items() if c % q))
+            acc[base] = (acc.get(base, 0) + c * sign) % p
+        terms = tuple(sorted((newidx[u], c if c <= p // 2 else c - p)
+                             for u, c in acc.items() if c))
         if not terms:
             return None
         forms.append(Form(f.name, terms))
@@ -1005,6 +1080,11 @@ class RepairError(ValueError):
     """No completion exists with the non-suspect values held fixed."""
 
 
+class RepairBudgetExceeded(RuntimeError):
+    """The repair search spent its node budget before finishing, so nothing
+    was proved about whether a completion exists."""
+
+
 def _failing_constraints(report) -> list:
     bad = [("cond1", h) for h, ok in report.cond1.items() if not ok]
     bad += [("cond2", p) for p, ok in report.cond2.items() if not ok]
@@ -1072,7 +1152,9 @@ def repair_block(data: LiftingData, suspects: Sequence[tuple[int, int]],
     block containing a suspect; scaled copies among those blocks (rows that
     are C_0^{e,q}-multiples of one another in the original data) keep their
     scaling relation, which is how printed orbit data stays an orbit.
-    Raises RepairError when no completion exists.
+    Raises RepairError when a complete search finds no completion, and
+    RepairBudgetExceeded (without widening) when a search spends its node
+    budget first.
     """
     suspects = {(int(i), int(a)) for i, a in suspects}
     report = check_lifting_conditions(data)
@@ -1097,7 +1179,9 @@ def repair_block(data: LiftingData, suspects: Sequence[tuple[int, int]],
 
 
 def _repair_search(data: LiftingData, suspects: set, budget: int) -> Optional[LiftingData]:
-    """Depth-first search over suspect values with exact per-slot tallies.
+    """Depth-first search over suspect values with exact per-slot tallies;
+    None when the complete search finds no completion, RepairBudgetExceeded
+    when more than `budget` nodes would be needed to finish it.
 
     Slot and part requirements are tracked as counts per cyclotomic e-class
     (plain lists; this loop is hot).  A finished slot must fill whole
@@ -1128,11 +1212,10 @@ def _repair_search(data: LiftingData, suspects: set, budget: int) -> Optional[Li
         for j, m in followers.get(i, ()):
             det_of[j] = (i, m)
 
-    # scalar lookup tables; the DFS below runs on plain ints
-    sub_t = [[int(fld.sub(x, y)) for y in range(q)] for x in range(q)]
-    ecl_t = [0] * q
-    for x in range(1, q):
-        ecl_t[x] = fld.dlog(x) % e
+    # the DFS below runs on plain ints through the shared field tables
+    tab = _field_tables(fld)
+    add, neg = tab.add, tab.row(-1)
+    ecl = [lg % e for lg in tab.log]          # e-class of each nonzero encoding
     mul_row = {m: [int(fld.mul(x, m)) for x in range(q)]
                for m in {mm for fs in followers.values() for _, mm in fs}}
 
@@ -1184,12 +1267,12 @@ def _repair_search(data: LiftingData, suspects: set, budget: int) -> Optional[Li
                     slot_pending[hab] += 1
                     slot_pending[hba] += 1
                     continue
-                diff = sub_t[phi[i][a]][phi[i][b]]
+                diff = add[phi[i][a]][neg[phi[i][b]]]
                 if diff == 0:
                     ok_fixed = False
                 else:
-                    slot_counts[hab][ecl_t[diff]] += 1
-                    slot_counts[hba][ecl_t[sub_t[phi[i][b]][phi[i][a]]]] += 1
+                    slot_counts[hab][ecl[diff]] += 1
+                    slot_counts[hba][ecl[neg[diff]]] += 1
         pi = part_of_block[i]
         for a in range(k):
             if is_suspect(i, a):
@@ -1199,7 +1282,7 @@ def _repair_search(data: LiftingData, suspects: set, budget: int) -> Optional[Li
                 if v == 0:
                     ok_fixed = False
                 else:
-                    part_counts[pi][ecl_t[v]] += 1
+                    part_counts[pi][ecl[v]] += 1
     if not ok_fixed:
         return None
 
@@ -1234,7 +1317,7 @@ def _repair_search(data: LiftingData, suspects: set, budget: int) -> Optional[Li
         for (j, m) in members_of[i]:
             vv = v if m is None else mul_row[m][v]
             pi = part_of_block[j]
-            ec = ecl_t[vv]
+            ec = ecl[vv]
             pc = part_counts[pi]
             pc[ec] += 1
             part_pending[pi] -= 1
@@ -1249,11 +1332,11 @@ def _repair_search(data: LiftingData, suspects: set, budget: int) -> Optional[Li
             vb = row[b]
             if vb == 0 and is_suspect(i, b):
                 continue
-            diff = sub_t[v][vb]
+            diff = add[v][neg[vb]]
             if diff == 0:
                 return False
-            ec1 = ecl_t[diff]
-            ec2 = ecl_t[sub_t[vb][v]]
+            ec1 = ecl[diff]
+            ec2 = ecl[neg[diff]]
             sc1 = slot_counts[hab]
             sc1[ec1] += w
             slot_pending[hab] -= w
@@ -1299,7 +1382,8 @@ def _repair_search(data: LiftingData, suspects: set, budget: int) -> Optional[Li
         for vi in range(vstart, q - 1):
             nodes += 1
             if nodes > budget:
-                return None
+                raise RepairBudgetExceeded(f"repair search spent its budget of {budget} "
+                                           "nodes; nothing is proved")
             v = values[vi]
             undo: list = []
             if place(i, a, v, undo):

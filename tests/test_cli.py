@@ -1,7 +1,8 @@
+import functools
 import json
 from pathlib import Path
 
-from framedf import catalog, serialize
+from framedf import catalog, search, serialize
 from framedf.cli import main
 from framedf.designs import BlockDesign, affine_plane
 
@@ -69,6 +70,29 @@ def test_import_rejects_out_of_range_point(tmp_path, capsys):
     serialize.dump(serialize.design_to_dict(design), bad)
     rc, _, err = run(capsys, "import", str(bad))
     assert rc == 1 and "point 5" in err
+
+
+def test_import_rejects_block_size_one(tmp_path, capsys):
+    design = BlockDesign(3, 1, 0, ((0,), (1,), (2,)))
+    bad = tmp_path / "k1.json"
+    serialize.dump(serialize.design_to_dict(design), bad)
+    rc, _, err = run(capsys, "import", str(bad))
+    assert rc == 1 and "rejected: block size 1" in err
+
+
+def test_repair_step_out_of_budget_exits_3(tmp_path, capsys, monkeypatch):
+    # a repair that spends its node budget proves nothing: exit 3, not 1
+    monkeypatch.setattr(search, "repair_block",
+                        functools.partial(search.repair_block, budget=5))
+    recipe = tmp_path / "repair_z63.json"
+    recipe.write_text(json.dumps({"steps": [
+        {"id": "datum", "op": "catalog-lifting", "params": {"name": "fdf_z63xF25"},
+         "out": "$d"},
+        {"id": "repair", "op": "repair", "in": "$d", "out": "$fixed"}]}))
+    rc, out, _ = run(capsys, "--format", "json", "run", str(recipe))
+    assert rc == 3
+    steps = json.loads(out)
+    assert not steps[1]["verified"] and "budget" in steps[1]["error"]
 
 
 def test_run_step_that_raises_reports_and_exits_1(tmp_path, capsys):

@@ -89,6 +89,15 @@ def test_verify_resolution_rejects_out_of_range_point():
     assert not rep.ok and "point 7" in rep.detail
 
 
+def test_verifiers_reject_block_size_one():
+    # no pairs to cover: a failing report, not a ZeroDivisionError
+    d = BlockDesign(3, 1, 0, ((0,), (1,), (2,)))
+    rep = verify_bibd(d)
+    assert not rep.ok and "block size 1" in rep.detail
+    rres = verify_resolution(d, Resolution(((0, 1, 2),)))
+    assert not rres.ok and "block size 1" in rres.detail
+
+
 def test_resolution_perturbation():
     d, r = affine_plane(3)
     assert verify_resolution(d, r).ok

@@ -145,6 +145,24 @@ def test_is_prime():
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
+def test_make_field_is_canonical():
+    assert make_field(89) is make_field(89, 1) is field_of_order(89)
+    assert make_field(89, 1, (5, 1)) is make_field(89)        # any monic linear modulus
+    assert make_field(5, 2) is make_field(5, 2, (2, 4, 1)) is field_of_order(25)
+    assert make_field(5, 2, [2, -1, 6]) is make_field(5, 2)    # coefficients read mod p
+    with pytest.raises(ValueError):
+        make_field(89, 1, (3, 2))
+    with pytest.raises(ValueError):
+        make_field(5, 0)
+
+
+def test_elements_from_different_spellings_mix():
+    a, b = make_field(89).element(3), field_of_order(89).element(4)
+    assert (a + b).encoding == 7 and (a * b).encoding == 12
+    x, y = make_field(5, 2).element([0, 1]), make_field(5, 2, (2, 4, 1)).element([1, 1])
+    assert (x + y).coeffs == (1, 2)
+
+
 def test_field_of_order():
     assert field_of_order(89) == make_field(89)
     assert field_of_order(25) == make_field(5, 2, (2, 4, 1))    # the paper's GF(25)

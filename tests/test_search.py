@@ -1,16 +1,18 @@
+import hashlib
+import json
 from decimal import Decimal, getcontext, localcontext
 
 import numpy as np
 import pytest
 
-from framedf import catalog
+from framedf import catalog, search
 from framedf.families import verify_fdf
 from framedf.fields import make_field
 from framedf.lifting import check_lifting_conditions, lift_sdf
-from framedf.search import (ConstraintSystem, Form, RepairError, UniformityGroup,
-                            _clusters_of, generic_system, paired_pattern_system,
-                            paley3_pattern_system, q_bound, q_bound_bracket,
-                            repair_block, solve, z125_system)
+from framedf.search import (ConstraintSystem, Form, RepairBudgetExceeded, RepairError,
+                            UniformityGroup, _apply_reduction, _clusters_of,
+                            generic_system, paired_pattern_system, paley3_pattern_system,
+                            q_bound, q_bound_bracket, repair_block, solve, z125_system)
 
 
 def sig6(x: Decimal) -> str:
@@ -69,7 +71,7 @@ def test_generic_system_congruence_guard():
 def test_generic_solve_z7_at_89():
     sysm = generic_system(catalog.family("z7_8_8"), 89, 88, 8, 1)
     res = solve(sysm, seed=0, budget=3_000_000)
-    assert res.status == "sat"
+    assert res.status == "sat" and res.nodes == 249_889
     data = sysm.lifting_builder([res.assignment[u] for u in sysm.unknowns])
     assert check_lifting_conditions(data).ok
     assert verify_fdf(lift_sdf(data)).ok
@@ -219,6 +221,88 @@ def test_solve_does_not_depend_on_seed(make, clusters):
     assert (r0.assignment, r0.nodes) == (r7.assignment, r7.nodes)
 
 
+def _digest(assignment):
+    if assignment is None:
+        return None
+    return hashlib.sha256(json.dumps(assignment, sort_keys=True).encode()).hexdigest()
+
+
+# (status, nodes, assignment digest) as the numpy-based solver returned them;
+# any change of search order shows up here
+@pytest.mark.parametrize("make,pinned", [
+    (lambda: generic_system(catalog.family("z7_8_8"), 25, 24, 8, 1),
+     ("exhausted", 8777, None)),
+    (lambda: generic_system(catalog.family("z7_8_8"), 73, 72, 8, 1),
+     ("sat", 47, "9594c85623800ee5dd12ff6ac6a6602a56b8d1b8999cc52aa18be5a55fbdab44")),
+    (lambda: paired_pattern_system(catalog.family("twinPrime", 3), 17),
+     ("sat", 346, "5c9cde680073df6873022fc80741298f75296723a8b295728bad37bd78c3085f")),
+    (lambda: paired_pattern_system(catalog.family("twinPrime", 3), 49),
+     ("exhausted", 44563, None)),
+    (lambda: paley3_pattern_system(5, 61),
+     ("sat", 17, "ac25706f4a1f37c3de94cf3eac0040a167e4cc15682667bf5296a0b268890991")),
+], ids=["z7@25", "z7@73", "twinPrime3@17", "twinPrime3@49", "paley3_5@61"])
+def test_search_order_is_pinned(make, pinned):
+    res = solve(make(), seed=0)
+    assert (res.status, res.nodes, _digest(res.assignment)) == pinned
+
+
+def _gf25_system(groups, n=4):
+    """The first n of the unknowns y0..y3 over GF(25), with the forms among
+    y0, -2*y0 + 6*y1, y2, 6*y2 - 2*y3 that use only those unknowns."""
+    forms = (Form("y0", ((0, 1),)), Form("-2y0+6y1", ((0, -2), (1, 6))),
+             Form("y2", ((2, 1),)), Form("6y2-2y3", ((2, 6), (3, -2))))
+    return ConstraintSystem(make_field(5, 2), 2, ("y0", "y1", "y2", "y3")[:n], forms[:n],
+                            groups)
+
+
+def _reference_value(sysm, fi, values):
+    """The form's value by FieldElement arithmetic, each coefficient c
+    taken as the constant polynomial c of GF(25)."""
+    F = sysm.field
+    acc = F.element(0)
+    for u, c in sysm.forms[fi].terms:
+        acc = acc + F.element((c,)) * F.element(int(values[u]))
+    return acc.encoding
+
+
+def test_gf25_coefficients_act_through_the_prime_subfield():
+    # -2 and 6 are the GF(5) elements 3 and 1, not the GF(25) encodings
+    # 23 and 6 (3 + 4x and 1 + x)
+    sysm = _gf25_system(())
+    for a in range(25):
+        for b in range(25):
+            vals = (a, b, a, b)
+            for fi in range(4):
+                assert sysm.eval_form(fi, vals) == _reference_value(sysm, fi, vals)
+    # one cluster (_dfs_direct); two clusters, joined by a group or not
+    # (cluster path)
+    one = _gf25_system((UniformityGroup((0, 1), 2),), n=2)
+    apart = _gf25_system((UniformityGroup((0, 1), 2), UniformityGroup((2, 3), 2)))
+    joined = _gf25_system(apart.groups + (UniformityGroup((1, 3), 2),))
+    assert [len(_clusters_of(s)) for s in (one, apart, joined)] == [1, 2, 2]
+    for sysm in (one, apart, joined):
+        res = solve(sysm)
+        assert res.status == "sat"
+        vals = [res.assignment[u] for u in sysm.unknowns]
+        for g in sysm.groups:
+            labels = sorted(sysm.field.dlog(_reference_value(sysm, fi, vals)) % 2
+                            for fi in g.forms)
+            assert labels == [0, 1]
+
+
+def test_gf25_reduction_merges_coefficients_mod_p():
+    # y1 = -y0 turns -2*y0 + 6*y1 into -8*y0, i.e. 2*y0 over GF(5)
+    sysm = _gf25_system((UniformityGroup((0, 1), 2),))
+    reduced, expand = _apply_reduction(sysm, {1: (0, -1), 3: (2, -1)})
+    assert reduced.forms[1].terms == ((0, 2),)
+    assert reduced.forms[3].terms == ((1, -2),)           # 6 + 2 = 8 = -2 (mod 5)
+    for a in range(1, 25):
+        for b in range(1, 25):
+            full = expand([a, b])
+            for fi in range(4):
+                assert reduced.eval_form(fi, [a, b]) == _reference_value(sysm, fi, full)
+
+
 def test_solver_exhausts_toy_unsat():
     fld = make_field(7)
     sysm = ConstraintSystem(
@@ -249,6 +333,22 @@ def test_repair_narrow_fails_then_widens():
     assert fixed.phi[0] == data.phi[0]
     assert fixed.sdf is data.sdf and fixed.partition == data.partition
     assert verify_fdf(lift_sdf(fixed)).ok
+
+
+def test_repair_budget_stop_is_not_a_proof(monkeypatch):
+    data = catalog.lifting_datum("fdf_z63xF25")
+    calls = []
+    real = search._repair_search
+
+    def counting(data, suspects, budget):
+        calls.append(suspects)
+        return real(data, suspects, budget)
+
+    monkeypatch.setattr(search, "_repair_search", counting)
+    with pytest.raises(RepairBudgetExceeded) as info:
+        repair_block(data, data.zero_positions(), budget=5)
+    assert not isinstance(info.value, RepairError)
+    assert len(calls) == 1              # no widening after a budget stop
 
 
 def test_repair_precondition_guard():
