@@ -39,9 +39,9 @@ __all__ = [
 @dataclass(frozen=True)
 class LiftingData:
     """An SDF over G, a field GF(q), class parameters e | q-1 and d | e, one
-    ordered tuple of nonzero field elements per SDF block (positionally
-    aligned), and a partition of block indices into parts of size
-    t = d(q-1)/(ek)."""
+    ordered tuple of field encodings 0..q-1 per SDF block (positionally
+    aligned; a valid datum has them all nonzero), and a partition of block
+    indices into parts of size t = d(q-1)/(ek)."""
 
     sdf: DesignFamily
     field: FiniteField
@@ -63,6 +63,10 @@ class LiftingData:
             raise ValueError("phi rows must align with SDF blocks")
         if any(len(row) != k for row in self.phi):
             raise ValueError("each phi row must have block length")
+        for i, row in enumerate(self.phi):
+            for a, v in enumerate(row):
+                if not 0 <= v < q:
+                    raise ValueError(f"phi entry ({i}, {a}) = {v} lies outside 0..{q - 1}")
         if (self.d * (q - 1)) % (self.e * k):
             raise ValueError("d(q-1) must be divisible by ek")
         if (self.lam * self.sdf.group.order) % (k - 1):

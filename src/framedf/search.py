@@ -3,28 +3,33 @@ constraint systems over cyclotomic classes, a deterministic solver, and
 repair of suspect lifting data.
 
 A ConstraintSystem carries one symbolic linear form per needed field
-expression (y, -y, 2y, y_i +- y_j, ...) and uniformity groups demanding
-that the labels (discrete logs mod the group modulus) of a set of forms
-cover every residue class an exact number of times.  The solver first
-tries any sign-pairing reductions attached to the system (the pattern
-structure of the underlying constructions), then splits the unknowns into
-clusters (connected components of the form graph) and
+expression (y, -y, 2y, y_i +- y_j, y - c, constants) and uniformity groups
+in the orbit normal form of the lifting conditions: counted per cyclotomic
+e-class, the labels (discrete logs) of a group's forms fill whole
+C_0^{e,q} orbits and cover every class mod the group modulus an exact
+number of times.  The solver first tries any sign-pairing reductions
+attached to the system (the pattern structure of the underlying
+constructions), then splits the unknowns into clusters (connected
+components of the form graph) and
 
 * enumerates each cluster's feasible label signatures by vectorized
   frontier expansion and runs forward-checking DFS over the clusters
   (fail-first, hint-preferred order) when every cluster is enumerable;
 * otherwise runs one complete depth-first search over unknown values with
-  value-level forward checking, a scaling gauge on the first unknown, and
-  candidates in ascending discrete-log order.
+  value-level forward checking, a scaling gauge on the first unknown when
+  no form has a constant, and candidates in ascending discrete-log order.
+
+Repair of a lifting datum is one more such system: the suspect entries
+are the unknowns and every other entry enters as a constant.
 
 Field arithmetic in the search goes through one set of lookup tables per
 field, built on first use: exp/log lists, a q x q addition table and one
 multiplication row per prime-subfield element, since a form coefficient c
-is the element c mod p.  The scalar loops (the depth-first search,
-form evaluation, repair) index the Python lists; cluster enumeration
-gathers from numpy copies.  The depth-first search keeps each unknown's
-live domain as an int bitset indexed by discrete log, and prunes it by
-ORing precomputed class bitsets.
+is the element c mod p.  The scalar loops (the depth-first search, form
+evaluation) index the Python lists; cluster enumeration gathers from numpy
+copies.  The depth-first search keeps each unknown's live domain as an
+int bitset indexed by discrete log, and prunes it by ORing precomputed
+class bitsets.
 
 Hints order candidates (signatures agreeing with the hinted label plan are
 tried first) but never exclude assignments.  Every success is re-verified
@@ -138,19 +143,39 @@ def _field_tables(fld: FiniteField) -> _FieldTables:
 
 @dataclass(frozen=True)
 class Form:
-    """A linear expression over unknowns: value = sum(coeff * y) in GF(q),
-    each integer coefficient read as the prime-subfield element coeff mod p."""
+    """A linear expression over unknowns: value = const + sum(coeff * y) in
+    GF(q), each integer coefficient read as the prime-subfield element
+    coeff mod p and const a field encoding.  A form without terms is a
+    constant."""
     name: str
     terms: tuple[tuple[int, int], ...]
+    const: int = 0
 
 
 @dataclass(frozen=True)
 class UniformityGroup:
-    """Labels (dlog mod modulus) of the member forms must cover every
-    residue class exactly `multiplicity` times."""
+    """The member forms' values must be C_0^{e,q} times a
+    `multiplicity`-transversal of the classes mod `modulus`, with
+    e = (q-1)/orbit: the labels (discrete logs) are counted per e-class,
+    each e-class count is a multiple of `orbit`, and each class mod
+    `modulus` receives multiplicity * orbit labels in total.  With orbit 1
+    the labels mod `modulus` simply cover every class `multiplicity`
+    times.  A form may be listed more than once."""
     forms: tuple[int, ...]
     modulus: int
     multiplicity: int = 1
+    orbit: int = 1
+
+
+def _labels_fit(g: UniformityGroup, logs: Sequence[int], q1: int) -> bool:
+    """Do these discrete logs of nonzero values meet group g?  q1 = q - 1."""
+    e = q1 // g.orbit
+    ecounts, dcounts = [0] * e, [0] * g.modulus
+    for lg in logs:
+        ecounts[lg % e] += 1
+        dcounts[lg % g.modulus] += 1
+    return (all(c % g.orbit == 0 for c in ecounts)
+            and all(c == g.multiplicity * g.orbit for c in dcounts))
 
 
 @dataclass
@@ -171,8 +196,9 @@ class ConstraintSystem:
     def eval_form(self, fi: int, assignment: Sequence[int]) -> int:
         tab = _field_tables(self.field)
         add = tab.add
-        acc = 0
-        for u, c in self.forms[fi].terms:
+        f = self.forms[fi]
+        acc = f.const
+        for u, c in f.terms:
             acc = add[acc][tab.row(c)[int(assignment[u])]]
         return acc
 
@@ -181,14 +207,9 @@ class ConstraintSystem:
         vals = [self.eval_form(fi, assignment) for fi in range(len(self.forms))]
         if any(v == 0 for v in vals):
             return False
-        logs = [log[v] for v in vals]
-        for g in self.groups:
-            counts = [0] * g.modulus
-            for fi in g.forms:
-                counts[logs[fi] % g.modulus] += 1
-            if any(c != g.multiplicity for c in counts):
-                return False
-        return True
+        q1 = self.field.q - 1
+        return all(_labels_fit(g, [log[vals[fi]] for fi in g.forms], q1)
+                   for g in self.groups)
 
 
 class _SystemBuilder:
@@ -196,11 +217,12 @@ class _SystemBuilder:
         self.forms: list[Form] = []
         self.index: dict[tuple, int] = {}
 
-    def form(self, terms: tuple[tuple[int, int], ...], name: str) -> int:
-        if terms not in self.index:
-            self.index[terms] = len(self.forms)
-            self.forms.append(Form(name, terms))
-        return self.index[terms]
+    def form(self, terms: tuple[tuple[int, int], ...], name: str, const: int = 0) -> int:
+        key = (terms, const)
+        if key not in self.index:
+            self.index[key] = len(self.forms)
+            self.forms.append(Form(name, terms, const))
+        return self.index[key]
 
 
 def generic_system(sdf: DesignFamily, q: int, e: int, d: int, lam: int,
@@ -577,9 +599,12 @@ def _enumerate_cluster(system: ConstraintSystem, form_groups: list[list[int]],
 
     Returns (witnesses, signatures, cross_forms) deduplicated by signature
     (the labels of the cluster's forms belonging to straddling groups), or
-    None when the expansion is too large or a multiplicity > 1 appears.
+    None when the expansion is too large, or when a form is or has a
+    constant or a group has multiplicity or orbit > 1.
     """
     sysd = system
+    if any(f.const or not f.terms for f in sysd.forms):
+        return None
     log = system.field._log
     cluster_set = set(cluster)
     inner_forms = [fi for fi, f in enumerate(sysd.forms)
@@ -590,7 +615,7 @@ def _enumerate_cluster(system: ConstraintSystem, form_groups: list[list[int]],
         ins = [fi for fi in g.forms if fi in inner_set]
         if not ins:
             continue
-        if g.multiplicity != 1:
+        if g.multiplicity != 1 or g.orbit != 1:
             return None
         (local_groups if len(ins) == len(g.forms) else straddle).append(gi)
     cross_forms = sorted({fi for gi in straddle for fi in sysd.groups[gi].forms
@@ -797,24 +822,29 @@ def _dfs_direct(system: ConstraintSystem, form_groups: list[list[int]],
                 budget: _Budget) -> SolveResult:
     """Complete DFS over unknown values with value-level forward checking.
 
-    All requirements are uniformity groups, which are invariant under
-    scaling every unknown by a common nonzero element, so the first
-    unknown searched is pinned to 1 (completeness is preserved: every
-    satisfiable system has a solution in that gauge).  The next unknown is
-    always one of minimal live domain, and its candidate values are tried
-    in ascending discrete-log order.
+    Without constant terms every requirement is a uniformity group, which
+    is invariant under scaling every unknown by a common nonzero element,
+    so the first unknown searched is pinned to 1 (completeness is
+    preserved: every satisfiable system has a solution in that gauge).
+    The next unknown is always one of minimal live domain, and its
+    candidate values are tried in ascending discrete-log order.
 
     The loop runs on plain ints through the shared field tables; group
     counts are lists.  Each live domain is an int bitset in which bit i
     stands for generator^i, so reading the set bits from the lowest gives
     ascending discrete-log order and int.bit_count() the live size.  A
     form left with one unassigned unknown x reads s*x + const, with s its
-    coefficient and const the sum of its assigned terms; for each
-    (s, const, modulus) the bitsets of the x landing in each class are
-    built once, and pruning ORs together those of the full classes plus
-    the bit where the form vanishes.  A form is pruned in full when it
+    coefficient and const the sum of its constant and assigned terms; for
+    each (s, const, modulus) the bitsets of the x landing in each class
+    are built once, and pruning ORs together those of the closed classes
+    plus the bit where the form vanishes.  A class mod the group modulus
+    closes once it holds multiplicity * orbit labels; in a group with
+    orbit > 1 its unoccupied e-classes also close once `multiplicity` of
+    its e-classes are occupied.  These two caps hold in every completion.
+    Constant forms are counted, and every form with one free unknown
+    pruned, before the first node.  A form is pruned in full when it
     comes down to one free unknown, and again for each class of its groups
-    that fills up later; this leaves every domain where a full re-check of
+    that closes later; this leaves every domain where a full re-check of
     all such forms after each placement would.
     """
     tab = _field_tables(system.field)
@@ -822,12 +852,23 @@ def _dfs_direct(system: ConstraintSystem, form_groups: list[list[int]],
     p, q1 = tab.p, system.field.q - 1
     everything = (1 << q1) - 1
     n = len(system.unknowns)
-    group_forms = [g.forms for g in system.groups]
-    mods = [g.modulus for g in system.groups]
-    mults = [g.multiplicity for g in system.groups]
-    counts = [[0] * mod for mod in mods]
+    groups = system.groups
+    # a form may sit in a group more than once: it is counted each time,
+    # pruned once
+    group_forms = [tuple(dict.fromkeys(g.forms)) for g in groups]
+    prune_groups = [tuple(dict.fromkeys(gs)) for gs in form_groups]
+    mods = [g.modulus for g in groups]
+    mults = [g.multiplicity for g in groups]
+    orbits = [g.orbit for g in groups]
+    caps = [g.multiplicity * g.orbit for g in groups]
+    es = [q1 // g.orbit for g in groups]
+    counts = [[0] * mod for mod in mods]          # labels per class mod modulus
+    # orbit > 1 only: labels per e-class, occupied e-classes per class
+    ecounts = [[0] * e if g.orbit > 1 else None for e, g in zip(es, groups)]
+    occupied = [[0] * g.modulus if g.orbit > 1 else None for g in groups]
     assign = [0] * n
     assigned = [False] * n
+    consts = [f.const for f in system.forms]
     terms = [[(u, c % p) for u, c in f.terms] for f in system.forms]
     nfree = [len(ts) for ts in terms]              # unassigned terms per form
     forms_by_unknown = [[] for _ in range(n)]
@@ -856,10 +897,22 @@ def _dfs_direct(system: ConstraintSystem, form_groups: list[list[int]],
             return everything if const == 0 else 0
         return 1 << ((log[mul[p - 1][const]] - log[s]) % q1) if const else 0
 
+    def orbit_closed(gi, s, const, classes):
+        """The bits of the x with s*x + const in a closed e-class of group
+        gi (orbit > 1) inside one of `classes`."""
+        by_e, ecnt, out = bits_by_class(s, const, es[gi]), ecounts[gi], 0
+        for cls in classes:
+            full = counts[gi][cls] >= caps[gi]
+            if full or occupied[gi][cls] >= mults[gi]:
+                for ec in range(cls, es[gi], mods[gi]):
+                    if full or not ecnt[ec]:
+                        out |= by_e[ec]
+        return out
+
     def free_term(fi):
         """(unknown, coefficient) of the one unassigned term of form fi,
-        and the sum of its assigned terms."""
-        const = 0
+        and the sum of its constant and assigned terms."""
+        const = consts[fi]
         for w, s in terms[fi]:
             if assigned[w]:
                 const = add[const][mul[s][assign[w]]]
@@ -878,11 +931,78 @@ def _dfs_direct(system: ConstraintSystem, form_groups: list[list[int]],
     def undo(u, touched, saved):
         for u3, old in reversed(saved):
             domains[u3] = old
-        for gi, cls in touched:
+        for gi, lg in touched:
+            cls = lg % mods[gi]
             counts[gi][cls] -= 1
+            if orbits[gi] > 1:
+                ecnt, ec = ecounts[gi], lg % es[gi]
+                ecnt[ec] -= 1
+                if not ecnt[ec]:
+                    occupied[gi][cls] -= 1
         for fi in forms_by_unknown[u]:
             nfree[fi] += 1
         assigned[u] = False
+
+    def settle(fis, touched, saved):
+        """Count the labels of the forms in fis left without a free
+        unknown, then prune the free unknown of those left with one and of
+        the forms in groups whose classes closed; False on a contradiction
+        (a form vanishes, a cap breaks or a domain empties)."""
+        filled = []
+        for fi in fis:
+            if nfree[fi]:
+                continue
+            val = consts[fi]
+            for w, s in terms[fi]:
+                val = add[val][mul[s][assign[w]]]
+            if val == 0:
+                return False
+            lg = log[val]
+            for gi in form_groups[fi]:
+                cls = lg % mods[gi]
+                cnt = counts[gi]
+                if cnt[cls] >= caps[gi]:
+                    return False
+                if orbits[gi] > 1:
+                    ecnt, occ, ec = ecounts[gi], occupied[gi], lg % es[gi]
+                    if not ecnt[ec]:
+                        if occ[cls] >= mults[gi]:
+                            return False
+                        occ[cls] += 1
+                        if occ[cls] == mults[gi]:
+                            filled.append((gi, cls))
+                    ecnt[ec] += 1
+                cnt[cls] += 1
+                touched.append((gi, lg))
+                if cnt[cls] == caps[gi]:
+                    filled.append((gi, cls))
+        for fi in fis:
+            if nfree[fi] != 1:
+                continue
+            u2, s, const = free_term(fi)
+            banned = vanishing(s, const)
+            for gi in prune_groups[fi]:
+                if orbits[gi] > 1:
+                    banned |= orbit_closed(gi, s, const, range(mods[gi]))
+                    continue
+                by_class = bits_by_class(s, const, mods[gi])
+                for cls, cnt in enumerate(counts[gi]):
+                    if cnt >= caps[gi]:
+                        banned |= by_class[cls]
+            if not narrow(u2, banned, saved):
+                return False
+        for gi, cls in filled:
+            for fi in group_forms[gi]:
+                if nfree[fi] != 1:
+                    continue
+                u2, s, const = free_term(fi)
+                if orbits[gi] > 1:
+                    banned = orbit_closed(gi, s, const, (cls,))
+                else:
+                    banned = bits_by_class(s, const, mods[gi])[cls]
+                if not narrow(u2, banned, saved):
+                    return False
+        return True
 
     def do_assign(u, v):
         """Place u = v; returns an undo token, or None on contradiction."""
@@ -891,58 +1011,20 @@ def _dfs_direct(system: ConstraintSystem, form_groups: list[list[int]],
         mine = forms_by_unknown[u]
         for fi in mine:
             nfree[fi] -= 1
-        touched, filled, saved = [], [], []
-        token = (u, touched, saved)
-        for fi in mine:
-            if nfree[fi]:
-                continue
-            val = 0
-            for w, s in terms[fi]:
-                val = add[val][mul[s][assign[w]]]
-            if val == 0:
-                undo(*token)
-                return None
-            lg = log[val]
-            for gi in form_groups[fi]:
-                cls = lg % mods[gi]
-                cnt = counts[gi]
-                if cnt[cls] >= mults[gi]:
-                    undo(*token)
-                    return None
-                cnt[cls] += 1
-                touched.append((gi, cls))
-                if cnt[cls] == mults[gi]:
-                    filled.append((gi, cls))
-        for fi in mine:
-            if nfree[fi] != 1:
-                continue
-            u2, s, const = free_term(fi)
-            banned = vanishing(s, const)
-            for gi in form_groups[fi]:
-                by_class = bits_by_class(s, const, mods[gi])
-                for cls, cnt in enumerate(counts[gi]):
-                    if cnt >= mults[gi]:
-                        banned |= by_class[cls]
-            if not narrow(u2, banned, saved):
-                undo(*token)
-                return None
-        for gi, cls in filled:
-            for fi in group_forms[gi]:
-                if nfree[fi] != 1:
-                    continue
-                u2, s, const = free_term(fi)
-                if not narrow(u2, bits_by_class(s, const, mods[gi])[cls], saved):
-                    undo(*token)
-                    return None
-        return token
+        touched, saved = [], []
+        if settle(mine, touched, saved):
+            return u, touched, saved
+        undo(u, touched, saved)
+        return None
 
     def dfs(depth):
         if depth == n:
-            return all(c == m for cnt, m in zip(counts, mults) for c in cnt)
+            return all(c == cap for cnt, cap in zip(counts, caps) for c in cnt) and \
+                all(c % o == 0 for ecnt, o in zip(ecounts, orbits) if ecnt for c in ecnt)
         _, u = min((domains[u].bit_count(), u) for u in range(n) if not assigned[u])
         # scaling gauge at the root (bit 0 is generator^0 = 1); elsewhere
         # the live domain, lowest discrete log first
-        dom = 1 if depth == 0 else domains[u]
+        dom = 1 if depth == 0 and gauge else domains[u]
         while dom:
             low = dom & -dom
             dom ^= low
@@ -958,7 +1040,8 @@ def _dfs_direct(system: ConstraintSystem, form_groups: list[list[int]],
                 return False
         return False
 
-    if dfs(0):
+    gauge = not any(consts)
+    if settle(range(len(terms)), [], []) and dfs(0):
         return SolveResult("sat", {u: assign[u] for u in range(n)}, budget.nodes)
     status = "exhausted" if budget.nodes <= budget.limit else "budget_exceeded"
     return SolveResult(status, nodes=budget.nodes)
@@ -992,7 +1075,7 @@ def _apply_reduction(system: ConstraintSystem, red: dict):
                              for u, c in acc.items() if c))
         if not terms:
             return None
-        forms.append(Form(f.name, terms))
+        forms.append(Form(f.name, terms, f.const))
     reduced = ConstraintSystem(system.field, system.d,
                                tuple(system.unknowns[u] for u in reps),
                                tuple(forms), system.groups, system.hints,
@@ -1040,7 +1123,7 @@ def solve(system: ConstraintSystem, seed: int = 0, budget: int = 10**8) -> Solve
     lifting conditions when the system can assemble a lifting datum.
     """
     for g in system.groups:
-        if len(g.forms) != g.modulus * g.multiplicity:
+        if len(g.forms) != g.modulus * g.multiplicity * g.orbit:
             # each form contributes one label, so exact coverage is impossible
             return SolveResult("exhausted")
     bud = _Budget(budget)
@@ -1085,60 +1168,101 @@ class RepairBudgetExceeded(RuntimeError):
     was proved about whether a completion exists."""
 
 
-def _failing_constraints(report) -> list:
-    bad = [("cond1", h) for h, ok in report.cond1.items() if not ok]
-    bad += [("cond2", p) for p, ok in report.cond2.items() if not ok]
-    bad += [("zero", pos) for pos in report.zero_positions]
-    return bad
-
-
-def _constraint_touches(data: LiftingData, constraint, suspects: set) -> bool:
-    kind, which = constraint
-    if kind == "zero":
-        return which in suspects
-    G = data.sdf.group
-    if kind == "cond2":
-        part = data.partition[which]
-        return any((i, a) in suspects for i in part for a in range(data.k))
-    h = which
-    for i, frow in enumerate(data.sdf.blocks):
-        for a in range(data.k):
-            for b in range(data.k):
-                if a != b and int(G.sub(frow[a], frow[b])) == h:
-                    if (i, a) in suspects or (i, b) in suspects:
-                        return True
-    return False
-
-
-def _detect_scalings(data: LiftingData, block_ids: list[int]) -> dict[int, tuple[int, int]]:
+def _detect_scalings(data: LiftingData, suspects: set) -> dict[int, tuple[int, int]]:
     """Map follower block -> (leader block, multiplier in C_0^{e,q}) whenever a
     suspect block's row is a pointwise C_0^{e,q}-multiple of an earlier
-    suspect block's row with the same SDF block (zeros scale consistently)."""
-    fld = data.field
-    e = data.e
+    suspect block's row with the same SDF block and the same suspect
+    positions (zeros scale consistently)."""
+    fld, e = data.field, data.e
+    block_ids = sorted({i for i, _ in suspects})
+    pattern = {i: {a for j, a in suspects if j == i} for i in block_ids}
     links: dict[int, tuple[int, int]] = {}
     for pos, j in enumerate(block_ids):
         for i in block_ids[:pos]:
-            if i in links or data.sdf.blocks[i] != data.sdf.blocks[j]:
+            if i in links or data.sdf.blocks[i] != data.sdf.blocks[j] \
+                    or pattern[i] != pattern[j]:
                 continue
-            mult = None
-            okl = True
-            for va, vb in zip(data.phi[i], data.phi[j]):
-                if (va == 0) != (vb == 0):
-                    okl = False
+            pairs = list(zip(data.phi[i], data.phi[j]))
+            ratios = {int(fld.mul(vb, int(fld.inv(va)))) for va, vb in pairs if va}
+            if len(ratios) == 1 and all((va == 0) == (vb == 0) for va, vb in pairs):
+                m = ratios.pop()
+                if fld.dlog(m) % e == 0:
+                    links[j] = (i, m)
                     break
-                if va == 0:
-                    continue
-                m = int(fld.mul(vb, int(fld.inv(va))))
-                if mult is None:
-                    mult = m
-                elif mult != m:
-                    okl = False
-                    break
-            if okl and mult is not None and fld.dlog(mult) % e == 0:
-                links[j] = (i, mult)
-                break
     return links
+
+
+def _repair_system(data: LiftingData, suspects: set) -> ConstraintSystem:
+    """The lifting conditions of `data` as a constraint system: the unknowns
+    are the suspect positions of leader blocks, every other value enters
+    as a constant.
+
+    One group per slot h (the differences phi_i[a] - phi_i[b] with
+    f_i[a] - f_i[b] = h) and one per part (its phi values), with modulus d
+    and orbit (q-1)/e, as check_lifting_conditions reads them.  A scaled
+    copy (see _detect_scalings) adds its leader's forms to each group a
+    second time, because a C_0^{e,q} multiple keeps every e-class.  A group
+    whose forms are all constant is checked here and left out; when it
+    fails, or a zero entry is not a suspect, the repair's precondition is
+    violated and ValueError names the slot, part or entries.
+    """
+    fld, k, G = data.field, data.k, data.sdf.group
+    tab = _field_tables(fld)
+    add, neg, q1 = tab.add, tab.row(-1), fld.q - 1
+    links = _detect_scalings(data, suspects)
+    leads = [pos for pos in sorted(suspects) if pos[0] not in links]
+    index = {pos: u for u, pos in enumerate(leads)}
+    sb = _SystemBuilder()
+
+    def form(j, signed):
+        """Form of sum(sign * phi_j[a]) over (a, sign) in signed, read off
+        the leader of block j."""
+        i = links.get(j, (j,))[0]
+        terms, const = [], 0
+        for a, sign in signed:
+            if (i, a) in index:
+                terms.append((index[(i, a)], sign))
+            else:
+                const = add[const][data.phi[i][a] if sign > 0 else neg[data.phi[i][a]]]
+        name = "-".join(f"phi_{i}_{a}" for a, _ in signed)
+        return sb.form(tuple(terms), name, const)
+
+    slots: dict[int, list[int]] = {h: [] for h in range(G.order)}
+    for j, frow in enumerate(data.sdf.blocks):
+        for a in range(k):
+            for b in range(k):
+                if a != b:
+                    slots[int(G.sub(frow[a], frow[b]))].append(form(j, ((a, 1), (b, -1))))
+    specs = [(f"slot {h}", fis, data.lam) for h, fis in slots.items()]
+    specs += [(f"part {pi}", [form(j, ((a, 1),)) for j in part for a in range(k)], 1)
+              for pi, part in enumerate(data.partition)]
+    groups = []
+    for name, fis, mult in specs:
+        g = UniformityGroup(tuple(fis), data.d, mult, q1 // data.e)
+        if any(sb.forms[fi].terms for fi in fis):
+            groups.append(g)
+            continue
+        vals = [sb.forms[fi].const for fi in fis]
+        if 0 in vals or not _labels_fit(g, [tab.log[v] for v in vals], q1):
+            raise ValueError(f"precondition violated: {name} fails and holds no "
+                             "suspect position")
+    stray = [pos for pos in data.zero_positions() if pos not in suspects]
+    if stray:
+        raise ValueError(f"precondition violated: zero entries at {stray} are not suspects")
+
+    def builder(assignment):
+        phi = [list(row) for row in data.phi]
+        for (i, a), u in index.items():
+            phi[i][a] = int(assignment[u])
+        for j, (i, m) in links.items():
+            for a in range(k):
+                if (i, a) in index:
+                    phi[j][a] = int(fld.mul(phi[i][a], m))
+        return data.replace_phi(phi)
+
+    return ConstraintSystem(fld, data.d, tuple(f"phi_{i}_{a}" for i, a in leads),
+                            tuple(sb.forms), tuple(groups), lifting_builder=builder,
+                            provenance=f"repair({data.provenance})")
 
 
 def repair_block(data: LiftingData, suspects: Sequence[tuple[int, int]],
@@ -1146,269 +1270,41 @@ def repair_block(data: LiftingData, suspects: Sequence[tuple[int, int]],
     """Re-solve the suspect (block, position) values, holding everything else
     fixed; the input is never mutated.
 
-    Preconditions: the lifting conditions must fail only at constraints
-    touching suspect positions.  If no completion exists on the narrow set
-    and widen is true, the suspect set grows to all positions of every
-    block containing a suspect; scaled copies among those blocks (rows that
-    are C_0^{e,q}-multiples of one another in the original data) keep their
-    scaling relation, which is how printed orbit data stays an orbit.
-    Raises RepairError when a complete search finds no completion, and
-    RepairBudgetExceeded (without widening) when a search spends its node
-    budget first.
+    `solve` completes the constraint system of _repair_system (suspects
+    are unknowns, the other values constants); its re-verification against
+    the lifting conditions is the final check.  A failing slot or part of
+    fixed values, or a zero entry that is not a suspect, violates the
+    precondition and raises ValueError naming it.  If no completion exists
+    on the narrow set and widen is true, the suspect set grows to all
+    positions of every block containing a suspect; scaled copies among
+    those blocks (rows that are C_0^{e,q}-multiples of one another in the
+    original data) keep their scaling relation, which is how printed orbit
+    data stays an orbit.  Raises RepairError when a complete search finds
+    no completion, and RepairBudgetExceeded (without widening) when a
+    search spends its node budget first.
     """
     suspects = {(int(i), int(a)) for i, a in suspects}
-    report = check_lifting_conditions(data)
-    if report.ok and not suspects:
+    if any(not (0 <= i < len(data.phi) and 0 <= a < data.k) for i, a in suspects):
+        raise ValueError(f"suspects must be (block, position) entries: {sorted(suspects)}")
+    if not suspects and check_lifting_conditions(data).ok:
         return data
-    for c in _failing_constraints(report):
-        if not _constraint_touches(data, c, suspects):
-            raise ValueError(f"precondition violated: failing constraint {c} "
-                             "does not touch any suspect position")
-    repaired = _repair_search(data, suspects, budget)
+
+    def attempt(sus):
+        system = _repair_system(data, sus)
+        res = solve(system, budget=budget)
+        if res.status == "budget_exceeded":
+            raise RepairBudgetExceeded(f"repair search spent its budget of {budget} "
+                                       "nodes; nothing is proved")
+        return system.lifting_builder([res.assignment[u] for u in system.unknowns]) \
+            if res else None
+
+    repaired = attempt(suspects)
     if repaired is not None:
         return repaired
     if not widen:
         raise RepairError("no completion exists with the rest held fixed; "
                           "widen the suspect set")
-    blocks = sorted({i for i, _ in suspects})
-    wide = {(i, a) for i in blocks for a in range(data.k)}
-    repaired = _repair_search(data, wide, budget)
+    repaired = attempt({(i, a) for i, _ in suspects for a in range(data.k)})
     if repaired is None:
         raise RepairError("no completion exists even on the widened suspect set")
     return repaired
-
-
-def _repair_search(data: LiftingData, suspects: set, budget: int) -> Optional[LiftingData]:
-    """Depth-first search over suspect values with exact per-slot tallies;
-    None when the complete search finds no completion, RepairBudgetExceeded
-    when more than `budget` nodes would be needed to finish it.
-
-    Slot and part requirements are tracked as counts per cyclotomic e-class
-    (plain lists; this loop is hot).  A finished slot must fill whole
-    e-class orbits, lam per d-class; the incremental caps reject any state
-    where a d-class holds more than lam occupied e-classes, which is the
-    structural shape every completion must have.
-    """
-    fld = data.field
-    q, e, d = fld.q, data.e, data.d
-    per_orbit = (q - 1) // e
-    G = data.sdf.group
-    k = data.k
-    suspect_blocks = sorted({i for i, _ in suspects})
-    links = _detect_scalings(data, suspect_blocks)
-    for j in list(links):
-        i = links[j][0]
-        same_pattern = {a for a in range(k) if (j, a) in suspects} == \
-            {a for a in range(k) if (i, a) in suspects}
-        if i in links or not same_pattern:
-            del links[j]          # follower must mirror its leader's suspect pattern
-    leaders = [i for i in suspect_blocks if i not in links]
-    followers: dict[int, list[tuple[int, int]]] = {i: [] for i in leaders}
-    for j, (i, m) in links.items():
-        followers[i].append((j, m))
-    det_of: dict[int, tuple[int, int]] = {}
-    for i in leaders:
-        det_of[i] = (i, 1)
-        for j, m in followers.get(i, ()):
-            det_of[j] = (i, m)
-
-    # the DFS below runs on plain ints through the shared field tables
-    tab = _field_tables(fld)
-    add, neg = tab.add, tab.row(-1)
-    ecl = [lg % e for lg in tab.log]          # e-class of each nonzero encoding
-    mul_row = {m: [int(fld.mul(x, m)) for x in range(q)]
-               for m in {mm for fs in followers.values() for _, mm in fs}}
-
-    unknown_pos = [(i, a) for i in leaders for a in range(k) if (i, a) in suspects]
-    if len(leaders) > 1:
-        # interleave leader blocks so cross-block slot conflicts surface early
-        per = [[(i, a) for a in range(k) if (i, a) in suspects] for i in leaders]
-        depth = max(len(p) for p in per)
-        unknown_pos = [p[j] for j in range(depth) for p in per if j < len(p)]
-    nslots = G.order
-    slot_counts = [[0] * e for _ in range(nslots)]
-    part_counts = [[0] * e for _ in data.partition]
-    slot_pending = [0] * nslots
-    part_pending = [0] * len(data.partition)
-    part_of_block = {}
-    for pi, part in enumerate(data.partition):
-        for i in part:
-            part_of_block[i] = pi
-
-    phi = [list(row) for row in data.phi]
-    suspect_lookup = set(suspects)
-
-    def is_suspect(i, a):
-        if (i, a) in suspect_lookup:
-            return True
-        lead = det_of.get(i)
-        return lead is not None and (lead[0], a) in suspect_lookup
-
-    # fixed contributions
-    ok_fixed = True
-    sub_enc = G.sub
-    slot_of_pair: dict[int, list[list[tuple[int, int]]]] = {}
-    for i, frow in enumerate(data.sdf.blocks):
-        pairs = []
-        for a in range(k):
-            row = []
-            for b in range(k):
-                if a == b:
-                    continue
-                row.append((b, int(sub_enc(frow[a], frow[b])), int(sub_enc(frow[b], frow[a]))))
-            pairs.append(row)
-        slot_of_pair[i] = pairs
-        for a in range(k):
-            for (b, hab, hba) in pairs[a]:
-                if b < a:
-                    continue
-                sus = is_suspect(i, a) or is_suspect(i, b)
-                if sus:
-                    slot_pending[hab] += 1
-                    slot_pending[hba] += 1
-                    continue
-                diff = add[phi[i][a]][neg[phi[i][b]]]
-                if diff == 0:
-                    ok_fixed = False
-                else:
-                    slot_counts[hab][ecl[diff]] += 1
-                    slot_counts[hba][ecl[neg[diff]]] += 1
-        pi = part_of_block[i]
-        for a in range(k):
-            if is_suspect(i, a):
-                part_pending[pi] += 1
-            else:
-                v = phi[i][a]
-                if v == 0:
-                    ok_fixed = False
-                else:
-                    part_counts[pi][ecl[v]] += 1
-    if not ok_fixed:
-        return None
-
-    lam = data.lam
-
-    def caps_ok(c, mult):
-        for dc in range(d):
-            occupied = 0
-            total = 0
-            for g in range(dc, e, d):
-                cg = c[g]
-                if cg:
-                    occupied += 1
-                    total += cg
-            if occupied > mult or total > mult * per_orbit:
-                return False
-        return True
-
-    def final_ok(c, mult):
-        for g in range(e):
-            if c[g] % per_orbit:
-                return False
-        for dc in range(d):
-            if sum(c[dc + j * d] for j in range(e // d)) != mult * per_orbit:
-                return False
-        return True
-
-    members_of = {i: [(i, None)] + [(j, m) for j, m in followers.get(i, ())]
-                  for i in leaders}
-
-    def place(i, a, v, undo):
-        for (j, m) in members_of[i]:
-            vv = v if m is None else mul_row[m][v]
-            pi = part_of_block[j]
-            ec = ecl[vv]
-            pc = part_counts[pi]
-            pc[ec] += 1
-            part_pending[pi] -= 1
-            undo.append((0, pi, ec))
-            if not caps_ok(pc, 1) or (part_pending[pi] == 0 and not final_ok(pc, 1)):
-                return False
-        phi[i][a] = v
-        undo.append((1, i, a))
-        w = len(members_of[i])
-        row = phi[i]
-        for (b, hab, hba) in slot_of_pair[i][a]:
-            vb = row[b]
-            if vb == 0 and is_suspect(i, b):
-                continue
-            diff = add[v][neg[vb]]
-            if diff == 0:
-                return False
-            ec1 = ecl[diff]
-            ec2 = ecl[neg[diff]]
-            sc1 = slot_counts[hab]
-            sc1[ec1] += w
-            slot_pending[hab] -= w
-            undo.append((2, hab, ec1, w))
-            if not caps_ok(sc1, lam) or (slot_pending[hab] == 0 and not final_ok(sc1, lam)):
-                return False
-            sc2 = slot_counts[hba]
-            sc2[ec2] += w
-            slot_pending[hba] -= w
-            undo.append((2, hba, ec2, w))
-            if not caps_ok(sc2, lam) or (slot_pending[hba] == 0 and not final_ok(sc2, lam)):
-                return False
-        return True
-
-    def unplace(undo):
-        for item in reversed(undo):
-            tag = item[0]
-            if tag == 0:
-                _, pi, ec = item
-                part_counts[pi][ec] -= 1
-                part_pending[pi] += 1
-            elif tag == 1:
-                phi[item[1]][item[2]] = 0
-            else:
-                _, h, ec, w = item
-                slot_counts[h][ec] -= w
-                slot_pending[h] += w
-
-    for i, a in unknown_pos:
-        phi[i][a] = 0
-    nodes = 0
-    values = list(range(1, q))
-    nlevels = len(unknown_pos)
-    level = 0
-    iters = [0] * nlevels
-    undos: list[list] = [None] * nlevels
-    while True:
-        if level == nlevels:
-            break
-        i, a = unknown_pos[level]
-        found = False
-        vstart = iters[level]
-        for vi in range(vstart, q - 1):
-            nodes += 1
-            if nodes > budget:
-                raise RepairBudgetExceeded(f"repair search spent its budget of {budget} "
-                                           "nodes; nothing is proved")
-            v = values[vi]
-            undo: list = []
-            if place(i, a, v, undo):
-                iters[level] = vi + 1
-                undos[level] = undo
-                level += 1
-                if level < nlevels:
-                    iters[level] = 0
-                found = True
-                break
-            unplace(undo)
-        if not found:
-            iters[level] = 0
-            level -= 1
-            if level < 0:
-                return None
-            unplace(undos[level])
-
-    for i in leaders:
-        for j, m in followers.get(i, ()):
-            for a in range(k):
-                if (i, a) in suspect_lookup:
-                    phi[j][a] = mul_row[m][phi[i][a]]
-    out = data.replace_phi(phi)
-    rep = check_lifting_conditions(out)
-    if not rep.ok:
-        return None
-    return out

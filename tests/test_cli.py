@@ -49,6 +49,15 @@ def test_lift_and_assemble_and_fhs(tmp_path, capsys):
     assert rc == 0 and json.loads(out)["strictly_optimal"]
 
 
+def test_lift_rejects_out_of_range_phi(tmp_path, capsys):
+    blob = serialize.lifting_to_dict(catalog.lifting_datum("fdf_z7xF89"))
+    blob["phi"][0][0] = -88
+    bad = tmp_path / "wrapped.json"
+    serialize.dump(blob, bad)
+    rc, _, err = run(capsys, "lift", "--data", str(bad))
+    assert rc == 2 and "phi entry (0, 0) = -88" in err
+
+
 def test_import_accepts_and_rejects(tmp_path, capsys):
     design, res = affine_plane(4)
     good = tmp_path / "good.json"

@@ -25,6 +25,14 @@ def test_corrupted_phi_breaks_a_slot():
     assert not rep.ok and any(not v for v in rep.cond1.values())
 
 
+@pytest.mark.parametrize("value", [-88, 90])
+def test_phi_entries_must_be_field_encodings(value):
+    # -88 would wrap to 1 and pass; 90 would index past the field tables
+    data = catalog.lifting_datum("fdf_z7xF89")
+    with pytest.raises(ValueError, match=r"phi entry \(0, 0\)"):
+        data.replace_phi([(value,) + data.phi[0][1:]])
+
+
 def test_lift_block_counts_match_formula():
     for name in ("fdf_z7xF89", "fdf_z119xF25", "fdf_z125xF67"):
         data = catalog.lifting_datum(name)

@@ -4,14 +4,16 @@ from decimal import Decimal, getcontext, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from framedf import catalog, search
 from framedf.families import verify_fdf
 from framedf.fields import make_field
 from framedf.lifting import check_lifting_conditions, lift_sdf
 from framedf.search import (ConstraintSystem, Form, RepairBudgetExceeded, RepairError,
-                            UniformityGroup, _apply_reduction, _clusters_of,
-                            generic_system, paired_pattern_system, paley3_pattern_system,
+                            SolveResult, UniformityGroup, _apply_reduction, _clusters_of,
+                            _repair_system, generic_system, paired_pattern_system,
+                            paley3_pattern_system,
                             q_bound, q_bound_bracket, repair_block, solve, z125_system)
 
 
@@ -313,6 +315,21 @@ def test_solver_exhausts_toy_unsat():
     assert solve(sysm).status == "exhausted"
 
 
+def test_constant_forms_are_counted_before_the_first_node():
+    # two one-unknown clusters; constants send the system to _dfs_direct
+    fld = make_field(7)
+    forms = (Form("a", ((0, 1),)), Form("b", ((1, 1),)), Form("3", (), 3),
+             Form("a-1", ((0, 1),), 6), Form("0", ()))
+    sysm = ConstraintSystem(fld, 2, ("a", "b"), forms[:4],
+                            (UniformityGroup((0, 2), 2), UniformityGroup((1, 3), 2)))
+    res = solve(sysm)
+    assert res.status == "sat"
+    assert sysm.check_assignment([res.assignment["a"], res.assignment["b"]])
+    zero = ConstraintSystem(fld, 2, ("a", "b"), forms,
+                            sysm.groups + (UniformityGroup((4,), 1),))
+    assert solve(zero) == SolveResult("exhausted", nodes=0)
+
+
 def test_repair_identity_and_blank_recovery():
     data = catalog.lifting_datum("fdf_z7xF89")
     assert repair_block(data, []) is data
@@ -326,9 +343,12 @@ def test_repair_narrow_fails_then_widens():
     zeros = data.zero_positions()
     with pytest.raises(RepairError):
         repair_block(data, zeros, widen=False)
+    # the fixed values alone rule the narrow completion out
+    assert solve(_repair_system(data, set(zeros))) == SolveResult("exhausted", nodes=0)
     fixed = repair_block(data, zeros)
     rep = check_lifting_conditions(fixed)
     assert rep.ok
+    assert _digest(fixed.phi) == "37ce4e21f5b5029e010c470ce34acd3a200784381c3f86a707d899503a2eb655"
     # the block with no suspects is untouched, as are the ingested tables
     assert fixed.phi[0] == data.phi[0]
     assert fixed.sdf is data.sdf and fixed.partition == data.partition
@@ -336,25 +356,87 @@ def test_repair_narrow_fails_then_widens():
 
 
 def test_repair_budget_stop_is_not_a_proof(monkeypatch):
-    data = catalog.lifting_datum("fdf_z63xF25")
+    # three blanked entries: the narrow attempt needs more than one node
+    data = catalog.lifting_datum("fdf_z7xF89")
+    blanked = data.replace_phi([(0, 0, 0) + data.phi[0][3:]])
     calls = []
-    real = search._repair_search
+    real = search.solve
 
-    def counting(data, suspects, budget):
-        calls.append(suspects)
-        return real(data, suspects, budget)
+    def counting(system, *args, **kwargs):
+        calls.append(system)
+        return real(system, *args, **kwargs)
 
-    monkeypatch.setattr(search, "_repair_search", counting)
+    monkeypatch.setattr(search, "solve", counting)
     with pytest.raises(RepairBudgetExceeded) as info:
-        repair_block(data, data.zero_positions(), budget=5)
+        repair_block(blanked, blanked.zero_positions(), budget=1)
     assert not isinstance(info.value, RepairError)
     assert len(calls) == 1              # no widening after a budget stop
 
 
 def test_repair_precondition_guard():
     data = catalog.lifting_datum("fdf_z63xF25")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="slot|part") as info:
         repair_block(data, [(0, 0)])      # failures touch other positions too
+    assert not isinstance(info.value, RepairError)
+
+
+@pytest.mark.parametrize("stray", [(1, 0), (0, 8), (0, -1)])
+def test_repair_rejects_suspects_outside_the_table(stray):
+    data = catalog.lifting_datum("fdf_z7xF89")
+    blanked = data.replace_phi([(0,) + data.phi[0][1:]])
+    with pytest.raises(ValueError, match="suspects must be") as info:
+        repair_block(blanked, [(0, 0), stray])
+    assert not isinstance(info.value, RepairError)
+
+
+_VALID = {name: catalog.lifting_datum(name) for name in ("fdf_z119xF25", "fdf_z7xF89")}
+
+
+@st.composite
+def _scaled_data(draw):
+    """A valid datum (orbit 4 or orbit 1) with random rows, or parts of
+    rows, scaled by random nonzero elements, and random suspects (often
+    whole scaled rows); also whether every scaling was of a whole row by
+    an element of C_0^{e,q}."""
+    data = _VALID[draw(st.sampled_from(sorted(_VALID)))]
+    fld, k = data.field, data.k
+    phi = [list(row) for row in data.phi]
+    suspects = draw(st.sets(st.tuples(st.integers(0, len(phi) - 1), st.integers(0, k - 1)),
+                            max_size=6))
+    stays_valid = True
+    for i in draw(st.sets(st.integers(0, len(phi) - 1), min_size=1, max_size=4)):
+        if draw(st.booleans()):
+            suspects |= {(i, a) for a in range(k)}
+        if draw(st.booleans()):
+            c = fld.pow_generator(data.e * draw(st.integers(0, (fld.q - 1) // data.e - 1)))
+        else:
+            c = draw(st.integers(1, fld.q - 1))
+            stays_valid &= fld.dlog(c) % data.e == 0
+        cols = range(k) if draw(st.booleans()) else \
+            draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=k - 1))
+        stays_valid &= len(cols) == k
+        for a in cols:
+            phi[i][a] = int(fld.mul(phi[i][a], c))
+    return data.replace_phi(phi), suspects, stays_valid
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scaled_data())
+def test_repair_system_agrees_with_lifting_conditions(case):
+    data, suspects, stays_valid = case
+    ok = check_lifting_conditions(data).ok
+    assert ok or not stays_valid
+    try:
+        sysm = _repair_system(data, suspects)
+    except ValueError:
+        # a slot or part made of fixed values fails
+        assert not ok
+        return
+    values = [data.phi[i][a] for i, a in
+              (map(int, name.split("_")[1:]) for name in sysm.unknowns)]
+    assembled = sysm.lifting_builder(values)
+    assert assembled.phi == data.phi
+    assert sysm.check_assignment(values) == check_lifting_conditions(assembled).ok
 
 
 def test_z125_solves_at_67_too():
