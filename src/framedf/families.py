@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -153,22 +154,61 @@ def verify_sdf(fam: DesignFamily) -> SdfReport:
     return SdfReport(ok, violations, mu=mu, parity_ok=parity_ok, count_ok=count_ok)
 
 
-def _subgroup_mask(group: AbelianGroup, subgroup: Sequence[int]) -> np.ndarray:
-    mask = np.zeros(group.order, dtype=bool)
-    mask[np.asarray(subgroup, dtype=np.int64)] = True
-    return mask
+def _flat(seqs) -> np.ndarray:
+    return np.fromiter(chain.from_iterable(seqs), dtype=np.int64)
+
+
+def _outside(arr: np.ndarray, n: int, what: str) -> str:
+    """Names the first entry of `arr` outside 0..n-1; "" when there is none."""
+    bad = np.flatnonzero((arr < 0) | (arr >= n))
+    return f"{what} {arr[bad[0]]} lies outside 0..{n - 1}" if len(bad) else ""
+
+
+def _subgroup_error(group: AbelianGroup, subgroup: Sequence[int]) -> str:
+    """Why the in-range elements `subgroup` are not a subgroup of `group`,
+    naming the first offending element; "" when they are one (a nonempty
+    finite set closed under the group law is a subgroup)."""
+    sub = np.asarray(subgroup, dtype=np.int64)
+    if len(sub) == 0:
+        return "designated subgroup is empty"
+    listed = np.bincount(sub, minlength=group.order)
+    twice = np.flatnonzero(listed[sub] > 1)
+    if len(twice):
+        return f"subgroup element {sub[twice[0]]} is listed twice"
+    table = group.add(sub[:, None], sub[None, :]).ravel()
+    out = np.flatnonzero(listed[table] == 0)
+    if len(out):
+        a, b = divmod(int(out[0]), len(sub))
+        return (f"designated subgroup is not closed: {sub[a]} + {sub[b]} = "
+                f"{table[out[0]]} lies outside it")
+    return ""
+
+
+def _relative_input_error(fam: DesignFamily) -> str:
+    """Why the subgroup or the block elements of a relative family are
+    malformed, naming the first offending element; "" when well formed."""
+    order = fam.group.order
+    if fam.subgroup is None:
+        return "relative family without subgroup"
+    return (_outside(np.asarray(fam.subgroup, dtype=np.int64), order, "subgroup element")
+            or _outside(_flat(fam.blocks), order, "block element")
+            or _subgroup_error(fam.group, fam.subgroup))
 
 
 def verify_relative_df(fam: DesignFamily) -> Report:
-    """Delta(B) = lambda * (G \\ N): exact multiplicity lambda off N, zero on N."""
+    """Delta(B) = lambda * (G \\ N): exact multiplicity lambda off N, zero on N.
+
+    A missing, out-of-range or non-closed subgroup, or a block element
+    outside the group, fails the report; only then is `detail` set, naming
+    the first offending element."""
     if fam.kind not in (RELATIVE_DF, FDF):
         raise ValueError("verify_relative_df expects a relative DF or FDF")
-    if fam.subgroup is None:
-        raise ValueError("relative family without subgroup")
+    error = _relative_input_error(fam)
+    if error:
+        return Report(False, detail=error)
     group = fam.group
-    nmask = _subgroup_mask(group, fam.subgroup)
-    if not _is_subgroup(group, fam.subgroup):
-        raise ValueError("designated subgroup is not closed under the group law")
+    nmask = np.zeros(group.order, dtype=bool)
+    nmask[np.asarray(fam.subgroup, dtype=np.int64)] = True
     counts = delta_counts(group, fam.blocks) if fam.blocks else np.zeros(group.order, dtype=np.int64)
     want = np.where(nmask, 0, fam.lam)
     bad = np.nonzero(counts != want)[0]
@@ -176,12 +216,19 @@ def verify_relative_df(fam: DesignFamily) -> Report:
     return Report(len(bad) == 0, violations)
 
 
-def _is_subgroup(group: AbelianGroup, subgroup: Sequence[int]) -> bool:
-    sub = np.asarray(sorted(subgroup), dtype=np.int64)
-    if len(sub) == 0 or sub[0] != 0 or group.order % len(sub) != 0:
-        return False
-    table = group.add(sub[:, None], sub[None, :]).ravel()
-    return bool(np.all(np.isin(table, sub)))
+def _partition_error(partition, nblocks: int) -> str:
+    """Why a frame partition does not cover the block indices 0..nblocks-1
+    exactly once, naming the first offending index; "" when it does."""
+    idx = _flat(partition)
+    error = _outside(idx, nblocks, "frame partition block index")
+    if error:
+        return error
+    counts = np.bincount(idx, minlength=nblocks)
+    bad = np.flatnonzero(counts != 1)
+    if len(bad):
+        return (f"block index {bad[0]} appears {counts[bad[0]]} times in the frame "
+                "partition, not once")
+    return ""
 
 
 def coset_labels(group: AbelianGroup, subgroup: Sequence[int]) -> np.ndarray:
@@ -224,13 +271,12 @@ def verify_fdf(fam: DesignFamily) -> FdfReport:
     if fam.frame_partition is None:
         return FdfReport(False, partition_ok=False, detail="missing frame partition")
     base = verify_relative_df(fam)
+    error = base.detail or _partition_error(fam.frame_partition, len(fam.blocks))
+    if error:
+        return FdfReport(False, partition_ok=False, detail=error)
     g = fam.group.order
     n = len(fam.subgroup)
     k = len(fam.blocks[0]) if fam.blocks else 0
-    idx = sorted(i for part in fam.frame_partition for i in part)
-    partition_ok = idx == list(range(len(fam.blocks)))
-    if not partition_ok:
-        raise ValueError("frame partition does not cover block indices exactly once")
     expected_parts = fam.lam * n // (k - 1) if k > 1 else 0
     expected_size = (g - n) // (n * k) if n * k else 0
     partition_ok = len(fam.frame_partition) == expected_parts and all(

@@ -27,9 +27,12 @@ field, built on first use: exp/log lists, a q x q addition table and one
 multiplication row per prime-subfield element, since a form coefficient c
 is the element c mod p.  The scalar loops (the depth-first search, form
 evaluation) index the Python lists; cluster enumeration gathers from numpy
-copies.  The depth-first search keeps each unknown's live domain as an
-int bitset indexed by discrete log, and prunes it by ORing precomputed
-class bitsets.
+copies.  Beside its values each enumerated row carries a narrow state: a
+class bitmask per group holding two or more of the cluster's forms, and
+the signature label of each cross form, written where the form completes;
+at the last level each chunk keeps only its first row per signature.  The
+depth-first search keeps each unknown's live domain as an int bitset
+indexed by discrete log, and prunes it by ORing precomputed class bitsets.
 
 Hints order candidates (signatures agreeing with the hinted label plan are
 tried first) but never exclude assignments.  Every success is re-verified
@@ -568,26 +571,10 @@ def _clusters_of(system: ConstraintSystem) -> list[list[int]]:
     return [sorted(v) for _, v in sorted(out.items())]
 
 
-def _eval_forms_array(system: ConstraintSystem, fis: Sequence[int],
-                      cols: dict[int, np.ndarray]) -> np.ndarray:
-    """Evaluate forms on column vectors of unknown values; (rows, len(fis)).
-    Products and sums are gathers from the flat field tables."""
-    tab = _field_tables(system.field)
-    q = system.field.q
-    nrows = len(next(iter(cols.values())))
-    out = np.empty((nrows, len(fis)), dtype=np.int64)
-    for k, fi in enumerate(fis):
-        acc = None
-        for u, c in system.forms[fi].terms:
-            term = cols[u] if c % tab.p == 1 else tab.mul_arr[c % tab.p][cols[u]]
-            acc = term if acc is None else tab.add_flat[acc * q + term]
-        out[:, k] = acc
-    return out
-
-
 # Cluster enumeration gives up (and the solver falls back to _dfs_direct) once
-# the candidate rows it has expanded exceed _WORK_CAP; frontiers are expanded
-# in chunks of at most _FRONTIER_CAP rows.
+# the candidate rows it has expanded exceed _WORK_CAP.  Frontiers are expanded
+# in chunks of at most _FRONTIER_CAP rows; at the last level each chunk keeps
+# only the first row per signature, so the full last frontier never exists.
 _FRONTIER_CAP = 2_500_000
 _WORK_CAP = 80_000_000
 
@@ -598,152 +585,177 @@ def _enumerate_cluster(system: ConstraintSystem, form_groups: list[list[int]],
     lie entirely inside it, with partial-count caps for straddling groups.
 
     Returns (witnesses, signatures, cross_forms) deduplicated by signature
-    (the labels of the cluster's forms belonging to straddling groups), or
+    (the labels of the cluster's forms belonging to straddling groups, each
+    mod the first such group's modulus), keeping the first row of each, or
     None when the expansion is too large, or when a form is or has a
     constant or a group has multiplicity or orbit > 1.
+
+    Each row carries a narrow state beside its values: one class bitmask per
+    group holding at least two of the cluster's forms (a group with one
+    cannot fill a class twice), then one signature label per cross form,
+    written at the level where the form completes.  The last level keeps
+    the first row per signature chunk by chunk, then over the chunks.
     """
-    sysd = system
-    if any(f.const or not f.terms for f in sysd.forms):
+    if any(f.const or not f.terms for f in system.forms):
         return None
     log = system.field._log
     cluster_set = set(cluster)
-    inner_forms = [fi for fi, f in enumerate(sysd.forms)
-                   if f.terms and all(u in cluster_set for u, _ in f.terms)]
-    inner_set = set(inner_forms)
-    local_groups, straddle = [], []
-    for gi, g in enumerate(sysd.groups):
+    inner_set = {fi for fi, f in enumerate(system.forms)
+                 if all(u in cluster_set for u, _ in f.terms)}
+    mod, straddle, masked = {}, [], []       # mod: the tracked groups' moduli
+    for gi, g in enumerate(system.groups):
         ins = [fi for fi in g.forms if fi in inner_set]
         if not ins:
             continue
         if g.multiplicity != 1 or g.orbit != 1:
             return None
-        (local_groups if len(ins) == len(g.forms) else straddle).append(gi)
-    cross_forms = sorted({fi for gi in straddle for fi in sysd.groups[gi].forms
+        mod[gi] = g.modulus
+        if len(ins) < len(g.forms):
+            straddle.append(gi)
+        if len(ins) > 1:
+            masked.append(gi)
+    cross_forms = sorted({fi for gi in straddle for fi in system.groups[gi].forms
                           if fi in inner_set})
+    # state columns: the masks, then the signature labels
+    mcol = {gi: k for k, gi in enumerate(masked)}
+    smod = [next(mod[gi] for gi in form_groups[fi] if gi in mod) for fi in cross_forms]
+    scol = {fi: (len(masked) + k, m) for k, (fi, m) in enumerate(zip(cross_forms, smod))}
     order = list(cluster)
     pos = {u: i for i, u in enumerate(order)}
+    last = len(order) - 1
     completes_at: dict[int, list[int]] = {}
-    for fi in inner_forms:
-        completes_at.setdefault(max(pos[u] for u, _ in sysd.forms[fi].terms), []).append(fi)
-    values = np.arange(1, sysd.field.q, dtype=np.int64)
-    gids = sorted(set(local_groups) | set(straddle))
-    gslot = {gi: k for k, gi in enumerate(gids)}
-    # per tracked modulus, the bit of each encoding's class (the entry for
-    # 0 is never read into a kept row: rows with a zero value are dropped)
-    class_bit = {m: np.int64(1) << (log % m)
-                 for m in {sysd.groups[gi].modulus for gi in gids}}
+    for fi in sorted(inner_set):
+        completes_at.setdefault(max(pos[u] for u, _ in system.forms[fi].terms), []).append(fi)
+    tab, q = _field_tables(system.field), system.field.q
+    values = np.arange(1, q, dtype=np.int64)
+    # per tracked modulus, each encoding's class bit and label (the entries
+    # for 0 are never read into a kept row: rows with a zero value are dropped)
+    dtype = np.min_scalar_type(1 << (max(mod.values(), default=1) - 1))
+    class_bit = {m: (1 << (log % m)).astype(dtype) for m in set(mod.values())}
+    label = {m: (log % m).astype(dtype) for m in set(mod.values())}
 
-    def apply_forms(frontier, masks, fis, level):
+    def form_values(fi, frontier):
+        """The values of form fi on the rows; products and sums are gathers
+        from the flat field tables."""
+        acc = None
+        for u, c in system.forms[fi].terms:
+            x = frontier[:, pos[u]]
+            term = x if c % tab.p == 1 else tab.mul_arr[c % tab.p][x]
+            acc = term if acc is None else tab.add_flat[acc * q + term]
+        return acc
+
+    def apply_forms(frontier, state, fis):
         """Keep the rows whose new form values are nonzero and whose labels
-        fill no class twice; one filter per level.  masks is always freshly
-        allocated (by expand or at level 0), so it is updated in place: rows
-        that are dropped carry meaningless bits, kept rows their own labels."""
-        cols = {order[i]: frontier[:, i] for i in range(level + 1)}
-        vals = _eval_forms_array(sysd, fis, cols)
-        good = (vals != 0).all(axis=1)
-        for k, fi in enumerate(fis):
+        fill no class twice, and record the cross forms' labels; one filter
+        per level.  state is always freshly allocated (by expand or at level
+        0), so it is updated in place: rows that are dropped carry
+        meaningless entries, kept rows their own."""
+        good = np.ones(len(frontier), dtype=bool)
+        for fi in fis:
+            val = form_values(fi, frontier)
+            good &= val != 0
             for gi in form_groups[fi]:
-                col = gslot.get(gi)
-                if col is None:
-                    continue
-                bit = class_bit[sysd.groups[gi].modulus][vals[:, k]]
-                good &= (masks[:, col] & bit) == 0
-                masks[:, col] |= bit
-        return frontier[good], masks[good]
+                if gi in mcol:
+                    bit = class_bit[mod[gi]][val]
+                    good &= (state[:, mcol[gi]] & bit) == 0
+                    state[:, mcol[gi]] |= bit
+            if fi in scol:
+                col, m = scol[fi]
+                state[:, col] = label[m][val]
+        return (frontier, state) if good.all() else (frontier[good], state[good])
+
+    def first_rows(state):
+        """Ascending indices of the first row of each distinct signature:
+        sorting the keys (signature, row) puts each signature's first row
+        at the head of its run."""
+        sig, n = state[:, len(masked):], len(state)
+        if math.prod(smod) * n >= 2**63:
+            return np.sort(np.unique(sig, axis=0, return_index=True)[1])
+        key = np.zeros(n, dtype=np.int64)
+        for k, m in enumerate(smod):
+            key *= m
+            key += sig[:, k]
+        key *= n
+        key += np.arange(n)
+        key.sort()
+        heads = np.flatnonzero(np.diff(key // n, prepend=-1))
+        return np.sort(key[heads] % n)
 
     # class-directed expansion: when the new unknown's identity form sits in a
     # tracked group, only classes still free in that group's bitmask are tried
-    form_index = {f.terms: fi for fi, f in enumerate(sysd.forms)}
+    form_index = {f.terms: fi for fi, f in enumerate(system.forms)}
 
     def expansion_plan(u):
         fi = form_index.get(((u, 1),))
         if fi is None:
             return None
-        cands = [gi for gi in form_groups[fi] if gi in gslot]
+        cands = [gi for gi in form_groups[fi] if gi in mod]
         if not cands:
             return None
-        gi = max(cands, key=lambda g: sysd.groups[g].modulus)
-        mod = sysd.groups[gi].modulus
-        cls = log[values] % mod
-        return gslot[gi], mod, [values[cls == c] for c in range(mod)]
+        gi = max(cands, key=lambda g: mod[g])
+        cls = log[values] % mod[gi]
+        return mcol.get(gi), mod[gi], [values[cls == c] for c in range(mod[gi])]
 
-    def expand(fr, mk, level):
+    def expand(fr, st, level):
         plan = expansion_plan(order[level])
         if plan is None:
             reps = np.repeat(fr, len(values), axis=0)
             newcol = np.tile(values, len(fr))
             return np.concatenate([reps, newcol[:, None]], axis=1), \
-                np.repeat(mk, len(values), axis=0)
-        col, mod, by_class = plan
-        parts_f, parts_m = [], []
-        for c in range(mod):
+                np.repeat(st, len(values), axis=0)
+        col, m, by_class = plan
+        parts_f, parts_s = [], []
+        for c in range(m):
             if len(by_class[c]) == 0:
                 continue
-            sel = (mk[:, col] >> c) & 1 == 0
-            if not sel.any():
-                continue
-            fr_c, mk_c = fr[sel], mk[sel]
+            fr_c, st_c = fr, st
+            if col is not None:
+                sel = (st[:, col] >> c) & 1 == 0
+                if not sel.any():
+                    continue
+                fr_c, st_c = fr[sel], st[sel]
             reps = np.repeat(fr_c, len(by_class[c]), axis=0)
             newcol = np.tile(by_class[c], len(fr_c))
             parts_f.append(np.concatenate([reps, newcol[:, None]], axis=1))
-            parts_m.append(np.repeat(mk_c, len(by_class[c]), axis=0))
+            parts_s.append(np.repeat(st_c, len(by_class[c]), axis=0))
         if not parts_f:
-            return fr[:0, :].reshape(0, fr.shape[1] + 1), mk[:0]
-        return np.concatenate(parts_f), np.concatenate(parts_m)
+            return fr[:0, :].reshape(0, fr.shape[1] + 1), st[:0]
+        return np.concatenate(parts_f), np.concatenate(parts_s)
 
-    def grow(frontier, masks, level):
+    def grow(frontier, state, level):
         """Place order[level] on every row, in chunks of at most
-        _FRONTIER_CAP rows; the chunks are freed on return."""
-        parts_f, parts_m = [], []
+        _FRONTIER_CAP rows; the chunks are freed on return.  At the last
+        level each chunk keeps its first row per signature."""
+        parts_f, parts_s = [], []
         chunk = max(1, _FRONTIER_CAP // max(1, len(values)))
         for lo in range(0, len(frontier), chunk):
-            fr2, mk2 = expand(frontier[lo:lo + chunk], masks[lo:lo + chunk], level)
-            if level in completes_at and len(fr2):
-                fr2, mk2 = apply_forms(fr2, mk2, completes_at[level], level)
+            fr2, st2 = expand(frontier[lo:lo + chunk], state[lo:lo + chunk], level)
+            if level in completes_at:
+                fr2, st2 = apply_forms(fr2, st2, completes_at[level])
+            if level == last:
+                keep = first_rows(st2)
+                fr2, st2 = fr2[keep], st2[keep]
             parts_f.append(fr2)
-            parts_m.append(mk2)
-        if not parts_f:
-            return frontier[:0], masks[:0]
-        return np.concatenate(parts_f), np.concatenate(parts_m)
+            parts_s.append(st2)
+        return np.concatenate(parts_f), np.concatenate(parts_s)
 
     frontier = values[:, None]
-    masks = np.zeros((len(frontier), len(gids)), dtype=np.int64)
+    state = np.zeros((len(frontier), len(masked) + len(cross_forms)), dtype=dtype)
     if 0 in completes_at:
-        frontier, masks = apply_forms(frontier, masks, completes_at[0], 0)
+        frontier, state = apply_forms(frontier, state, completes_at[0])
     work = 0
     for level in range(1, len(order)):
+        if len(frontier) == 0:
+            break
         work += len(frontier) * len(values)
         if work > _WORK_CAP:
             return None
-        frontier, masks = grow(frontier, masks, level)
-        if len(frontier) == 0:
-            break
-    del masks       # the signatures never read it; free it before their peak
+        frontier, state = grow(frontier, state, level)
     if len(frontier) == 0:
         return (np.zeros((0, len(order)), dtype=np.int64),
                 np.zeros((0, len(cross_forms)), dtype=np.int8), cross_forms)
-    cols = {order[i]: frontier[:, i] for i in range(len(order))}
-    sigl = np.zeros((len(frontier), len(cross_forms)), dtype=np.int8)
-    if cross_forms:
-        sig = _eval_forms_array(sysd, cross_forms, cols)
-        mods = []
-        for k, fi in enumerate(cross_forms):
-            ms = [sysd.groups[gi].modulus for gi in form_groups[fi] if gi in gslot]
-            mods.append(ms[0] if ms else sysd.d)
-            sigl[:, k] = log[sig[:, k]] % mods[-1]
-        del sig
-        if math.prod(mods) < 2**62:
-            enc = np.zeros(len(sigl), dtype=np.int64)
-            for k in range(len(cross_forms)):
-                enc = enc * mods[k] + sigl[:, k]
-            _, first = np.unique(enc, return_index=True)
-        else:
-            _, first = np.unique(sigl, axis=0, return_index=True)
-        first = np.sort(first)
-        frontier, sigl = frontier[first], sigl[first]
-    else:
-        frontier, sigl = frontier[:1], sigl[:1]
-    return frontier, sigl, cross_forms
+    keep = first_rows(state)        # chunks kept row order: first overall too
+    return frontier[keep], state[keep, len(masked):].astype(np.int8), cross_forms
 
 
 def _fc_over_clusters(system: ConstraintSystem, form_groups: list[list[int]], clusters,

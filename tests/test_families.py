@@ -112,10 +112,43 @@ def test_verify_fdf_and_partition_perturbation():
 
 def test_verify_fdf_partition_must_cover():
     fdf = lift_sdf(catalog.lifting_datum("fdf_z7xF89"))
+    missing = fdf.frame_partition[0][-1]
     bad = DesignFamily(FDF, fdf.group, fdf.lam, fdf.blocks, fdf.subgroup,
                        (fdf.frame_partition[0][:-1],))
-    with pytest.raises(ValueError):
-        verify_fdf(bad)
+    rep = verify_fdf(bad)
+    assert not rep.ok and not rep.partition_ok
+    assert f"block index {missing} " in rep.detail
+
+
+def test_relative_verifiers_reject_block_element_outside_group():
+    # 630 = 7 + 623 names the same element once its digits are reduced
+    fdf = lift_sdf(catalog.lifting_datum("fdf_z7xF89"))
+    assert fdf.group.order == 623
+    i = next(i for i, b in enumerate(fdf.blocks) if 7 in b)
+    blocks = list(fdf.blocks)
+    blocks[i] = tuple(630 if x == 7 else x for x in blocks[i])
+    bad = DesignFamily(FDF, fdf.group, fdf.lam, tuple(blocks), fdf.subgroup,
+                       fdf.frame_partition)
+    for rep in (verify_relative_df(bad), verify_fdf(bad)):
+        assert not rep.ok and "block element 630 " in rep.detail
+
+
+def test_relative_df_rejects_subgroup_element_outside_group():
+    z7 = AbelianGroup.cyclic(7)
+    rep = verify_relative_df(DesignFamily(RELATIVE_DF, z7, 1, ((0, 1, 3),), subgroup=(0, 9)))
+    assert not rep.ok and "subgroup element 9 " in rep.detail
+
+
+def test_relative_df_reports_missing_subgroup():
+    z7 = AbelianGroup.cyclic(7)
+    rep = verify_relative_df(DesignFamily(RELATIVE_DF, z7, 1, ((0, 1, 3),)))
+    assert not rep.ok and "without subgroup" in rep.detail
+
+
+def test_relative_df_reports_non_closed_subgroup():
+    z6 = AbelianGroup.cyclic(6)
+    rep = verify_relative_df(DesignFamily(RELATIVE_DF, z6, 1, ((0, 1),), subgroup=(0, 2)))
+    assert not rep.ok and "2 + 2 = 4" in rep.detail
 
 
 def test_verify_pdf_cases():

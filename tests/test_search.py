@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from decimal import Decimal, getcontext, localcontext
 
 import numpy as np
@@ -202,7 +203,8 @@ def test_type_iv_expressions_sit_in_two_slots():
 def test_z125_accepts_printed_solution_and_solves_fresh():
     assert check_lifting_conditions(catalog.lifting_datum("fdf_z125xF67")).ok
     res = solve(z125_system(79), seed=0)
-    assert res.status == "sat"
+    assert (res.status, res.nodes, _digest(res.assignment)) == (
+        "sat", 464, "9f439c2b74340d5eab7c3b5208b4c467fa048d87b4129d42dd956befe75a0cae")
 
 
 def test_solver_determinism():
@@ -442,9 +444,61 @@ def test_repair_system_agrees_with_lifting_conditions(case):
 def test_z125_solves_at_67_too():
     sysm = z125_system(67)
     res = solve(sysm, seed=0)
-    assert res.status == "sat"
+    assert (res.status, res.nodes, _digest(res.assignment)) == (
+        "sat", 861, "3096e343e12a54f3ff8d3d21522f2f13ba910b47e314dd73ba2ac73da9431c47")
     data = sysm.lifting_builder([res.assignment[u] for u in sysm.unknowns])
     assert check_lifting_conditions(data).ok
+
+
+def _form_groups(sysm):
+    out = [[] for _ in sysm.forms]
+    for gi, g in enumerate(sysm.groups):
+        for fi in g.forms:
+            out[fi].append(gi)
+    return out
+
+
+# digests of (witnesses, signatures) with _FRONTIER_CAP = 12,000, as they
+# were when the whole last frontier was built and deduplicated at once
+@pytest.mark.parametrize("make,ci,pinned", [
+    (lambda: z125_system(67), 1,
+     "2da05cb2d07d00ac6031f4b04ce326af12305e91a11bc9067e936c26bc9fe3ca"),
+    (lambda: paley3_pattern_system(5, 61), 0,
+     "e571cebe6cc6754e38e0a6abaca198b26913e491cd885a87dfe88732eb25b134"),
+    (lambda: paley3_pattern_system(5, 61), 1,
+     "e571cebe6cc6754e38e0a6abaca198b26913e491cd885a87dfe88732eb25b134"),
+], ids=["z125@67:y_2", "paley3_5@61:0", "paley3_5@61:1"])
+def test_cluster_enumeration_is_chunk_invariant(monkeypatch, make, ci, pinned):
+    """Each chunk of the last level keeps its first row per signature and
+    the chunks are concatenated in row order, so the rows kept are the
+    first per signature of the whole last frontier.  A cap of 12,000 rows
+    splits the last level into 353 chunks for the z125@67 row cluster
+    (63,888 rows placing the fourth unknown, 181 per chunk) and into 13 for
+    each paley3 cluster (2,520 rows, 200 per chunk).  The signatures found
+    never depend on the cap; the witnesses do where class-directed
+    expansion orders each chunk's rows class by class (z125), and do not
+    where expansion is row by row (paley3)."""
+    sysm = make()
+    fg, cl = _form_groups(sysm), _clusters_of(sysm)[ci]
+    wit, sig, cross = search._enumerate_cluster(sysm, fg, cl)
+    monkeypatch.setattr(search, "_FRONTIER_CAP", 12_000)
+    wit2, sig2, cross2 = search._enumerate_cluster(sysm, fg, cl)
+    assert len(wit) > 1 and cross2 == cross
+    assert np.array_equal(np.unique(sig2, axis=0), np.unique(sig, axis=0))
+    assert hashlib.sha256(wit2.tobytes() + sig2.tobytes()).hexdigest() == pinned
+
+
+def test_cluster_enumeration_memory_is_bounded():
+    sysm = z125_system(67)
+    fg = _form_groups(sysm)
+    for cl in _clusters_of(sysm):
+        tracemalloc.start()
+        try:
+            search._enumerate_cluster(sysm, fg, cl)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000_000, (cl, peak)
 
 
 def test_generic_system_even_lambda_branch():
