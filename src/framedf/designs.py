@@ -50,10 +50,6 @@ class RotationalStructure:
     group: AbelianGroup
     action: tuple[int, ...]
 
-    @property
-    def fixed_point(self) -> int:
-        return len(self.action)
-
 
 @dataclass(frozen=True)
 class DesignReport:
@@ -63,10 +59,6 @@ class DesignReport:
 
     def __bool__(self):
         return self.ok
-
-
-def _canon(blocks) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(tuple(sorted(b)) for b in blocks))
 
 
 def trivial_rbibd(k: int) -> tuple[BlockDesign, Resolution]:

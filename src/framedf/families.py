@@ -136,13 +136,17 @@ def verify_sdf(fam: DesignFamily) -> SdfReport:
     """Delta(S) must cover every group element (0 included) exactly mu times.
 
     Also checks the necessary conditions: mu even and mu|G| = 0 mod k(k-1).
-    Mixed block sizes are reported, not raised.
+    Mixed block sizes and block elements outside the group are reported,
+    not raised; `detail` then names the first offender.
     """
     if fam.kind != SDF:
         raise ValueError("verify_sdf expects an SDF family")
     sizes = set(fam.block_sizes())
     if len(sizes) != 1:
         return SdfReport(False, detail="mixed block sizes %s" % sorted(sizes))
+    error = _outside(_flat(fam.blocks), fam.group.order, "block element")
+    if error:
+        return SdfReport(False, detail=error, mu=fam.lam)
     k = sizes.pop()
     mu = fam.lam
     counts = delta_counts(fam.group, fam.blocks)
@@ -298,12 +302,17 @@ def verify_fdf(fam: DesignFamily) -> FdfReport:
 
 def verify_pdf(fam: DesignFamily) -> Report:
     """Blocks must partition G (or G \\ N when a subgroup is designated) exactly,
-    with the delta condition at index lambda."""
+    with the delta condition at index lambda.  A subgroup or block element
+    outside the group fails the report, and `detail` names it."""
     if fam.kind != PDF:
         raise ValueError("verify_pdf expects a PDF family")
     group = fam.group
     sub = fam.subgroup or ()
-    everything = np.concatenate([np.asarray(b, dtype=np.int64) for b in fam.blocks])
+    everything = _flat(fam.blocks)
+    error = (_outside(np.asarray(sub, dtype=np.int64), group.order, "subgroup element")
+             or _outside(everything, group.order, "block element"))
+    if error:
+        return Report(False, detail=error)
     counts = np.bincount(everything, minlength=group.order)
     want = np.ones(group.order, dtype=np.int64)
     if sub:

@@ -19,8 +19,15 @@ components of the form graph) and
   value-level forward checking, a scaling gauge on the first unknown when
   no form has a constant, and candidates in ascending discrete-log order.
 
-Repair of a lifting datum is one more such system: the suspect entries
-are the unknowns and every other entry enters as a constant.
+Every lifting system comes from one builder, _lifting_system, which turns
+one symbolic row per SDF block (an unknown times a prime-subfield
+coefficient, or a field constant per entry), scaled-copy links and a
+partition into one group per slot and one per part, cutting +- pairs of
+forms to one representative where the caller asks.  generic_system, the
+sign-paired pattern systems, z125_system and repair state only their
+rows, links and partition, beside their own checks, hints and
+reductions; repair's unknowns are the suspect entries, every other entry
+a constant.
 
 Field arithmetic in the search goes through one set of lookup tables per
 field, built on first use: exp/log lists, a q x q addition table and one
@@ -44,7 +51,7 @@ the same system always yields the same result and node count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -215,17 +222,164 @@ class ConstraintSystem:
                    for g in self.groups)
 
 
-class _SystemBuilder:
-    def __init__(self):
-        self.forms: list[Form] = []
-        self.index: dict[tuple, int] = {}
+# ---------------------------------------------------------------------------
+# Lifting systems: one builder behind every caller
 
-    def form(self, terms: tuple[tuple[int, int], ...], name: str, const: int = 0) -> int:
-        key = (terms, const)
-        if key not in self.index:
-            self.index[key] = len(self.forms)
-            self.forms.append(Form(name, terms, const))
-        return self.index[key]
+
+def _form_key(coeffs: dict[int, int], const: int) -> tuple:
+    """(terms, const) of a form: nonzero coefficients, positive ones first,
+    each run by descending unknown."""
+    terms = tuple(sorted(((u, c) for u, c in coeffs.items() if c),
+                         key=lambda t: (t[1] < 0, -t[0])))
+    return terms, const
+
+
+def _form_name(key: tuple, names: Sequence[str]) -> str:
+    terms, const = key
+    text = "".join(f"{'-' if c < 0 else '+'}{abs(c) if abs(c) != 1 else ''}{names[u]}"
+                   for u, c in terms)
+    if const or not terms:
+        text += f"+{const}"
+    return text.removeprefix("+")
+
+
+def _halved(d: int, lam: int, orbit: int, q: int) -> Optional[tuple[int, int, int]]:
+    """(modulus, multiplicity, orbit) that a group's ± representatives S
+    must meet so that S and -S together meet (d, lam, orbit), or None when
+    no such rule is known.  -1 in C_0^{e,q} (even orbit): x and -x share
+    every class, so half the orbit.  Even lam: S covering the classes mod d
+    lam/2 times is enough (exactly what is needed when -1 lies in class 0).
+    Odd lam with orbit 1 and -1 in class d/2: S must cover the classes
+    mod d/2 lam times."""
+    if orbit % 2 == 0:
+        return d, lam, orbit // 2
+    if lam % 2 == 0:
+        return d, lam // 2, orbit
+    if orbit == 1 and d % 2 == 0 and (q - 1) // 2 % d == d // 2:
+        return d // 2, lam, 1
+    return None
+
+
+def _lifting_system(sdf: DesignFamily, fld: FiniteField, e: int, d: int, lam: int,
+                    unknowns: Sequence[str], rows, partition, *, links=None, parts=None,
+                    pairs: str = "", provenance: str = "",
+                    datum_provenance: Optional[str] = None) -> ConstraintSystem:
+    """The lifting conditions of a symbolic datum as a constraint system.
+
+    rows[j] is block j's symbolic tuple: each entry is (unknown,
+    prime-subfield coefficient) or a field encoding.  links maps a follower
+    block to (leader block, multiplier in C_0^{e,q}): its values are the
+    leader's times the multiplier, which keeps every e-class, so it lists
+    the leader's forms again and needs no row.  One group per slot h (the
+    forms rows[j][a] - rows[j][b] with f_j[a] - f_j[b] = h; a slot equal to
+    an earlier one is kept once) and one per part of `parts` (default: the
+    partition) with modulus d, multiplicity 1 and orbit (q-1)/e.
+
+    `pairs` names the slots whose forms come in ± pairs and are cut to one
+    representative per pair, their group meeting the rule of _halved:
+    "torsion" the slots with h = -h, keeping the first form of each pair;
+    "signed" every slot, for sign-paired rows, each representative taken
+    with its highest unknown positive, so that h and -h give one group.
+
+    A group of constants is checked here and left out; a failing one
+    raises ValueError naming its slot or part.  The lifting builder
+    assembles the datum (with `partition`) from an assignment.
+    """
+    tab = _field_tables(fld)
+    add, neg, q1 = tab.add, tab.row(-1), fld.q - 1
+    G, orbit = sdf.group, q1 // e
+    links = links or {}
+
+    def key(signed):
+        """Key of sum(sign * entry) over the (entry, sign) pairs."""
+        coeffs, const = {}, 0
+        for x, sign in signed:
+            if isinstance(x, tuple):
+                coeffs[x[0]] = coeffs.get(x[0], 0) + sign * x[1]
+            else:
+                const = add[const][x if sign > 0 else neg[x]]
+        return _form_key(coeffs, const)
+
+    @lru_cache(maxsize=None)
+    def negated(k):
+        return _form_key({u: -c for u, c in k[0]}, neg[k[1]])
+
+    def signed_rep(k):
+        return negated(k) if k[0] and max(k[0])[1] < 0 else k
+
+    norm = signed_rep if pairs == "signed" else (lambda k: k)
+    # forms are numbered by first emission: of their own key or, in a signed
+    # slot, of any key they represent
+    rank: dict[tuple, int] = {}
+
+    def one_per_pair(keys):
+        """The first key of each ± pair, or None when one has no partner."""
+        waiting, reps = {}, []
+        for k in keys:
+            nk = negated(k)
+            if waiting.get(nk):
+                waiting[nk] -= 1
+            else:
+                waiting[k] = waiting.get(k, 0) + 1
+                reps.append(k)
+        return None if any(waiting.values()) else [norm(k) for k in reps]
+
+    row_of = lambda j: rows[links[j][0]] if j in links else rows[j]
+    slots: dict[int, list] = {}
+    for j, frow in enumerate(sdf.blocks):
+        row, f = row_of(j), np.asarray(frow, dtype=np.int64)
+        diffs = G.sub(f[:, None], f[None, :]).tolist()
+        for a in range(len(frow)):
+            for b in range(len(frow)):
+                if a != b:
+                    k = key(((row[a], 1), (row[b], -1)))
+                    rank.setdefault(norm(k), len(rank))
+                    rank.setdefault(k, len(rank))
+                    slots.setdefault(diffs[a][b], []).append(k)
+    specs, seen = [], set()
+    for h in sorted(slots):
+        spec = (d, lam, orbit, slots[h])
+        if pairs == "signed" or (pairs == "torsion" and int(G.neg(h)) == h):
+            reps, rule = one_per_pair(slots[h]), _halved(d, lam, orbit, fld.q)
+            if reps is not None and rule is not None:
+                spec = rule + (reps,)
+        sig = spec[:3] + (tuple(sorted(spec[3])),)
+        if sig not in seen:
+            seen.add(sig)
+            specs.append((f"slot {h}",) + spec)
+    for pi, part in enumerate(partition if parts is None else parts):
+        ks = [key(((x, 1),)) for j in part for x in row_of(j)]
+        for k in ks:
+            rank.setdefault(k, len(rank))
+        specs.append((f"part {pi}", d, 1, orbit, ks))
+
+    used = {k for spec in specs for k in spec[4]}
+    keys = sorted(used, key=rank.__getitem__)
+    index = {k: fi for fi, k in enumerate(keys)}
+    groups = []
+    for name, modulus, mult, orb, ks in specs:
+        g = UniformityGroup(tuple(sorted(index[k] for k in ks)), modulus, mult, orb)
+        if any(k[0] for k in ks):
+            groups.append(g)
+        elif 0 in [k[1] for k in ks] or not _labels_fit(g, [tab.log[k[1]] for k in ks], q1):
+            raise ValueError(f"precondition violated: {name} fails and holds no unknown")
+
+    def builder(assignment):
+        value = lambda x: tab.row(x[1])[int(assignment[x[0]])] if isinstance(x, tuple) \
+            else int(x)
+        phi = {j: tuple(value(x) for x in row_of(j)) for j in range(len(sdf.blocks))
+               if j not in links}
+        for j, (i, m) in links.items():
+            phi[j] = tuple(int(fld.mul(v, m)) for v in phi[i])
+        return LiftingData(sdf, fld, e=e, d=d, lam=lam,
+                           phi=tuple(phi[j] for j in range(len(sdf.blocks))),
+                           partition=tuple(tuple(p) for p in partition),
+                           provenance=provenance if datum_provenance is None
+                           else datum_provenance)
+
+    forms = tuple(Form(_form_name(k, unknowns), *k) for k in keys)
+    return ConstraintSystem(fld, d, tuple(unknowns), forms, tuple(groups),
+                            lifting_builder=builder, provenance=provenance)
 
 
 def generic_system(sdf: DesignFamily, q: int, e: int, d: int, lam: int,
@@ -238,7 +392,6 @@ def generic_system(sdf: DesignFamily, q: int, e: int, d: int, lam: int,
         raise ValueError("need an SDF")
     if e != q - 1:
         raise ValueError("the symbolic system requires e = q - 1")
-    fld = field_of_order(q)
     G = sdf.group
     k = len(sdf.blocks[0])
     if d * (q - 1) % (e * k):
@@ -254,40 +407,13 @@ def generic_system(sdf: DesignFamily, q: int, e: int, d: int, lam: int,
         partition = tuple(tuple(range(i * t, (i + 1) * t)) for i in range(nparts))
     if lam % 2 == 1 and (q - d - 1) % (2 * d):
         raise ValueError("odd lambda requires q = d+1 (mod 2d)")
-    unknowns = tuple(f"phi_{i}_{a}" for i in range(n) for a in range(k))
     ui = lambda i, a: i * k + a
-    sb = _SystemBuilder()
-    halved = {int(h) for h in range(G.order) if int(G.add(h, h)) == 0}
-    slot_forms: dict[int, list[int]] = {}
-    for i, frow in enumerate(sdf.blocks):
-        for a in range(k):
-            for b in range(k):
-                if a == b:
-                    continue
-                h = int(G.sub(frow[a], frow[b]))
-                if h in halved and a > b:
-                    continue
-                fi = sb.form(((ui(i, a), 1), (ui(i, b), -1)), f"phi_{i}_{a}-phi_{i}_{b}")
-                slot_forms.setdefault(h, []).append(fi)
-    groups = []
-    for h in sorted(slot_forms):
-        if h in halved:
-            if lam % 2 == 0:
-                groups.append(UniformityGroup(tuple(slot_forms[h]), d, lam // 2))
-            else:
-                groups.append(UniformityGroup(tuple(slot_forms[h]), d // 2, lam))
-        else:
-            groups.append(UniformityGroup(tuple(slot_forms[h]), d, lam))
-    for part in partition:
-        fis = tuple(sb.form(((ui(i, a), 1),), f"phi_{i}_{a}")
-                    for i in part for a in range(k))
-        groups.append(UniformityGroup(fis, d, 1))
-
-    def builder(assignment):
-        phi = tuple(tuple(int(assignment[ui(i, a)]) for a in range(k)) for i in range(n))
-        return LiftingData(sdf, fld, e=e, d=d, lam=lam, phi=phi,
-                           partition=tuple(tuple(p) for p in partition),
-                           provenance=f"generic({sdf.provenance},q={q})")
+    system = _lifting_system(
+        sdf, field_of_order(q), e, d, lam,
+        [f"phi_{i}_{a}" for i in range(n) for a in range(k)],
+        [tuple((ui(i, a), 1) for a in range(k)) for i in range(n)], partition,
+        pairs="torsion", provenance=f"generic({sdf.provenance},q={q},d={d})",
+        datum_provenance=f"generic({sdf.provenance},q={q})")
 
     # sign-pairing restrictions (the pattern lemmas): adjacent repeated block
     # values take opposite signs, and identical blocks pair up negated
@@ -306,12 +432,7 @@ def generic_system(sdf: DesignFamily, q: int, e: int, d: int, lam: int,
                     reduction[ui(j, a)] = (ui(i, a), -1)
                 paired.update({i, j})
                 break
-    reductions = (reduction,) if reduction else ()
-
-    return ConstraintSystem(fld, d, unknowns, tuple(sb.forms), tuple(groups),
-                            lifting_builder=builder,
-                            provenance=f"generic({sdf.provenance},q={q},d={d})",
-                            reductions=reductions)
+    return replace(system, reductions=(reduction,) if reduction else ())
 
 
 def _pattern_values(block: Sequence[int]) -> list[int]:
@@ -327,70 +448,39 @@ def _pattern_values(block: Sequence[int]) -> list[int]:
     return xs
 
 
-def _sign_paired_system(sdf: DesignFamily, q: int, rows, d: int, partition,
-                        provenance: str) -> ConstraintSystem:
-    """System for blocks zipped with fully sign-paired tuples, e = (q-1)/2.
-
-    rows: list of (xs, base) with xs the distinct repeated values of the
-    block and base the first unknown index of its y's; the tuple at the
-    block is (y_base, -y_base, y_base+1, -y_base+1, ...).  Classes mod d
-    are sign-invariant in the intended fields, so each +- quadruple of
-    expressions is represented by its two canonical forms y_i +- y_j and
-    each slot pair {h, -h} by one difference group.
-    """
-    fld = field_of_order(q)
-    G = sdf.group
-    sb = _SystemBuilder()
-    slot_forms: dict[int, list[int]] = {}
-    zero_forms: list[int] = []
-    for xs, base in rows:
-        m = len(xs)
-        for i in range(m):
-            zero_forms.append(sb.form(((base + i, 2),), f"2y_{base + i}"))
-            for j in range(m):
-                if i == j:
-                    continue
-                h = int(G.sub(xs[i], xs[j]))
-                hm = min(h, int(G.neg(h)))
-                hi, lo = max(base + i, base + j), min(base + i, base + j)
-                slot_forms.setdefault(hm, [])
-                slot_forms[hm].append(sb.form(((hi, 1), (lo, -1)), f"y_{hi}-y_{lo}"))
-                slot_forms[hm].append(sb.form(((hi, 1), (lo, 1)), f"y_{hi}+y_{lo}"))
-    groups = [UniformityGroup(tuple(zero_forms), d, 1)]
-    for h in sorted(slot_forms):
-        groups.append(UniformityGroup(tuple(sorted(set(slot_forms[h]))), d, 1))
-    unknowns = tuple(f"y_{i}" for i in range(sum(len(xs) for xs, _ in rows)))
-
-    def builder(assignment):
-        phi = tuple(tuple(w for v in map(int, assignment[base:base + len(xs)])
-                          for w in (v, fld.neg(v)))
-                    for xs, base in rows)
-        return LiftingData(sdf, fld, e=(q - 1) // 2, d=d, lam=1, phi=phi,
-                           partition=partition, provenance=provenance)
-
-    return ConstraintSystem(fld, d, unknowns, tuple(sb.forms), tuple(groups),
-                            lifting_builder=builder, provenance=provenance)
+def _sign_paired_rows(sizes: Sequence[int]) -> list[tuple]:
+    """Rows (y_b, -y_b, y_b+1, -y_b+1, ...) over consecutive unknown pools."""
+    rows, base = [], 0
+    for m in sizes:
+        rows.append(tuple((u, s) for u in range(base, base + m) for s in (1, -1)))
+        base += m
+    return rows
 
 
 def paired_pattern_system(sdf: DesignFamily, q: int) -> ConstraintSystem:
     """System for a one-block SDF (x0,x0,...,x_{(l-1)/2},x_{(l-1)/2}) lifted
     with the sign-paired tuple (y_0,-y_0,...); d = (l+1)/2 unknowns.
-    Needs q = 1 (mod l+1) so classes mod d are sign-invariant."""
+    Needs q = 1 (mod l+1) so classes mod d are sign-invariant.  Slot 0
+    (the values 2y_i) carries the one part's condition (the values +-y_i),
+    so there is no part group."""
     if len(sdf.blocks) != 1:
         raise ValueError("paired pattern needs a single base block")
     xs = _pattern_values(sdf.blocks[0])
     l = 2 * len(xs) - 1
     if (q - 1) % (l + 1):
         raise ValueError("need q = 1 (mod l+1)")
-    return _sign_paired_system(sdf, q, [(xs, 0)], (l + 1) // 2, ((0,),),
-                               f"paired({sdf.provenance},q={q})")
+    return _lifting_system(sdf, field_of_order(q), (q - 1) // 2, (l + 1) // 2, 1,
+                           [f"y_{u}" for u in range(len(xs))], _sign_paired_rows([len(xs)]),
+                           ((0,),), parts=(), pairs="signed",
+                           provenance=f"paired({sdf.provenance},q={q})")
 
 
 def paley3_pattern_system(p: int, q: int) -> ConstraintSystem:
     """Two-block third-type Paley pattern over F_p (p = 1 mod 4): the even
     generator powers doubled in one block, the odd powers in the other,
     zipped with sign-paired tuples sharing the unknown pool y_0..y_p;
-    d = p + 1, q = 1 (mod 2p+2)."""
+    d = p + 1, q = 1 (mod 2p+2).  As in paired_pattern_system, slot 0
+    carries the one part's condition."""
     if p % 4 != 1:
         raise ValueError("need p = 1 (mod 4)")
     if (q - 1) % (2 * p + 2):
@@ -403,8 +493,10 @@ def paley3_pattern_system(p: int, q: int) -> ConstraintSystem:
     b1 = tuple(v for x in evens for v in (x, x))
     b2 = tuple(v for x in odds for v in (x, x))
     sdf = DesignFamily(SDF, G, 2 * p + 2, (b1, b2), provenance=f"paley3({p})")
-    return _sign_paired_system(sdf, q, [(evens, 0), (odds, (p + 1) // 2)], p + 1,
-                               ((0, 1),), f"paley3({p},q={q})")
+    return _lifting_system(sdf, field_of_order(q), (q - 1) // 2, p + 1, 1,
+                           [f"y_{u}" for u in range(p + 1)],
+                           _sign_paired_rows([len(evens), len(odds)]), ((0, 1),), parts=(),
+                           pairs="signed", provenance=f"paley3({p},q={q})")
 
 
 # ---------------------------------------------------------------------------
@@ -426,73 +518,36 @@ def z125_system(q: int) -> ConstraintSystem:
     i = 1..12 (rows (y1,-y1,y2,-y2,y3,y4) with the odd rows equal to the
     negated even rows).  One permutation group per slot pair {h,-h}
     (labels mod 3) and one representative-system group per independent row
-    (labels mod 6).  The fixed label plan for the doubled and inner-pair
-    expressions enters as hints, completed lexicographically group by
-    group; hints steer the search order and are relaxed when no assignment
-    realizes them."""
+    (labels mod 6; a negated twin repeats its row's condition).  The fixed
+    label plan for the doubled and inner-pair expressions enters as hints,
+    completed lexicographically group by group; hints steer the search
+    order and are relaxed when no assignment realizes them."""
     if (q - 7) % 12:
         raise ValueError("need q = 7 (mod 12)")
     from .catalog import z125_6_6
-    sdf = z125_6_6()
-    G = sdf.group
-    fld = field_of_order(q)
     # unknown layout: 0..2 -> y_{1,t}; 3 + 4*(i-1) + s-1 -> y_{2i,s}
     names = [f"y_1_{t}" for t in (1, 2, 3)]
     for i in range(1, 13):
         names += [f"y_{2 * i}_{s}" for s in (1, 2, 3, 4)]
-    u1 = lambda t: t - 1
     u2 = lambda i, s: 3 + 4 * (i - 1) + (s - 1)
-    sb = _SystemBuilder()
-
-    def canon_pm(ua, ub, sign):
-        """Canonical +-representative of y_ua - (+-) y_ub up to global sign."""
-        if ua == ub:
-            raise ValueError("degenerate expression")
-        hi, lo = max(ua, ub), min(ua, ub)
-        if sign > 0:
-            return sb.form(((hi, 1), (lo, 1)), f"{names[hi]}+{names[lo]}")
-        return sb.form(((hi, 1), (lo, -1)), f"{names[hi]}-{names[lo]}")
-
-    # symbolic tuples per independent block (index j in the SDF: 0, 1, 3, 5, ...)
-    # tuple entries: (unknown, sign)
-    tuples: dict[int, list[tuple[int, int]]] = {}
-    tuples[0] = [(u1(1), 1), (u1(1), -1), (u1(2), 1), (u1(2), -1), (u1(3), 1), (u1(3), -1)]
+    rows = _sign_paired_rows([3])
     for i in range(1, 13):
-        tuples[2 * i - 1] = [(u2(i, 1), 1), (u2(i, 1), -1), (u2(i, 2), 1), (u2(i, 2), -1),
-                             (u2(i, 3), 1), (u2(i, 4), 1)]
-    # slot groups: iterate independent blocks; negated twins add nothing new
-    slot_forms: dict[int, set[int]] = {}
-    for j, tup in tuples.items():
-        frow = sdf.blocks[j]
-        for a in range(6):
-            for b in range(6):
-                if a == b:
-                    continue
-                h = int(G.sub(frow[a], frow[b]))
-                hm = min(h, 125 - h) if h else 0
-                (ua, sa), (ub, sbn) = tup[a], tup[b]
-                if ua == ub:
-                    # +-y - (-+y) = +-2y; same unknown with equal signs never
-                    # occurs at distinct positions
-                    fi = sb.form(((ua, 2),), f"2{names[ua]}")
-                else:
-                    fi = canon_pm(ua, ub, -sa * sbn)
-                slot_forms.setdefault(hm, set()).add(fi)
-    groups = []
-    for h in sorted(slot_forms):
-        groups.append(UniformityGroup(tuple(sorted(slot_forms[h])), 3, 1))
-    # row groups: representative system mod 6 per independent row
-    for j, tup in tuples.items():
-        fis = tuple(sb.form(((u, s),), ("" if s > 0 else "-") + names[u]) for u, s in tup)
-        groups.append(UniformityGroup(fis, 6, 1))
+        row = ((u2(i, 1), 1), (u2(i, 1), -1), (u2(i, 2), 1), (u2(i, 2), -1),
+               (u2(i, 3), 1), (u2(i, 4), 1))
+        rows += [row, tuple((u, -c) for u, c in row)]
+    system = _lifting_system(z125_6_6(), field_of_order(q), q - 1, 6, 1, names, rows,
+                             tuple((j,) for j in range(25)),
+                             parts=((0,),) + tuple((j,) for j in range(1, 25, 2)),
+                             pairs="signed", provenance=f"z125(q={q})")
     # hints: the published plan for the paired rows, completed lexicographically
+    index = {(f.terms, f.const): fi for fi, f in enumerate(system.forms)}
     hints: dict[int, int] = {}
     for i in range(1, 13):
-        hints[sb.form(((u2(i, 1), 2),), f"2{names[u2(i, 1)]}")] = _Z125_GTABLE["2y_a"][i - 1]
-        hints[sb.form(((u2(i, 2), 2),), f"2{names[u2(i, 2)]}")] = _Z125_GTABLE["2y_b"][i - 1]
-        hints[canon_pm(u2(i, 1), u2(i, 2), -1)] = _Z125_GTABLE["b-a"][i - 1]
-        hints[canon_pm(u2(i, 1), u2(i, 2), 1)] = _Z125_GTABLE["b+a"][i - 1]
-    for g in groups:
+        a, b = u2(i, 1), u2(i, 2)
+        for terms, col in ((((a, 2),), "2y_a"), (((b, 2),), "2y_b"),
+                           (((b, 1), (a, -1)), "b-a"), (((b, 1), (a, 1)), "b+a")):
+            hints[index[terms, 0]] = _Z125_GTABLE[col][i - 1]
+    for g in system.groups:
         if g.modulus != 3:
             continue
         have = [hints[fi] for fi in g.forms if fi in hints]
@@ -505,24 +560,7 @@ def z125_system(q: int) -> ConstraintSystem:
                 nxt = next(it, None)
                 if nxt is not None:
                     hints[fi] = nxt
-
-    def builder(assignment):
-        phi = []
-        for j in range(25):
-            tup = tuples[j] if j in tuples else tuples[j - 1]
-            sign = 1 if j in tuples else -1
-            row = []
-            for u, s in tup:
-                v = int(assignment[u])
-                row.append(v if s * sign > 0 else fld.neg(v))
-            phi.append(tuple(row))
-        return LiftingData(sdf, fld, e=q - 1, d=6, lam=1, phi=tuple(phi),
-                           partition=tuple((j,) for j in range(25)),
-                           provenance=f"z125(q={q})")
-
-    return ConstraintSystem(fld, 6, tuple(names), tuple(sb.forms), tuple(groups),
-                            hints=hints, lifting_builder=builder,
-                            provenance=f"z125(q={q})")
+    return replace(system, hints=hints)
 
 
 # ---------------------------------------------------------------------------
@@ -1207,74 +1245,25 @@ def _detect_scalings(data: LiftingData, suspects: set) -> dict[int, tuple[int, i
 def _repair_system(data: LiftingData, suspects: set) -> ConstraintSystem:
     """The lifting conditions of `data` as a constraint system: the unknowns
     are the suspect positions of leader blocks, every other value enters
-    as a constant.
-
-    One group per slot h (the differences phi_i[a] - phi_i[b] with
-    f_i[a] - f_i[b] = h) and one per part (its phi values), with modulus d
-    and orbit (q-1)/e, as check_lifting_conditions reads them.  A scaled
-    copy (see _detect_scalings) adds its leader's forms to each group a
-    second time, because a C_0^{e,q} multiple keeps every e-class.  A group
-    whose forms are all constant is checked here and left out; when it
-    fails, or a zero entry is not a suspect, the repair's precondition is
-    violated and ValueError names the slot, part or entries.
+    as a constant, and a scaled copy (see _detect_scalings) is a link to
+    its leader.  The groups are check_lifting_conditions' slots and parts,
+    with modulus d and orbit (q-1)/e.  A slot or part of constants that
+    fails, or a zero entry that is not a suspect, violates the repair's
+    precondition; ValueError names the slot, part or entries.
     """
-    fld, k, G = data.field, data.k, data.sdf.group
-    tab = _field_tables(fld)
-    add, neg, q1 = tab.add, tab.row(-1), fld.q - 1
     links = _detect_scalings(data, suspects)
     leads = [pos for pos in sorted(suspects) if pos[0] not in links]
     index = {pos: u for u, pos in enumerate(leads)}
-    sb = _SystemBuilder()
-
-    def form(j, signed):
-        """Form of sum(sign * phi_j[a]) over (a, sign) in signed, read off
-        the leader of block j."""
-        i = links.get(j, (j,))[0]
-        terms, const = [], 0
-        for a, sign in signed:
-            if (i, a) in index:
-                terms.append((index[(i, a)], sign))
-            else:
-                const = add[const][data.phi[i][a] if sign > 0 else neg[data.phi[i][a]]]
-        name = "-".join(f"phi_{i}_{a}" for a, _ in signed)
-        return sb.form(tuple(terms), name, const)
-
-    slots: dict[int, list[int]] = {h: [] for h in range(G.order)}
-    for j, frow in enumerate(data.sdf.blocks):
-        for a in range(k):
-            for b in range(k):
-                if a != b:
-                    slots[int(G.sub(frow[a], frow[b]))].append(form(j, ((a, 1), (b, -1))))
-    specs = [(f"slot {h}", fis, data.lam) for h, fis in slots.items()]
-    specs += [(f"part {pi}", [form(j, ((a, 1),)) for j in part for a in range(k)], 1)
-              for pi, part in enumerate(data.partition)]
-    groups = []
-    for name, fis, mult in specs:
-        g = UniformityGroup(tuple(fis), data.d, mult, q1 // data.e)
-        if any(sb.forms[fi].terms for fi in fis):
-            groups.append(g)
-            continue
-        vals = [sb.forms[fi].const for fi in fis]
-        if 0 in vals or not _labels_fit(g, [tab.log[v] for v in vals], q1):
-            raise ValueError(f"precondition violated: {name} fails and holds no "
-                             "suspect position")
+    rows = {i: tuple((index[i, a], 1) if (i, a) in index else v for a, v in enumerate(row))
+            for i, row in enumerate(data.phi) if i not in links}
+    system = _lifting_system(data.sdf, data.field, data.e, data.d, data.lam,
+                             [f"phi_{i}_{a}" for i, a in leads], rows, data.partition,
+                             links=links, provenance=f"repair({data.provenance})",
+                             datum_provenance=data.provenance)
     stray = [pos for pos in data.zero_positions() if pos not in suspects]
     if stray:
         raise ValueError(f"precondition violated: zero entries at {stray} are not suspects")
-
-    def builder(assignment):
-        phi = [list(row) for row in data.phi]
-        for (i, a), u in index.items():
-            phi[i][a] = int(assignment[u])
-        for j, (i, m) in links.items():
-            for a in range(k):
-                if (i, a) in index:
-                    phi[j][a] = int(fld.mul(phi[i][a], m))
-        return data.replace_phi(phi)
-
-    return ConstraintSystem(fld, data.d, tuple(f"phi_{i}_{a}" for i, a in leads),
-                            tuple(sb.forms), tuple(groups), lifting_builder=builder,
-                            provenance=f"repair({data.provenance})")
+    return system
 
 
 def repair_block(data: LiftingData, suspects: Sequence[tuple[int, int]],

@@ -178,3 +178,24 @@ def test_verify_dm_infers_lambda():
     dm = DifferenceMatrix(z3, rows)
     assert verify_dm(dm).ok        # lambda = 2 inferred from 6 columns
     assert not verify_dm(dm, 1).ok
+
+
+def test_verify_sdf_rejects_block_element_outside_group():
+    fam = catalog.family("z7_8_8")
+    blk = list(fam.blocks[0])
+    blk[blk.index(0)] = 7              # reduces to 0 if digits are taken mod 7
+    rep = verify_sdf(DesignFamily(SDF, fam.group, fam.lam, (tuple(blk),)))
+    assert not rep.ok and "block element 7 lies outside 0..6" in rep.detail
+
+
+def test_verify_pdf_reports_elements_outside_group():
+    from framedf.lifting import fdf_to_pdf
+    pdf = fdf_to_pdf(lift_sdf(catalog.lifting_datum("fdf_z7xF89")))
+    assert verify_pdf(pdf).ok
+    negative = DesignFamily(PDF, pdf.group, pdf.lam, ((-1,) + pdf.blocks[0][1:],) + pdf.blocks[1:])
+    rep = verify_pdf(negative)
+    assert not rep.ok and "block element -1 lies outside" in rep.detail
+    order = pdf.group.order
+    stray = DesignFamily(PDF, pdf.group, pdf.lam, pdf.blocks, subgroup=(0, order))
+    rep = verify_pdf(stray)
+    assert not rep.ok and f"subgroup element {order} lies outside" in rep.detail

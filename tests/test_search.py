@@ -512,3 +512,77 @@ def test_generic_system_even_lambda_branch():
     regular = [g for g in sysm.groups if g.multiplicity == 2]
     assert len(regular) == 4               # h = 1..4
     assert len(sysm.groups) == 5 + 2       # five slots plus two element groups
+
+
+def _system_digest(sysm):
+    """SHA-256 of a system's shape up to form numbering and group order:
+    the unknowns in order, the multiset of forms (terms, const), each group
+    as (modulus, multiplicity, orbit, its form keys with repeats), the hints
+    keyed by form, the reductions, and the datum the lifting builder
+    assembles from the assignment u -> generator^(3u + 1)."""
+    key = lambda fi: (sysm.forms[fi].terms, sysm.forms[fi].const)
+    fld = sysm.field
+    data = sysm.lifting_builder([fld.pow_generator(3 * u + 1)
+                                 for u in range(len(sysm.unknowns))])
+    shape = {
+        "unknowns": list(sysm.unknowns),
+        "forms": sorted(key(fi) for fi in range(len(sysm.forms))),
+        "groups": sorted((g.modulus, g.multiplicity, g.orbit, sorted(map(key, g.forms)))
+                         for g in sysm.groups),
+        "hints": sorted((key(fi), int(lab)) for fi, lab in sysm.hints.items()),
+        "reductions": [sorted(red.items()) for red in sysm.reductions],
+        "datum": (data.phi, data.partition, data.e, data.d, data.lam, data.provenance),
+    }
+    return hashlib.sha256(json.dumps(shape).encode()).hexdigest()
+
+
+def _z7_blank():
+    data = catalog.lifting_datum("fdf_z7xF89")
+    blanked = data.replace_phi([(0, 0, 0) + data.phi[0][3:]])
+    return _repair_system(blanked, set(blanked.zero_positions()))
+
+
+def _z63_repair(widened):
+    data = catalog.lifting_datum("fdf_z63xF25")
+    suspects = set(data.zero_positions())
+    if widened:
+        suspects = {(i, a) for i, _ in suspects for a in range(data.k)}
+    return _repair_system(data, suspects)
+
+
+# recorded before the system builders shared one implementation
+@pytest.mark.parametrize("make,pinned", [
+    (lambda: generic_system(catalog.family("z7_8_8"), 25, 24, 8, 1),
+     "2b682040482ef6fa4f8039df4d6e4525930a99e122eb0c439105336e3256f072"),
+    (lambda: generic_system(catalog.family("z7_8_8"), 73, 72, 8, 1),
+     "8706405b5aaaeeca2b1e5b38d34b67fb3fc0094dec26641647ecc2cf8b7ed7c2"),
+    (lambda: generic_system(catalog.family("z7_8_8"), 89, 88, 8, 1),
+     "c74ddb728f944f5ec3fc2d7a27bd0fe9de87542243407bb883120415b79803de"),
+    (lambda: generic_system(catalog.family("paley3", 5), 7, 6, 6, 2),
+     "3a2fcdbfb069ec236fc2d0a03e7e5ac9cda1d38cdc597df3c626661c972c4df5"),
+    (lambda: generic_system(catalog.family("z125_6_6"), 67, 66, 6, 1),
+     "e13bb064028f156aaf1cfb7527250635ba5ca273048cc4b218f8f84fbb6830d6"),
+    (lambda: paired_pattern_system(catalog.family("paley2", 7), 113),
+     "524960df67a67eb0f0e9c77a1f96d6f7cb2b599d507c97cd10498638ddf2c9e1"),
+    (lambda: paired_pattern_system(catalog.family("twinPrime", 3), 17),
+     "7b118a250468551bbc80e1d50137218854a37f88160b9b82a64278317648073e"),
+    (lambda: paley3_pattern_system(5, 61),
+     "763fdb8ce210b9703c0b127793871694552c7d147aa955778afe8d7848b019b6"),
+    (lambda: paley3_pattern_system(13, 337),
+     "62ea5746a4691a8a5b85e770116a0797931e22b0093d0f34b9961b504fee9bcf"),
+    (lambda: z125_system(67),
+     "ca126368266758196f7e154b5999ac617086304d352792b6ddb1b58db1dad7e0"),
+    (lambda: z125_system(79),
+     "d0a406e9c76ccfa4808c0b5f9c650b22d06beb69170890c318a19dfd5b21f3ea"),
+    (lambda: _z63_repair(False),
+     "c427e76682759129dc42c7a0a7138c6acaf47a4c46d15f2ce14bfe0a9d53bf7e"),
+    (lambda: _z63_repair(True),
+     "3f539a68078e2b0ee1552b21f9e8b3a3c1b8a431c639587530f61372e05a15c2"),
+    (_z7_blank, 
+     "a0985e79e026c2e80cfa9eb9d0b3d21f03676b842073616c7749eea73c0155a9"),
+], ids=["generic:z7@25", "generic:z7@73", "generic:z7@89", "generic:paley3_5@7",
+        "generic:z125@67", "paired:paley2_7@113", "paired:twinPrime3@17", "paley3_5@61",
+        "paley3_13@337", "z125@67", "z125@79", "repair:z63_narrow", "repair:z63_widened",
+        "repair:z7_blank"])
+def test_system_shapes_are_pinned(make, pinned):
+    assert _system_digest(make()) == pinned
