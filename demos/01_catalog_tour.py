@@ -15,7 +15,7 @@ for name in ("z7_8_8", "z63_8_8", "z119_8_8", "z125_6_6"):
     fam = catalog.family(name)
     rep = families.verify_sdf(fam)
     print(f"  {name:10s} over {fam.group!r:6} blocks={len(fam.blocks):3d} "
-          f"mu={rep.mu:2d} verified={rep.ok}")
+          f"mu={fam.lam:2d} verified={rep.ok}")
 
 print("\n=== parametrized constructions ===")
 for label, fam in (
@@ -26,7 +26,7 @@ for label, fam in (
     ("singer(2,5)", catalog.family("singer", 2, 5)),
 ):
     rep = families.verify_sdf(fam)
-    print(f"  {label:14s} order={fam.group.order:4d} mu={rep.mu:3d} verified={rep.ok}")
+    print(f"  {label:14s} order={fam.group.order:4d} mu={fam.lam:3d} verified={rep.ok}")
 
 print("\n=== lifting data ===")
 for name in ("fdf_z7xF89", "fdf_z63xF25", "fdf_z119xF25", "fdf_z125xF67"):

@@ -27,6 +27,7 @@ print(f"  sequence length {x.n} over {x.alphabet_size} symbols")
 print("  first 25 symbols:", x.seq[:25].tolist())
 rep = codes.verify_strictly_optimal(x)
 print(f"  strictly optimal at every window length: {rep.ok}")
+correlations = codes.fhs_correlations(x)
 for L in (1, 89, 312, 623):
-    print(f"    H(X;{L:3d}) = {rep.correlations[L - 1]}  "
+    print(f"    H(X;{L:3d}) = {correlations[L - 1]}  "
           f"(bound {codes.fhs_bound(x.n, x.alphabet_size, L)})")

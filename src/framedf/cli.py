@@ -55,7 +55,7 @@ def cmd_catalog(args) -> int:
         rep = lifting.check_lifting_conditions(data)
         info.update(blocks=len(data.sdf.blocks), q=data.field.q, e=data.e, d=data.d,
                     verified=bool(rep.ok),
-                    zero_positions=list(map(list, rep.zero_positions)))
+                    zero_positions=list(map(list, data.zero_positions())))
     _emit(info, args.format)
     return 0
 
@@ -160,7 +160,7 @@ def cmd_import(args) -> int:
         return USAGE_ERROR
     rep = designs.verify_bibd(design)
     if not rep.ok:
-        print(f"rejected: {rep.detail or 'pair coverage fails'}", file=sys.stderr)
+        print(f"rejected: {rep.detail}", file=sys.stderr)
         return VERIFY_FAIL
     if res is not None:
         rres = designs.verify_resolution(design, res)
@@ -201,7 +201,7 @@ def cmd_fhs_from_fdf(args) -> int:
                         "seq": fhs.seq.tolist(), "provenance": fhs.provenance}, args.out)
     _emit({"n": fhs.n, "alphabet": fhs.alphabet_size,
            "strictly_optimal": bool(rep.ok),
-           "failing_L": list(rep.failing_L)}, args.format)
+           "failing_L": list(rep.witnesses)}, args.format)
     return 0 if rep.ok else VERIFY_FAIL
 
 
@@ -211,7 +211,7 @@ def cmd_verify_fhs(args) -> int:
     fhs = codes.FHS(np.asarray(blob["seq"]), blob["alphabet"])
     rep = codes.verify_strictly_optimal(fhs)
     _emit({"n": fhs.n, "strictly_optimal": bool(rep.ok),
-           "failing_L": list(rep.failing_L)}, args.format)
+           "failing_L": list(rep.witnesses)}, args.format)
     return 0 if rep.ok else VERIFY_FAIL
 
 
@@ -232,11 +232,18 @@ def cmd_verify_ccc(args) -> int:
 
 def cmd_run(args) -> int:
     recipe = serialize.load(args.recipe)
+    steps = recipe.get("steps") if isinstance(recipe, dict) else None
+    if not isinstance(steps, list) or not all(
+            isinstance(s, dict) and isinstance(s.get("op"), str) for s in steps):
+        _emit([{"step": "recipe", "verified": False,
+                "error": "a recipe is an object whose 'steps' lists {'op': ...} objects"}],
+              args.format)
+        return USAGE_ERROR
     workdir = Path(args.workdir or Path(args.recipe).parent)
     summary = []
     status = 0
     env: dict[str, object] = {}
-    for step in recipe.get("steps", []):
+    for step in steps:
         t0 = time.time()
         op = step["op"]
         try:
@@ -253,17 +260,25 @@ def cmd_run(args) -> int:
     return status
 
 
+# the type of object each op reads through its "in" reference
+_INPUT_TYPE = {**dict.fromkeys(("repair", "check-conditions", "lift"), lifting.LiftingData),
+               **dict.fromkeys(("assemble", "crt", "pdf", "ccc", "fhs"), families.DesignFamily)}
+
+
 def _run_step(op, step, env, workdir, seed):
     p = step.get("params", {})
-
-    def resolve(ref):
-        return env[ref] if isinstance(ref, str) and ref.startswith("$") else ref
+    want = _INPUT_TYPE.get(op)
+    if want:
+        ref = step["in"]
+        data = env[ref] if isinstance(ref, str) and ref.startswith("$") else ref
+        if not isinstance(data, want):
+            return USAGE_ERROR, {"error": f"step {step.get('id', op)!r}: op {op!r} needs a "
+                                          f"{want.__name__}, got a {type(data).__name__}"}
 
     if op == "catalog-lifting":
         env[step["out"]] = catalog.lifting_datum(p["name"])
         return 0, {"name": p["name"]}
     if op == "repair":
-        data = resolve(step["in"])
         try:
             env[step["out"]] = search.repair_block(data, data.zero_positions())
             return 0, {}
@@ -272,21 +287,20 @@ def _run_step(op, step, env, workdir, seed):
         except search.RepairBudgetExceeded as exc:
             return BUDGET_FAIL, {"error": str(exc)}
     if op == "check-conditions":
-        rep = lifting.check_lifting_conditions(resolve(step["in"]))
+        rep = lifting.check_lifting_conditions(data)
         return (0 if rep.ok else VERIFY_FAIL), {"detail": rep.detail}
     if op == "lift":
-        fdf = lifting.lift_sdf(resolve(step["in"]))
+        fdf = lifting.lift_sdf(data)
         env[step["out"]] = fdf
         ok = families.verify_fdf(fdf).ok
         return (0 if ok else VERIFY_FAIL), {"blocks": len(fdf.blocks)}
     if op == "assemble":
-        fdf = resolve(step["in"])
-        k = len(fdf.blocks[0])
+        k = len(data.blocks[0])
         if p.get("ingredient") == "affine":
             ing, ing_res = designs.affine_plane(k)
         else:
             ing, ing_res = designs.trivial_rbibd(k)
-        design, res, rot = designs.rbibd_from_fdf(fdf, ing, ing_res)
+        design, res, rot = designs.rbibd_from_fdf(data, ing, ing_res)
         env[step["out"]] = (design, res, rot)
         ok = designs.verify_bibd(design).ok and designs.verify_resolution(design, res).ok
         if p.get("check_rotational"):
@@ -295,22 +309,21 @@ def _run_step(op, step, env, workdir, seed):
             serialize.dump(serialize.design_to_dict(design, res), workdir / step["file"])
         return (0 if ok else VERIFY_FAIL), {"v": design.v, "blocks": len(design.blocks)}
     if op == "crt":
-        fam = resolve(step["in"])
-        env[step["out"]] = families.relabel_family(fam, crt_iso(fam.group))
+        env[step["out"]] = families.relabel_family(data, crt_iso(data.group))
         return 0, {}
     if op == "pdf":
-        pdf = lifting.fdf_to_pdf(resolve(step["in"]))
+        pdf = lifting.fdf_to_pdf(data)
         env[step["out"]] = pdf
         ok = families.verify_pdf(pdf).ok
         return (0 if ok else VERIFY_FAIL), {"blocks": len(pdf.blocks)}
     if op == "ccc":
-        ccc = codes.ccc_from_pdf(resolve(step["in"]))
+        ccc = codes.ccc_from_pdf(data)
         d = ccc.min_distance()
         ok = codes.ccc_bound(ccc.n, d, ccc.composition) == ccc.size
         env[step["out"]] = ccc
         return (0 if ok else VERIFY_FAIL), {"n": ccc.n, "M": ccc.size, "d": d}
     if op == "fhs":
-        fhs = codes.fhs_from_elementary_fdf(resolve(step["in"]))
+        fhs = codes.fhs_from_elementary_fdf(data)
         rep = codes.verify_strictly_optimal(fhs)
         env[step["out"]] = fhs
         if "file" in step:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .families import DesignFamily, FDF, PDF, verify_pdf
+from .families import DesignFamily, PDF, Report, verify_fdf, verify_pdf
 
 __all__ = [
     "CCC",
@@ -22,6 +22,7 @@ __all__ = [
     "ccc_bound",
     "fhs_from_elementary_fdf",
     "partial_hamming",
+    "fhs_correlations",
     "fhs_max_correlation",
     "fhs_bound",
     "verify_strictly_optimal",
@@ -81,7 +82,7 @@ def ccc_from_pdf(pdf: DesignFamily) -> CCC:
         raise ValueError("need a PDF")
     rep = verify_pdf(pdf)
     if not rep.ok:
-        raise ValueError("family fails verify_pdf: " + (rep.detail or "delta condition"))
+        raise ValueError("family fails verify_pdf: " + rep.detail)
     G = pdf.group
     label = np.empty(G.order, dtype=np.int64)
     for bi, blk in enumerate(pdf.blocks):
@@ -109,11 +110,13 @@ def fhs_from_elementary_fdf(fdf: DesignFamily) -> FHS:
     """Frequency hopping sequence from an elementary frame over a cyclic
     group: partition Z_kv into N and all N-translates of the base blocks,
     then let x(t) be the index of the part containing t.  N gets symbol 0;
-    translated blocks are indexed by ascending minimum element."""
-    if fdf.kind != FDF:
-        raise ValueError("need an FDF")
+    translated blocks are indexed by ascending minimum element.  A family
+    that fails verify_fdf raises ValueError with its detail."""
     if fdf.group.kind != "cyclic":
         raise ValueError("need a cyclic group; apply crt_iso to the family first")
+    rep = verify_fdf(fdf)
+    if not rep.ok:
+        raise ValueError("family fails verify_fdf: " + rep.detail)
     k = len(fdf.blocks[0])
     n = len(fdf.subgroup)
     if fdf.lam * n != k - 1:
@@ -148,12 +151,13 @@ def partial_hamming(x: FHS, tau: int, j: int, L: int) -> int:
     return int((s[idx] == s[(idx + tau) % n]).sum())
 
 
-def _window_max_by_length(x: FHS) -> np.ndarray:
-    """H(X;L) for every L in [1, n]: maximum windowed coincidence count over
-    all shifts tau >= 1 and all starts, via per-shift sliding sums."""
+def fhs_correlations(x: FHS) -> np.ndarray:
+    """H(X;L) for L = 1..n (entry L-1): the maximum windowed coincidence
+    count over all shifts tau >= 1 and all starts, via per-shift sliding
+    sums."""
     s = np.asarray(x.seq)
     n = x.n
-    out = np.zeros(n + 1, dtype=np.int64)
+    out = np.zeros(n, dtype=np.int64)
     Ls = np.arange(1, n + 1)
     js = np.arange(n)
     gather = js[None, :] + Ls[:, None]          # (L, j) -> j + L
@@ -161,14 +165,16 @@ def _window_max_by_length(x: FHS) -> np.ndarray:
         c = (s == np.roll(s, -tau)).astype(np.int64)
         cs = np.concatenate([[0], np.cumsum(np.concatenate([c, c]))])
         w = cs[gather] - cs[js][None, :]
-        np.maximum(out[1:], w.max(axis=1), out=out[1:])
+        np.maximum(out, w.max(axis=1), out=out)
     return out
 
 
 def fhs_max_correlation(x: FHS, L: int) -> int:
-    """Exact maximum of the partial autocorrelation over tau >= 1 and all
-    window starts, for one window length."""
-    return int(_window_max_by_length(x)[L])
+    """H(X;L): the exact maximum of the partial autocorrelation over tau >= 1
+    and all window starts, for one window length."""
+    if not 1 <= L <= x.n:
+        raise ValueError("window length out of range")
+    return int(fhs_correlations(x)[L - 1])
 
 
 def fhs_bound(n: int, l: int, L: int) -> int:
@@ -181,23 +187,13 @@ def fhs_bound(n: int, l: int, L: int) -> int:
     return -((-L * inner) // n)
 
 
-@dataclass(frozen=True)
-class OptimalityReport:
-    ok: bool
-    failing_L: tuple = ()
-    correlations: tuple = ()
-
-    def __bool__(self):
-        return self.ok
-
-
-def verify_strictly_optimal(x: FHS) -> OptimalityReport:
+def verify_strictly_optimal(x: FHS) -> Report:
     """Full scan: the windowed maximum must meet the lower bound at every
-    window length L in [1, n]."""
-    n = x.n
-    maxima = _window_max_by_length(x)
-    failing = []
-    for L in range(1, n + 1):
-        if maxima[L] != fhs_bound(n, x.alphabet_size, L):
-            failing.append(L)
-    return OptimalityReport(not failing, tuple(failing[:32]), tuple(int(m) for m in maxima[1:]))
+    window length L in [1, n]; the failing lengths are the witnesses."""
+    n, l = x.n, x.alphabet_size
+    maxima = fhs_correlations(x)
+    failing = [L for L in range(1, n + 1) if maxima[L - 1] != fhs_bound(n, l, L)]
+    if not failing:
+        return Report(True)
+    L = failing[0]
+    return Report(False, f"H(X;{L}) = {maxima[L - 1]}, bound {fhs_bound(n, l, L)}", failing)

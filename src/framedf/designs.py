@@ -8,12 +8,14 @@ stored with sorted blocks and sorted classes so serialization is stable.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 import numpy as np
 
 from .fields import field_of_order
 from .groups import AbelianGroup
-from .families import DesignFamily, FDF, coset_labels
+from .families import (WITNESSES, DesignFamily, Report, _count_report, _flat, _outside,
+                       _partition_error, coset_labels, verify_fdf)
 
 __all__ = [
     "BlockDesign",
@@ -49,16 +51,6 @@ class RotationalStructure:
     action[enc] = point index; the fixed point is index v-1."""
     group: AbelianGroup
     action: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class DesignReport:
-    ok: bool
-    detail: str = ""
-    pair_deficiencies: tuple = ()
-
-    def __bool__(self):
-        return self.ok
 
 
 def trivial_rbibd(k: int) -> tuple[BlockDesign, Resolution]:
@@ -99,7 +91,8 @@ def affine_plane(q: int) -> tuple[BlockDesign, Resolution]:
 def rbibd_from_fdf(fdf: DesignFamily, ingredient: BlockDesign,
                    ingredient_res: Resolution) -> tuple[BlockDesign, Resolution, RotationalStructure]:
     """Resolvable design on G plus one extra point from a frame difference
-    family and an ingredient resolvable design on |N|+1 points.
+    family and an ingredient resolvable design on |N|+1 points.  A family
+    that fails verify_fdf raises ValueError with its detail.
 
     For every coset representative s and every frame class index i, the
     parallel class is (frame class i translated by N then s) together with
@@ -108,8 +101,9 @@ def rbibd_from_fdf(fdf: DesignFamily, ingredient: BlockDesign,
     automorphism whenever the ingredient is itself 1-rotational over N
     (trivially so for the one-block ingredient).
     """
-    if fdf.kind != FDF or fdf.frame_partition is None:
-        raise ValueError("need a verified FDF with its frame partition")
+    rep = verify_fdf(fdf)
+    if not rep.ok:
+        raise ValueError("family fails verify_fdf: " + rep.detail)
     G = fdf.group
     sub = np.asarray(fdf.subgroup, dtype=np.int64)
     n = len(sub)
@@ -154,105 +148,105 @@ def rbibd_from_fdf(fdf: DesignFamily, ingredient: BlockDesign,
     return design, Resolution(tuple(classes)), rot
 
 
-def verify_bibd(design: BlockDesign) -> DesignReport:
+def verify_bibd(design: BlockDesign) -> Report:
     """Exact pair coverage: every 2-subset of points in exactly lam blocks.
     Points must lie in 0..v-1; pairs are indexed min*v+max and counted in
-    one exact pass."""
+    one exact pass.  Pair witnesses are (point, point, count)."""
     v = design.v
     k = design.k
     if k < 2:
-        return DesignReport(False, detail=f"block size {k} < 2 covers no pairs")
-    if any(len(blk) != k for blk in design.blocks):
-        return DesignReport(False, detail="block of wrong size present")
-    if design.blocks:
-        mat = np.asarray(design.blocks, dtype=np.int64)
-        stray = np.argwhere((mat < 0) | (mat >= v))
-        if len(stray):
-            bi, pos = stray[0]
-            return DesignReport(False, detail=f"block {bi} holds point {mat[bi, pos]} "
-                                              f"outside 0..{v - 1}")
-        ii, jj = np.triu_indices(k, k=1)
-        a = mat[:, ii].ravel()
-        b = mat[:, jj].ravel()
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        counts = np.bincount(lo * v + hi, minlength=v * v)
-    else:
-        counts = np.zeros(v * v, dtype=np.int64)
+        return Report(False, f"block size {k} < 2 covers no pairs", [("k", k)])
+    wrong = [i for i, blk in enumerate(design.blocks) if len(blk) != k]
+    if wrong:
+        return Report(False, f"block {wrong[0]} does not have {k} points", wrong)
+    mat = np.asarray(design.blocks, dtype=np.int64).reshape(-1, k)
+    stray = np.argwhere((mat < 0) | (mat >= v))[:WITNESSES]
+    if len(stray):
+        bi, pos = stray[0]
+        return Report(False, f"block {bi} holds point {mat[bi, pos]} outside 0..{v - 1}",
+                      [(int(b), int(mat[b, p])) for b, p in stray])
+    ii, jj = np.triu_indices(k, k=1)
+    a = mat[:, ii].ravel()
+    b = mat[:, jj].ravel()
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    counts = np.bincount(lo * v + hi, minlength=v * v)
     ii, jj = np.triu_indices(v, k=1)
     pair_counts = counts[ii * v + jj]
-    bad = np.nonzero(pair_counts != design.lam)[0]
-    deficiencies = tuple((int(ii[x]), int(jj[x]), int(pair_counts[x])) for x in bad[:32])
-    expected_b = design.lam * v * (v - 1) // (design.k * (design.k - 1))
-    ok = len(bad) == 0 and len(design.blocks) == expected_b
-    detail = "" if ok else f"{len(bad)} deficient pairs, b={len(design.blocks)} vs {expected_b}"
-    return DesignReport(ok, detail, deficiencies)
+    bad = np.flatnonzero(pair_counts != design.lam)[:WITNESSES]
+    if len(bad):
+        x = bad[0]
+        return Report(False, f"pair ({ii[x]}, {jj[x]}) lies in {pair_counts[x]} blocks, "
+                             f"not {design.lam}",
+                      [(int(ii[y]), int(jj[y]), int(pair_counts[y])) for y in bad])
+    expected_b = design.lam * v * (v - 1) // (k * (k - 1))
+    if len(design.blocks) != expected_b:
+        # only blocks that repeat a point get here: they cover fewer pairs
+        return Report(False, f"{len(design.blocks)} blocks, expected {expected_b}",
+                      [("blocks", len(design.blocks))])
+    return Report(True)
 
 
-def verify_resolution(design: BlockDesign, res: Resolution) -> DesignReport:
+def verify_resolution(design: BlockDesign, res: Resolution) -> Report:
     """Classes partition the block list; each class partitions the points
     0..v-1."""
-    seen = sorted(i for cls in res.classes for i in cls)
-    if seen != list(range(len(design.blocks))):
-        return DesignReport(False, detail="classes do not partition the block list")
+    error = _partition_error(res.classes, len(design.blocks), "resolution")
+    if error:
+        return Report(False, *error)
     if design.k < 2:
-        return DesignReport(False, detail=f"block size {design.k} < 2 covers no pairs")
+        return Report(False, f"block size {design.k} < 2 covers no pairs", [("k", design.k)])
     expected = design.lam * (design.v - 1) // (design.k - 1)
     if len(res.classes) != expected:
-        return DesignReport(False, detail=f"{len(res.classes)} classes, expected {expected}")
+        return Report(False, f"{len(res.classes)} classes, expected {expected}",
+                      [("classes", len(res.classes))])
     for ci, cls in enumerate(res.classes):
         pts = np.concatenate([np.asarray(design.blocks[i], dtype=np.int64) for i in cls])
-        stray = pts[(pts < 0) | (pts >= design.v)]
-        if len(stray):
-            return DesignReport(False, detail=f"class {ci} holds point {stray[0]} "
-                                              f"outside 0..{design.v - 1}")
-        if len(pts) != design.v or len(np.unique(pts)) != design.v:
-            return DesignReport(False, detail=f"class {ci} does not partition the points")
-    return DesignReport(True)
+        error = _outside(pts, design.v, f"class {ci}: point")
+        if error:
+            return Report(False, *error)
+        rep = _count_report(np.bincount(pts, minlength=design.v), 1, f"class {ci}: point")
+        if not rep.ok:
+            return rep
+    return Report(True)
 
 
 def verify_one_rotational(design: BlockDesign, res: Resolution,
-                          rot: RotationalStructure) -> DesignReport:
+                          rot: RotationalStructure) -> Report:
     """The translation by each group generator must fix infinity, permute the
     other points sharply transitively, and map the block multiset and the
     class partition to themselves.  Invariance under generators implies
-    invariance under the whole group."""
+    invariance under the whole group; a failing generator is the witness."""
     G = rot.group
     if G.order != design.v - 1:
-        return DesignReport(False, detail="group order must be v-1")
+        return Report(False, f"group order {G.order} is not v-1 = {design.v - 1}",
+                      [("order", G.order)])
     point_of = np.asarray(rot.action, dtype=np.int64)
-    if sorted(point_of.tolist()) != list(range(design.v - 1)):
-        return DesignReport(False, detail="action is not a bijection onto the points")
-    enc_of = np.empty_like(point_of)
-    enc_of[point_of] = np.arange(G.order)
-    gens = _generators(G)
-    block_multiset = {}
-    for blk in design.blocks:
-        key = tuple(sorted(blk))
-        block_multiset[key] = block_multiset.get(key, 0) + 1
-    class_multiset = {}
-    for cls in res.classes:
-        key = tuple(sorted(tuple(sorted(design.blocks[i])) for i in cls))
-        class_multiset[key] = class_multiset.get(key, 0) + 1
+    error = (_outside(point_of, G.order, "action point")
+             or _outside(_flat(design.blocks), design.v, "block point"))
+    if error:
+        return Report(False, *error)
+    rep = _count_report(np.bincount(point_of, minlength=G.order), 1, "action: point")
+    if not rep.ok:
+        return rep
+
+    def multisets(perm):
+        """The block multiset and the class multiset with points renamed by perm."""
+        blocks = [tuple(sorted(int(perm[p]) for p in blk)) for blk in design.blocks]
+        return (Counter(blocks),
+                Counter(tuple(sorted(blocks[i] for i in cls)) for cls in res.classes))
+
+    blocks, classes = multisets(np.arange(design.v))
     infinity = design.v - 1
-    for gamma in gens:
+    for gamma in _generators(G):
         perm = np.empty(design.v, dtype=np.int64)
         perm[infinity] = infinity
         perm[point_of] = point_of[G.add(np.arange(G.order, dtype=np.int64), int(gamma))]
-        moved = {}
-        for blk in design.blocks:
-            key = tuple(sorted(int(perm[p]) for p in blk))
-            moved[key] = moved.get(key, 0) + 1
-        if moved != block_multiset:
-            return DesignReport(False, detail="block multiset not invariant")
-        movedc = {}
-        for cls in res.classes:
-            key = tuple(sorted(tuple(sorted(int(perm[p]) for p in design.blocks[i]))
-                               for i in cls))
-            movedc[key] = movedc.get(key, 0) + 1
-        if movedc != class_multiset:
-            return DesignReport(False, detail="resolution not invariant")
-    return DesignReport(True)
+        moved_blocks, moved_classes = multisets(perm)
+        if moved_blocks != blocks:
+            return Report(False, f"translation by {gamma} moves the block multiset", [gamma])
+        if moved_classes != classes:
+            return Report(False, f"translation by {gamma} moves the resolution", [gamma])
+    return Report(True)
 
 
 def _generators(G: AbelianGroup) -> list[int]:

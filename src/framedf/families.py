@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,6 +19,7 @@ import numpy as np
 from .groups import AbelianGroup
 
 __all__ = [
+    "Report",
     "DesignFamily",
     "relabel_family",
     "DifferenceMatrix",
@@ -48,9 +49,6 @@ class DesignFamily:
     frame_partition: Optional[tuple[tuple[int, ...], ...]] = None  # parts of block indices
     provenance: str = ""
 
-    def block_sizes(self) -> list[int]:
-        return [len(b) for b in self.blocks]
-
     def with_provenance(self, text: str) -> "DesignFamily":
         return DesignFamily(self.kind, self.group, self.lam, self.blocks,
                             self.subgroup, self.frame_partition, text)
@@ -59,7 +57,11 @@ class DesignFamily:
 def relabel_family(fam: DesignFamily, iso) -> DesignFamily:
     """The image of a family under a group isomorphism (e.g. crt_iso onto
     the cyclic group): blocks and subgroup mapped elementwise, block order
-    and frame partition kept."""
+    and frame partition kept.  An element outside the source group raises
+    ValueError, naming it."""
+    error = _outside(_flat((*fam.blocks, fam.subgroup or ())), fam.group.order, "element")
+    if error:
+        raise ValueError(error[0])
     blocks = tuple(tuple(int(iso.apply(x)) for x in b) for b in fam.blocks)
     sub = tuple(sorted(int(iso.apply(x)) for x in fam.subgroup)) if fam.subgroup else None
     return DesignFamily(fam.kind, iso.target, fam.lam, blocks, subgroup=sub,
@@ -110,90 +112,106 @@ def delta_counts(group: AbelianGroup, blocks: Sequence[Sequence[int]]) -> np.nda
     return np.bincount(np.concatenate(diffs), minlength=group.order)
 
 
+WITNESSES = 32
+
+
 @dataclass(frozen=True)
 class Report:
+    """What a verifier found.  `detail` is "" exactly when `ok`; a failing
+    `detail` names the first offender, and `witnesses` holds up to
+    WITNESSES offenders in the order `detail` names them."""
     ok: bool
-    violations: tuple = ()
     detail: str = ""
+    witnesses: tuple = ()
+
+    def __post_init__(self):
+        witnesses = tuple(self.witnesses)[:WITNESSES]
+        if self.ok == bool(self.detail) or self.ok == bool(witnesses):
+            raise ValueError("a report has a detail and witnesses exactly when it fails")
+        object.__setattr__(self, "witnesses", witnesses)
 
     def __bool__(self):
         return self.ok
 
 
-@dataclass(frozen=True)
-class SdfReport(Report):
-    mu: int = 0
-    parity_ok: bool = True
-    count_ok: bool = True
+def verify_sdf(fam: DesignFamily) -> Report:
+    """Delta(S) must cover every group element (0 included) exactly lam times.
 
-
-@dataclass(frozen=True)
-class FdfReport(Report):
-    partition_ok: bool = True
-
-
-def verify_sdf(fam: DesignFamily) -> SdfReport:
-    """Delta(S) must cover every group element (0 included) exactly mu times.
-
-    Also checks the necessary conditions: mu even and mu|G| = 0 mod k(k-1).
-    Mixed block sizes and block elements outside the group are reported,
-    not raised; `detail` then names the first offender.
+    Block sizes and elements are checked first, then the necessary
+    conditions lam even and lam|G| = 0 mod k(k-1), then the counts.
     """
     if fam.kind != SDF:
         raise ValueError("verify_sdf expects an SDF family")
-    sizes = set(fam.block_sizes())
-    if len(sizes) != 1:
-        return SdfReport(False, detail="mixed block sizes %s" % sorted(sizes))
+    k = len(fam.blocks[0]) if fam.blocks else 0
+    odd = [i for i, blk in enumerate(fam.blocks) if len(blk) != k]
+    if odd:
+        return Report(False, f"block {odd[0]} does not have the {k} elements of block 0", odd)
     error = _outside(_flat(fam.blocks), fam.group.order, "block element")
     if error:
-        return SdfReport(False, detail=error, mu=fam.lam)
-    k = sizes.pop()
-    mu = fam.lam
-    counts = delta_counts(fam.group, fam.blocks)
-    bad = np.nonzero(counts != mu)[0]
-    parity_ok = mu % 2 == 0
-    count_ok = (mu * fam.group.order) % (k * (k - 1)) == 0
-    violations = tuple((int(x), int(counts[x])) for x in bad[:32])
-    ok = len(bad) == 0 and parity_ok and count_ok
-    return SdfReport(ok, violations, mu=mu, parity_ok=parity_ok, count_ok=count_ok)
+        return Report(False, *error)
+    if k < 2:
+        return Report(False, f"block size {k} < 2 covers no differences", [("k", k)])
+    lam, lam_g = fam.lam, fam.lam * fam.group.order
+    if lam % 2:
+        return Report(False, f"lam = {lam} is odd", [("lam", lam)])
+    if lam_g % (k * (k - 1)):
+        return Report(False, f"lam|G| = {lam_g} is not divisible by k(k-1) = {k * (k - 1)}",
+                      [("lam", lam)])
+    return _count_report(delta_counts(fam.group, fam.blocks), lam, "difference")
+
+
+def _count_report(counts: np.ndarray, want, what: str) -> Report:
+    """Passes when `counts` equals `want` (an array or a scalar) everywhere;
+    otherwise names the first element whose count is off, with
+    (element, count) witnesses."""
+    want = np.broadcast_to(want, counts.shape)
+    bad = np.flatnonzero(counts != want)[:WITNESSES]
+    if not len(bad):
+        return Report(True)
+    x = bad[0]
+    return Report(False, f"{what} {x} occurs {counts[x]} times, not {want[x]}",
+                  [(int(y), int(counts[y])) for y in bad])
 
 
 def _flat(seqs) -> np.ndarray:
     return np.fromiter(chain.from_iterable(seqs), dtype=np.int64)
 
 
-def _outside(arr: np.ndarray, n: int, what: str) -> str:
-    """Names the first entry of `arr` outside 0..n-1; "" when there is none."""
-    bad = np.flatnonzero((arr < 0) | (arr >= n))
-    return f"{what} {arr[bad[0]]} lies outside 0..{n - 1}" if len(bad) else ""
+# The input checks below return a failure as a (detail, witnesses) pair,
+# and () when there is none, so that they chain with `or`.
+
+def _outside(arr: np.ndarray, n: int, what: str) -> tuple:
+    """The entries of `arr` outside 0..n-1, naming the first."""
+    bad = arr[(arr < 0) | (arr >= n)][:WITNESSES]
+    return (f"{what} {bad[0]} lies outside 0..{n - 1}", bad.tolist()) if len(bad) else ()
 
 
-def _subgroup_error(group: AbelianGroup, subgroup: Sequence[int]) -> str:
+def _subgroup_error(group: AbelianGroup, subgroup: Sequence[int]) -> tuple:
     """Why the in-range elements `subgroup` are not a subgroup of `group`,
-    naming the first offending element; "" when they are one (a nonempty
-    finite set closed under the group law is a subgroup)."""
+    naming the first offending element (a nonempty finite set closed under
+    the group law is a subgroup)."""
     sub = np.asarray(subgroup, dtype=np.int64)
     if len(sub) == 0:
-        return "designated subgroup is empty"
+        return "designated subgroup is empty", [("subgroup", ())]
     listed = np.bincount(sub, minlength=group.order)
-    twice = np.flatnonzero(listed[sub] > 1)
+    twice = sub[listed[sub] > 1]
     if len(twice):
-        return f"subgroup element {sub[twice[0]]} is listed twice"
+        return f"subgroup element {twice[0]} is listed twice", twice.tolist()
     table = group.add(sub[:, None], sub[None, :]).ravel()
-    out = np.flatnonzero(listed[table] == 0)
+    out = np.flatnonzero(listed[table] == 0)[:WITNESSES]
     if len(out):
-        a, b = divmod(int(out[0]), len(sub))
-        return (f"designated subgroup is not closed: {sub[a]} + {sub[b]} = "
-                f"{table[out[0]]} lies outside it")
-    return ""
+        sums = [(int(sub[i // len(sub)]), int(sub[i % len(sub)]), int(table[i])) for i in out]
+        a, b, c = sums[0]
+        return f"designated subgroup is not closed: {a} + {b} = {c} lies outside it", sums
+    return ()
 
 
-def _relative_input_error(fam: DesignFamily) -> str:
+def _relative_input_error(fam: DesignFamily) -> tuple:
     """Why the subgroup or the block elements of a relative family are
-    malformed, naming the first offending element; "" when well formed."""
+    malformed, naming the first offending element."""
     order = fam.group.order
     if fam.subgroup is None:
-        return "relative family without subgroup"
+        return "relative family without subgroup", [("subgroup", None)]
     return (_outside(np.asarray(fam.subgroup, dtype=np.int64), order, "subgroup element")
             or _outside(_flat(fam.blocks), order, "block element")
             or _subgroup_error(fam.group, fam.subgroup))
@@ -203,36 +221,31 @@ def verify_relative_df(fam: DesignFamily) -> Report:
     """Delta(B) = lambda * (G \\ N): exact multiplicity lambda off N, zero on N.
 
     A missing, out-of-range or non-closed subgroup, or a block element
-    outside the group, fails the report; only then is `detail` set, naming
-    the first offending element."""
+    outside the group, fails the report before any difference is counted."""
     if fam.kind not in (RELATIVE_DF, FDF):
         raise ValueError("verify_relative_df expects a relative DF or FDF")
     error = _relative_input_error(fam)
     if error:
-        return Report(False, detail=error)
+        return Report(False, *error)
     group = fam.group
-    nmask = np.zeros(group.order, dtype=bool)
-    nmask[np.asarray(fam.subgroup, dtype=np.int64)] = True
-    counts = delta_counts(group, fam.blocks) if fam.blocks else np.zeros(group.order, dtype=np.int64)
-    want = np.where(nmask, 0, fam.lam)
-    bad = np.nonzero(counts != want)[0]
-    violations = tuple((int(x), int(counts[x])) for x in bad[:32])
-    return Report(len(bad) == 0, violations)
+    want = np.full(group.order, fam.lam, dtype=np.int64)
+    want[np.asarray(fam.subgroup, dtype=np.int64)] = 0
+    return _count_report(delta_counts(group, fam.blocks), want, "difference")
 
 
-def _partition_error(partition, nblocks: int) -> str:
-    """Why a frame partition does not cover the block indices 0..nblocks-1
-    exactly once, naming the first offending index; "" when it does."""
+def _partition_error(partition, nblocks: int, what: str) -> tuple:
+    """Why `partition` (the `what`) does not cover the block indices
+    0..nblocks-1 exactly once, naming the first offending index."""
     idx = _flat(partition)
-    error = _outside(idx, nblocks, "frame partition block index")
+    error = _outside(idx, nblocks, f"{what} block index")
     if error:
         return error
     counts = np.bincount(idx, minlength=nblocks)
-    bad = np.flatnonzero(counts != 1)
+    bad = np.flatnonzero(counts != 1)[:WITNESSES]
     if len(bad):
-        return (f"block index {bad[0]} appears {counts[bad[0]]} times in the frame "
-                "partition, not once")
-    return ""
+        return (f"block index {bad[0]} appears {counts[bad[0]]} times in the {what}, "
+                "not once", [(int(i), int(counts[i])) for i in bad])
+    return ()
 
 
 def coset_labels(group: AbelianGroup, subgroup: Sequence[int]) -> np.ndarray:
@@ -266,38 +279,45 @@ def coset_labels(group: AbelianGroup, subgroup: Sequence[int]) -> np.ndarray:
     return labels
 
 
-def verify_fdf(fam: DesignFamily) -> FdfReport:
+def verify_fdf(fam: DesignFamily) -> Report:
     """Relative-DF check plus the frame property: the partition must have
     lambda*n/(k-1) parts of (g-n)/(nk) blocks each, and each part's blocks
     jointly meet every nontrivial coset of N exactly once."""
     if fam.kind != FDF:
         raise ValueError("verify_fdf expects an FDF family")
-    if fam.frame_partition is None:
-        return FdfReport(False, partition_ok=False, detail="missing frame partition")
-    base = verify_relative_df(fam)
-    error = base.detail or _partition_error(fam.frame_partition, len(fam.blocks))
+    parts = fam.frame_partition
+    if parts is None:
+        return Report(False, "missing frame partition", [("frame_partition", None)])
+    error = _partition_error(parts, len(fam.blocks), "frame partition")
     if error:
-        return FdfReport(False, partition_ok=False, detail=error)
+        return Report(False, *error)
+    base = verify_relative_df(fam)
+    if not base.ok:
+        return base
     g = fam.group.order
     n = len(fam.subgroup)
     k = len(fam.blocks[0]) if fam.blocks else 0
     expected_parts = fam.lam * n // (k - 1) if k > 1 else 0
+    if len(parts) != expected_parts:
+        return Report(False, f"frame partition has {len(parts)} parts, expected "
+                             f"{expected_parts}", [("parts", len(parts))])
     expected_size = (g - n) // (n * k) if n * k else 0
-    partition_ok = len(fam.frame_partition) == expected_parts and all(
-        len(p) == expected_size for p in fam.frame_partition
-    )
     labels = coset_labels(fam.group, fam.subgroup)
     # labels[0] is the coset of 0, i.e. N itself
     nontrivial = np.setdiff1d(np.unique(labels), [labels[0]])
-    for part in fam.frame_partition:
+    bad = []
+    for pi, part in enumerate(parts):
         elems = np.concatenate([np.asarray(fam.blocks[i], dtype=np.int64) for i in part]) \
             if part else np.array([], dtype=np.int64)
         got = np.sort(labels[elems])
-        if len(got) != len(nontrivial) or not np.array_equal(got, nontrivial):
-            partition_ok = False
-            break
-    ok = base.ok and partition_ok
-    return FdfReport(ok, base.violations, partition_ok=partition_ok)
+        if len(part) != expected_size or not np.array_equal(got, nontrivial):
+            bad.append(pi)
+            if len(bad) == WITNESSES:
+                break
+    if bad:
+        return Report(False, f"frame part {bad[0]} does not meet each nontrivial coset of N "
+                             f"exactly once in {expected_size} blocks", bad)
+    return Report(True)
 
 
 def verify_pdf(fam: DesignFamily) -> Report:
@@ -307,51 +327,45 @@ def verify_pdf(fam: DesignFamily) -> Report:
     if fam.kind != PDF:
         raise ValueError("verify_pdf expects a PDF family")
     group = fam.group
-    sub = fam.subgroup or ()
+    sub = np.asarray(fam.subgroup or (), dtype=np.int64)
     everything = _flat(fam.blocks)
-    error = (_outside(np.asarray(sub, dtype=np.int64), group.order, "subgroup element")
+    error = (_outside(sub, group.order, "subgroup element")
              or _outside(everything, group.order, "block element"))
     if error:
-        return Report(False, detail=error)
-    counts = np.bincount(everything, minlength=group.order)
+        return Report(False, *error)
     want = np.ones(group.order, dtype=np.int64)
-    if sub:
-        want[np.asarray(sub, dtype=np.int64)] = 0
-    if not np.array_equal(counts, want):
-        return Report(False, detail="blocks do not partition the point set")
-    dcounts = delta_counts(group, fam.blocks)
-    nmask = np.zeros(group.order, dtype=bool)
-    nmask[0] = True
-    if sub:
-        nmask[np.asarray(sub, dtype=np.int64)] = True
-    wantd = np.where(nmask, 0, fam.lam)
-    bad = np.nonzero(dcounts != wantd)[0]
-    return Report(len(bad) == 0, tuple((int(x), int(dcounts[x])) for x in bad[:32]))
+    want[sub] = 0
+    covered = _count_report(np.bincount(everything, minlength=group.order), want, "point")
+    if not covered.ok:
+        return covered
+    want[0] = 0
+    return _count_report(delta_counts(group, fam.blocks), want * fam.lam, "difference")
 
 
 def verify_dm(dm: DifferenceMatrix, lam: Optional[int] = None) -> Report:
     """Every row pair's entrywise difference list must cover each group
     element exactly lam times (inferred from the column count when not
-    given); reports homogeneity (each row a permutation)."""
+    given).  Witnesses are (row, row, difference, count)."""
     group = dm.group
+    rows = np.asarray(dm.rows, dtype=np.int64)
+    error = _outside(rows.ravel(), group.order, "entry")
+    if error:
+        return Report(False, *error)
     if lam is None:
         if dm.ncols % group.order:
-            return Report(False, detail="column count is not a multiple of |H|")
+            return Report(False, f"{dm.ncols} columns are not a multiple of |H| = "
+                                 f"{group.order}", [("ncols", dm.ncols)])
         lam = dm.ncols // group.order
-    rows = [np.asarray(r, dtype=np.int64) for r in dm.rows]
-    ok = True
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            diffs = group.sub(rows[i], rows[j])
-            counts = np.bincount(diffs, minlength=group.order)
-            if not np.all(counts == lam):
-                ok = False
-    homogeneous = lam == 1 and all(
-        len(np.unique(r)) == group.order and len(r) == group.order for r in rows
-    )
-    return Report(ok, detail="homogeneous" if homogeneous else "")
+    for i, j in combinations(range(dm.k), 2):
+        counts = np.bincount(group.sub(rows[i], rows[j]), minlength=group.order)
+        rep = _count_report(counts, lam, f"rows {i} and {j}: difference")
+        if not rep.ok:
+            return Report(False, rep.detail, [(i, j, *w) for w in rep.witnesses])
+    return Report(True)
 
 
 def is_homogeneous(dm: DifferenceMatrix) -> bool:
-    rep = verify_dm(dm, 1)
-    return rep.ok and rep.detail == "homogeneous"
+    """A (H, k, 1) difference matrix whose every row is a permutation of H."""
+    n = dm.group.order
+    return verify_dm(dm, 1).ok and all(len(r) == n and len(np.unique(r)) == n
+                                       for r in dm.rows)

@@ -20,12 +20,11 @@ import numpy as np
 
 from .fields import FiniteField
 from .groups import AbelianGroup
-from .families import (DesignFamily, DifferenceMatrix, FDF, PDF, SDF,
+from .families import (DesignFamily, DifferenceMatrix, FDF, PDF, SDF, Report,
                        is_homogeneous)
 
 __all__ = [
     "LiftingData",
-    "LiftReport",
     "check_lifting_conditions",
     "d_set",
     "lift_sdf",
@@ -96,18 +95,6 @@ class LiftingData:
                            self.partition, self.provenance)
 
 
-@dataclass(frozen=True)
-class LiftReport:
-    ok: bool
-    cond1: dict
-    cond2: dict
-    zero_positions: tuple = ()
-    detail: str = ""
-
-    def __bool__(self):
-        return self.ok
-
-
 def _slot_multisets(data: LiftingData) -> dict[int, list[int]]:
     """M_h: the phi differences whose SDF differences equal h, over all blocks."""
     G = data.sdf.group
@@ -141,34 +128,29 @@ def _orbit_normal_form_ok(fld: FiniteField, elems: Sequence[int], e: int, d: int
     return bool(np.all(dcounts == lam * per_orbit))
 
 
-def check_lifting_conditions(data: LiftingData) -> LiftReport:
+def check_lifting_conditions(data: LiftingData) -> Report:
     """Both lifting conditions, choice-independently.
 
-    cond1[h]: the difference multiset for slot h is C_0^{e,q} times a
-    lam-transversal of the d-classes.  cond2[part]: the phi values of the
-    part's blocks form C_0^{e,q} times a representative system of the
-    d-classes.  Zero phi entries are reported with their block/position so
-    repair flows can target them.
+    cond1 at h: the difference multiset for slot h is C_0^{e,q} times a
+    lam-transversal of the d-classes.  cond2 at a part: the phi values of
+    the part's blocks form C_0^{e,q} times a representative system of the
+    d-classes.  Zero phi entries fail first, with their (block, position)
+    as witnesses so repair flows can target them; otherwise the witnesses
+    are ("cond1", h) and ("cond2", part).
     """
     fld = data.field
     zeros = data.zero_positions()
-    slots = _slot_multisets(data)
-    cond1 = {}
-    for h, elems in slots.items():
-        cond1[h] = _orbit_normal_form_ok(fld, elems, data.e, data.d, data.lam)
-    cond2 = {}
-    for pi, part in enumerate(data.partition):
-        vals = [v for i in part for v in data.phi[i]]
-        cond2[pi] = _orbit_normal_form_ok(fld, vals, data.e, data.d, 1)
-    ok = not zeros and all(cond1.values()) and all(cond2.values())
-    detail = ""
     if zeros:
-        detail = f"zero phi entries at {zeros}"
-    elif not ok:
-        bad1 = [h for h, v in cond1.items() if not v]
-        bad2 = [p for p, v in cond2.items() if not v]
-        detail = f"cond1 fails at h={bad1[:8]}, cond2 fails at parts={bad2[:8]}"
-    return LiftReport(ok, cond1, cond2, zeros, detail)
+        return Report(False, f"zero phi entries at {zeros}", zeros)
+    bad1 = [h for h, elems in _slot_multisets(data).items()
+            if not _orbit_normal_form_ok(fld, elems, data.e, data.d, data.lam)]
+    bad2 = [pi for pi, part in enumerate(data.partition)
+            if not _orbit_normal_form_ok(fld, [v for i in part for v in data.phi[i]],
+                                         data.e, data.d, 1)]
+    if not bad1 and not bad2:
+        return Report(True)
+    return Report(False, f"cond1 fails at h={bad1[:8]}, cond2 fails at parts={bad2[:8]}",
+                  [("cond1", h) for h in bad1] + [("cond2", pi) for pi in bad2])
 
 
 def d_set(data: LiftingData, h: int) -> tuple[int, ...]:

@@ -43,21 +43,20 @@ def test_criterion_1_sdf_catalog():
     t0 = time.time()
     for name, mu in (("z7_8_8", 8), ("z63_8_8", 8), ("z119_8_8", 8), ("z125_6_6", 6)):
         fam = catalog.family(name)
-        rep = families.verify_sdf(fam)
-        assert rep.ok and rep.mu == mu, name
+        assert families.verify_sdf(fam).ok and fam.lam == mu, name
     for p in _prime_powers(3, 50):
         if p % 4 == 3:
-            rep = families.verify_sdf(catalog.family("paley2", p))
-            assert rep.ok and rep.mu == p + 1, ("paley2", p)
+            fam = catalog.family("paley2", p)
+            assert families.verify_sdf(fam).ok and fam.lam == p + 1, ("paley2", p)
         if p % 2 == 1:
-            rep = families.verify_sdf(catalog.family("paley3", p))
-            assert rep.ok and rep.mu == 2 * p + 2, ("paley3", p)
+            fam = catalog.family("paley3", p)
+            assert families.verify_sdf(fam).ok and fam.lam == 2 * p + 2, ("paley3", p)
     for p in (3, 5):
-        rep = families.verify_sdf(catalog.family("twinPrime", p))
-        assert rep.ok and rep.mu == p * (p + 2) + 1, ("twinPrime", p)
+        fam = catalog.family("twinPrime", p)
+        assert families.verify_sdf(fam).ok and fam.lam == p * (p + 2) + 1, ("twinPrime", p)
     for m in (3, 4, 5):
-        rep = families.verify_sdf(catalog.family("singer", 2, m))
-        assert rep.ok and rep.mu == 2 ** m, ("singer", m)
+        fam = catalog.family("singer", 2, m)
+        assert families.verify_sdf(fam).ok and fam.lam == 2 ** m, ("singer", m)
     _stamp("criterion 1 (SDF catalog)", t0, 10)
 
 
@@ -163,10 +162,10 @@ def test_criterion_8_fhs_chain():
     fdf = lifting.lift_sdf(catalog.lifting_datum("fdf_z7xF89"))
     x = codes.fhs_from_elementary_fdf(families.relabel_family(fdf, crt_iso(fdf.group)))
     assert x.n == 623 and x.alphabet_size == 78
-    rep = codes.verify_strictly_optimal(x)
-    assert rep.ok
+    assert codes.verify_strictly_optimal(x).ok
+    correlations = codes.fhs_correlations(x)
     for L in range(1, 624):
-        assert rep.correlations[L - 1] == -((-7 * L) // 623)
+        assert correlations[L - 1] == -((-7 * L) // 623)
     _stamp("criterion 8 (frequency hopping chain)", t0, 120)
 
 

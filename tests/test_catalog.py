@@ -46,7 +46,7 @@ def test_lifting_data_zero_flagging():
     data = catalog.lifting_datum("fdf_z63xF25")
     rep = check_lifting_conditions(data)
     assert not rep.ok
-    assert rep.zero_positions == tuple((i, 0) for i in range(1, 9))
+    assert rep.witnesses == tuple((i, 0) for i in range(1, 9))
     with pytest.raises(catalog.CatalogDataError):
         catalog.family("fdf_z63xF25")
 

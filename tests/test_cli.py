@@ -5,6 +5,7 @@ from pathlib import Path
 from framedf import catalog, search, serialize
 from framedf.cli import main
 from framedf.designs import BlockDesign, affine_plane
+from framedf.lifting import lift_sdf
 
 
 def run(capsys, *argv):
@@ -56,6 +57,29 @@ def test_lift_rejects_out_of_range_phi(tmp_path, capsys):
     serialize.dump(blob, bad)
     rc, _, err = run(capsys, "lift", "--data", str(bad))
     assert rc == 2 and "phi entry (0, 0) = -88" in err
+
+
+def _fdf_file_with_wrapped_element(tmp_path):
+    """The z7xF89 frame with one block element x replaced by x + |G|, which
+    names x again once reduced modulo the group order."""
+    fdf = lift_sdf(catalog.lifting_datum("fdf_z7xF89"))
+    blob = serialize.family_to_dict(fdf)
+    blob["blocks"][0][0] += fdf.group.order
+    path = tmp_path / "wrapped_fdf.json"
+    serialize.dump(blob, path)
+    return path, blob["blocks"][0][0]
+
+
+def test_assemble_rejects_element_outside_group(tmp_path, capsys):
+    path, stray = _fdf_file_with_wrapped_element(tmp_path)
+    rc, _, err = run(capsys, "assemble", "--fdf", str(path), "--ingredient", "trivial")
+    assert rc == 2 and f"block element {stray} lies outside" in err
+
+
+def test_fhs_from_fdf_rejects_element_outside_group(tmp_path, capsys):
+    path, stray = _fdf_file_with_wrapped_element(tmp_path)
+    rc, _, err = run(capsys, "fhs-from-fdf", "--fdf", str(path))
+    assert rc == 2 and f"element {stray} lies outside" in err
 
 
 def test_import_accepts_and_rejects(tmp_path, capsys):
@@ -143,6 +167,28 @@ def test_run_empty_recipe(tmp_path, capsys):
     empty.write_text('{"steps": []}')
     rc, out, _ = run(capsys, "run", str(empty))
     assert rc == 0
+
+
+def test_run_step_given_wrong_type_reports_and_exits_2(tmp_path, capsys):
+    recipe = tmp_path / "assemble_a_datum.json"
+    recipe.write_text(json.dumps({"steps": [
+        {"id": "datum", "op": "catalog-lifting", "params": {"name": "fdf_z7xF89"},
+         "out": "$d"},
+        {"id": "assemble", "op": "assemble", "in": "$d", "out": "$design"}]}))
+    rc, out, _ = run(capsys, "--format", "json", "run", str(recipe))
+    assert rc == 2
+    steps = json.loads(out)
+    assert [s["verified"] for s in steps] == [True, False]
+    assert "'assemble'" in steps[1]["error"] and "LiftingData" in steps[1]["error"]
+
+
+def test_run_rejects_recipe_without_steps_list(tmp_path, capsys):
+    recipe = tmp_path / "list.json"
+    recipe.write_text(json.dumps([{"id": "datum", "op": "catalog-lifting"}]))
+    rc, out, _ = run(capsys, "--format", "json", "run", str(recipe))
+    assert rc == 2
+    [record] = json.loads(out)
+    assert not record["verified"] and "'steps'" in record["error"]
 
 
 def test_run_recipe_fhs(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from framedf import catalog
 from framedf.codes import (FHS, ccc_bound, ccc_from_pdf, fhs_bound,
-                           fhs_from_elementary_fdf, fhs_max_correlation,
+                           fhs_correlations, fhs_from_elementary_fdf, fhs_max_correlation,
                            partial_hamming, verify_strictly_optimal)
 from framedf.families import PDF, DesignFamily
 from framedf.groups import AbelianGroup, crt_iso
@@ -87,8 +87,9 @@ def test_fhs_from_fdf_and_strict_optimality():
     rep = verify_strictly_optimal(x)
     assert rep.ok
     # correlations exceed the lower bound nowhere and meet it everywhere
+    correlations = fhs_correlations(x)
     for L in (1, 89, 623):
-        assert rep.correlations[L - 1] == fhs_bound(623, 78, L)
+        assert correlations[L - 1] == fhs_bound(623, 78, L)
 
 
 def test_fhs_perturbation_fails_with_witness():
@@ -97,7 +98,7 @@ def test_fhs_perturbation_fails_with_witness():
     seq = x.seq.copy()
     seq[5] = seq[4]
     rep = verify_strictly_optimal(FHS(seq, int(seq.max()) + 1))
-    assert not rep.ok and len(rep.failing_L) > 0
+    assert not rep.ok and len(rep.witnesses) > 0
 
 
 def test_fhs_rejects_wrong_shapes():

@@ -50,7 +50,7 @@ def test_verify_bibd_fano_and_deletion():
     broken = BlockDesign(7, 3, 1, d.blocks[1:])
     rep = verify_bibd(broken)
     assert not rep.ok
-    assert len(rep.pair_deficiencies) == 3      # the deleted block's pairs
+    assert len(rep.witnesses) == 3      # the deleted block's pairs
 
 
 def test_verify_bibd_against_dict_oracle():

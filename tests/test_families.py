@@ -50,12 +50,12 @@ def test_delta_block_matches_brute_force_and_is_symmetric():
 
 def test_verify_sdf_catalog_and_necessary_conditions():
     fam = catalog.family("z7_8_8")
-    rep = verify_sdf(fam)
-    assert rep.ok and rep.mu == 8
-    rep125 = verify_sdf(catalog.family("z125_6_6"))
-    assert rep125.ok and rep125.mu == 6
+    assert verify_sdf(fam).ok and fam.lam == 8
+    fam125 = catalog.family("z125_6_6")
+    assert verify_sdf(fam125).ok and fam125.lam == 6
     odd = DesignFamily(SDF, AbelianGroup.cyclic(7), 7, ((0, 0, 1, 1, 2, 2, 4, 4),))
-    assert not verify_sdf(odd).parity_ok
+    rep = verify_sdf(odd)
+    assert not rep.ok and rep.detail == "lam = 7 is odd" and rep.witnesses == (("lam", 7),)
 
 
 def test_verify_sdf_against_dictionary_oracle():
@@ -96,7 +96,7 @@ def test_relative_df_vacuous_and_violations():
     rep = verify_relative_df(fam)
     assert not rep.ok
     # the difference (0,1) equals its own negative in the Z2 coordinate
-    assert any(count == 2 for _, count in rep.violations)
+    assert any(count == 2 for _, count in rep.witnesses)
 
 
 def test_verify_fdf_and_partition_perturbation():
@@ -107,7 +107,7 @@ def test_verify_fdf_and_partition_perturbation():
     parts = (fdf.frame_partition[0][:-1], (fdf.frame_partition[0][-1],))
     broken = DesignFamily(FDF, fdf.group, fdf.lam, fdf.blocks, fdf.subgroup, parts)
     rep = verify_fdf(broken)
-    assert not rep.partition_ok and not rep.ok
+    assert not rep.ok and rep.detail.startswith("frame partition has 2 parts, expected 1")
 
 
 def test_verify_fdf_partition_must_cover():
@@ -116,7 +116,7 @@ def test_verify_fdf_partition_must_cover():
     bad = DesignFamily(FDF, fdf.group, fdf.lam, fdf.blocks, fdf.subgroup,
                        (fdf.frame_partition[0][:-1],))
     rep = verify_fdf(bad)
-    assert not rep.ok and not rep.partition_ok
+    assert not rep.ok
     assert f"block index {missing} " in rep.detail
 
 
@@ -169,6 +169,14 @@ def test_verify_dm_cases():
     assert not verify_dm(dup).ok
     with pytest.raises(ValueError):
         DifferenceMatrix(dm3.group, ((0, 1), (0, 1, 2)))
+
+
+@pytest.mark.parametrize("stray", [4, -2])
+def test_verify_dm_rejects_entries_outside_group(stray):
+    # 4 = 1 and -2 = 1 mod 3 would make the rows a valid difference matrix
+    z3 = AbelianGroup.cyclic(3)
+    rep = verify_dm(DifferenceMatrix(z3, ((0, 1, 2), (0, 2, stray))))
+    assert not rep.ok and f"entry {stray} lies outside 0..2" in rep.detail
 
 
 def test_verify_dm_infers_lambda():
