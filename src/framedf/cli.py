@@ -2,7 +2,9 @@
 code derivation, verification, and recipe execution.
 
 Exit codes: 0 success, 1 verification failure (a recipe step that raises
-counts as one), 2 usage error, 3 search or repair budget exhausted.
+ValueError counts as one), 2 usage error (a recipe step without a key it
+needs, or naming an undefined reference, counts as one), 3 search or
+repair budget exhausted.
 Searches are deterministic; their order does not depend on --seed.
 """
 
@@ -119,12 +121,21 @@ def cmd_search(args) -> int:
     return 0
 
 
+def _ingredient(fdf, name: str):
+    """The affine plane (name 'affine') or the one-block design (any other
+    name) on the frame family's block size.  The family is verified first,
+    so a malformed one raises ValueError with the verify_fdf detail."""
+    rep = families.verify_fdf(fdf)
+    if not rep.ok:
+        raise ValueError("family fails verify_fdf: " + rep.detail)
+    k = len(fdf.blocks[0])
+    return designs.affine_plane(k) if name == "affine" else designs.trivial_rbibd(k)
+
+
 def cmd_assemble(args) -> int:
     fdf = serialize.family_from_dict(serialize.load(args.fdf))
-    if args.ingredient == "trivial":
-        ing, ing_res = designs.trivial_rbibd(len(fdf.blocks[0]))
-    elif args.ingredient == "affine":
-        ing, ing_res = designs.affine_plane(len(fdf.blocks[0]))
+    if args.ingredient in ("trivial", "affine"):
+        ing, ing_res = _ingredient(fdf, args.ingredient)
     else:
         ing, ing_res = serialize.design_from_dict(serialize.load(args.ingredient))
         if ing_res is None:
@@ -248,7 +259,9 @@ def cmd_run(args) -> int:
         op = step["op"]
         try:
             rc, info = _run_step(op, step, env, workdir, args.seed)
-        except (ValueError, KeyError) as exc:
+        except KeyError as exc:
+            rc, info = USAGE_ERROR, {"error": str(exc.args[0]) if exc.args else repr(exc)}
+        except ValueError as exc:
             rc, info = VERIFY_FAIL, {"error": str(exc)}
         summary.append({"step": step.get("id", op), "op": op,
                         "verified": rc == 0, "seconds": round(time.time() - t0, 2),
@@ -265,22 +278,36 @@ _INPUT_TYPE = {**dict.fromkeys(("repair", "check-conditions", "lift"), lifting.L
                **dict.fromkeys(("assemble", "crt", "pdf", "ccc", "fhs"), families.DesignFamily)}
 
 
+def _require(mapping, key, problem: str):
+    """mapping[key]; a missing key raises KeyError(problem), which `run`
+    reports as a usage error."""
+    try:
+        return mapping[key]
+    except KeyError:
+        raise KeyError(problem) from None
+
+
 def _run_step(op, step, env, workdir, seed):
+    sid = step.get("id", op)
     p = step.get("params", {})
+    param = lambda key: _require(p, key, f"step {sid!r} has no params.{key}")
+    # every op but check-conditions stores its product under "out"
+    out = None if op == "check-conditions" else _require(step, "out", f"step {sid!r} has no 'out'")
     want = _INPUT_TYPE.get(op)
     if want:
-        ref = step["in"]
-        data = env[ref] if isinstance(ref, str) and ref.startswith("$") else ref
+        ref = _require(step, "in", f"step {sid!r} has no 'in'")
+        data = (_require(env, ref, f"undefined reference {ref!r}")
+                if isinstance(ref, str) and ref.startswith("$") else ref)
         if not isinstance(data, want):
-            return USAGE_ERROR, {"error": f"step {step.get('id', op)!r}: op {op!r} needs a "
+            return USAGE_ERROR, {"error": f"step {sid!r}: op {op!r} needs a "
                                           f"{want.__name__}, got a {type(data).__name__}"}
 
     if op == "catalog-lifting":
-        env[step["out"]] = catalog.lifting_datum(p["name"])
-        return 0, {"name": p["name"]}
+        env[out] = catalog.lifting_datum(param("name"))
+        return 0, {"name": param("name")}
     if op == "repair":
         try:
-            env[step["out"]] = search.repair_block(data, data.zero_positions())
+            env[out] = search.repair_block(data, data.zero_positions())
             return 0, {}
         except search.RepairError as exc:
             return VERIFY_FAIL, {"error": str(exc)}
@@ -291,17 +318,13 @@ def _run_step(op, step, env, workdir, seed):
         return (0 if rep.ok else VERIFY_FAIL), {"detail": rep.detail}
     if op == "lift":
         fdf = lifting.lift_sdf(data)
-        env[step["out"]] = fdf
+        env[out] = fdf
         ok = families.verify_fdf(fdf).ok
         return (0 if ok else VERIFY_FAIL), {"blocks": len(fdf.blocks)}
     if op == "assemble":
-        k = len(data.blocks[0])
-        if p.get("ingredient") == "affine":
-            ing, ing_res = designs.affine_plane(k)
-        else:
-            ing, ing_res = designs.trivial_rbibd(k)
+        ing, ing_res = _ingredient(data, p.get("ingredient", "trivial"))
         design, res, rot = designs.rbibd_from_fdf(data, ing, ing_res)
-        env[step["out"]] = (design, res, rot)
+        env[out] = (design, res, rot)
         ok = designs.verify_bibd(design).ok and designs.verify_resolution(design, res).ok
         if p.get("check_rotational"):
             ok = ok and designs.verify_one_rotational(design, res, rot).ok
@@ -309,35 +332,35 @@ def _run_step(op, step, env, workdir, seed):
             serialize.dump(serialize.design_to_dict(design, res), workdir / step["file"])
         return (0 if ok else VERIFY_FAIL), {"v": design.v, "blocks": len(design.blocks)}
     if op == "crt":
-        env[step["out"]] = families.relabel_family(data, crt_iso(data.group))
+        env[out] = families.relabel_family(data, crt_iso(data.group))
         return 0, {}
     if op == "pdf":
         pdf = lifting.fdf_to_pdf(data)
-        env[step["out"]] = pdf
+        env[out] = pdf
         ok = families.verify_pdf(pdf).ok
         return (0 if ok else VERIFY_FAIL), {"blocks": len(pdf.blocks)}
     if op == "ccc":
         ccc = codes.ccc_from_pdf(data)
         d = ccc.min_distance()
         ok = codes.ccc_bound(ccc.n, d, ccc.composition) == ccc.size
-        env[step["out"]] = ccc
+        env[out] = ccc
         return (0 if ok else VERIFY_FAIL), {"n": ccc.n, "M": ccc.size, "d": d}
     if op == "fhs":
         fhs = codes.fhs_from_elementary_fdf(data)
         rep = codes.verify_strictly_optimal(fhs)
-        env[step["out"]] = fhs
+        env[out] = fhs
         if "file" in step:
             serialize.dump({"n": fhs.n, "alphabet": fhs.alphabet_size,
                             "seq": fhs.seq.tolist()}, workdir / step["file"])
         return (0 if rep.ok else VERIFY_FAIL), {"n": fhs.n, "alphabet": fhs.alphabet_size}
     if op == "solve":
-        sysm = search.z125_system(p["q"]) if p["system"] == "z125" else None
+        sysm = search.z125_system(param("q")) if param("system") == "z125" else None
         if sysm is None:
             return USAGE_ERROR, {"error": "unknown system"}
         res = search.solve(sysm, seed=p.get("seed", seed), budget=p.get("budget", 10**8))
         if res.status != "sat":
             return BUDGET_FAIL, {"status": res.status}
-        env[step["out"]] = sysm.lifting_builder([res.assignment[u] for u in sysm.unknowns])
+        env[out] = sysm.lifting_builder([res.assignment[u] for u in sysm.unknowns])
         return 0, {"nodes": res.nodes}
     return USAGE_ERROR, {"error": f"unknown op {op!r}"}
 

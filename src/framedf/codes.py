@@ -12,8 +12,12 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .families import DesignFamily, PDF, Report, verify_fdf, verify_pdf
+
+# shifts per step of the window scan in fhs_correlations: (batch, n, n) cells
+_SHIFT_BATCH = 8
 
 __all__ = [
     "CCC",
@@ -153,19 +157,24 @@ def partial_hamming(x: FHS, tau: int, j: int, L: int) -> int:
 
 def fhs_correlations(x: FHS) -> np.ndarray:
     """H(X;L) for L = 1..n (entry L-1): the maximum windowed coincidence
-    count over all shifts tau >= 1 and all starts, via per-shift sliding
-    sums."""
+    count over all shifts tau >= 1 and all starts.  Shifts are scanned
+    _SHIFT_BATCH at a time: each window sum is a difference of two prefix
+    sums of the doubled coincidence row, in the narrowest dtype that holds
+    2n.  Shift n - tau sees the coincidences of shift tau rotated by tau,
+    so it has the same window sums and only tau <= n/2 is scanned."""
     s = np.asarray(x.seq)
     n = x.n
     out = np.zeros(n, dtype=np.int64)
-    Ls = np.arange(1, n + 1)
-    js = np.arange(n)
-    gather = js[None, :] + Ls[:, None]          # (L, j) -> j + L
-    for tau in range(1, n):
-        c = (s == np.roll(s, -tau)).astype(np.int64)
-        cs = np.concatenate([[0], np.cumsum(np.concatenate([c, c]))])
-        w = cs[gather] - cs[js][None, :]
-        np.maximum(out, w.max(axis=1), out=out)
+    dtype = np.min_scalar_type(2 * n)
+    t = np.arange(n)
+    for lo in range(1, n // 2 + 1, _SHIFT_BATCH):
+        taus = np.arange(lo, min(lo + _SHIFT_BATCH, n // 2 + 1))
+        hits = s == s[(t + taus[:, None]) % n]            # (shift, t)
+        sums = np.zeros((len(taus), 2 * n), dtype=dtype)
+        np.cumsum(np.tile(hits, 2)[:, :-1], axis=1, dtype=dtype, out=sums[:, 1:])
+        # windows[b, j, L] = sums[b, j + L] for starts j < n and L = 0..n
+        windows = sliding_window_view(sums, n + 1, axis=1)[:, :n]
+        np.maximum(out, (windows[:, :, 1:] - windows[:, :, :1]).max(axis=(0, 1)), out=out)
     return out
 
 

@@ -4,6 +4,10 @@ ingredient designs, and exhaustive verification.
 Points of an assembled design are the group elements in canonical
 enumeration order with the fixed point last (index |G|).  Designs are
 stored with sorted blocks and sorted classes so serialization is stable.
+Assembly works on whole integer arrays (broadcast group addition, one
+sort) and converts to tuples once.  The verifiers scan every point pair
+and every class in memory linear in the design: the pair scan takes
+_PAIR_CHUNK points at a time.
 """
 
 from __future__ import annotations
@@ -16,6 +20,9 @@ from .fields import field_of_order
 from .groups import AbelianGroup
 from .families import (WITNESSES, DesignFamily, Report, _count_report, _flat, _outside,
                        _partition_error, coset_labels, verify_fdf)
+
+# points x per step of verify_bibd's pair scan
+_PAIR_CHUNK = 128
 
 __all__ = [
     "BlockDesign",
@@ -65,41 +72,33 @@ def affine_plane(q: int) -> tuple[BlockDesign, Resolution]:
     """AG(2,q): points GF(q)^2, blocks the q^2+q lines, resolved into q+1
     pencils of parallel lines.  A resolvable (q^2, q, 1) design."""
     fld = field_of_order(q)
-    encs = np.arange(q, dtype=np.int64)
-    point = lambda x, y: int(x) * q + int(y)
-    blocks: list[tuple[int, ...]] = []
-    classes: list[tuple[int, ...]] = []
-    # pencil for each slope m: lines y = m*x + c
-    for m in range(q):
-        cls = []
-        for c in range(q):
-            ln = tuple(point(x, fld.add(int(fld.mul(int(m), int(x))), c)) for x in encs)
-            cls.append(len(blocks))
-            blocks.append(tuple(sorted(ln)))
-        classes.append(tuple(cls))
-    # vertical pencil x = c
-    cls = []
-    for c in range(q):
-        ln = tuple(point(c, y) for y in encs)
-        cls.append(len(blocks))
-        blocks.append(tuple(sorted(ln)))
-    classes.append(tuple(cls))
-    design = BlockDesign(q * q, q, 1, tuple(blocks), provenance="affinePlane(%d)" % q)
-    return design, Resolution(tuple(classes))
+    e = np.arange(q, dtype=np.int64)
+    # pencil of slope m: line (m, c) holds the points x*q + y with y = m*x + c
+    ys = fld.add(fld.mul(e[:, None, None], e[None, None, :]), e[None, :, None])
+    sloped = np.sort(e * q + ys, axis=-1).reshape(q * q, q)
+    vertical = e[:, None] * q + e[None, :]          # pencil x = c, last
+    blocks = np.concatenate([sloped, vertical]).tolist()
+    classes = np.arange(len(blocks)).reshape(q + 1, q).tolist()
+    design = BlockDesign(q * q, q, 1, tuple(map(tuple, blocks)),
+                         provenance="affinePlane(%d)" % q)
+    return design, Resolution(tuple(map(tuple, classes)))
 
 
 def rbibd_from_fdf(fdf: DesignFamily, ingredient: BlockDesign,
                    ingredient_res: Resolution) -> tuple[BlockDesign, Resolution, RotationalStructure]:
     """Resolvable design on G plus one extra point from a frame difference
     family and an ingredient resolvable design on |N|+1 points.  A family
-    that fails verify_fdf raises ValueError with its detail.
+    that fails verify_fdf, or an ingredient that fails verify_bibd or
+    verify_resolution, raises ValueError with the detail.
 
     For every coset representative s and every frame class index i, the
     parallel class is (frame class i translated by N then s) together with
     the i-th ingredient class copied onto (N+s) u {infinity}.  The returned
     rotational structure is the translation action of G; it is a design
     automorphism whenever the ingredient is itself 1-rotational over N
-    (trivially so for the one-block ingredient).
+    (trivially so for the one-block ingredient).  Blocks are listed class
+    by class, each class's translates (base block, then h in N) before its
+    ingredient copies, all built as one array.
     """
     rep = verify_fdf(fdf)
     if not rep.ok:
@@ -115,43 +114,33 @@ def rbibd_from_fdf(fdf: DesignFamily, ingredient: BlockDesign,
         raise ValueError(
             f"ingredient must have {nclasses_needed} parallel classes, "
             f"has {len(ingredient_res.classes)}")
-    infinity = G.order
-    labels = coset_labels(G, fdf.subgroup)
-    reps = np.unique(labels)            # one representative (minimal) per coset
-    # ingredient copy on (N+s) u {infinity}: ingredient point j -> sub[j]+s, point n -> infinity
-    blocks: list[tuple[int, ...]] = []
-    classes: list[tuple[int, ...]] = []
-    part_blocks = []
-    for part in fdf.frame_partition:
-        arrs = [np.asarray(fdf.blocks[i], dtype=np.int64) for i in part]
-        translated = []
-        for arr in arrs:
-            for h in sub:
-                translated.append(G.add(arr, int(h)))
-        part_blocks.append(translated)
-    for s in reps:
-        for ci, part in enumerate(part_blocks):
-            cls = []
-            for arr in part:
-                cls.append(len(blocks))
-                blocks.append(tuple(int(x) for x in np.sort(G.add(arr, int(s)))))
-            for ing_block in ingredient_res.classes[ci]:
-                pts = ingredient.blocks[ing_block]
-                mapped = [infinity if j == n else int(G.add(int(sub[j]), int(s)))
-                          for j in pts]
-                cls.append(len(blocks))
-                blocks.append(tuple(sorted(mapped)))
-            classes.append(tuple(cls))
-    design = BlockDesign(G.order + 1, k, fdf.lam, tuple(blocks),
+    rep = verify_bibd(ingredient) and verify_resolution(ingredient, ingredient_res)
+    if not rep.ok:
+        raise ValueError("ingredient fails verification: " + rep.detail)
+    reps = np.unique(coset_labels(G, fdf.subgroup))    # the minimal element of each coset
+    shifts = G.add(reps[:, None], sub[None, :])         # (coset, h) -> s + h
+    # frame class i translated by N then s: (coset, class, base block, h, point)
+    base = np.asarray(fdf.blocks, dtype=np.int64)[np.asarray(fdf.frame_partition)]
+    translates = G.add(base[None, :, :, None, :], shifts[:, None, None, :, None])
+    # ingredient copy on (N+s) u {infinity}: point j -> sub[j]+s, point n -> infinity
+    point_map = np.column_stack([shifts, np.full(len(reps), G.order)])
+    copies = point_map[:, np.asarray(ingredient.blocks)[np.asarray(ingredient_res.classes)]]
+    per_class = np.concatenate([translates.reshape(copies.shape[:2] + (-1, k)), copies], axis=2)
+    blocks = np.sort(per_class, axis=-1).reshape(-1, k).tolist()
+    classes = np.arange(len(blocks)).reshape(-1, per_class.shape[2]).tolist()
+    design = BlockDesign(G.order + 1, k, fdf.lam, tuple(map(tuple, blocks)),
                          provenance=(fdf.provenance + " + " + ingredient.provenance).strip())
     rot = RotationalStructure(G, tuple(range(G.order)))
-    return design, Resolution(tuple(classes)), rot
+    return design, Resolution(tuple(map(tuple, classes))), rot
 
 
 def verify_bibd(design: BlockDesign) -> Report:
     """Exact pair coverage: every 2-subset of points in exactly lam blocks.
-    Points must lie in 0..v-1; pairs are indexed min*v+max and counted in
-    one exact pass.  Pair witnesses are (point, point, count)."""
+    Points must lie in 0..v-1.  The pair scan runs over chunks of
+    _PAIR_CHUNK points x: the blocks through x (found through one sort of
+    the incidences) are counted into a row of v cells per x, and the cells
+    y > x are compared with lam, so memory is O(b*k + _PAIR_CHUNK*v).  Pair
+    witnesses are (point, point, count), in lexicographic order."""
     v = design.v
     k = design.k
     if k < 2:
@@ -165,20 +154,25 @@ def verify_bibd(design: BlockDesign) -> Report:
         bi, pos = stray[0]
         return Report(False, f"block {bi} holds point {mat[bi, pos]} outside 0..{v - 1}",
                       [(int(b), int(mat[b, p])) for b, p in stray])
-    ii, jj = np.triu_indices(k, k=1)
-    a = mat[:, ii].ravel()
-    b = mat[:, jj].ravel()
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    counts = np.bincount(lo * v + hi, minlength=v * v)
-    ii, jj = np.triu_indices(v, k=1)
-    pair_counts = counts[ii * v + jj]
-    bad = np.flatnonzero(pair_counts != design.lam)[:WITNESSES]
-    if len(bad):
-        x = bad[0]
-        return Report(False, f"pair ({ii[x]}, {jj[x]}) lies in {pair_counts[x]} blocks, "
-                             f"not {design.lam}",
-                      [(int(ii[y]), int(jj[y]), int(pair_counts[y])) for y in bad])
+    flat = mat.ravel()
+    by_point = np.argsort(flat)
+    start = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=v))])
+    bad: list[tuple[int, int, int]] = []
+    for x0 in range(0, v, _PAIR_CHUNK):
+        x1 = min(v, x0 + _PAIR_CHUNK)
+        inc = by_point[start[x0]:start[x1]]
+        # a block holding x a times and y b times covers the pair a*b times
+        cells = (flat[inc] - x0)[:, None] * v + mat[inc // k]
+        counts = np.bincount(cells.ravel(), minlength=(x1 - x0) * v).reshape(x1 - x0, v)
+        xs, ys = np.nonzero(counts != design.lam)
+        upper = np.flatnonzero(ys > xs + x0)[:WITNESSES - len(bad)]
+        xs, ys = xs[upper], ys[upper]
+        bad += zip((xs + x0).tolist(), ys.tolist(), counts[xs, ys].tolist())
+        if len(bad) == WITNESSES:
+            break
+    if bad:
+        x, y, count = bad[0]
+        return Report(False, f"pair ({x}, {y}) lies in {count} blocks, not {design.lam}", bad)
     expected_b = design.lam * v * (v - 1) // (k * (k - 1))
     if len(design.blocks) != expected_b:
         # only blocks that repeat a point get here: they cover fewer pairs
@@ -189,24 +183,36 @@ def verify_bibd(design: BlockDesign) -> Report:
 
 def verify_resolution(design: BlockDesign, res: Resolution) -> Report:
     """Classes partition the block list; each class partitions the points
-    0..v-1."""
+    0..v-1.  The classes are counted in one (class, point) table, which
+    stops at the first class holding a point outside 0..v-1 or other than
+    v points, so it is no larger than the points counted plus one row."""
     error = _partition_error(res.classes, len(design.blocks), "resolution")
     if error:
         return Report(False, *error)
     if design.k < 2:
         return Report(False, f"block size {design.k} < 2 covers no pairs", [("k", design.k)])
-    expected = design.lam * (design.v - 1) // (design.k - 1)
+    v = design.v
+    expected = design.lam * (v - 1) // (design.k - 1)
     if len(res.classes) != expected:
         return Report(False, f"{len(res.classes)} classes, expected {expected}",
                       [("classes", len(res.classes))])
-    for ci, cls in enumerate(res.classes):
-        pts = np.concatenate([np.asarray(design.blocks[i], dtype=np.int64) for i in cls])
-        error = _outside(pts, design.v, f"class {ci}: point")
-        if error:
-            return Report(False, *error)
-        rep = _count_report(np.bincount(pts, minlength=design.v), 1, f"class {ci}: point")
-        if not rep.ok:
-            return rep
+    pts = _flat(design.blocks[i] for cls in res.classes for i in cls)
+    sizes = np.fromiter((sum(len(design.blocks[i]) for i in cls) for cls in res.classes),
+                        dtype=np.int64, count=len(res.classes))
+    class_of = np.repeat(np.arange(len(sizes)), sizes)
+    stray = (pts < 0) | (pts >= v)
+    first_stray = class_of[stray.argmax()] if stray.any() else len(sizes)
+    first_wrong = np.append(np.flatnonzero(sizes != v), len(sizes))[0]
+    rows = min(first_stray, first_wrong + 1)
+    counted = sizes[:rows].sum()
+    table = np.bincount(class_of[:counted] * v + pts[:counted],
+                        minlength=rows * v).reshape(rows, v)
+    bad = np.flatnonzero((table != 1).any(axis=1))
+    if len(bad):
+        return _count_report(table[bad[0]], 1, f"class {bad[0]}: point")
+    if first_stray < len(sizes):
+        return Report(False, *_outside(pts[class_of == first_stray], v,
+                                       f"class {first_stray}: point"))
     return Report(True)
 
 

@@ -2,11 +2,13 @@
 with its runtime.  Tolerances are exact unless a criterion states printed
 precision; runtime ceilings are asserted."""
 
+import hashlib
+import json
 import time
 from fractions import Fraction
 
 import numpy as np
-from framedf import catalog, codes, designs, families, lifting, search
+from framedf import catalog, codes, designs, families, lifting, search, serialize
 from framedf.designs import RotationalStructure
 from framedf.fields import field_of_order, make_field
 from framedf.groups import crt_iso
@@ -128,6 +130,10 @@ def test_criterion_5_z63_repair_and_1576_assembly():
     # full scan covers all C(1576,2) = 1,241,100 point pairs exactly once
     assert design.v * (design.v - 1) // 2 == 1241100
     assert designs.verify_resolution(design, res).ok
+    # the design as assembled one block tuple at a time, before whole-array assembly
+    blob = json.dumps(serialize.design_to_dict(design, res), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == \
+        "733689f75c42e7ebf9ef77a11d22aa8cca5d912f5349ffebad82522ad14b8166"
     _stamp("criterion 5 (z63 repair, 1576-point chain)", t0, 120)
 
 

@@ -1,6 +1,9 @@
 import functools
+import hashlib
 import json
 from pathlib import Path
+
+import pytest
 
 from framedf import catalog, search, serialize
 from framedf.cli import main
@@ -80,6 +83,20 @@ def test_fhs_from_fdf_rejects_element_outside_group(tmp_path, capsys):
     path, stray = _fdf_file_with_wrapped_element(tmp_path)
     rc, _, err = run(capsys, "fhs-from-fdf", "--fdf", str(path))
     assert rc == 2 and f"element {stray} lies outside" in err
+
+
+def test_assemble_rejects_empty_family(tmp_path, capsys):
+    # the ingredient is chosen from the block size only after the family
+    # passes verify_fdf, as in fhs-from-fdf
+    blob = serialize.family_to_dict(lift_sdf(catalog.lifting_datum("fdf_z7xF89")))
+    blob["blocks"] = []
+    path = tmp_path / "empty_fdf.json"
+    serialize.dump(blob, path)
+    rc, _, fhs_err = run(capsys, "fhs-from-fdf", "--fdf", str(path))
+    assert rc == 2 and "family fails verify_fdf: " in fhs_err
+    for ingredient in ("trivial", "affine"):
+        rc, _, err = run(capsys, "assemble", "--fdf", str(path), "--ingredient", ingredient)
+        assert (rc, err) == (2, fhs_err)
 
 
 def test_import_accepts_and_rejects(tmp_path, capsys):
@@ -182,6 +199,26 @@ def test_run_step_given_wrong_type_reports_and_exits_2(tmp_path, capsys):
     assert "'assemble'" in steps[1]["error"] and "LiftingData" in steps[1]["error"]
 
 
+@pytest.mark.parametrize("step,problem", [
+    ({"id": "lift", "op": "lift", "in": "$nothing", "out": "$fdf"},
+     "undefined reference '$nothing'"),
+    ({"id": "lift", "op": "lift", "out": "$fdf"}, "step 'lift' has no 'in'"),
+    ({"id": "lift", "op": "lift", "in": "$d"}, "step 'lift' has no 'out'"),
+    ({"id": "datum2", "op": "catalog-lifting", "out": "$e"},
+     "step 'datum2' has no params.name"),
+])
+def test_run_step_usage_error_exits_2(tmp_path, capsys, step, problem):
+    recipe = tmp_path / "usage.json"
+    recipe.write_text(json.dumps({"steps": [
+        {"id": "datum", "op": "catalog-lifting", "params": {"name": "fdf_z7xF89"},
+         "out": "$d"}, step]}))
+    rc, out, _ = run(capsys, "--format", "json", "run", str(recipe))
+    assert rc == 2
+    steps = json.loads(out)
+    assert [s["verified"] for s in steps] == [True, False]
+    assert steps[1]["error"] == problem
+
+
 def test_run_rejects_recipe_without_steps_list(tmp_path, capsys):
     recipe = tmp_path / "list.json"
     recipe.write_text(json.dumps([{"id": "datum", "op": "catalog-lifting"}]))
@@ -231,10 +268,22 @@ def test_run_recipe_1576(tmp_path, capsys):
     assert assemble["v"] == 1576
 
 
+# sha256 of the recipe outputs as written before design assembly and the
+# window scan moved to whole arrays (the file.* entries of perfbench/golden.json)
+RECIPE_OUTPUT_SHA256 = {
+    "rbibd_624.json": "97ea762d65a6ae30f0a66f4ee1e3f2e8b0a34d5d99d0789b880c2bb29255730b",
+    "fhs_623.json": "ebdc194ac19e63f91f32d769ada32721ada4f754affab0a61de0f0c1fcec2081",
+}
+
+
 def test_recipe_outputs_byte_stable(tmp_path, capsys):
-    recipe = Path(__file__).resolve().parents[1] / "src" / "framedf" / "recipes" / "thm_6_8_fhs623.json"
+    recipes = Path(__file__).resolve().parents[1] / "src" / "framedf" / "recipes"
     d1, d2 = tmp_path / "a", tmp_path / "b"
     d1.mkdir(), d2.mkdir()
-    assert run(capsys, "run", str(recipe), "--workdir", str(d1))[0] == 0
-    assert run(capsys, "run", str(recipe), "--workdir", str(d2))[0] == 0
+    for recipe in ("thm_2_3_624.json", "thm_6_8_fhs623.json"):
+        assert run(capsys, "run", str(recipes / recipe), "--workdir", str(d1))[0] == 0
+    assert run(capsys, "run", str(recipes / "thm_6_8_fhs623.json"), "--workdir", str(d2))[0] == 0
     assert (d1 / "fhs_623.json").read_bytes() == (d2 / "fhs_623.json").read_bytes()
+    for name, digest in RECIPE_OUTPUT_SHA256.items():
+        assert hashlib.sha256((d1 / name).read_bytes()).hexdigest() == digest, name
+

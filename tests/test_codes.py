@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from framedf import catalog
+from framedf import catalog, codes
 from framedf.codes import (FHS, ccc_bound, ccc_from_pdf, fhs_bound,
                            fhs_correlations, fhs_from_elementary_fdf, fhs_max_correlation,
                            partial_hamming, verify_strictly_optimal)
@@ -58,16 +58,20 @@ def test_partial_hamming_examples():
 
 
 def test_max_correlation_matches_naive_oracle():
+    # shifts are scanned codes._SHIFT_BATCH at a time, and only up to n/2:
+    # n runs past both, odd and even, and every window length is checked
     rng = np.random.default_rng(4)
-    for _ in range(12):
-        n = int(rng.integers(6, 40))
-        l = int(rng.integers(2, min(6, n)))
+    sizes = [2, 3, 4, 5] + [int(n) for n in rng.integers(6, 40, size=12)]
+    assert max(sizes) // 2 > 2 * codes._SHIFT_BATCH
+    for n in sizes:
+        l = int(rng.integers(2, min(6, n) + 1))
         seq = rng.integers(0, l, size=n)
         while len(np.unique(seq)) < l:
             seq = rng.integers(0, l, size=n)
         x = FHS(seq, l)
-        for L in (1, int(rng.integers(1, n + 1)), n):
-            assert fhs_max_correlation(x, L) == naive_max_correlation(seq.tolist(), L)
+        want = [naive_max_correlation(seq.tolist(), L) for L in range(1, n + 1)]
+        assert fhs_correlations(x).tolist() == want
+        assert [fhs_max_correlation(x, L) for L in (1, n)] == [want[0], want[-1]]
 
 
 def test_fhs_bound_examples_and_monotonicity():

@@ -1,11 +1,17 @@
+import hashlib
+import json
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from framedf import catalog
+from framedf import catalog, designs, serialize
 from framedf.designs import (BlockDesign, Resolution, RotationalStructure,
                              affine_plane, recursion_params, rbibd_from_fdf,
                              trivial_rbibd, verify_bibd, verify_one_rotational,
                              verify_resolution)
+from framedf.families import Report
 from framedf.groups import crt_iso
 from framedf.lifting import lift_sdf
 
@@ -30,6 +36,38 @@ def test_affine_plane(q, blocks, classes):
     assert len(d.blocks) == blocks and len(r.classes) == classes
     assert verify_bibd(d).ok
     assert verify_resolution(d, r).ok
+
+
+# sha256 of the sorted-key JSON of design_to_dict(affine_plane(q)), as built
+# one field operation per point before assembly moved to whole arrays
+AFFINE_PLANE_SHA256 = {
+    8: "7df185019b8f82f49d17355be158912cbc446b8b258a3055f3b00863106b28eb",
+    9: "7ff9710947eab48bff2cd64c19f65df78d6424ba94163dc62471422ace9acada",
+    16: "0725101c8cac7fbdbb99f71149b7cfd0a20f3714978b8a7300f146e9416df5a3",
+}
+
+
+def design_sha256(design, res):
+    blob = json.dumps(serialize.design_to_dict(design, res), sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("q", sorted(AFFINE_PLANE_SHA256))
+def test_affine_plane_is_pinned(q):
+    assert design_sha256(*affine_plane(q)) == AFFINE_PLANE_SHA256[q]
+
+
+def test_verify_bibd_memory_is_linear_in_the_design():
+    # AG(2,64): v = 4096, so a v*v pair table alone would be 128 MB
+    design, _ = affine_plane(64)
+    tracemalloc.start()
+    try:
+        rep = verify_bibd(design)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok
+    assert peak < 64 * 2**20, peak
 
 
 def test_affine_plane_pairs_by_brute_force():
@@ -127,6 +165,10 @@ def test_rbibd_parameter_guards():
     ing, ing_res = trivial_rbibd(6)
     with pytest.raises(ValueError):
         rbibd_from_fdf(fdf, ing, ing_res)
+    # right parameters, but the one block repeats a point and misses point 7
+    broken = BlockDesign(8, 8, 1, ((0, 1, 2, 3, 4, 5, 6, 6),))
+    with pytest.raises(ValueError, match="ingredient fails verification: pair"):
+        rbibd_from_fdf(fdf, broken, Resolution(((0,),)))
 
 
 @pytest.mark.parametrize("rule,m,n,v", [
@@ -180,3 +222,193 @@ def test_full_group_invariance_matches_generator_check():
         moved_classes = {tuple(sorted(tuple(sorted(int(perm[p]) for p in design.blocks[i]))
                                       for i in cls)) for cls in dres.classes}
         assert moved_classes == classes, gamma
+
+
+# -- oracle suite: the full Report of each verifier against dict counting --
+
+def bibd_oracle(design):
+    v, k, lam = design.v, design.k, design.lam
+    if k < 2:
+        return Report(False, f"block size {k} < 2 covers no pairs", [("k", k)])
+    wrong = [i for i, blk in enumerate(design.blocks) if len(blk) != k]
+    if wrong:
+        return Report(False, f"block {wrong[0]} does not have {k} points", wrong)
+    stray = [(i, x) for i, blk in enumerate(design.blocks) for x in blk if not 0 <= x < v]
+    if stray:
+        i, x = stray[0]
+        return Report(False, f"block {i} holds point {x} outside 0..{v - 1}", stray)
+    cover = Counter()
+    for blk in design.blocks:
+        for i in range(k):
+            for j in range(i + 1, k):
+                if blk[i] != blk[j]:
+                    cover[min(blk[i], blk[j]), max(blk[i], blk[j])] += 1
+    bad = [(x, y, cover[x, y]) for x in range(v) for y in range(x + 1, v)
+           if cover[x, y] != lam]
+    if bad:
+        x, y, count = bad[0]
+        return Report(False, f"pair ({x}, {y}) lies in {count} blocks, not {lam}", bad)
+    expected = lam * v * (v - 1) // (k * (k - 1))
+    if len(design.blocks) != expected:
+        return Report(False, f"{len(design.blocks)} blocks, expected {expected}",
+                      [("blocks", len(design.blocks))])
+    return Report(True)
+
+
+def resolution_oracle(design, res):
+    nb, v = len(design.blocks), design.v
+    listed = [i for cls in res.classes for i in cls]
+    outside = [i for i in listed if not 0 <= i < nb]
+    if outside:
+        return Report(False, f"resolution block index {outside[0]} lies outside 0..{nb - 1}",
+                      outside)
+    seen = Counter(listed)
+    bad = [(i, seen[i]) for i in range(nb) if seen[i] != 1]
+    if bad:
+        return Report(False, f"block index {bad[0][0]} appears {bad[0][1]} times in the "
+                             "resolution, not once", bad)
+    if design.k < 2:
+        return Report(False, f"block size {design.k} < 2 covers no pairs", [("k", design.k)])
+    expected = design.lam * (v - 1) // (design.k - 1)
+    if len(res.classes) != expected:
+        return Report(False, f"{len(res.classes)} classes, expected {expected}",
+                      [("classes", len(res.classes))])
+    for ci, cls in enumerate(res.classes):
+        pts = [x for i in cls for x in design.blocks[i]]
+        outside = [x for x in pts if not 0 <= x < v]
+        if outside:
+            return Report(False, f"class {ci}: point {outside[0]} lies outside 0..{v - 1}",
+                          outside)
+        count = Counter(pts)
+        bad = [(x, count[x]) for x in range(v) if count[x] != 1]
+        if bad:
+            return Report(False, f"class {ci}: point {bad[0][0]} occurs {bad[0][1]} times, "
+                                 "not 1", bad)
+    return Report(True)
+
+
+def relabelled(design, res, rng, lam=1):
+    """The design with its points renamed, every block listed lam times in
+    a shuffled point order, and the classes in a shuffled order."""
+    perm = rng.permutation(design.v)
+    blocks, classes = [], []
+    for cls in res.classes:
+        for _ in range(lam):
+            members = []
+            for i in cls:
+                members.append(len(blocks))
+                blocks.append(tuple(int(perm[x]) for x in rng.permutation(design.blocks[i])))
+            classes.append(tuple(members))
+    order = rng.permutation(len(classes))
+    return (BlockDesign(design.v, design.k, design.lam * lam, tuple(blocks)),
+            Resolution(tuple(classes[i] for i in order)))
+
+
+def corrupted(design, res, rng):
+    """One random fault: a point moved, repeated or pushed out of range, a
+    block duplicated, dropped or moved to another class, or lambda off."""
+    blocks = [list(b) for b in design.blocks]
+    classes = [list(c) for c in res.classes]
+    lam = design.lam
+    fault = int(rng.integers(7))
+    b = int(rng.integers(len(blocks)))
+    if fault == 0:
+        blocks[b][int(rng.integers(design.k))] = int(rng.integers(design.v))
+    elif fault == 1:
+        blocks[b][0] = blocks[b][-1]
+    elif fault == 2:
+        blocks[b][int(rng.integers(design.k))] = int(rng.choice([-1, design.v, 2 * design.v]))
+    elif fault == 3:
+        blocks.append(list(blocks[b]))
+        classes[int(rng.integers(len(classes)))].append(len(blocks) - 1)
+    elif fault == 4 and len(classes) > 1:
+        src = next(c for c in classes if b in c)
+        src.remove(b)
+        if not src:
+            classes.remove(src)
+        classes[int(rng.integers(len(classes)))].append(b)
+    elif fault == 5:
+        lam += int(rng.choice([-1, 1]))
+    else:
+        blocks[b].append(blocks[b][0])
+    return (BlockDesign(design.v, design.k, lam, tuple(map(tuple, blocks))),
+            Resolution(tuple(map(tuple, classes))))
+
+
+def random_design(rng):
+    """Random blocks, unsorted, possibly repeating a point or a whole
+    block, possibly holding a point outside 0..v-1, with lambda 0..3 and a
+    resolution into the expected number of nonempty classes when there are
+    enough blocks for it."""
+    v = int(rng.integers(2, 21))
+    k = int(rng.integers(2, min(v, 6) + 1))
+    lam = int(rng.integers(0, 4))
+    blocks = [tuple(int(x) for x in rng.choice(v, size=k, replace=bool(rng.random() < 0.2)))
+              for _ in range(int(rng.integers(1, 25)))]
+    for _ in range(int(rng.integers(0, 3))):
+        blocks.append(blocks[int(rng.integers(len(blocks)))])
+    if rng.random() < 0.1:
+        blk = list(blocks[-1])
+        blk[0] = int(rng.choice([-1, v]))
+        blocks[-1] = tuple(blk)
+    nclasses = lam * (v - 1) // (k - 1)
+    if not 1 <= nclasses <= len(blocks):
+        nclasses = int(rng.integers(1, len(blocks) + 1))
+    order = rng.permutation(len(blocks))
+    cuts = np.sort(rng.choice(np.arange(1, len(blocks)), size=nclasses - 1, replace=False))
+    classes = tuple(tuple(int(i) for i in part) for part in np.split(order, cuts))
+    return BlockDesign(v, k, lam, tuple(blocks)), Resolution(classes)
+
+
+def oracle_cases():
+    rng = np.random.default_rng(8)
+    valid = [(fano(), None), trivial_rbibd(3), trivial_rbibd(5)] + \
+        [affine_plane(q) for q in (2, 3, 4, 5, 7)]
+    cases = []
+    for design, res in valid:
+        if res is not None:
+            for lam in (1, 2, 3):
+                cases.append(relabelled(design, res, rng, lam))
+                for _ in range(6):
+                    cases.append(corrupted(*relabelled(design, res, rng, lam), rng))
+        cases.append((design, res))
+    cases += [random_design(rng) for _ in range(300)]
+    # every pair right, but blocks that repeat a point make the count wrong
+    plane, plane_res = affine_plane(2)
+    cases.append((BlockDesign(4, 2, 1, plane.blocks + ((3, 3),)),
+                  Resolution(plane_res.classes[:-1] + (plane_res.classes[-1] + (6,),))))
+    cases.append((BlockDesign(4, 2, 0, ((1, 1), (2, 2))), None))
+    return cases
+
+
+ORACLE_CASES = oracle_cases()
+
+
+# 1 point per chunk, a chunk that divides no v above 3, and one chunk >= v
+@pytest.mark.parametrize("chunk", [1, 3, 1 << 20])
+def test_verify_bibd_matches_dict_oracle(chunk, monkeypatch):
+    monkeypatch.setattr(designs, "_PAIR_CHUNK", chunk)
+    outcomes = Counter()
+    for design, _ in ORACLE_CASES:
+        rep = verify_bibd(design)
+        assert rep == bibd_oracle(design), design
+        outcomes[rep.ok] += 1
+    assert min(outcomes[True], outcomes[False]) >= 20, outcomes
+
+
+def test_verify_resolution_matches_dict_oracle():
+    outcomes = Counter()
+    for design, res in ORACLE_CASES:
+        if res is not None:
+            rep = verify_resolution(design, res)
+            assert rep == resolution_oracle(design, res), (design, res)
+            outcomes[rep.detail.split(":")[0] if "class " in rep.detail else rep.ok] += 1
+    assert outcomes[True] >= 20 and sum(outcomes.values()) - outcomes[True] >= 100, outcomes
+
+
+def test_verify_resolution_reports_an_empty_class():
+    design, _ = affine_plane(2)
+    res = Resolution(((), (0, 1), (2, 3, 4, 5)))
+    rep = verify_resolution(design, res)
+    assert rep == resolution_oracle(design, res)
+    assert rep.detail == "class 0: point 0 occurs 0 times, not 1"
