@@ -1,6 +1,9 @@
 """Batch command line: catalog browsing, lifting, searching, design assembly,
 code derivation, verification, and recipe execution.
 
+The construction subcommands (lift, assemble, ccc-from-pdf, fhs-from-fdf and
+search) run their input as a one-step recipe: each op has one implementation.
+
 Exit codes: 0 success, 1 verification failure (a recipe step that raises
 ValueError counts as one), 2 usage error (a recipe step without a key it
 needs, or naming an undefined reference, counts as one), 3 search or
@@ -68,86 +71,56 @@ def cmd_qbound(args) -> int:
     return 0
 
 
-def cmd_lift(args) -> int:
-    data = serialize.lifting_from_dict(serialize.load(args.data))
-    rep = lifting.check_lifting_conditions(data)
-    if not rep.ok:
-        print(f"lifting conditions fail: {rep.detail}", file=sys.stderr)
-        return VERIFY_FAIL
-    fdf = lifting.lift_sdf(data)
-    ok = families.verify_fdf(fdf).ok
-    if args.out:
-        serialize.dump(serialize.family_to_dict(fdf), args.out)
-    _emit({"blocks": len(fdf.blocks), "group": repr(fdf.group), "verified": bool(ok)},
-          args.format)
-    return 0 if ok else VERIFY_FAIL
-
-
-def _catalog_family(spec: str):
-    """Catalog name with optional colon-separated parameters: 'paley2:7'."""
-    name, _, rest = spec.partition(":")
-    params = [int(x) for x in rest.split(",")] if rest else []
-    return catalog.family(name, *params)
-
-
-def cmd_search(args) -> int:
-    if args.system == "generic":
-        if not args.sdf or args.d is None:
-            print("error: --sdf and --d required for the generic system", file=sys.stderr)
-            return USAGE_ERROR
-        sysm = search.generic_system(_catalog_family(args.sdf), args.q,
-                                     args.q - 1, args.d, args.lam)
-    elif args.system == "paired":
-        if not args.sdf:
-            print("error: --sdf required for the paired system", file=sys.stderr)
-            return USAGE_ERROR
-        sysm = search.paired_pattern_system(_catalog_family(args.sdf), args.q)
-    elif args.system == "paley3":
-        sysm = search.paley3_pattern_system(args.p, args.q)
-    elif args.system == "z125":
-        sysm = search.z125_system(args.q)
+def _construct(args, ops, data, fields, **params) -> int:
+    """Run `ops` on `data` as a recipe, each step with `params` and the last
+    with --out as its `file`, then print fields(record, product, ok) of the
+    last step.  A step that makes no product prints its error instead, a
+    usage error as 'error: ...'."""
+    env = {"$0": data}
+    for i, op in enumerate(ops):
+        step = {"op": op, "in": f"${i}", "out": f"${i + 1}", "params": params}
+        if args.out and i == len(ops) - 1:
+            step["file"] = args.out
+        rc, record = _run_step(op, step, env, Path())
+    product = env.get(f"${len(ops)}")
+    if product is None:
+        print(("error: " if rc == USAGE_ERROR else "") + record["error"], file=sys.stderr)
     else:
-        print(f"error: unknown system {args.system!r}", file=sys.stderr)
-        return USAGE_ERROR
-    res = search.solve(sysm, seed=args.seed, budget=args.budget)
-    if res.status != "sat":
-        print(f"search: {res.status} after {res.nodes} nodes", file=sys.stderr)
-        return BUDGET_FAIL
-    data = sysm.lifting_builder([res.assignment[u] for u in sysm.unknowns])
-    if args.out:
-        serialize.dump(serialize.lifting_to_dict(data), args.out)
-    _emit({"status": res.status, "nodes": res.nodes,
-           "assignment": res.assignment}, args.format)
-    return 0
+        _emit(fields(record, product, rc == 0), args.format)
+    return rc
 
 
-def _ingredient(fdf, name: str):
-    """The affine plane (name 'affine') or the one-block design (any other
-    name) on the frame family's block size.  The family is verified first,
-    so a malformed one raises ValueError with the verify_fdf detail."""
-    rep = families.verify_fdf(fdf)
-    if not rep.ok:
-        raise ValueError("family fails verify_fdf: " + rep.detail)
-    k = len(fdf.blocks[0])
-    return designs.affine_plane(k) if name == "affine" else designs.trivial_rbibd(k)
+def cmd_lift(args) -> int:
+    return _construct(args, ["lift"], serialize.lifting_from_dict(serialize.load(args.data)),
+                      lambda r, fdf, ok: {"blocks": r["blocks"], "group": repr(fdf.group),
+                                          "verified": ok})
 
 
 def cmd_assemble(args) -> int:
+    return _construct(args, ["assemble"], serialize.family_from_dict(serialize.load(args.fdf)),
+                      lambda r, made, ok: {"v": r["v"], "k": made[0].k, "blocks": r["blocks"],
+                                           "classes": len(made[1].classes), "verified": ok},
+                      ingredient=args.ingredient)
+
+
+def cmd_ccc_from_pdf(args) -> int:
+    return _construct(args, ["ccc"], serialize.family_from_dict(serialize.load(args.pdf)),
+                      lambda r, ccc, ok: {**r, "bound": str(codes.ccc_bound(
+                          r["n"], r["d"], ccc.composition)), "optimal": ok})
+
+
+def cmd_fhs_from_fdf(args) -> int:
     fdf = serialize.family_from_dict(serialize.load(args.fdf))
-    if args.ingredient in ("trivial", "affine"):
-        ing, ing_res = _ingredient(fdf, args.ingredient)
-    else:
-        ing, ing_res = serialize.design_from_dict(serialize.load(args.ingredient))
-        if ing_res is None:
-            print("error: ingredient file carries no resolution", file=sys.stderr)
-            return USAGE_ERROR
-    design, res, _rot = designs.rbibd_from_fdf(fdf, ing, ing_res)
-    ok = designs.verify_bibd(design).ok and designs.verify_resolution(design, res).ok
-    if args.out:
-        serialize.dump(serialize.design_to_dict(design, res), args.out)
-    _emit({"v": design.v, "k": design.k, "blocks": len(design.blocks),
-           "classes": len(res.classes), "verified": bool(ok)}, args.format)
-    return 0 if ok else VERIFY_FAIL
+    return _construct(args, ["crt", "fhs"] if fdf.group.kind == "product" else ["fhs"], fdf,
+                      lambda r, _, ok: {"n": r["n"], "alphabet": r["alphabet"],
+                                        "strictly_optimal": ok,
+                                        "failing_L": r.get("failing_L", [])})
+
+
+def cmd_search(args) -> int:
+    return _construct(args, ["solve"], None, lambda r, _, ok: r,
+                      system=args.system, q=args.q, d=args.d, lam=args.lam, p=args.p,
+                      sdf=args.sdf, budget=args.budget)
 
 
 def cmd_verify_design(args) -> int:
@@ -185,37 +158,6 @@ def cmd_import(args) -> int:
     return 0
 
 
-def cmd_ccc_from_pdf(args) -> int:
-    pdf = serialize.family_from_dict(serialize.load(args.pdf))
-    ccc = codes.ccc_from_pdf(pdf)
-    d = ccc.min_distance()
-    bound = codes.ccc_bound(ccc.n, d, ccc.composition)
-    ok = bound == ccc.size
-    if args.out:
-        serialize.dump({"n": ccc.n, "codewords": ccc.codewords.tolist(),
-                        "composition": list(ccc.composition), "d": d,
-                        "provenance": ccc.provenance}, args.out)
-    _emit({"n": ccc.n, "M": ccc.size, "d": d, "bound": str(bound),
-           "optimal": bool(ok)}, args.format)
-    return 0 if ok else VERIFY_FAIL
-
-
-def cmd_fhs_from_fdf(args) -> int:
-    fdf = serialize.family_from_dict(serialize.load(args.fdf))
-    if fdf.group.kind == "product":
-        iso = crt_iso(fdf.group)
-        fdf = families.relabel_family(fdf, iso)
-    fhs = codes.fhs_from_elementary_fdf(fdf)
-    rep = codes.verify_strictly_optimal(fhs)
-    if args.out:
-        serialize.dump({"n": fhs.n, "alphabet": fhs.alphabet_size,
-                        "seq": fhs.seq.tolist(), "provenance": fhs.provenance}, args.out)
-    _emit({"n": fhs.n, "alphabet": fhs.alphabet_size,
-           "strictly_optimal": bool(rep.ok),
-           "failing_L": list(rep.witnesses)}, args.format)
-    return 0 if rep.ok else VERIFY_FAIL
-
-
 def cmd_verify_fhs(args) -> int:
     import numpy as np
     blob = serialize.load(args.fhs)
@@ -229,6 +171,8 @@ def cmd_verify_fhs(args) -> int:
 def cmd_verify_ccc(args) -> int:
     import numpy as np
     blob = serialize.load(args.ccc)
+    if not blob["codewords"]:
+        raise ValueError("the code's codeword list is empty")
     cw = np.asarray(blob["codewords"])
     ccc = codes.CCC(cw.shape[1], cw, tuple(blob["composition"]))
     comp_ok = all(sorted(np.bincount(row, minlength=len(ccc.composition)))
@@ -245,9 +189,12 @@ def cmd_run(args) -> int:
     recipe = serialize.load(args.recipe)
     steps = recipe.get("steps") if isinstance(recipe, dict) else None
     if not isinstance(steps, list) or not all(
-            isinstance(s, dict) and isinstance(s.get("op"), str) for s in steps):
+            isinstance(s, dict) and isinstance(s.get("op"), str)
+            and isinstance(s.get("params", {}), dict) and isinstance(s.get("file", ""), str)
+            for s in steps):
         _emit([{"step": "recipe", "verified": False,
-                "error": "a recipe is an object whose 'steps' lists {'op': ...} objects"}],
+                "error": "a recipe is an object whose 'steps' lists {'op': ...} objects, "
+                         "with any 'params' an object and any 'file' a string"}],
               args.format)
         return USAGE_ERROR
     workdir = Path(args.workdir or Path(args.recipe).parent)
@@ -258,7 +205,7 @@ def cmd_run(args) -> int:
         t0 = time.time()
         op = step["op"]
         try:
-            rc, info = _run_step(op, step, env, workdir, args.seed)
+            rc, info = _run_step(op, step, env, workdir)
         except KeyError as exc:
             rc, info = USAGE_ERROR, {"error": str(exc.args[0]) if exc.args else repr(exc)}
         except ValueError as exc:
@@ -277,6 +224,9 @@ def cmd_run(args) -> int:
 _INPUT_TYPE = {**dict.fromkeys(("repair", "check-conditions", "lift"), lifting.LiftingData),
                **dict.fromkeys(("assemble", "crt", "pdf", "ccc", "fhs"), families.DesignFamily)}
 
+# the parameters each system of the solve op needs besides system and q
+_SYSTEM_NEEDS = {"generic": ("sdf", "d"), "paired": ("sdf",), "paley3": ("p",), "z125": ()}
+
 
 def _require(mapping, key, problem: str):
     """mapping[key]; a missing key raises KeyError(problem), which `run`
@@ -287,10 +237,36 @@ def _require(mapping, key, problem: str):
         raise KeyError(problem) from None
 
 
-def _run_step(op, step, env, workdir, seed):
+def _file_blob(product, record) -> dict:
+    """The one file format of each product, written for a step's `file`
+    (and so for a subcommand's --out)."""
+    if isinstance(product, lifting.LiftingData):
+        return serialize.lifting_to_dict(product)
+    if isinstance(product, families.DesignFamily):
+        return serialize.family_to_dict(product)
+    if isinstance(product, codes.CCC):
+        return {"n": product.n, "codewords": product.codewords.tolist(), "d": record["d"],
+                "composition": list(product.composition), "provenance": product.provenance}
+    if isinstance(product, codes.FHS):
+        return {"n": product.n, "alphabet": product.alphabet_size, "seq": product.seq.tolist()}
+    design, res, _rot = product
+    return serialize.design_to_dict(design, res)
+
+
+def _run_step(op, step, env, workdir):
+    """Run one recipe step: store its product under `out`, write it to
+    `file` (relative to workdir) if the step names one, and return (exit
+    code, record).  A usage problem raises KeyError; a ValueError from a
+    bad input propagates."""
     sid = step.get("id", op)
     p = step.get("params", {})
-    param = lambda key: _require(p, key, f"step {sid!r} has no params.{key}")
+
+    def param(key, kind=str):
+        value = _require(p, key, f"step {sid!r} has no params.{key}")
+        if not isinstance(value, kind):
+            raise KeyError(f"step {sid!r}: params.{key} is not a {kind.__name__}")
+        return value
+
     # every op but check-conditions stores its product under "out"
     out = None if op == "check-conditions" else _require(step, "out", f"step {sid!r} has no 'out'")
     want = _INPUT_TYPE.get(op)
@@ -302,67 +278,89 @@ def _run_step(op, step, env, workdir, seed):
             return USAGE_ERROR, {"error": f"step {sid!r}: op {op!r} needs a "
                                           f"{want.__name__}, got a {type(data).__name__}"}
 
+    ok, record = True, {}
     if op == "catalog-lifting":
-        env[out] = catalog.lifting_datum(param("name"))
-        return 0, {"name": param("name")}
-    if op == "repair":
+        name = param("name")
+        product, record = catalog.lifting_datum(name), {"name": name}
+    elif op == "repair":
         try:
-            env[out] = search.repair_block(data, data.zero_positions())
-            return 0, {}
+            product = search.repair_block(data, data.zero_positions())
         except search.RepairError as exc:
             return VERIFY_FAIL, {"error": str(exc)}
         except search.RepairBudgetExceeded as exc:
             return BUDGET_FAIL, {"error": str(exc)}
-    if op == "check-conditions":
+    elif op == "check-conditions":
         rep = lifting.check_lifting_conditions(data)
         return (0 if rep.ok else VERIFY_FAIL), {"detail": rep.detail}
-    if op == "lift":
-        fdf = lifting.lift_sdf(data)
-        env[out] = fdf
-        ok = families.verify_fdf(fdf).ok
-        return (0 if ok else VERIFY_FAIL), {"blocks": len(fdf.blocks)}
-    if op == "assemble":
-        ing, ing_res = _ingredient(data, p.get("ingredient", "trivial"))
-        design, res, rot = designs.rbibd_from_fdf(data, ing, ing_res)
-        env[out] = (design, res, rot)
+    elif op == "lift":
+        try:
+            product = lifting.lift_sdf(data)
+        except ValueError as exc:       # the lifting conditions fail
+            return VERIFY_FAIL, {"error": str(exc)}
+        ok, record = families.verify_fdf(product).ok, {"blocks": len(product.blocks)}
+    elif op == "assemble":
+        name = p.get("ingredient", "trivial")
+        if name in ("trivial", "affine"):   # on the block size of a family verified first
+            rep = families.verify_fdf(data)
+            if not rep.ok:
+                raise ValueError("family fails verify_fdf: " + rep.detail)
+            k = len(data.blocks[0])
+            ing, ing_res = designs.affine_plane(k) if name == "affine" else designs.trivial_rbibd(k)
+        else:
+            ing, ing_res = serialize.design_from_dict(serialize.load(workdir / name))
+        if ing_res is None:
+            return USAGE_ERROR, {"error": "ingredient file carries no resolution"}
+        product = designs.rbibd_from_fdf(data, ing, ing_res)
+        design, res, rot = product
         ok = designs.verify_bibd(design).ok and designs.verify_resolution(design, res).ok
         if p.get("check_rotational"):
             ok = ok and designs.verify_one_rotational(design, res, rot).ok
-        if "file" in step:
-            serialize.dump(serialize.design_to_dict(design, res), workdir / step["file"])
-        return (0 if ok else VERIFY_FAIL), {"v": design.v, "blocks": len(design.blocks)}
-    if op == "crt":
-        env[out] = families.relabel_family(data, crt_iso(data.group))
-        return 0, {}
-    if op == "pdf":
-        pdf = lifting.fdf_to_pdf(data)
-        env[out] = pdf
-        ok = families.verify_pdf(pdf).ok
-        return (0 if ok else VERIFY_FAIL), {"blocks": len(pdf.blocks)}
-    if op == "ccc":
-        ccc = codes.ccc_from_pdf(data)
-        d = ccc.min_distance()
-        ok = codes.ccc_bound(ccc.n, d, ccc.composition) == ccc.size
-        env[out] = ccc
-        return (0 if ok else VERIFY_FAIL), {"n": ccc.n, "M": ccc.size, "d": d}
-    if op == "fhs":
-        fhs = codes.fhs_from_elementary_fdf(data)
-        rep = codes.verify_strictly_optimal(fhs)
-        env[out] = fhs
-        if "file" in step:
-            serialize.dump({"n": fhs.n, "alphabet": fhs.alphabet_size,
-                            "seq": fhs.seq.tolist()}, workdir / step["file"])
-        return (0 if rep.ok else VERIFY_FAIL), {"n": fhs.n, "alphabet": fhs.alphabet_size}
-    if op == "solve":
-        sysm = search.z125_system(param("q")) if param("system") == "z125" else None
-        if sysm is None:
-            return USAGE_ERROR, {"error": "unknown system"}
-        res = search.solve(sysm, seed=p.get("seed", seed), budget=p.get("budget", 10**8))
+        record = {"v": design.v, "blocks": len(design.blocks)}
+    elif op == "crt":
+        product = families.relabel_family(data, crt_iso(data.group))
+    elif op == "pdf":
+        product = lifting.fdf_to_pdf(data)
+        ok, record = families.verify_pdf(product).ok, {"blocks": len(product.blocks)}
+    elif op == "ccc":
+        product = codes.ccc_from_pdf(data)
+        d = product.min_distance()
+        ok = codes.ccc_bound(product.n, d, product.composition) == product.size
+        record = {"n": product.n, "M": product.size, "d": d}
+    elif op == "fhs":
+        product = codes.fhs_from_elementary_fdf(data)
+        rep = codes.verify_strictly_optimal(product)
+        ok, record = rep.ok, {"n": product.n, "alphabet": product.alphabet_size}
+        if not ok:
+            record["failing_L"] = list(rep.witnesses)
+    elif op == "solve":
+        system, q = param("system"), param("q", int)
+        needs = _SYSTEM_NEEDS.get(system)
+        if needs is None or any(p.get(key) in (None, "") for key in needs):
+            return USAGE_ERROR, {"error": "unknown system" if needs is None else " and ".join(
+                "--" + key for key in needs) + f" required for the {system} system"}
+        if "sdf" in needs:      # a catalog name with parameters: 'twinPrime:3'
+            name, _, rest = p["sdf"].partition(":")
+            sdf = catalog.family(name, *([int(x) for x in rest.split(",")] if rest else []))
+        if system == "generic":
+            sysm = search.generic_system(sdf, q, q - 1, p["d"], p.get("lam", 1))
+        elif system == "paired":
+            sysm = search.paired_pattern_system(sdf, q)
+        elif system == "paley3":
+            sysm = search.paley3_pattern_system(p["p"], q)
+        else:
+            sysm = search.z125_system(q)
+        res = search.solve(sysm, budget=p.get("budget", 10**8))
+        record = {"status": res.status, "nodes": res.nodes}
         if res.status != "sat":
-            return BUDGET_FAIL, {"status": res.status}
-        env[out] = sysm.lifting_builder([res.assignment[u] for u in sysm.unknowns])
-        return 0, {"nodes": res.nodes}
-    return USAGE_ERROR, {"error": f"unknown op {op!r}"}
+            return BUDGET_FAIL, {**record, "error": f"search: {res.status} after {res.nodes} nodes"}
+        product = sysm.lifting_builder([res.assignment[u] for u in sysm.unknowns])
+        record["assignment"] = res.assignment
+    else:
+        return USAGE_ERROR, {"error": f"unknown op {op!r}"}
+    env[out] = product
+    if "file" in step:
+        serialize.dump(_file_blob(product, record), workdir / step["file"])
+    return (0 if ok else VERIFY_FAIL), record
 
 
 def main(argv=None) -> int:

@@ -12,7 +12,6 @@ _PAIR_CHUNK points at a time.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 import numpy as np
 
@@ -221,25 +220,39 @@ def verify_one_rotational(design: BlockDesign, res: Resolution,
     """The translation by each group generator must fix infinity, permute the
     other points sharply transitively, and map the block multiset and the
     class partition to themselves.  Invariance under generators implies
-    invariance under the whole group; a failing generator is the witness."""
+    invariance under the whole group; a failing generator is the witness.
+    Every block must have k points, as in verify_bibd.  Multisets are
+    compared as canonical arrays: the row-sorted blocks in lexicographic
+    order, then the classes as sorted rows of block ids, likewise."""
     G = rot.group
     if G.order != design.v - 1:
         return Report(False, f"group order {G.order} is not v-1 = {design.v - 1}",
                       [("order", G.order)])
     point_of = np.asarray(rot.action, dtype=np.int64)
     error = (_outside(point_of, G.order, "action point")
-             or _outside(_flat(design.blocks), design.v, "block point"))
+             or _outside(_flat(design.blocks), design.v, "block point")
+             or _outside(_flat(res.classes), len(design.blocks), "class block"))
     if error:
         return Report(False, *error)
     rep = _count_report(np.bincount(point_of, minlength=G.order), 1, "action: point")
     if not rep.ok:
         return rep
+    k = design.k
+    wrong = [i for i, blk in enumerate(design.blocks) if len(blk) != k]
+    if wrong:
+        return Report(False, f"block {wrong[0]} does not have {k} points", wrong)
+    mat = np.asarray(design.blocks, dtype=np.int64).reshape(len(design.blocks), k)
+    # the classes as rows of block indices, short ones padded with -1
+    width = max(map(len, res.classes), default=0)
+    padded = np.array([list(cls) + [-1] * (width - len(cls)) for cls in res.classes],
+                      dtype=np.int64).reshape(len(res.classes), width)
 
     def multisets(perm):
-        """The block multiset and the class multiset with points renamed by perm."""
-        blocks = [tuple(sorted(int(perm[p]) for p in blk)) for blk in design.blocks]
-        return (Counter(blocks),
-                Counter(tuple(sorted(blocks[i] for i in cls)) for cls in res.classes))
+        """The block and class multisets with points renamed by perm, in
+        canonical form.  A block's id is its rank among the distinct
+        blocks, so two designs' class ids agree once their blocks do."""
+        blocks, ids = _canonical(np.sort(perm[mat], axis=1))
+        return blocks, _canonical(np.sort(np.append(ids, -1)[padded], axis=1))[0]
 
     blocks, classes = multisets(np.arange(design.v))
     infinity = design.v - 1
@@ -248,11 +261,23 @@ def verify_one_rotational(design: BlockDesign, res: Resolution,
         perm[infinity] = infinity
         perm[point_of] = point_of[G.add(np.arange(G.order, dtype=np.int64), int(gamma))]
         moved_blocks, moved_classes = multisets(perm)
-        if moved_blocks != blocks:
+        if not np.array_equal(moved_blocks, blocks):
             return Report(False, f"translation by {gamma} moves the block multiset", [gamma])
-        if moved_classes != classes:
+        if not np.array_equal(moved_classes, classes):
             return Report(False, f"translation by {gamma} moves the resolution", [gamma])
     return Report(True)
+
+
+def _canonical(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of an integer matrix in lexicographic order, and each row's
+    rank among the distinct rows."""
+    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ranked, ids
 
 
 def _generators(G: AbelianGroup) -> list[int]:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from framedf import catalog, search, serialize
+from framedf import catalog, lifting, search, serialize
 from framedf.cli import main
 from framedf.designs import BlockDesign, affine_plane
 from framedf.lifting import lift_sdf
@@ -287,3 +287,100 @@ def test_recipe_outputs_byte_stable(tmp_path, capsys):
     for name, digest in RECIPE_OUTPUT_SHA256.items():
         assert hashlib.sha256((d1 / name).read_bytes()).hexdigest() == digest, name
 
+
+
+@pytest.mark.parametrize("step,problem", [
+    ({"id": "datum2", "op": "catalog-lifting", "params": ["fdf_z7xF89"], "out": "$e"},
+     "'params' an object"),
+    ({"id": "assemble", "op": "assemble", "in": "$d", "params": "affine", "out": "$x"},
+     "'params' an object"),
+    ({"id": "datum2", "op": "catalog-lifting", "params": {"name": "fdf_z7xF89"},
+      "out": "$e", "file": ["datum.json"]}, "'file' a string"),
+], ids=["params-list", "params-string", "file-list"])
+def test_run_rejects_malformed_params_or_file(tmp_path, capsys, step, problem):
+    recipe = tmp_path / "malformed.json"
+    recipe.write_text(json.dumps({"steps": [
+        {"id": "datum", "op": "catalog-lifting", "params": {"name": "fdf_z7xF89"},
+         "out": "$d"}, step]}))
+    rc, out, _ = run(capsys, "--format", "json", "run", str(recipe))
+    assert rc == 2
+    [record] = json.loads(out)
+    assert record["step"] == "recipe" and not record["verified"] and problem in record["error"]
+
+
+def test_run_rejects_a_name_that_is_not_a_string(tmp_path, capsys):
+    recipe = tmp_path / "list_name.json"
+    recipe.write_text(json.dumps({"steps": [
+        {"id": "datum", "op": "catalog-lifting", "params": {"name": ["fdf_z7xF89"]},
+         "out": "$d"}]}))
+    rc, out, _ = run(capsys, "--format", "json", "run", str(recipe))
+    assert rc == 2
+    [record] = json.loads(out)
+    assert not record["verified"] and record["error"] == "step 'datum': params.name is not a str"
+
+
+def test_verify_ccc_rejects_empty_code(tmp_path, capsys):
+    path = tmp_path / "empty_ccc.json"
+    path.write_text(json.dumps({"n": 3, "codewords": [], "composition": [1, 1, 1]}))
+    rc, out, err = run(capsys, "verify-ccc", str(path))
+    assert (rc, out) == (2, "") and "codeword list is empty" in err
+
+
+def _lifted(*steps):
+    """A recipe that lifts the z7xF89 datum and then runs `steps`."""
+    return [{"id": "datum", "op": "catalog-lifting", "params": {"name": "fdf_z7xF89"},
+             "out": "$d"},
+            {"id": "lift", "op": "lift", "in": "$d", "out": "$fdf", "file": "fdf.json"},
+            *steps]
+
+
+def test_subcommands_and_recipes_write_the_same_files(tmp_path, capsys):
+    """Each construction subcommand runs the recipe op of the same name, so
+    --out and the step's file are byte-identical."""
+    datum, pdf = tmp_path / "datum.json", tmp_path / "pdf.json"
+    serialize.dump(serialize.lifting_to_dict(catalog.lifting_datum("fdf_z7xF89")), datum)
+    serialize.dump(serialize.family_to_dict(
+        lifting.fdf_to_pdf(lift_sdf(catalog.lifting_datum("fdf_z7xF89")))), pdf)
+    fdf = tmp_path / "sub" / "fdf.json"
+    commands = {
+        "fdf.json": ["lift", "--data", datum],
+        "design.json": ["assemble", "--fdf", fdf, "--ingredient", "trivial"],
+        "ccc.json": ["ccc-from-pdf", "--pdf", pdf],
+        "fhs.json": ["fhs-from-fdf", "--fdf", fdf],
+        "datum.json": ["search", "--system", "paired", "--sdf", "twinPrime:3", "--q", "17"],
+    }
+    recipes = {
+        "fdf.json": _lifted(),
+        "design.json": _lifted({"op": "assemble", "in": "$fdf", "out": "$x",
+                                "params": {"ingredient": "trivial"}, "file": "design.json"}),
+        "ccc.json": _lifted({"op": "pdf", "in": "$fdf", "out": "$pdf"},
+                            {"op": "ccc", "in": "$pdf", "out": "$x", "file": "ccc.json"}),
+        "fhs.json": _lifted({"op": "crt", "in": "$fdf", "out": "$cyclic"},
+                            {"op": "fhs", "in": "$cyclic", "out": "$x", "file": "fhs.json"}),
+        "datum.json": [{"op": "solve", "out": "$x", "file": "datum.json", "params": {
+            "system": "paired", "sdf": "twinPrime:3", "q": 17}}],
+    }
+    (tmp_path / "sub").mkdir()
+    for name, argv in commands.items():
+        assert run(capsys, *map(str, argv), "--out", str(tmp_path / "sub" / name))[0] == 0
+    for name, steps in recipes.items():
+        workdir = tmp_path / name.split(".")[0]
+        workdir.mkdir()
+        recipe = workdir / "recipe.json"
+        recipe.write_text(json.dumps({"steps": steps}))
+        assert run(capsys, "run", str(recipe))[0] == 0
+        assert (workdir / name).read_bytes() == (tmp_path / "sub" / name).read_bytes(), name
+
+
+def test_run_solve_step_on_the_paired_system(tmp_path, capsys):
+    recipe = tmp_path / "solve_paired.json"
+    recipe.write_text(json.dumps({"steps": [
+        {"id": "solve", "op": "solve", "out": "$d",
+         "params": {"system": "paired", "sdf": "twinPrime:3", "q": 17}},
+        {"id": "conditions", "op": "check-conditions", "in": "$d"},
+        {"id": "lift", "op": "lift", "in": "$d", "out": "$fdf"}]}))
+    rc, out, _ = run(capsys, "--format", "json", "run", str(recipe))
+    assert rc == 0
+    solve, conditions, lift = json.loads(out)
+    assert solve["status"] == "sat" and solve["nodes"] > 0 and solve["assignment"]
+    assert conditions["verified"] and lift["verified"]

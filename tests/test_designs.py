@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -11,7 +12,7 @@ from framedf.designs import (BlockDesign, Resolution, RotationalStructure,
                              affine_plane, recursion_params, rbibd_from_fdf,
                              trivial_rbibd, verify_bibd, verify_one_rotational,
                              verify_resolution)
-from framedf.families import Report
+from framedf.families import Report, _count_report, _flat, _outside
 from framedf.groups import crt_iso
 from framedf.lifting import lift_sdf
 
@@ -412,3 +413,83 @@ def test_verify_resolution_reports_an_empty_class():
     rep = verify_resolution(design, res)
     assert rep == resolution_oracle(design, res)
     assert rep.detail == "class 0: point 0 occurs 0 times, not 1"
+
+
+def one_rotational_oracle(design, res, rot):
+    """verify_one_rotational as first written: Counters of sorted tuples of
+    every block and class, once per generator."""
+    G = rot.group
+    if G.order != design.v - 1:
+        return Report(False, f"group order {G.order} is not v-1 = {design.v - 1}",
+                      [("order", G.order)])
+    point_of = np.asarray(rot.action, dtype=np.int64)
+    error = (_outside(point_of, G.order, "action point")
+             or _outside(_flat(design.blocks), design.v, "block point"))
+    if error:
+        return Report(False, *error)
+    rep = _count_report(np.bincount(point_of, minlength=G.order), 1, "action: point")
+    if not rep.ok:
+        return rep
+
+    def multisets(perm):
+        blocks = [tuple(sorted(int(perm[p]) for p in blk)) for blk in design.blocks]
+        return (Counter(blocks),
+                Counter(tuple(sorted(blocks[i] for i in cls)) for cls in res.classes))
+
+    blocks, classes = multisets(np.arange(design.v))
+    infinity = design.v - 1
+    for gamma in designs._generators(G):
+        perm = np.empty(design.v, dtype=np.int64)
+        perm[infinity] = infinity
+        perm[point_of] = point_of[G.add(np.arange(G.order, dtype=np.int64), int(gamma))]
+        moved_blocks, moved_classes = multisets(perm)
+        if moved_blocks != blocks:
+            return Report(False, f"translation by {gamma} moves the block multiset", [gamma])
+        if moved_classes != classes:
+            return Report(False, f"translation by {gamma} moves the resolution", [gamma])
+    return Report(True)
+
+
+def rotational_cases():
+    """The 624-point design under its own action and the CRT relabel, then
+    with a block moved by a point, two classes swapping a block, a
+    scrambled action and an action hitting one point twice."""
+    fdf = lift_sdf(catalog.lifting_datum("fdf_z7xF89"))
+    design, res, rot = rbibd_from_fdf(fdf, *trivial_rbibd(8))
+    iso = crt_iso(fdf.group)
+    rot623 = RotationalStructure(iso.target, tuple(int(iso.invert(z)) for z in range(623)))
+    blocks = list(design.blocks)
+    first = blocks[0]
+    stray = next(x for x in range(design.v) if x not in first)
+    blocks[0] = (stray,) + first[1:]
+    moved = BlockDesign(design.v, design.k, design.lam, tuple(blocks))
+    classes = list(map(list, res.classes))
+    classes[0][0], classes[1][0] = classes[1][0], classes[0][0]
+    swapped = Resolution(tuple(map(tuple, classes)))
+    scrambled = list(rot623.action)
+    scrambled[0], scrambled[1] = scrambled[1], scrambled[0]
+    twice = list(rot.action)
+    twice[5] = twice[6]
+    return [(design, res, rot), (design, res, rot623), (moved, res, rot),
+            (design, swapped, rot), (design, swapped, rot623),
+            (design, res, RotationalStructure(rot623.group, tuple(scrambled))),
+            (design, res, RotationalStructure(rot.group, tuple(twice)))]
+
+
+def test_verify_one_rotational_matches_counter_oracle():
+    cases = rotational_cases()
+    reports = [verify_one_rotational(*case) for case in cases]
+    assert reports == [one_rotational_oracle(*case) for case in cases]
+    assert [r.ok for r in reports] == [True, True, False, False, False, False, False]
+
+
+def test_verify_one_rotational_rejects_wrong_block_size_and_class_index():
+    design, res, rot = rotational_cases()[0]
+    # an invariant design whose blocks all have 8 points, not the stated k = 7
+    rep = verify_one_rotational(dataclasses.replace(design, k=7), res, rot)
+    assert (rep.ok, rep.detail) == (False, "block 0 does not have 7 points")
+    assert rep.witnesses == tuple(range(32))
+    b = len(design.blocks)
+    last = Resolution(res.classes[:-1] + ((b,) + res.classes[-1][1:],))
+    rep = verify_one_rotational(design, last, rot)
+    assert (rep.ok, rep.detail) == (False, f"class block {b} lies outside 0..{b - 1}")
