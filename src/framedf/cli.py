@@ -5,16 +5,15 @@ The construction subcommands (lift, assemble, ccc-from-pdf, fhs-from-fdf and
 search) run their input as a one-step recipe: each op has one implementation.
 
 Exit codes: 0 success, 1 verification failure (a recipe step that raises
-ValueError counts as one), 2 usage error (a recipe step without a key it
-needs, or naming an undefined reference, counts as one), 3 search or
-repair budget exhausted.
+ValueError, or a search that proved its system has no solution, counts as
+one), 2 usage error (a recipe step without a key it needs, or naming an
+undefined reference, counts as one), 3 search or repair budget exhausted.
 Searches are deterministic; their order does not depend on --seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -29,7 +28,7 @@ BUDGET_FAIL = 3
 
 def _emit(obj, fmt):
     if fmt == "json":
-        print(json.dumps(obj, indent=1, sort_keys=True))
+        print(serialize.dumps(obj))
     else:
         if isinstance(obj, dict):
             for k, v in obj.items():
@@ -139,7 +138,7 @@ def cmd_verify_design(args) -> int:
 def cmd_import(args) -> int:
     try:
         design, res = serialize.design_from_dict(serialize.load(args.file))
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, ValueError) as exc:   # json.JSONDecodeError is a ValueError
         print(f"parse failure: {exc}", file=sys.stderr)
         return USAGE_ERROR
     rep = designs.verify_bibd(design)
@@ -171,9 +170,17 @@ def cmd_verify_fhs(args) -> int:
 def cmd_verify_ccc(args) -> int:
     import numpy as np
     blob = serialize.load(args.ccc)
-    if not blob["codewords"]:
+    rows = blob["codewords"]
+    if not rows:
         raise ValueError("the code's codeword list is empty")
-    cw = np.asarray(blob["codewords"])
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise ValueError(f"codeword {i} is not a list of symbols")
+        if len(row) != len(rows[0]):
+            raise ValueError(f"codeword {i} has {len(row)} symbols, codeword 0 has {len(rows[0])}")
+    cw = np.asarray(rows)
+    if cw.dtype.kind not in "iu":
+        raise ValueError("the codewords hold a symbol that is not an integer")
     ccc = codes.CCC(cw.shape[1], cw, tuple(blob["composition"]))
     comp_ok = all(sorted(np.bincount(row, minlength=len(ccc.composition)))
                   == sorted(ccc.composition) for row in cw)
@@ -300,16 +307,12 @@ def _run_step(op, step, env, workdir):
         ok, record = families.verify_fdf(product).ok, {"blocks": len(product.blocks)}
     elif op == "assemble":
         name = p.get("ingredient", "trivial")
-        if name in ("trivial", "affine"):   # on the block size of a family verified first
-            rep = families.verify_fdf(data)
-            if not rep.ok:
-                raise ValueError("family fails verify_fdf: " + rep.detail)
-            k = len(data.blocks[0])
-            ing, ing_res = designs.affine_plane(k) if name == "affine" else designs.trivial_rbibd(k)
+        if name in ("trivial", "affine"):   # built on the block size of the verified family
+            ing, ing_res = designs.affine_plane if name == "affine" else designs.trivial_rbibd, None
         else:
             ing, ing_res = serialize.design_from_dict(serialize.load(workdir / name))
-        if ing_res is None:
-            return USAGE_ERROR, {"error": "ingredient file carries no resolution"}
+            if ing_res is None:
+                return USAGE_ERROR, {"error": "ingredient file carries no resolution"}
         product = designs.rbibd_from_fdf(data, ing, ing_res)
         design, res, rot = product
         ok = designs.verify_bibd(design).ok and designs.verify_resolution(design, res).ok
@@ -351,8 +354,9 @@ def _run_step(op, step, env, workdir):
             sysm = search.z125_system(q)
         res = search.solve(sysm, budget=p.get("budget", 10**8))
         record = {"status": res.status, "nodes": res.nodes}
-        if res.status != "sat":
-            return BUDGET_FAIL, {**record, "error": f"search: {res.status} after {res.nodes} nodes"}
+        if res.status != "sat":     # "exhausted" proves there is no solution
+            return (BUDGET_FAIL if res.status == "budget_exceeded" else VERIFY_FAIL), \
+                {**record, "error": f"search: {res.status} after {res.nodes} nodes"}
         product = sysm.lifting_builder([res.assignment[u] for u in sysm.unknowns])
         record["assignment"] = res.assignment
     else:

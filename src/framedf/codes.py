@@ -44,20 +44,22 @@ class CCC:
     def size(self) -> int:
         return self.codewords.shape[0]
 
-    def min_distance(self, chunk: int = 64) -> int:
-        """Exhaustive pairwise Hamming distance."""
+    def min_distance(self) -> int:
+        """Exhaustive pairwise Hamming distance: the length less the most
+        positions any two codewords agree on (n for fewer than two).
+        Integer symbols are compared in the narrowest dtype that holds their
+        range, and agreements are counted in at least 16 bits, enough for n."""
         X = self.codewords
-        M = X.shape[0]
-        best = self.n
-        for i in range(0, M, chunk):
-            block = X[i:i + chunk]
-            for j, row in enumerate(block):
-                rest = X[i + j + 1:]
-                if len(rest) == 0:
-                    continue
-                d = (rest != row).sum(axis=1).min()
-                best = min(best, int(d))
-        return best
+        if X.shape[0] < 2:
+            return self.n
+        if X.dtype.kind in "iu":
+            narrow = np.promote_types(np.min_scalar_type(X.min()), np.min_scalar_type(X.max()))
+            if narrow.kind in "iu":     # not float64, the promotion of int64 with uint64
+                X = X.astype(narrow)
+        count = np.promote_types(np.min_scalar_type(X.shape[1]), np.uint16)
+        most = max(int((X[i + 1:] == X[i]).sum(axis=1, dtype=count).max())
+                   for i in range(X.shape[0] - 1))
+        return X.shape[1] - most
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,10 @@ class FHS:
 
     def __post_init__(self):
         s = np.asarray(self.seq)
+        if not s.size:
+            raise ValueError("the hopping sequence is empty")
+        if s.ndim != 1 or s.dtype.kind not in "iu":
+            raise ValueError("the hopping sequence is not a list of integer symbols")
         if s.min() < 0 or s.max() >= self.alphabet_size:
             raise ValueError("symbols out of range")
         if len(np.unique(s)) != self.alphabet_size:

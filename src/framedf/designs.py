@@ -13,6 +13,8 @@ _PAIR_CHUNK points at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
 from .fields import field_of_order
@@ -83,12 +85,15 @@ def affine_plane(q: int) -> tuple[BlockDesign, Resolution]:
     return design, Resolution(tuple(map(tuple, classes)))
 
 
-def rbibd_from_fdf(fdf: DesignFamily, ingredient: BlockDesign,
-                   ingredient_res: Resolution) -> tuple[BlockDesign, Resolution, RotationalStructure]:
+def rbibd_from_fdf(fdf: DesignFamily, ingredient: BlockDesign | Callable,
+                   ingredient_res: Resolution | None = None
+                   ) -> tuple[BlockDesign, Resolution, RotationalStructure]:
     """Resolvable design on G plus one extra point from a frame difference
-    family and an ingredient resolvable design on |N|+1 points.  A family
-    that fails verify_fdf, or an ingredient that fails verify_bibd or
-    verify_resolution, raises ValueError with the detail.
+    family and an ingredient resolvable design on |N|+1 points, given with
+    its resolution or as a function of the block size k that builds both
+    (trivial_rbibd, affine_plane), called once the family is verified.  A
+    family that fails verify_fdf, or an ingredient that fails verify_bibd
+    or verify_resolution, raises ValueError with the detail.
 
     For every coset representative s and every frame class index i, the
     parallel class is (frame class i translated by N then s) together with
@@ -106,6 +111,8 @@ def rbibd_from_fdf(fdf: DesignFamily, ingredient: BlockDesign,
     sub = np.asarray(fdf.subgroup, dtype=np.int64)
     n = len(sub)
     k = len(fdf.blocks[0])
+    if callable(ingredient):
+        ingredient, ingredient_res = ingredient(k)
     nclasses_needed = fdf.lam * n // (k - 1)
     if ingredient.v != n + 1 or ingredient.k != k or ingredient.lam != fdf.lam:
         raise ValueError("ingredient parameters do not match the frame")

@@ -3,12 +3,22 @@
 Round trips are lossless; element encodings are the integers used
 throughout the package.  Field descriptors carry the modulus and the
 generator coefficient vector so a reader can rebuild identical tables.
+
+`dump` and `dumps` are the package's one JSON writer (product files and
+CLI output).  For a value whose dict keys are all str, their text is
+exactly ``json.dumps(obj, indent=1, sort_keys=True)``, but a list of plain
+ints is joined in one call and a rectangular list of non-empty int rows
+(blocks, classes, phi, codewords) is filled into a repeated row template
+by one ``%`` per chunk of rows, so the ints of a large design never pass
+through json's pure-Python indenting encoder.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from typing import Any, Iterator
 
 from .fields import FiniteField, make_field
 from .groups import AbelianGroup
@@ -22,8 +32,11 @@ __all__ = [
     "family_to_dict", "family_from_dict",
     "lifting_to_dict", "lifting_from_dict",
     "design_to_dict", "design_from_dict",
-    "dump", "load",
+    "dump", "dumps", "load",
 ]
+
+# rows per `%` of a rectangular int list in _pieces; bounds the transient text
+_ROW_CHUNK = 4096
 
 
 def field_to_dict(field: FiniteField) -> dict:
@@ -127,9 +140,56 @@ def design_from_dict(d: dict) -> tuple[BlockDesign, Resolution | None]:
     return design, res
 
 
+def _pieces(obj, ind: str) -> Iterator[str]:
+    """The text of json.dumps(obj, indent=1, sort_keys=True) nested at
+    indentation `ind`, in pieces.  Scalars go to json.dumps, so anything
+    json rejects raises here too; so does a dict key that is not a str,
+    which json would write as a string."""
+    inner = ind + " "
+    if not isinstance(obj, (dict, list, tuple)):
+        yield json.dumps(obj)
+    elif not obj:
+        yield "{}" if isinstance(obj, dict) else "[]"
+    elif isinstance(obj, dict):
+        sep = "{\n" + inner
+        for key, value in sorted(obj.items()):
+            yield sep + encode_basestring_ascii(key) + ": "
+            yield from _pieces(value, inner)
+            sep = ",\n" + inner
+        yield "\n" + ind + "}"
+    else:
+        types = set(map(type, obj))
+        if types == {int}:
+            yield "[\n" + inner + (",\n" + inner).join(map(str, obj)) + "\n" + ind + "]"
+            return
+        sep = "[\n" + inner
+        if (types <= {list, tuple} and len(set(map(len, obj))) == 1 and obj[0]
+                and set(map(type, chain.from_iterable(obj))) == {int}):
+            cell = inner + " "
+            row = "[\n" + cell + (",\n" + cell).join(["%d"] * len(obj[0])) + "\n" + inner + "]"
+            for lo in range(0, len(obj), _ROW_CHUNK):
+                rows = obj[lo:lo + _ROW_CHUNK]
+                yield sep + (",\n" + inner).join([row] * len(rows)) % tuple(
+                    chain.from_iterable(rows))
+                sep = ",\n" + inner
+        else:
+            for value in obj:
+                yield sep
+                yield from _pieces(value, inner)
+                sep = ",\n" + inner
+        yield "\n" + ind + "]"
+
+
+def dumps(obj: Any) -> str:
+    """json.dumps(obj, indent=1, sort_keys=True), byte for byte; every dict
+    key must be a str."""
+    return "".join(_pieces(obj, ""))
+
+
 def dump(obj: Any, path) -> None:
+    """Write dumps(obj) and a newline to `path`, one piece at a time."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
+        fh.writelines(_pieces(obj, ""))
         fh.write("\n")
 
 

@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from framedf import catalog, lifting, search, serialize
+from framedf import catalog, cli, families, lifting, search, serialize
 from framedf.cli import main
 from framedf.designs import BlockDesign, affine_plane
+from framedf.groups import AbelianGroup
 from framedf.lifting import lift_sdf
 
 
@@ -384,3 +385,58 @@ def test_run_solve_step_on_the_paired_system(tmp_path, capsys):
     solve, conditions, lift = json.loads(out)
     assert solve["status"] == "sat" and solve["nodes"] > 0 and solve["assignment"]
     assert conditions["verified"] and lift["verified"]
+
+
+def test_search_proving_no_solution_exits_1(tmp_path, capsys):
+    # "exhausted" is a completed search, a proof; exit 3 is for a budget spent
+    rc, _, err = run(capsys, "search", "--system", "paley3", "--p", "5", "--q", "13")
+    assert (rc, err) == (1, "search: exhausted after 288 nodes\n")
+    recipe = tmp_path / "solve_paley3.json"
+    recipe.write_text(json.dumps({"steps": [{"id": "solve", "op": "solve", "out": "$d",
+                                             "params": {"system": "paley3", "p": 5, "q": 13}}]}))
+    rc, out, _ = run(capsys, "--format", "json", "run", str(recipe))
+    [record] = json.loads(out)
+    assert rc == 1 and record["status"] == "exhausted" and not record["verified"]
+
+
+def test_assemble_verifies_the_family_once(tmp_path, capsys, monkeypatch):
+    # the trivial ingredient on the z7xF89 frame (k = 8, |N| = 7) and AG(2, 2)
+    # on a Z9 frame with N = {0, 3, 6} and k = 2
+    z9 = families.DesignFamily(families.FDF, AbelianGroup.cyclic(9), 1,
+                               ((1, 2), (1, 5), (1, 8)), subgroup=(0, 3, 6),
+                               frame_partition=((0,), (1,), (2,)))
+    frames = {"trivial": lift_sdf(catalog.lifting_datum("fdf_z7xF89")), "affine": z9}
+    calls, verify_fdf = [], families.verify_fdf
+
+    def counted(fam):
+        calls.append(fam)
+        return verify_fdf(fam)
+    monkeypatch.setattr(cli.families, "verify_fdf", counted)
+    monkeypatch.setattr(cli.designs, "verify_fdf", counted)
+    for ingredient, frame in frames.items():
+        fdf = tmp_path / f"{ingredient}.json"
+        serialize.dump(serialize.family_to_dict(frame), fdf)
+        calls.clear()
+        rc, out, _ = run(capsys, "--format", "json", "assemble", "--fdf", str(fdf),
+                         "--ingredient", ingredient)
+        assert rc == 0 and json.loads(out)["verified"] and len(calls) == 1, ingredient
+
+
+def test_verify_fhs_names_an_empty_or_malformed_sequence(tmp_path, capsys):
+    path = tmp_path / "bad_fhs.json"
+    for seq, problem in (([], "is empty"), ([[0, 1], [1, 0]], "is not a list of integer symbols"),
+                         ([0, 1, "a"], "is not a list of integer symbols")):
+        path.write_text(json.dumps({"n": len(seq), "alphabet": 2, "seq": seq}))
+        rc, out, err = run(capsys, "verify-fhs", str(path))
+        assert (rc, out, err) == (2, "", f"error: the hopping sequence {problem}\n")
+
+
+def test_verify_ccc_names_a_ragged_or_malformed_codeword(tmp_path, capsys):
+    path = tmp_path / "ragged_ccc.json"
+    for codewords, problem in (([[0, 1], [1]], "codeword 1 has 1 symbols, codeword 0 has 2"),
+                               ([[0, 1], [1, 0], 5], "codeword 2 is not a list of symbols"),
+                               ([[0, 1], [1, "x"]],
+                                "the codewords hold a symbol that is not an integer")):
+        path.write_text(json.dumps({"n": 2, "codewords": codewords, "composition": [1, 1]}))
+        rc, out, err = run(capsys, "verify-ccc", str(path))
+        assert (rc, out, err) == (2, "", f"error: {problem}\n")

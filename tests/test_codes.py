@@ -155,3 +155,28 @@ def test_ccc_codewords_are_cyclic_shifts_on_cyclic_groups():
     base = ccc.codewords[0]
     for g in (1, 2, 77, 622):
         assert np.array_equal(ccc.codewords[g], np.roll(base, g))
+
+
+def naive_min_distance(rows, n):
+    best = n
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            best = min(best, sum(a != b for a, b in zip(rows[i], rows[j])))
+    return best
+
+
+def test_min_distance_matches_double_loop():
+    """Exhaustive against a plain double loop, whatever dtype the symbols
+    narrow to: small, negative, wider than 16 bits, at the int64 extremes,
+    and codes of zero, one and two codewords."""
+    rng = np.random.default_rng(7)
+    cases = [(0, 5, 0, 3), (1, 5, 0, 3), (2, 5, 0, 3), (2, 1, -1, 1)]
+    cases += [(int(rng.integers(3, 40)), int(rng.integers(1, 30)), lo, hi)
+              for lo, hi in ((0, 2), (0, 300), (-5, 5), (-70000, 70000), (2**40, 2**40 + 3))
+              for _ in range(4)]
+    for M, n, lo, hi in cases:
+        X = rng.integers(lo, hi, size=(M, n), endpoint=True)
+        ccc = codes.CCC(n, X, ())
+        assert ccc.min_distance() == naive_min_distance(X.tolist(), n), (M, n, lo, hi)
+    ends = np.array([[-2**63, 2**63 - 1, 0], [2**63 - 1, 2**63 - 1, 0], [-2**63, 0, 0]])
+    assert codes.CCC(3, ends, ()).min_distance() == naive_min_distance(ends.tolist(), 3) == 1

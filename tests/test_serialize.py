@@ -1,6 +1,13 @@
+import contextlib
+import io
 import json
 
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
 from framedf import catalog, serialize
+from framedf.cli import _emit
 from framedf.designs import affine_plane
 from framedf.fields import make_field
 from framedf.groups import AbelianGroup
@@ -49,3 +56,66 @@ def test_design_round_trip(tmp_path):
     back, back_res = serialize.design_from_dict(serialize.load(path))
     assert back.blocks == design.blocks
     assert back_res.classes == res.classes
+
+
+_ints = st.integers(-3, 3) | st.integers()
+_scalars = st.none() | st.booleans() | _ints | st.floats() | st.text()
+# rectangular int rows (the shape of blocks, classes, phi and codewords)
+_int_rows = st.integers(1, 4).flatmap(
+    lambda m: st.lists(st.lists(_ints, min_size=m, max_size=m)
+                       | st.tuples(*[_ints] * m), max_size=6))
+
+
+def _containers(inner):
+    return (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+            | st.dictionaries(st.text(max_size=3), inner, max_size=4))
+
+
+_values = st.recursive(
+    _scalars | st.lists(_ints) | _int_rows
+    | st.lists(st.lists(_ints, max_size=4), max_size=5)               # ragged rows
+    | st.lists(st.lists(_ints | _scalars, min_size=1, max_size=3), max_size=4),
+    _containers, max_leaves=20)
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_values)
+@example([])
+@example({})
+@example([[], []])
+@example([[1, 2], [3, True]])
+@example([[1, 2], (3, 4)])
+@example({"\u00e9\n\"%d": [float("nan"), -2**70, None, False]})
+@example({"b": [[0, 1]], "a": {"c": ()}})
+def test_dump_and_cli_json_match_json_dumps(tmp_path, obj):
+    want = json.dumps(obj, indent=1, sort_keys=True)
+    assert serialize.dumps(obj) == want
+    path = tmp_path / "obj.json"
+    serialize.dump(obj, path)
+    assert path.read_text() == want + "\n"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(obj, "json")
+    assert out.getvalue() == want + "\n"
+
+
+def test_dumps_chunks_long_int_rows_exactly(monkeypatch):
+    monkeypatch.setattr(serialize, "_ROW_CHUNK", 3)
+    for rows in ([[i, -i] for i in range(7)], [(i,) for i in range(6)], [[5, 6, 7]]):
+        assert serialize.dumps({"rows": rows}) == json.dumps({"rows": rows}, indent=1,
+                                                             sort_keys=True)
+
+
+@pytest.mark.parametrize("obj", [[np.int64(3)], [[1, 2], [3, np.int64(4)]], {(1,): 2},
+                                 [object()], {"a": 1, 2: 3}])
+def test_dumps_raises_where_json_does(obj):
+    with pytest.raises(TypeError):
+        json.dumps(obj, indent=1, sort_keys=True)
+    with pytest.raises(TypeError):
+        serialize.dumps(obj)
+
+
+def test_dumps_raises_on_a_key_that_is_not_a_str():
+    # json would write the key 1 as "1"; no product or record has such a key
+    with pytest.raises(TypeError):
+        serialize.dumps({"a": {1: 2}})
