@@ -5,9 +5,12 @@ Points of an assembled design are the group elements in canonical
 enumeration order with the fixed point last (index |G|).  Designs are
 stored with sorted blocks and sorted classes so serialization is stable.
 Assembly works on whole integer arrays (broadcast group addition, one
-sort) and converts to tuples once.  The verifiers scan every point pair
-and every class in memory linear in the design: the pair scan takes
-_PAIR_CHUNK points at a time.
+sort), and the blocks and classes it stores are those arrays: read-only
+int64 of shape (b, k) and (classes, width).  The verifiers also take a
+hand-built design whose rows are a list of tuples, ragged or not: every
+scan runs on the rows as (flat points, row lengths), see _rows.  They scan
+every point pair and every class in memory linear in the design: the pair
+scan takes _PAIR_CHUNK points at a time.
 """
 
 from __future__ import annotations
@@ -39,18 +42,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockDesign:
+    """A (v, k, lam) design.  `blocks` is a read-only int64 (b, k) array
+    when built by this package or read by serialize.design_from_dict from
+    rows of one length (a file with rows of other lengths reads as a tuple
+    of int64 rows, see _stored), or a sequence of point sequences, possibly
+    ragged, when built by hand.  Equality and hashing are by identity
+    (eq=False), not elementwise: compare two designs' rows with
+    np.array_equal."""
     v: int
     k: int
     lam: int
-    blocks: tuple[tuple[int, ...], ...]
+    blocks: np.ndarray | tuple
     provenance: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Resolution:
-    classes: tuple[tuple[int, ...], ...]   # partition of block indices
+    """A partition of block indices into classes, stored as `blocks` is:
+    a read-only int64 (classes, width) array or a sequence of rows.
+    Equality and hashing are by identity."""
+    classes: np.ndarray | tuple
 
 
 @dataclass(frozen=True)
@@ -65,8 +78,9 @@ def trivial_rbibd(k: int) -> tuple[BlockDesign, Resolution]:
     """One block containing all k points; one parallel class."""
     if k < 2:
         raise ValueError("need k >= 2")
-    design = BlockDesign(k, k, 1, (tuple(range(k)),), provenance="trivial(%d)" % k)
-    return design, Resolution(((0,),))
+    design = BlockDesign(k, k, 1, _stored(np.arange(k).reshape(1, k)),
+                         provenance="trivial(%d)" % k)
+    return design, Resolution(_stored([[0]]))
 
 
 def affine_plane(q: int) -> tuple[BlockDesign, Resolution]:
@@ -78,11 +92,9 @@ def affine_plane(q: int) -> tuple[BlockDesign, Resolution]:
     ys = fld.add(fld.mul(e[:, None, None], e[None, None, :]), e[None, :, None])
     sloped = np.sort(e * q + ys, axis=-1).reshape(q * q, q)
     vertical = e[:, None] * q + e[None, :]          # pencil x = c, last
-    blocks = np.concatenate([sloped, vertical]).tolist()
-    classes = np.arange(len(blocks)).reshape(q + 1, q).tolist()
-    design = BlockDesign(q * q, q, 1, tuple(map(tuple, blocks)),
-                         provenance="affinePlane(%d)" % q)
-    return design, Resolution(tuple(map(tuple, classes)))
+    blocks = _stored(np.concatenate([sloped, vertical]))
+    design = BlockDesign(q * q, q, 1, blocks, provenance="affinePlane(%d)" % q)
+    return design, Resolution(_stored(np.arange(len(blocks)).reshape(q + 1, q)))
 
 
 def rbibd_from_fdf(fdf: DesignFamily, ingredient: BlockDesign | Callable,
@@ -132,12 +144,45 @@ def rbibd_from_fdf(fdf: DesignFamily, ingredient: BlockDesign | Callable,
     point_map = np.column_stack([shifts, np.full(len(reps), G.order)])
     copies = point_map[:, np.asarray(ingredient.blocks)[np.asarray(ingredient_res.classes)]]
     per_class = np.concatenate([translates.reshape(copies.shape[:2] + (-1, k)), copies], axis=2)
-    blocks = np.sort(per_class, axis=-1).reshape(-1, k).tolist()
-    classes = np.arange(len(blocks)).reshape(-1, per_class.shape[2]).tolist()
-    design = BlockDesign(G.order + 1, k, fdf.lam, tuple(map(tuple, blocks)),
+    per_class.sort(axis=-1)
+    blocks = _stored(per_class.reshape(-1, k))
+    classes = _stored(np.arange(len(blocks)).reshape(-1, per_class.shape[2]))
+    design = BlockDesign(G.order + 1, k, fdf.lam, blocks,
                          provenance=(fdf.provenance + " + " + ingredient.provenance).strip())
     rot = RotationalStructure(G, tuple(range(G.order)))
-    return design, Resolution(tuple(map(tuple, classes))), rot
+    return design, Resolution(classes), rot
+
+
+def _stored(flat, lens: np.ndarray | None = None):
+    """Blocks or classes in the form a design stores them.  `flat` is a 2-D
+    array of rows, or the entries of rows in order with `lens` their
+    lengths.  Rows of one nonzero length are a read-only C-contiguous int64
+    (rows, width) array; other rows (a malformed design read from a file,
+    for the verifiers to reject) a tuple of read-only int64 rows."""
+    arr = np.ascontiguousarray(flat, dtype=np.int64)
+    arr.flags.writeable = False
+    if lens is None:
+        return arr
+    if len(lens) and lens[0] and (lens == lens[0]).all():
+        return arr.reshape(len(lens), int(lens[0]))
+    return tuple(np.split(arr, np.cumsum(lens)[:-1])) if len(lens) else ()
+
+
+def _rows(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Stored rows (blocks, or classes of block indices) as their entries
+    in row order, int64, and each row's length: a ravel of a 2-D array, or
+    _flat of a sequence of rows, ragged or not."""
+    if isinstance(rows, np.ndarray):
+        return (np.asarray(rows, dtype=np.int64).ravel(),
+                np.full(len(rows), rows.shape[1], dtype=np.int64))
+    return _flat(rows), np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+
+
+def _size_error(lens: np.ndarray, k: int) -> tuple:
+    """The blocks whose length is not k, naming the first, as the input
+    checks of families return them."""
+    wrong = np.flatnonzero(lens != k)[:WITNESSES]
+    return (f"block {wrong[0]} does not have {k} points", wrong.tolist()) if len(wrong) else ()
 
 
 def verify_bibd(design: BlockDesign) -> Report:
@@ -151,16 +196,16 @@ def verify_bibd(design: BlockDesign) -> Report:
     k = design.k
     if k < 2:
         return Report(False, f"block size {k} < 2 covers no pairs", [("k", k)])
-    wrong = [i for i, blk in enumerate(design.blocks) if len(blk) != k]
-    if wrong:
-        return Report(False, f"block {wrong[0]} does not have {k} points", wrong)
-    mat = np.asarray(design.blocks, dtype=np.int64).reshape(-1, k)
+    flat, lens = _rows(design.blocks)
+    error = _size_error(lens, k)
+    if error:
+        return Report(False, *error)
+    mat = flat.reshape(-1, k)
     stray = np.argwhere((mat < 0) | (mat >= v))[:WITNESSES]
     if len(stray):
         bi, pos = stray[0]
         return Report(False, f"block {bi} holds point {mat[bi, pos]} outside 0..{v - 1}",
                       [(int(b), int(mat[b, p])) for b, p in stray])
-    flat = mat.ravel()
     by_point = np.argsort(flat)
     start = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=v))])
     bad: list[tuple[int, int, int]] = []
@@ -180,10 +225,10 @@ def verify_bibd(design: BlockDesign) -> Report:
         x, y, count = bad[0]
         return Report(False, f"pair ({x}, {y}) lies in {count} blocks, not {design.lam}", bad)
     expected_b = design.lam * v * (v - 1) // (k * (k - 1))
-    if len(design.blocks) != expected_b:
+    if len(mat) != expected_b:
         # only blocks that repeat a point get here: they cover fewer pairs
-        return Report(False, f"{len(design.blocks)} blocks, expected {expected_b}",
-                      [("blocks", len(design.blocks))])
+        return Report(False, f"{len(mat)} blocks, expected {expected_b}",
+                      [("blocks", len(mat))])
     return Report(True)
 
 
@@ -192,33 +237,44 @@ def verify_resolution(design: BlockDesign, res: Resolution) -> Report:
     0..v-1.  The classes are counted in one (class, point) table, which
     stops at the first class holding a point outside 0..v-1 or other than
     v points, so it is no larger than the points counted plus one row."""
-    error = _partition_error(res.classes, len(design.blocks), "resolution")
+    flat, lens = _rows(design.blocks)
+    idx, class_lens = _rows(res.classes)
+    error = _partition_error(idx, len(lens), "resolution")
     if error:
         return Report(False, *error)
     if design.k < 2:
         return Report(False, f"block size {design.k} < 2 covers no pairs", [("k", design.k)])
     v = design.v
     expected = design.lam * (v - 1) // (design.k - 1)
-    if len(res.classes) != expected:
-        return Report(False, f"{len(res.classes)} classes, expected {expected}",
-                      [("classes", len(res.classes))])
-    pts = _flat(design.blocks[i] for cls in res.classes for i in cls)
-    sizes = np.fromiter((sum(len(design.blocks[i]) for i in cls) for cls in res.classes),
-                        dtype=np.int64, count=len(res.classes))
-    class_of = np.repeat(np.arange(len(sizes)), sizes)
-    stray = (pts < 0) | (pts >= v)
-    first_stray = class_of[stray.argmax()] if stray.any() else len(sizes)
+    if len(class_lens) != expected:
+        return Report(False, f"{len(class_lens)} classes, expected {expected}",
+                      [("classes", len(class_lens))])
+    # each point's class, in block order (the partition check above makes
+    # idx a permutation of the blocks)
+    block_class = np.empty(len(lens), dtype=np.int64)
+    block_class[idx] = np.repeat(np.arange(len(class_lens)), class_lens)
+    class_of = np.repeat(block_class, lens)
+    sizes = np.bincount(class_of, minlength=len(class_lens))
+    first_stray = class_of[(flat < 0) | (flat >= v)].min(initial=len(sizes))
     first_wrong = np.append(np.flatnonzero(sizes != v), len(sizes))[0]
     rows = min(first_stray, first_wrong + 1)
-    counted = sizes[:rows].sum()
-    table = np.bincount(class_of[:counted] * v + pts[:counted],
-                        minlength=rows * v).reshape(rows, v)
+    cells, points = class_of, flat
+    if rows < len(sizes):
+        counted = class_of < rows
+        cells, points = class_of[counted], flat[counted]
+    cells *= v      # in place: class_of is not read again
+    cells += points
+    table = np.bincount(cells, minlength=rows * v).reshape(rows, v)
     bad = np.flatnonzero((table != 1).any(axis=1))
     if len(bad):
         return _count_report(table[bad[0]], 1, f"class {bad[0]}: point")
     if first_stray < len(sizes):
-        return Report(False, *_outside(pts[class_of == first_stray], v,
-                                       f"class {first_stray}: point"))
+        # the stray class's points in the order the class lists its blocks
+        end = class_lens[:first_stray + 1].sum()
+        starts = np.cumsum(lens) - lens
+        pts = np.concatenate([flat[starts[i]:starts[i] + lens[i]]
+                              for i in idx[end - class_lens[first_stray]:end]])
+        return Report(False, *_outside(pts, v, f"class {first_stray}: point"))
     return Report(True)
 
 
@@ -230,36 +286,41 @@ def verify_one_rotational(design: BlockDesign, res: Resolution,
     invariance under the whole group; a failing generator is the witness.
     Every block must have k points, as in verify_bibd.  Multisets are
     compared as canonical arrays: the row-sorted blocks in lexicographic
-    order, then the classes as sorted rows of block ids, likewise."""
+    order, then the classes as sorted rows of block ids, likewise, each
+    row packed into int64 keys (_canonical)."""
     G = rot.group
     if G.order != design.v - 1:
         return Report(False, f"group order {G.order} is not v-1 = {design.v - 1}",
                       [("order", G.order)])
     point_of = np.asarray(rot.action, dtype=np.int64)
+    flat, lens = _rows(design.blocks)
+    idx, class_lens = _rows(res.classes)
     error = (_outside(point_of, G.order, "action point")
-             or _outside(_flat(design.blocks), design.v, "block point")
-             or _outside(_flat(res.classes), len(design.blocks), "class block"))
+             or _outside(flat, design.v, "block point")
+             or _outside(idx, len(lens), "class block"))
     if error:
         return Report(False, *error)
     rep = _count_report(np.bincount(point_of, minlength=G.order), 1, "action: point")
     if not rep.ok:
         return rep
-    k = design.k
-    wrong = [i for i, blk in enumerate(design.blocks) if len(blk) != k]
-    if wrong:
-        return Report(False, f"block {wrong[0]} does not have {k} points", wrong)
-    mat = np.asarray(design.blocks, dtype=np.int64).reshape(len(design.blocks), k)
+    error = _size_error(lens, design.k)
+    if error:
+        return Report(False, *error)
+    mat = flat.reshape(len(lens), design.k)
     # the classes as rows of block indices, short ones padded with -1
-    width = max(map(len, res.classes), default=0)
-    padded = np.array([list(cls) + [-1] * (width - len(cls)) for cls in res.classes],
-                      dtype=np.int64).reshape(len(res.classes), width)
+    padded = np.full((len(class_lens), class_lens.max(initial=0)), -1, dtype=np.int64)
+    padded[np.arange(padded.shape[1]) < class_lens[:, None]] = idx
 
     def multisets(perm):
         """The block and class multisets with points renamed by perm, in
         canonical form.  A block's id is its rank among the distinct
         blocks, so two designs' class ids agree once their blocks do."""
-        blocks, ids = _canonical(np.sort(perm[mat], axis=1))
-        return blocks, _canonical(np.sort(np.append(ids, -1)[padded], axis=1))[0]
+        moved = perm[mat]
+        moved.sort(axis=1)
+        blocks, ids = _canonical(moved, design.v)
+        classes = np.append(ids + 1, 0)[padded]     # ids from 1, padding 0
+        classes.sort(axis=1)
+        return blocks, _canonical(classes, len(ids) + 1)[0]
 
     blocks, classes = multisets(np.arange(design.v))
     infinity = design.v - 1
@@ -275,13 +336,21 @@ def verify_one_rotational(design: BlockDesign, res: Resolution,
     return Report(True)
 
 
-def _canonical(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of an integer matrix in lexicographic order, and each row's
-    rank among the distinct rows."""
-    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
-    ranked = rows[order]
+def _canonical(rows: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a matrix of integers in 0..bound-1 in lexicographic
+    order, as packed keys (one int64 key array per 63 // bits entries, the
+    first entry in the high bits, so keys order and compare as the rows
+    do), and each row's rank among the distinct rows."""
+    bits = max(1, (bound - 1).bit_length())
+    per = 63 // bits
+    keys = np.zeros((-(-rows.shape[1] // per), len(rows)), dtype=np.int64)
+    for j in range(rows.shape[1]):
+        keys[j // per] <<= bits
+        keys[j // per] |= rows[:, j]
+    order = np.lexsort(keys[::-1]) if len(keys) else np.arange(len(rows))
+    ranked = keys[:, order]
     new = np.ones(len(rows), dtype=bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    new[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
     ids = np.empty(len(rows), dtype=np.int64)
     ids[order] = np.cumsum(new) - 1
     return ranked, ids

@@ -114,6 +114,9 @@ def delta_counts(group: AbelianGroup, blocks: Sequence[Sequence[int]]) -> np.nda
 
 WITNESSES = 32
 
+# sums per step of _subgroup_error's closure scan: |N| <= 128 takes one step
+_CLOSURE_CELLS = 1 << 14
+
 
 @dataclass(frozen=True)
 class Report:
@@ -189,7 +192,9 @@ def _outside(arr: np.ndarray, n: int, what: str) -> tuple:
 def _subgroup_error(group: AbelianGroup, subgroup: Sequence[int]) -> tuple:
     """Why the in-range elements `subgroup` are not a subgroup of `group`,
     naming the first offending element (a nonempty finite set closed under
-    the group law is a subgroup)."""
+    the group law is a subgroup).  The addition table is scanned in chunks
+    of about _CLOSURE_CELLS sums, row by row; witnesses are (a, b, a + b)
+    in row-major order."""
     sub = np.asarray(subgroup, dtype=np.int64)
     if len(sub) == 0:
         return "designated subgroup is empty", [("subgroup", ())]
@@ -197,10 +202,16 @@ def _subgroup_error(group: AbelianGroup, subgroup: Sequence[int]) -> tuple:
     twice = sub[listed[sub] > 1]
     if len(twice):
         return f"subgroup element {twice[0]} is listed twice", twice.tolist()
-    table = group.add(sub[:, None], sub[None, :]).ravel()
-    out = np.flatnonzero(listed[table] == 0)[:WITNESSES]
-    if len(out):
-        sums = [(int(sub[i // len(sub)]), int(sub[i % len(sub)]), int(table[i])) for i in out]
+    sums: list[tuple[int, int, int]] = []
+    step = max(1, _CLOSURE_CELLS // len(sub))
+    for lo in range(0, len(sub), step):
+        table = group.add(sub[lo:lo + step, None], sub[None, :])
+        rows, cols = np.nonzero(listed[table] == 0)
+        rows, cols = rows[:WITNESSES - len(sums)], cols[:WITNESSES - len(sums)]
+        sums += zip(sub[lo + rows].tolist(), sub[cols].tolist(), table[rows, cols].tolist())
+        if len(sums) == WITNESSES:
+            break
+    if sums:
         a, b, c = sums[0]
         return f"designated subgroup is not closed: {a} + {b} = {c} lies outside it", sums
     return ()
@@ -233,10 +244,10 @@ def verify_relative_df(fam: DesignFamily) -> Report:
     return _count_report(delta_counts(group, fam.blocks), want, "difference")
 
 
-def _partition_error(partition, nblocks: int, what: str) -> tuple:
-    """Why `partition` (the `what`) does not cover the block indices
-    0..nblocks-1 exactly once, naming the first offending index."""
-    idx = _flat(partition)
+def _partition_error(idx: np.ndarray, nblocks: int, what: str) -> tuple:
+    """Why the block indices `idx` of a partition (the `what`), listed part
+    by part, do not cover 0..nblocks-1 exactly once, naming the first
+    offending index."""
     error = _outside(idx, nblocks, f"{what} block index")
     if error:
         return error
@@ -288,7 +299,7 @@ def verify_fdf(fam: DesignFamily) -> Report:
     parts = fam.frame_partition
     if parts is None:
         return Report(False, "missing frame partition", [("frame_partition", None)])
-    error = _partition_error(parts, len(fam.blocks), "frame partition")
+    error = _partition_error(_flat(parts), len(fam.blocks), "frame partition")
     if error:
         return Report(False, *error)
     base = verify_relative_df(fam)

@@ -4,27 +4,41 @@ Round trips are lossless; element encodings are the integers used
 throughout the package.  Field descriptors carry the modulus and the
 generator coefficient vector so a reader can rebuild identical tables.
 
+Readers check their input once, where it is built: every integer field
+(v, k, lambda, e, d) must be a plain int that fits in int64, every row of
+a block, class, subgroup, frame partition, phi or lifting partition a
+list, and every entry an integer that fits in int64; a bool is neither.
+Otherwise a ValueError names the first bad entry.  A design's blocks and
+classes are read straight into int64 arrays and stored as designs._stored
+stores them: read-only (rows, width) arrays when the rows have one
+nonzero length.
+
 `dump` and `dumps` are the package's one JSON writer (product files and
 CLI output).  For a value whose dict keys are all str, their text is
-exactly ``json.dumps(obj, indent=1, sort_keys=True)``, but a list of plain
-ints is joined in one call and a rectangular list of non-empty int rows
-(blocks, classes, phi, codewords) is filled into a repeated row template
-by one ``%`` per chunk of rows, so the ints of a large design never pass
-through json's pure-Python indenting encoder.
+exactly ``json.dumps(obj, indent=1, sort_keys=True)`` with an int array
+(a design's blocks and classes) written as its ``tolist()``, but a list
+of plain ints is joined in one call and a rectangular list of non-empty
+int rows or such an array (blocks, classes, phi, codewords) is filled
+into a repeated row template by one ``%`` per chunk of rows, so the ints
+of a large design never pass through json's pure-Python indenting
+encoder, nor become one list of lists.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterator
+
+import numpy as np
 
 from .fields import FiniteField, make_field
 from .groups import AbelianGroup
 from .families import DesignFamily
 from .lifting import LiftingData
-from .designs import BlockDesign, Resolution
+from .designs import BlockDesign, Resolution, _stored
 
 __all__ = [
     "field_to_dict", "field_from_dict",
@@ -83,11 +97,10 @@ def family_from_dict(d: dict) -> DesignFamily:
     return DesignFamily(
         kind=d["kind"],
         group=group_from_dict(d["group"]),
-        lam=d["lambda"],
-        blocks=tuple(tuple(b) for b in d["blocks"]),
-        subgroup=tuple(d["subgroup"]) if "subgroup" in d else None,
-        frame_partition=tuple(tuple(p) for p in d["framePartition"])
-        if "framePartition" in d else None,
+        lam=_int(d, "lambda"),
+        blocks=_int_tuples(d, "blocks"),
+        subgroup=_int_tuples(d, "subgroup", depth=1) if "subgroup" in d else None,
+        frame_partition=_int_tuples(d, "framePartition") if "framePartition" in d else None,
         provenance=d.get("provenance", ""),
     )
 
@@ -109,11 +122,11 @@ def lifting_from_dict(d: dict) -> LiftingData:
     return LiftingData(
         sdf=family_from_dict(d["sdf"]),
         field=field_from_dict(d["field"]),
-        e=d["e"],
-        d=d["d"],
-        lam=d["lambda"],
-        phi=tuple(tuple(r) for r in d["phi"]),
-        partition=tuple(tuple(p) for p in d["partition"]),
+        e=_int(d, "e"),
+        d=_int(d, "d"),
+        lam=_int(d, "lambda"),
+        phi=_int_tuples(d, "phi"),
+        partition=_int_tuples(d, "partition"),
         provenance=d.get("provenance", ""),
     )
 
@@ -123,30 +136,99 @@ def design_to_dict(design: BlockDesign, res: Resolution | None = None) -> dict:
         "v": design.v,
         "k": design.k,
         "lambda": design.lam,
-        "blocks": [list(b) for b in design.blocks],
+        "blocks": design.blocks,
         "provenance": design.provenance,
     }
     if res is not None:
-        out["resolution"] = [list(c) for c in res.classes]
+        out["resolution"] = res.classes
     return out
 
 
 def design_from_dict(d: dict) -> tuple[BlockDesign, Resolution | None]:
-    design = BlockDesign(d["v"], d["k"], d["lambda"],
-                         tuple(tuple(b) for b in d["blocks"]),
+    design = BlockDesign(_int(d, "v"), _int(d, "k"), _int(d, "lambda"),
+                         _stored(*_int_array(d["blocks"], "blocks")),
                          provenance=d.get("provenance", ""))
-    res = Resolution(tuple(tuple(c) for c in d["resolution"])) \
+    res = Resolution(_stored(*_int_array(d["resolution"], "resolution"))) \
         if "resolution" in d else None
     return design, res
 
 
+def _int(d: dict, key: str) -> int:
+    x = d[key]
+    if type(x) is not int or not -2**63 <= x < 2**63:     # a bool's type is bool
+        raise ValueError(f"{key} = {x!r} is not an int64 integer")
+    return x
+
+
+def _int_array(value, what: str, depth: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of `value`, a list of lists (a list when depth is 1) of
+    integers, not bools, that fit in int64: one int64 array of them in row
+    order, and each row's length.  Otherwise a ValueError names the first
+    entry or row that is not.  Building is the check: array.fromlist takes
+    only a list of integers in range, and only the entries it read as 0 or
+    1 can have been bools."""
+    rows = value if depth == 2 else [value]
+    out = array("q")
+    try:
+        if type(value) is not list:
+            raise TypeError
+        for row in rows:
+            out.fromlist(row)
+    except (TypeError, OverflowError):
+        raise ValueError(_first_bad(value, what, depth)) from None
+    flat = np.frombuffer(out, dtype=np.int64)
+    lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    at = np.flatnonzero((flat == 0) | (flat == 1))
+    ends = np.cumsum(lens)
+    in_row = np.searchsorted(ends, at, side="right")
+    in_col = at - (ends - lens)[in_row]
+    if any(type(rows[i][j]) is bool for i, j in zip(in_row.tolist(), in_col.tolist())):
+        raise ValueError(_first_bad(value, what, depth))
+    return flat, lens
+
+
+def _is_entry(x) -> bool:
+    """x is an entry as _int_array reads it."""
+    try:
+        array("q").fromlist([x])
+    except (TypeError, OverflowError):
+        return False
+    return type(x) is not bool
+
+
+def _first_bad(value, what: str, depth: int) -> str:
+    if type(value) is not list:
+        return f"{what} = {value!r} is not a list"
+    for i, x in enumerate(value):
+        if depth > 1:
+            bad = _first_bad(x, f"{what}[{i}]", depth - 1)
+            if bad:
+                return bad
+        elif not _is_entry(x):
+            return f"{what}[{i}] = {x!r} is not an int64 integer"
+    return ""
+
+
+def _int_tuples(d: dict, key: str, depth: int = 2) -> tuple:
+    """d[key], checked as by _int_array, as (nested) tuples."""
+    _int_array(d[key], key, depth)
+    return tuple(map(tuple, d[key])) if depth == 2 else tuple(d[key])
+
+
 def _pieces(obj, ind: str) -> Iterator[str]:
     """The text of json.dumps(obj, indent=1, sort_keys=True) nested at
-    indentation `ind`, in pieces.  Scalars go to json.dumps, so anything
-    json rejects raises here too; so does a dict key that is not a str,
-    which json would write as a string."""
+    indentation `ind`, in pieces, with an int array written as its
+    tolist() (a non-empty 2-D one chunk by chunk).  Scalars go to
+    json.dumps, so anything json rejects (another array too) raises here
+    too; so does a dict key that is not a str, which json would write as a
+    string."""
     inner = ind + " "
-    if not isinstance(obj, (dict, list, tuple)):
+    if isinstance(obj, np.ndarray) and obj.dtype.kind in "iu":
+        if obj.ndim == 2 and obj.size:
+            yield from _row_pieces(obj, ind, lambda rows: rows.ravel().tolist())
+        else:
+            yield from _pieces(obj.tolist(), ind)
+    elif not isinstance(obj, (dict, list, tuple)):
         yield json.dumps(obj)
     elif not obj:
         yield "{}" if isinstance(obj, dict) else "[]"
@@ -161,23 +243,31 @@ def _pieces(obj, ind: str) -> Iterator[str]:
         types = set(map(type, obj))
         if types == {int}:
             yield "[\n" + inner + (",\n" + inner).join(map(str, obj)) + "\n" + ind + "]"
-            return
-        sep = "[\n" + inner
-        if (types <= {list, tuple} and len(set(map(len, obj))) == 1 and obj[0]
+        elif (types <= {list, tuple} and len(set(map(len, obj))) == 1 and obj[0]
                 and set(map(type, chain.from_iterable(obj))) == {int}):
-            cell = inner + " "
-            row = "[\n" + cell + (",\n" + cell).join(["%d"] * len(obj[0])) + "\n" + inner + "]"
-            for lo in range(0, len(obj), _ROW_CHUNK):
-                rows = obj[lo:lo + _ROW_CHUNK]
-                yield sep + (",\n" + inner).join([row] * len(rows)) % tuple(
-                    chain.from_iterable(rows))
-                sep = ",\n" + inner
+            yield from _row_pieces(obj, ind, chain.from_iterable)
         else:
+            sep = "[\n" + inner
             for value in obj:
                 yield sep
                 yield from _pieces(value, inner)
                 sep = ",\n" + inner
-        yield "\n" + ind + "]"
+            yield "\n" + ind + "]"
+
+
+def _row_pieces(rows, ind: str, ints) -> Iterator[str]:
+    """Non-empty rows of one nonzero length, as _pieces writes them: one
+    row template filled by one `%` per _ROW_CHUNK rows, whose ints come
+    from ints(chunk) in row order."""
+    inner = ind + " "
+    cell = inner + " "
+    row = "[\n" + cell + (",\n" + cell).join(["%d"] * len(rows[0])) + "\n" + inner + "]"
+    sep = "[\n" + inner
+    for lo in range(0, len(rows), _ROW_CHUNK):
+        chunk = rows[lo:lo + _ROW_CHUNK]
+        yield sep + (",\n" + inner).join([row] * len(chunk)) % tuple(ints(chunk))
+        sep = ",\n" + inner
+    yield "\n" + ind + "]"
 
 
 def dumps(obj: Any) -> str:

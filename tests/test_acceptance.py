@@ -131,7 +131,8 @@ def test_criterion_5_z63_repair_and_1576_assembly():
     assert design.v * (design.v - 1) // 2 == 1241100
     assert designs.verify_resolution(design, res).ok
     # the design as assembled one block tuple at a time, before whole-array assembly
-    blob = json.dumps(serialize.design_to_dict(design, res), sort_keys=True).encode()
+    blob = json.dumps(serialize.design_to_dict(design, res), sort_keys=True,
+                      default=np.ndarray.tolist).encode()
     assert hashlib.sha256(blob).hexdigest() == \
         "733689f75c42e7ebf9ef77a11d22aa8cca5d912f5349ffebad82522ad14b8166"
     _stamp("criterion 5 (z63 repair, 1576-point chain)", t0, 120)

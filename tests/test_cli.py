@@ -108,6 +108,7 @@ def test_import_accepts_and_rejects(tmp_path, capsys):
     assert rc == 0 and json.loads(out)["accepted"]
 
     blob = serialize.design_to_dict(design, res)
+    blob["resolution"] = blob["resolution"].tolist()
     blob["resolution"][0] = blob["resolution"][1]       # corrupt the class list
     bad = tmp_path / "bad.json"
     serialize.dump(blob, bad)
@@ -440,3 +441,47 @@ def test_verify_ccc_names_a_ragged_or_malformed_codeword(tmp_path, capsys):
         path.write_text(json.dumps({"n": 2, "codewords": codewords, "composition": [1, 1]}))
         rc, out, err = run(capsys, "verify-ccc", str(path))
         assert (rc, out, err) == (2, "", f"error: {problem}\n")
+
+
+# AG(2,2) as written to a file: blocks [[0, 2], [1, 3], [0, 3], [1, 2], [0, 1],
+# [2, 3]] and classes [[0, 1], [2, 3], [4, 5]].  The first four edits read
+# back as the same valid design if the value is taken as an int.
+@pytest.mark.parametrize("path,value,named", [
+    (("blocks", 0, 1), 2.5, "blocks[0][1] = 2.5 is not an int64 integer"),
+    (("blocks", 0, 1), "2", "blocks[0][1] = '2' is not an int64 integer"),
+    (("blocks", 4, 1), True, "blocks[4][1] = True is not an int64 integer"),
+    (("resolution", 1, 0), 2.0, "resolution[1][0] = 2.0 is not an int64 integer"),
+    (("blocks", 2), 5, "blocks[2] = 5 is not a list"),
+    (("blocks", 0, 1), 2**70, f"blocks[0][1] = {2**70} is not an int64 integer"),
+    (("v",), "4", "v = '4' is not an int64 integer"),
+])
+def test_malformed_design_file_exits_2(tmp_path, capsys, path, value, named):
+    blob = json.loads(serialize.dumps(serialize.design_to_dict(*affine_plane(2))))
+    *keys, last = path
+    functools.reduce(lambda obj, key: obj[key], keys, blob)[last] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(blob))
+    assert run(capsys, "import", str(bad)) == (2, "", f"parse failure: {named}\n")
+    assert run(capsys, "verify-design", str(bad)) == (2, "", f"error: {named}\n")
+
+
+@pytest.mark.parametrize("change", [lambda x: x + 0.25, str])
+def test_assemble_rejects_a_family_element_that_is_not_an_int(tmp_path, capsys, change):
+    blob = serialize.family_to_dict(lift_sdf(catalog.lifting_datum("fdf_z7xF89")))
+    blob["blocks"][0][0] = change(blob["blocks"][0][0])
+    bad = tmp_path / "fdf.json"
+    bad.write_text(json.dumps(blob))
+    rc, out, err = run(capsys, "assemble", "--fdf", str(bad), "--ingredient", "trivial")
+    assert (rc, out) == (2, "")
+    assert err == f"error: blocks[0][0] = {blob['blocks'][0][0]!r} is not an int64 integer\n"
+
+
+def test_lift_rejects_a_phi_entry_that_is_not_an_int(tmp_path, capsys):
+    root = Path(__file__).resolve().parents[1]
+    blob = json.loads((root / "perfbench" / "data" / "z63xF25_repaired.json").read_text())
+    blob["phi"][0][0] += 0.5
+    bad = tmp_path / "datum.json"
+    bad.write_text(json.dumps(blob))
+    rc, out, err = run(capsys, "lift", "--data", str(bad))
+    assert (rc, out) == (2, "")
+    assert err == f"error: phi[0][0] = {blob['phi'][0][0]!r} is not an int64 integer\n"

@@ -3,6 +3,7 @@ import hashlib
 import json
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,7 +50,8 @@ AFFINE_PLANE_SHA256 = {
 
 
 def design_sha256(design, res):
-    blob = json.dumps(serialize.design_to_dict(design, res), sort_keys=True)
+    blob = json.dumps(serialize.design_to_dict(design, res), sort_keys=True,
+                      default=np.ndarray.tolist)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -376,8 +378,10 @@ def oracle_cases():
     cases += [random_design(rng) for _ in range(300)]
     # every pair right, but blocks that repeat a point make the count wrong
     plane, plane_res = affine_plane(2)
-    cases.append((BlockDesign(4, 2, 1, plane.blocks + ((3, 3),)),
-                  Resolution(plane_res.classes[:-1] + (plane_res.classes[-1] + (6,),))))
+    blocks = tuple(map(tuple, plane.blocks.tolist()))
+    classes = tuple(map(tuple, plane_res.classes.tolist()))
+    cases.append((BlockDesign(4, 2, 1, blocks + ((3, 3),)),
+                  Resolution(classes[:-1] + (classes[-1] + (6,),))))
     cases.append((BlockDesign(4, 2, 0, ((1, 1), (2, 2))), None))
     return cases
 
@@ -458,12 +462,12 @@ def rotational_cases():
     design, res, rot = rbibd_from_fdf(fdf, *trivial_rbibd(8))
     iso = crt_iso(fdf.group)
     rot623 = RotationalStructure(iso.target, tuple(int(iso.invert(z)) for z in range(623)))
-    blocks = list(design.blocks)
+    blocks = list(map(tuple, design.blocks.tolist()))
     first = blocks[0]
     stray = next(x for x in range(design.v) if x not in first)
     blocks[0] = (stray,) + first[1:]
     moved = BlockDesign(design.v, design.k, design.lam, tuple(blocks))
-    classes = list(map(list, res.classes))
+    classes = res.classes.tolist()
     classes[0][0], classes[1][0] = classes[1][0], classes[0][0]
     swapped = Resolution(tuple(map(tuple, classes)))
     scrambled = list(rot623.action)
@@ -490,6 +494,67 @@ def test_verify_one_rotational_rejects_wrong_block_size_and_class_index():
     assert (rep.ok, rep.detail) == (False, "block 0 does not have 7 points")
     assert rep.witnesses == tuple(range(32))
     b = len(design.blocks)
-    last = Resolution(res.classes[:-1] + ((b,) + res.classes[-1][1:],))
+    classes = tuple(map(tuple, res.classes.tolist()))
+    last = Resolution(classes[:-1] + ((b,) + classes[-1][1:],))
     rep = verify_one_rotational(design, last, rot)
     assert (rep.ok, rep.detail) == (False, f"class block {b} lies outside 0..{b - 1}")
+
+
+def test_designs_store_read_only_int64_arrays(tmp_path):
+    fdf = lift_sdf(catalog.lifting_datum("fdf_z7xF89"))
+    made = {"trivial": (trivial_rbibd(5), (1, 5), (1, 1)),
+            "affine": (affine_plane(4), (20, 4), (5, 4)),
+            "rbibd": (rbibd_from_fdf(fdf, *trivial_rbibd(8))[:2], (6942, 8), (89, 78))}
+    path = tmp_path / "ap4.json"
+    serialize.dump(serialize.design_to_dict(*affine_plane(4)), path)
+    made["file"] = (serialize.design_from_dict(serialize.load(path)), (20, 4), (5, 4))
+    for name, ((design, res), blocks_shape, classes_shape) in made.items():
+        for rows, shape in ((design.blocks, blocks_shape), (res.classes, classes_shape)):
+            assert (type(rows), rows.dtype, rows.shape) == (np.ndarray, np.int64, shape), name
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0, 0] = 1
+    # equality and hashing are by identity, not elementwise
+    design, res = made["affine"][0]
+    assert design == design and design != made["file"][0][0]
+    assert len({design, res, design}) == 2
+
+
+def test_rbibd_from_fdf_holds_the_1576_point_design_in_arrays():
+    root = Path(__file__).resolve().parents[1]
+    datum = serialize.lifting_from_dict(
+        serialize.load(root / "perfbench" / "data" / "z63xF25_repaired.json"))
+    fdf = lift_sdf(datum)
+    ingredient = affine_plane(8)
+    tracemalloc.start()
+    try:
+        made = rbibd_from_fdf(fdf, *ingredient)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert made[0].v == 1576
+    assert held < 6 * 2**20, held
+
+
+def test_fixture_cases_are_the_designs_they_were_written_as():
+    """The oracle and rotational cases as nested tuples of ints; the digests
+    were taken when blocks and classes were stored as tuples, so a fixture
+    that now does array arithmetic by mistake shows here."""
+    def rows(r):
+        return tuple(tuple(int(p) for p in row) for row in r)
+
+    def canon(x):
+        if isinstance(x, BlockDesign):
+            return ("design", x.v, x.k, x.lam, rows(x.blocks))
+        if isinstance(x, Resolution):
+            return ("res", rows(x.classes))
+        if isinstance(x, RotationalStructure):
+            return ("rot", repr(x.group), tuple(int(a) for a in x.action))
+        return None if x is None else tuple(map(canon, x))
+
+    def digest(cases):
+        return hashlib.sha256(repr(canon(tuple(cases))).encode()).hexdigest()
+
+    assert digest(ORACLE_CASES) == \
+        "d31c0b679f6ff7b6607af2fb3c735a0fabcf2b2a7e96951a9e5648bffcc5752b"
+    assert digest(rotational_cases()) == \
+        "faa6ed3768be7f0dd6053e49d15cfc937c94fc1513079fee0d2ff3feebba990a"

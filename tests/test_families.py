@@ -1,13 +1,15 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from framedf import catalog
+from framedf import catalog, families
 from framedf.families import (FDF, PDF, RELATIVE_DF, SDF, DesignFamily,
                               DifferenceMatrix, delta_block, is_homogeneous,
                               verify_dm, verify_fdf, verify_pdf,
                               verify_relative_df, verify_sdf)
+from framedf.fields import make_field
 from framedf.groups import AbelianGroup
 from framedf.lifting import lift_sdf, mul_table_dm
 
@@ -207,3 +209,29 @@ def test_verify_pdf_reports_elements_outside_group():
     stray = DesignFamily(PDF, pdf.group, pdf.lam, pdf.blocks, subgroup=(0, order))
     rep = verify_pdf(stray)
     assert not rep.ok and f"subgroup element {order} lies outside" in rep.detail
+
+
+def test_subgroup_closure_scan_memory_is_bounded():
+    # C63 x {0} x GF(9) in C63 x GF(25) x GF(9): the subgroup N x H of the
+    # order-14175 family composed from the z63 frame, |N x H| = 567
+    g = AbelianGroup.product(AbelianGroup.cyclic(63), AbelianGroup.additive(make_field(5, 2)),
+                             AbelianGroup.additive(make_field(3, 2)))
+    sub = [c + 1575 * h for h in range(9) for c in range(63)]
+    tracemalloc.start()
+    try:
+        error = families._subgroup_error(g, sub)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert error == ()
+    assert peak < 8 * 2**20, peak
+
+
+@pytest.mark.parametrize("cells", [1, 50, 1 << 20])
+@pytest.mark.parametrize("sub", [[0, 1, 2, 3, 5, 8, 13, 21, 34, 55], [0, 30, 15]])
+def test_subgroup_closure_witnesses_follow_the_addition_table(cells, sub, monkeypatch):
+    monkeypatch.setattr(families, "_CLOSURE_CELLS", cells)
+    outside = [(a, b, (a + b) % 60) for a in sub for b in sub if (a + b) % 60 not in sub]
+    a, b, c = outside[0]
+    assert families._subgroup_error(AbelianGroup.cyclic(60), sub) == (
+        f"designated subgroup is not closed: {a} + {b} = {c} lies outside it", outside[:32])

@@ -42,7 +42,8 @@ def _tiny_design():
 
 def _ag3_with_class_repeated():
     design, res = affine_plane(3)
-    return design, Resolution((res.classes[1],) + res.classes[1:])
+    classes = tuple(map(tuple, res.classes.tolist()))
+    return design, Resolution((classes[1],) + classes[1:])
 
 
 def _ag3_under_z8():

@@ -1,6 +1,8 @@
 import contextlib
+import functools
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -54,8 +56,8 @@ def test_design_round_trip(tmp_path):
     path = tmp_path / "ap4.json"
     serialize.dump(serialize.design_to_dict(design, res), path)
     back, back_res = serialize.design_from_dict(serialize.load(path))
-    assert back.blocks == design.blocks
-    assert back_res.classes == res.classes
+    assert np.array_equal(back.blocks, design.blocks)
+    assert np.array_equal(back_res.classes, res.classes)
 
 
 _ints = st.integers(-3, 3) | st.integers()
@@ -119,3 +121,47 @@ def test_dumps_raises_on_a_key_that_is_not_a_str():
     # json would write the key 1 as "1"; no product or record has such a key
     with pytest.raises(TypeError):
         serialize.dumps({"a": {1: 2}})
+
+
+def _set(blob, path, value):
+    """Set the entry of `blob` at `path` (a key, then indices) to `value`,
+    and return the name a reader's ValueError gives it."""
+    *outer, last = path
+    functools.reduce(lambda obj, key: obj[key], outer, blob)[last] = value
+    return path[0] + "".join(f"[{i}]" for i in path[1:])
+
+
+@pytest.mark.parametrize("path,value", [
+    (("blocks", 0, 0), 1.0), (("subgroup", 1), True), (("framePartition", 0, 0), "0"),
+    (("lambda",), 1.0)])
+def test_family_from_dict_names_an_entry_that_is_not_an_int(path, value):
+    blob = json.loads(json.dumps(serialize.family_to_dict(
+        lift_sdf(catalog.lifting_datum("fdf_z7xF89")))))
+    named = _set(blob, path, value)
+    with pytest.raises(ValueError, match=rf"^{re.escape(named)} = {re.escape(repr(value))} "):
+        serialize.family_from_dict(blob)
+
+
+@pytest.mark.parametrize("path,value", [
+    (("phi", 0, 1), 3.5), (("partition", 0, 0), False), (("partition", 0), 0), (("e",), "8")])
+def test_lifting_from_dict_names_an_entry_that_is_not_an_int(path, value):
+    blob = json.loads(json.dumps(serialize.lifting_to_dict(catalog.lifting_datum("fdf_z7xF89"))))
+    named = _set(blob, path, value)
+    with pytest.raises(ValueError, match=rf"^{re.escape(named)} = {re.escape(repr(value))} "):
+        serialize.lifting_from_dict(blob)
+
+
+def test_design_from_dict_stores_rectangular_rows_as_arrays_and_ragged_as_rows():
+    blob = json.loads(serialize.dumps(serialize.design_to_dict(*affine_plane(2))))
+    design, res = serialize.design_from_dict(blob)
+    assert isinstance(design.blocks, np.ndarray) and isinstance(res.classes, np.ndarray)
+    blob["blocks"][1] = [1, 3, 0]
+    blob["resolution"][2] = [4]
+    design, res = serialize.design_from_dict(blob)
+    assert type(design.blocks) is tuple and type(res.classes) is tuple
+    assert [b.tolist() for b in design.blocks] == blob["blocks"]
+    assert [c.tolist() for c in res.classes] == blob["resolution"]
+    assert all(r.dtype == np.int64 and not r.flags.writeable
+               for r in design.blocks + res.classes)
+    assert serialize.dumps(serialize.design_to_dict(design, res)) == json.dumps(
+        blob, indent=1, sort_keys=True)
