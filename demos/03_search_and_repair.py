@@ -1,9 +1,9 @@
 """Computer search: the existence threshold, a fresh lifting datum found at
 q = 79, and the repair of the garbled GF(25) table.
 
-Runs the two heavier code paths of the package: about 18 s on a 2-core
-x86_64 machine, of which the q = 79 search takes about 3.5 s and the
-repair about 14 s.
+Runs the two heavier code paths of the package: about 10 s on a 2-vCPU
+x86_64 machine, of which the q = 79 search takes about 2.5 s and the
+repair about 6 s.
 """
 
 import time

@@ -46,13 +46,14 @@ class AbelianGroup:
         else:
             raise ValueError(f"unknown group kind {kind}")
         self.order = math.prod(self._radices)
+        self._radix_array = np.array(self._radices, dtype=np.int64)
         # mixed-radix weights, least significant leaf first
         w = []
         acc = 1
         for r in self._radices:
             w.append(acc)
             acc *= r
-        self._weights = tuple(w)
+        self._weights = np.array(w, dtype=np.int64)
 
     # -- factories -----------------------------------------------------------
 
@@ -79,23 +80,30 @@ class AbelianGroup:
         return out
 
     def _undigits(self, d):
-        out = np.zeros(d.shape[:-1], dtype=np.int64)
-        for j in reversed(range(len(self._radices))):
-            out = out * self._radices[j] + d[..., j]
+        """The encodings of digit rows d, as one weighted sum."""
+        out = d @ self._weights
         return int(out) if out.ndim == 0 else out
 
     # -- group law -------------------------------------------------------------
 
+    def _reduced(self, d):
+        """The encodings of the digit array d, reduced in place."""
+        d %= self._radix_array
+        return self._undigits(d)
+
+    # add and sub write into the first digit array when the shapes agree,
+    # else into one new array
     def add(self, a, b):
         da, db = self._digits(a), self._digits(b)
-        return self._undigits((da + db) % np.array(self._radices))
+        return self._reduced(np.add(da, db, out=da) if da.shape == db.shape else da + db)
 
     def sub(self, a, b):
         da, db = self._digits(a), self._digits(b)
-        return self._undigits((da - db) % np.array(self._radices))
+        return self._reduced(np.subtract(da, db, out=da) if da.shape == db.shape else da - db)
 
     def neg(self, a):
-        return self._undigits((-self._digits(a)) % np.array(self._radices))
+        d = self._digits(a)
+        return self._reduced(np.negative(d, out=d))
 
     @property
     def zero(self) -> int:
@@ -103,13 +111,6 @@ class AbelianGroup:
 
     def enumerate(self) -> np.ndarray:
         return np.arange(self.order, dtype=np.int64)
-
-    def element_order(self, a) -> int:
-        digits = self._digits(int(a))
-        out = 1
-        for dg, r in zip(digits, self._radices):
-            out = math.lcm(out, r // math.gcd(int(dg), r))
-        return out
 
     def element(self, coords) -> "GroupElement":
         if isinstance(coords, GroupElement):
@@ -132,14 +133,6 @@ class AbelianGroup:
         enc = 0
         for fac, part in reversed(list(zip(self.factors, parts))):
             enc = enc * fac.order + int(part)
-        return enc
-
-    def pack_arrays(self, *parts) -> np.ndarray:
-        if self.kind != "product":
-            raise ValueError("pack only applies to product groups")
-        enc = np.zeros_like(np.asarray(parts[0], dtype=np.int64))
-        for fac, part in reversed(list(zip(self.factors, parts))):
-            enc = enc * fac.order + np.asarray(part, dtype=np.int64)
         return enc
 
     def unpack(self, enc):

@@ -34,12 +34,17 @@ field, built on first use: exp/log lists, a q x q addition table and one
 multiplication row per prime-subfield element, since a form coefficient c
 is the element c mod p.  The scalar loops (the depth-first search, form
 evaluation) index the Python lists; cluster enumeration gathers from numpy
-copies.  Beside its values each enumerated row carries a narrow state: a
-class bitmask per group holding two or more of the cluster's forms, and
-the signature label of each cross form, written where the form completes;
-at the last level each chunk keeps only its first row per signature.  The
-depth-first search keeps each unknown's live domain as an int bitset
-indexed by discrete log, and prunes it by ORing precomputed class bitsets.
+copies in the narrowest dtype holding q - 1.  It keeps its frontier in that
+dtype, column-major (a row per placed unknown, a column per candidate),
+beside a narrow state: a class bitmask per group holding two or more of the
+cluster's forms, and the signature label of each cross form, written where
+the form completes.  Each level gathers only what its completing forms
+read and copies out the candidates that pass; at the last level each chunk
+keeps only its first candidate per signature.  The depth-first search
+keeps each unknown's live domain as an int bitset indexed by discrete log
+and each group's closed classes as one bitmask.  A placement first counts
+the labels it completes against the caps and only then prunes domains, by
+one cached bitset per (form, group).
 
 Hints order candidates (signatures agreeing with the hinted label plan are
 tried first) but never exclude assignments.  Every success is re-verified
@@ -118,9 +123,10 @@ class _FieldTables:
 
     exp, log (log[0] = -1) and the q x q addition table `add` are Python
     lists for the scalar loops; `add_flat` and `mul_arr` are numpy copies
-    for the vectorised cluster enumeration.  mul[s] is the row x -> s*x of
-    the prime-subfield element s (encoding s, 0 <= s < p); a form
-    coefficient c acts as the element c mod p, through row(c).
+    in the narrowest dtype holding q - 1, gathered from by the vectorised
+    cluster enumeration.  mul[s] is the row x -> s*x of the prime-subfield
+    element s (encoding s, 0 <= s < p); a form coefficient c acts as the
+    element c mod p, through row(c).
     """
 
     def __init__(self, fld: FiniteField):
@@ -135,8 +141,9 @@ class _FieldTables:
         self.log = fld._log.tolist()
         self.add = add.tolist()
         self.mul = mul.tolist()
-        self.add_flat = add.ravel()
-        self.mul_arr = mul
+        narrow = np.min_scalar_type(q - 1)
+        self.add_flat = add.ravel().astype(narrow)
+        self.mul_arr = mul.astype(narrow)
 
     def row(self, c: int) -> list[int]:
         return self.mul[c % self.p]
@@ -626,13 +633,19 @@ def _enumerate_cluster(system: ConstraintSystem, form_groups: list[list[int]],
     (the labels of the cluster's forms belonging to straddling groups, each
     mod the first such group's modulus), keeping the first row of each, or
     None when the expansion is too large, or when a form is or has a
-    constant or a group has multiplicity or orbit > 1.
+    constant or a group has multiplicity or orbit > 1.  Witnesses are int64
+    rows, signatures int8 rows.
 
-    Each row carries a narrow state beside its values: one class bitmask per
-    group holding at least two of the cluster's forms (a group with one
-    cannot fill a class twice), then one signature label per cross form,
-    written at the level where the form completes.  The last level keeps
-    the first row per signature chunk by chunk, then over the chunks.
+    The frontier is held column-major in the narrow value dtype of the
+    field tables: one row per placed unknown, one column per candidate
+    assignment.  Beside it sits a narrow state, also column-major: one
+    class bitmask per group holding at least two of the cluster's forms (a
+    group with one cannot fill a class twice), then one signature label per
+    cross form, written at the level where the form completes.  A level
+    names each expanded candidate by (source column, new value), gathers
+    only the rows its completing forms read, and copies out just the
+    candidates that pass.  The last level keeps the first candidate per
+    signature chunk by chunk, then over the chunks.
     """
     if any(f.const or not f.terms for f in system.forms):
         return None
@@ -654,7 +667,7 @@ def _enumerate_cluster(system: ConstraintSystem, form_groups: list[list[int]],
             masked.append(gi)
     cross_forms = sorted({fi for gi in straddle for fi in system.groups[gi].forms
                           if fi in inner_set})
-    # state columns: the masks, then the signature labels
+    # state rows: the masks, then the signature labels
     mcol = {gi: k for k, gi in enumerate(masked)}
     smod = [next(mod[gi] for gi in form_groups[fi] if gi in mod) for fi in cross_forms]
     scol = {fi: (len(masked) + k, m) for k, (fi, m) in enumerate(zip(cross_forms, smod))}
@@ -665,54 +678,72 @@ def _enumerate_cluster(system: ConstraintSystem, form_groups: list[list[int]],
     for fi in sorted(inner_set):
         completes_at.setdefault(max(pos[u] for u, _ in system.forms[fi].terms), []).append(fi)
     tab, q = _field_tables(system.field), system.field.q
-    values = np.arange(1, q, dtype=np.int64)
+    pair = np.min_scalar_type(q * q - 1)       # holds an add_flat index
+    values = np.arange(1, q, dtype=tab.add_flat.dtype)
     # per tracked modulus, each encoding's class bit and label (the entries
-    # for 0 are never read into a kept row: rows with a zero value are dropped)
+    # for 0 are never read into a kept column: a zero value drops it)
     dtype = np.min_scalar_type(1 << (max(mod.values(), default=1) - 1))
     class_bit = {m: (1 << (log % m)).astype(dtype) for m in set(mod.values())}
     label = {m: (log % m).astype(dtype) for m in set(mod.values())}
 
-    def form_values(fi, frontier):
-        """The values of form fi on the rows; products and sums are gathers
-        from the flat field tables."""
+    def form_values(fi, column):
+        """The values of form fi on the candidates, column(i) giving those
+        of order[i]; products and sums are gathers from the flat tables."""
         acc = None
         for u, c in system.forms[fi].terms:
-            x = frontier[:, pos[u]]
-            term = x if c % tab.p == 1 else tab.mul_arr[c % tab.p][x]
-            acc = term if acc is None else tab.add_flat[acc * q + term]
+            x = column(pos[u])
+            term = x if c % tab.p == 1 else tab.mul_arr[c % tab.p].take(x)
+            acc = term if acc is None else tab.add_flat.take(acc.astype(pair) * q + term)
         return acc
 
-    def apply_forms(frontier, state, fis):
-        """Keep the rows whose new form values are nonzero and whose labels
-        fill no class twice, and record the cross forms' labels; one filter
-        per level.  state is always freshly allocated (by expand or at level
-        0), so it is updated in place: rows that are dropped carry
-        meaningless entries, kept rows their own."""
-        good = np.ones(len(frontier), dtype=bool)
-        for fi in fis:
-            val = form_values(fi, frontier)
+    def place(fr, st, src, new, level):
+        """The frontier and state of the candidates fr[:, src] extended by
+        order[level] = new that pass the forms completing at level: their
+        values are nonzero and fill no class twice.  Records the cross
+        forms' labels."""
+        gathered = {level: new}
+
+        def column(i):
+            if i not in gathered:
+                gathered[i] = fr[i].take(src)
+            return gathered[i]
+
+        good = np.ones(len(src), dtype=bool)
+        written = {}                          # state row -> its values on the candidates
+        for fi in completes_at.get(level, ()):
+            val = form_values(fi, column)
             good &= val != 0
             for gi in form_groups[fi]:
                 if gi in mcol:
-                    bit = class_bit[mod[gi]][val]
-                    good &= (state[:, mcol[gi]] & bit) == 0
-                    state[:, mcol[gi]] |= bit
+                    k = mcol[gi]
+                    cur = written[k] if k in written else st[k].take(src)
+                    bit = class_bit[mod[gi]].take(val)
+                    good &= (cur & bit) == 0
+                    written[k] = cur | bit
             if fi in scol:
                 col, m = scol[fi]
-                state[:, col] = label[m][val]
-        return (frontier, state) if good.all() else (frontier[good], state[good])
+                written[col] = label[m].take(val)
+        keep = np.flatnonzero(good)
+        rows = src.take(keep)
+        fr2 = np.empty((level + 1, len(keep)), dtype=values.dtype)
+        fr2[:level] = fr.take(rows, axis=1)
+        fr2[level] = new.take(keep)
+        st2 = st.take(rows, axis=1)
+        for k, arr in written.items():
+            st2[k] = arr.take(keep)
+        return fr2, st2
 
     def first_rows(state):
-        """Ascending indices of the first row of each distinct signature:
-        sorting the keys (signature, row) puts each signature's first row
-        at the head of its run."""
-        sig, n = state[:, len(masked):], len(state)
+        """Ascending indices of the first column of each distinct
+        signature: sorting the keys (signature, column) puts each
+        signature's first column at the head of its run."""
+        sig, n = state[len(masked):], state.shape[1]
         if math.prod(smod) * n >= 2**63:
-            return np.sort(np.unique(sig, axis=0, return_index=True)[1])
+            return np.sort(np.unique(sig.T, axis=0, return_index=True)[1])
         key = np.zeros(n, dtype=np.int64)
         for k, m in enumerate(smod):
             key *= m
-            key += sig[:, k]
+            key += sig[k]
         key *= n
         key += np.arange(n)
         key.sort()
@@ -734,66 +765,51 @@ def _enumerate_cluster(system: ConstraintSystem, form_groups: list[list[int]],
         cls = log[values] % mod[gi]
         return mcol.get(gi), mod[gi], [values[cls == c] for c in range(mod[gi])]
 
-    def expand(fr, st, level):
-        plan = expansion_plan(order[level])
+    def expansion(st, level):
+        """(src, new): for each candidate of order[level], the column it
+        extends and its value; class by class under a plan, else each
+        column with every value in turn."""
+        n = st.shape[1]
+        plan = expansion_plan(order[level]) if level else None
         if plan is None:
-            reps = np.repeat(fr, len(values), axis=0)
-            newcol = np.tile(values, len(fr))
-            return np.concatenate([reps, newcol[:, None]], axis=1), \
-                np.repeat(st, len(values), axis=0)
+            return np.repeat(np.arange(n), len(values)), np.tile(values, n)
         col, m, by_class = plan
-        parts_f, parts_s = [], []
+        srcs, news = [], []
         for c in range(m):
-            if len(by_class[c]) == 0:
-                continue
-            fr_c, st_c = fr, st
-            if col is not None:
-                sel = (st[:, col] >> c) & 1 == 0
-                if not sel.any():
-                    continue
-                fr_c, st_c = fr[sel], st[sel]
-            reps = np.repeat(fr_c, len(by_class[c]), axis=0)
-            newcol = np.tile(by_class[c], len(fr_c))
-            parts_f.append(np.concatenate([reps, newcol[:, None]], axis=1))
-            parts_s.append(np.repeat(st_c, len(by_class[c]), axis=0))
-        if not parts_f:
-            return fr[:0, :].reshape(0, fr.shape[1] + 1), st[:0]
-        return np.concatenate(parts_f), np.concatenate(parts_s)
+            free = np.arange(n) if col is None else np.flatnonzero((st[col] >> c) & 1 == 0)
+            srcs.append(np.repeat(free, len(by_class[c])))
+            news.append(np.tile(by_class[c], len(free)))
+        return np.concatenate(srcs), np.concatenate(news)
 
     def grow(frontier, state, level):
-        """Place order[level] on every row, in chunks of at most
-        _FRONTIER_CAP rows; the chunks are freed on return.  At the last
-        level each chunk keeps its first row per signature."""
+        """Place order[level] on every column, in chunks of at most
+        _FRONTIER_CAP candidates; the chunks are freed on return.  At the
+        last level each chunk keeps its first column per signature."""
         parts_f, parts_s = [], []
-        chunk = max(1, _FRONTIER_CAP // max(1, len(values)))
-        for lo in range(0, len(frontier), chunk):
-            fr2, st2 = expand(frontier[lo:lo + chunk], state[lo:lo + chunk], level)
-            if level in completes_at:
-                fr2, st2 = apply_forms(fr2, st2, completes_at[level])
+        chunk = max(1, _FRONTIER_CAP // len(values))
+        for lo in range(0, frontier.shape[1], chunk):
+            st = state[:, lo:lo + chunk]
+            fr2, st2 = place(frontier[:, lo:lo + chunk], st, *expansion(st, level), level)
             if level == last:
                 keep = first_rows(st2)
-                fr2, st2 = fr2[keep], st2[keep]
+                fr2, st2 = fr2[:, keep], st2[:, keep]
             parts_f.append(fr2)
             parts_s.append(st2)
-        return np.concatenate(parts_f), np.concatenate(parts_s)
+        return np.concatenate(parts_f, axis=1), np.concatenate(parts_s, axis=1)
 
-    frontier = values[:, None]
-    state = np.zeros((len(frontier), len(masked) + len(cross_forms)), dtype=dtype)
-    if 0 in completes_at:
-        frontier, state = apply_forms(frontier, state, completes_at[0])
+    state = np.zeros((len(masked) + len(cross_forms), 1), dtype=dtype)
+    frontier, state = grow(np.zeros((0, 1), dtype=values.dtype), state, 0)
     work = 0
     for level in range(1, len(order)):
-        if len(frontier) == 0:
+        if frontier.shape[1] == 0:
             break
-        work += len(frontier) * len(values)
+        work += frontier.shape[1] * len(values)
         if work > _WORK_CAP:
             return None
         frontier, state = grow(frontier, state, level)
-    if len(frontier) == 0:
-        return (np.zeros((0, len(order)), dtype=np.int64),
-                np.zeros((0, len(cross_forms)), dtype=np.int8), cross_forms)
-    keep = first_rows(state)        # chunks kept row order: first overall too
-    return frontier[keep], state[keep, len(masked):].astype(np.int8), cross_forms
+    keep = first_rows(state)        # chunks kept column order: first overall too
+    return (frontier[:, keep].T.astype(np.int64, order="C"),
+            state[len(masked):, keep].T.astype(np.int8, order="C"), cross_forms)
 
 
 def _fc_over_clusters(system: ConstraintSystem, form_groups: list[list[int]], clusters,
@@ -879,23 +895,27 @@ def _dfs_direct(system: ConstraintSystem, form_groups: list[list[int]],
     The next unknown is always one of minimal live domain, and its
     candidate values are tried in ascending discrete-log order.
 
-    The loop runs on plain ints through the shared field tables; group
-    counts are lists.  Each live domain is an int bitset in which bit i
-    stands for generator^i, so reading the set bits from the lowest gives
-    ascending discrete-log order and int.bit_count() the live size.  A
-    form left with one unassigned unknown x reads s*x + const, with s its
-    coefficient and const the sum of its constant and assigned terms; for
-    each (s, const, modulus) the bitsets of the x landing in each class
-    are built once, and pruning ORs together those of the closed classes
-    plus the bit where the form vanishes.  A class mod the group modulus
-    closes once it holds multiplicity * orbit labels; in a group with
-    orbit > 1 its unoccupied e-classes also close once `multiplicity` of
-    its e-classes are occupied.  These two caps hold in every completion.
-    Constant forms are counted, and every form with one free unknown
-    pruned, before the first node.  A form is pruned in full when it
-    comes down to one free unknown, and again for each class of its groups
-    that closes later; this leaves every domain where a full re-check of
-    all such forms after each placement would.
+    The loop runs on plain ints through the shared field tables.  Each
+    live domain is an int bitset in which bit i stands for generator^i, so
+    reading the set bits from the lowest gives ascending discrete-log
+    order and int.bit_count() the live size.  A form listed k times in a
+    group is counted once with weight k.  Each group keeps one `closed`
+    bitmask, over its classes mod the modulus when orbit = 1 and over its
+    e-classes when orbit > 1: a class closes once it holds multiplicity *
+    orbit labels, and in a group with orbit > 1 the empty e-classes of a
+    class close once `multiplicity` of its e-classes are occupied.  Both
+    caps hold in every completion.  A form left with one free unknown x
+    reads s*x + c; for each (s, c, width, mask) the bits of the x that
+    vanish or land in a closed class are built once.
+
+    Placing a value runs in two stages.  First the labels of the forms it
+    completes are counted against the caps; a clash (124,739 of z7@89's
+    249,889 nodes) is undone there, before any free count or domain moves.
+    Then the forms left with one free unknown, and those of every group
+    whose mask grew, prune that unknown through one cached lookup per
+    group.  Constant forms are counted, and every form with one free
+    unknown pruned, before the first node.  This leaves every domain where
+    a full re-check of all such forms after each placement would.
     """
     tab = _field_tables(system.field)
     add, log, exp, mul = tab.add, tab.log, tab.exp, tab.mul
@@ -903,166 +923,154 @@ def _dfs_direct(system: ConstraintSystem, form_groups: list[list[int]],
     everything = (1 << q1) - 1
     n = len(system.unknowns)
     groups = system.groups
-    # a form may sit in a group more than once: it is counted each time,
-    # pruned once
+    weighted = [tuple((gi, gs.count(gi)) for gi in dict.fromkeys(gs)) for gs in form_groups]
     group_forms = [tuple(dict.fromkeys(g.forms)) for g in groups]
-    prune_groups = [tuple(dict.fromkeys(gs)) for gs in form_groups]
     mods = [g.modulus for g in groups]
     mults = [g.multiplicity for g in groups]
     orbits = [g.orbit for g in groups]
     caps = [g.multiplicity * g.orbit for g in groups]
-    es = [q1 // g.orbit for g in groups]
-    counts = [[0] * mod for mod in mods]          # labels per class mod modulus
-    # orbit > 1 only: labels per e-class, occupied e-classes per class
-    ecounts = [[0] * e if g.orbit > 1 else None for e, g in zip(es, groups)]
-    occupied = [[0] * g.modulus if g.orbit > 1 else None for g in groups]
+    widths = [g.modulus if g.orbit == 1 else q1 // g.orbit for g in groups]
+    # the e-classes of each class as a mask (with orbit 1, the class's bit);
+    # orbit > 1 only: labels per e-class and the mask of occupied e-classes
+    ebits = [[sum(1 << ec for ec in range(cls, w, m)) for cls in range(m)]
+             for m, w in zip(mods, widths)]
+    counts = [[0] * m for m in mods]
+    ecounts = [[0] * w for w in widths]
+    occupied = [0] * len(groups)
+    closed = [0] * len(groups)
     assign = [0] * n
     assigned = [False] * n
     consts = [f.const for f in system.forms]
     terms = [[(u, c % p) for u, c in f.terms] for f in system.forms]
     nfree = [len(ts) for ts in terms]              # unassigned terms per form
+    pending = [None] * len(terms)                  # (x, s, c) while nfree is 1
     forms_by_unknown = [[] for _ in range(n)]
     for fi, ts in enumerate(terms):
         for u, _ in ts:
             forms_by_unknown[u].append(fi)
     domains = [everything] * n
-    class_bits: dict[tuple[int, int, int], list[int]] = {}
 
-    def bits_by_class(s, const, mod):
-        """Per class mod `mod`, the bits of the x with s*x + const in it."""
-        key = (s, const, mod)
-        out = class_bits.get(key)
-        if out is None:
-            row, out = mul[s], [0] * mod
+    class Bans(dict):
+        def __missing__(self, key):
+            """The bits of the x with s*x + c zero or in a class of `mask`."""
+            s, c, width, mask = key
+            out = everything if not (s or c) else 0
+            if s and c:
+                out = 1 << ((log[mul[p - 1][c]] - log[s]) % q1)
+            row = mul[s]
             for i in range(q1):
-                val = add[row[exp[i]]][const]
-                if val:
-                    out[log[val] % mod] |= 1 << i
-            class_bits[key] = out
-        return out
+                val = add[row[exp[i]]][c]
+                if val and mask >> (log[val] % width) & 1:
+                    out |= 1 << i
+            self[key] = out
+            return out
 
-    def vanishing(s, const):
-        """The bits of the x with s*x + const = 0."""
-        if s == 0:
-            return everything if const == 0 else 0
-        return 1 << ((log[mul[p - 1][const]] - log[s]) % q1) if const else 0
+    bans = Bans()
 
-    def orbit_closed(gi, s, const, classes):
-        """The bits of the x with s*x + const in a closed e-class of group
-        gi (orbit > 1) inside one of `classes`."""
-        by_e, ecnt, out = bits_by_class(s, const, es[gi]), ecounts[gi], 0
-        for cls in classes:
-            full = counts[gi][cls] >= caps[gi]
-            if full or occupied[gi][cls] >= mults[gi]:
-                for ec in range(cls, es[gi], mods[gi]):
-                    if full or not ecnt[ec]:
-                        out |= by_e[ec]
-        return out
+    def count(fis, v, touched, grown):
+        """Add to their groups the labels of the forms in fis, each with
+        the value v put in for its one free unknown, logging each change in
+        touched and each group whose mask grew in grown; False when a cap
+        breaks.  The value is nonzero: v's domain excludes each form's
+        root."""
+        for fi in fis:
+            _, s, c = pending[fi]
+            lg = log[add[c][mul[s][v]]]
+            for gi, k in weighted[fi]:
+                cls, cnt, mask = lg % mods[gi], counts[gi], closed[gi]
+                now = cnt[cls] + k
+                if now > caps[gi]:
+                    return False
+                new = mask | ebits[gi][cls] if now == caps[gi] else mask
+                if orbits[gi] > 1:
+                    ec, ecnt = lg % widths[gi], ecounts[gi]
+                    if mask >> ec & 1:
+                        return False
+                    if not ecnt[ec]:
+                        used = occupied[gi] = occupied[gi] | 1 << ec
+                        if (used & ebits[gi][cls]).bit_count() == mults[gi]:
+                            new |= ebits[gi][cls] & ~used     # the empty e-classes close
+                    ecnt[ec] += k
+                cnt[cls] = now
+                touched.append((gi, lg, k, mask))
+                if new != mask:
+                    closed[gi] = new
+                    grown.append(gi)
+        return True
 
-    def free_term(fi):
-        """(unknown, coefficient) of the one unassigned term of form fi,
-        and the sum of its constant and assigned terms."""
-        const = consts[fi]
-        for w, s in terms[fi]:
-            if assigned[w]:
-                const = add[const][mul[s][assign[w]]]
-            else:
-                free = w, s
-        return free[0], free[1], const
+    def uncount(touched):
+        for gi, lg, k, mask in reversed(touched):
+            cls = lg % mods[gi]
+            counts[gi][cls] -= k
+            if orbits[gi] > 1:
+                ecnt, ec = ecounts[gi], lg % widths[gi]
+                ecnt[ec] -= k
+                if not ecnt[ec]:
+                    occupied[gi] &= ~(1 << ec)
+            closed[gi] = mask
 
-    def narrow(u, banned, saved):
-        """Drop the banned bits from u's domain; False when it empties."""
-        dom = domains[u]
-        if dom & banned:
-            saved.append((u, dom))
-            domains[u] = dom = dom & ~banned
-        return dom != 0
+    def prune(fis, grown, saved):
+        """Narrow the free unknown of each form in fis left with one, and
+        of each form with one in a group of grown; False when a domain
+        empties."""
+        for fi in fis:
+            if nfree[fi] != 1:
+                continue
+            c = consts[fi]
+            for w, s in terms[fi]:
+                if assigned[w]:
+                    c = add[c][mul[s][assign[w]]]
+                else:
+                    x, sx = w, s
+            pending[fi] = x, sx, c
+            # each group's bits hold the root; a form in no group needs it alone
+            ban = 0 if weighted[fi] else bans[sx, c, 1, 0]
+            for gi, _ in weighted[fi]:
+                ban |= bans[sx, c, widths[gi], closed[gi]]
+            dom = domains[x]
+            if dom & ban:
+                saved.append((x, dom))
+                domains[x] = dom = dom & ~ban
+                if not dom:
+                    return False
+        for gi in dict.fromkeys(grown):
+            width, mask = widths[gi], closed[gi]
+            for fi in group_forms[gi]:
+                if nfree[fi] != 1:
+                    continue
+                x, s, c = pending[fi]
+                ban = bans[s, c, width, mask]
+                dom = domains[x]
+                if dom & ban:
+                    saved.append((x, dom))
+                    domains[x] = dom = dom & ~ban
+                    if not dom:
+                        return False
+        return True
 
     def undo(u, touched, saved):
-        for u3, old in reversed(saved):
-            domains[u3] = old
-        for gi, lg in touched:
-            cls = lg % mods[gi]
-            counts[gi][cls] -= 1
-            if orbits[gi] > 1:
-                ecnt, ec = ecounts[gi], lg % es[gi]
-                ecnt[ec] -= 1
-                if not ecnt[ec]:
-                    occupied[gi][cls] -= 1
+        for x, old in reversed(saved):
+            domains[x] = old
+        uncount(touched)
         for fi in forms_by_unknown[u]:
             nfree[fi] += 1
         assigned[u] = False
 
-    def settle(fis, touched, saved):
-        """Count the labels of the forms in fis left without a free
-        unknown, then prune the free unknown of those left with one and of
-        the forms in groups whose classes closed; False on a contradiction
-        (a form vanishes, a cap breaks or a domain empties)."""
-        filled = []
-        for fi in fis:
-            if nfree[fi]:
-                continue
-            val = consts[fi]
-            for w, s in terms[fi]:
-                val = add[val][mul[s][assign[w]]]
-            if val == 0:
-                return False
-            lg = log[val]
-            for gi in form_groups[fi]:
-                cls = lg % mods[gi]
-                cnt = counts[gi]
-                if cnt[cls] >= caps[gi]:
-                    return False
-                if orbits[gi] > 1:
-                    ecnt, occ, ec = ecounts[gi], occupied[gi], lg % es[gi]
-                    if not ecnt[ec]:
-                        if occ[cls] >= mults[gi]:
-                            return False
-                        occ[cls] += 1
-                        if occ[cls] == mults[gi]:
-                            filled.append((gi, cls))
-                    ecnt[ec] += 1
-                cnt[cls] += 1
-                touched.append((gi, lg))
-                if cnt[cls] == caps[gi]:
-                    filled.append((gi, cls))
-        for fi in fis:
-            if nfree[fi] != 1:
-                continue
-            u2, s, const = free_term(fi)
-            banned = vanishing(s, const)
-            for gi in prune_groups[fi]:
-                if orbits[gi] > 1:
-                    banned |= orbit_closed(gi, s, const, range(mods[gi]))
-                    continue
-                by_class = bits_by_class(s, const, mods[gi])
-                for cls, cnt in enumerate(counts[gi]):
-                    if cnt >= caps[gi]:
-                        banned |= by_class[cls]
-            if not narrow(u2, banned, saved):
-                return False
-        for gi, cls in filled:
-            for fi in group_forms[gi]:
-                if nfree[fi] != 1:
-                    continue
-                u2, s, const = free_term(fi)
-                if orbits[gi] > 1:
-                    banned = orbit_closed(gi, s, const, (cls,))
-                else:
-                    banned = bits_by_class(s, const, mods[gi])[cls]
-                if not narrow(u2, banned, saved):
-                    return False
-        return True
-
     def do_assign(u, v):
-        """Place u = v; returns an undo token, or None on contradiction."""
+        """Place u = v; returns an undo token, or None on contradiction.
+        The forms u completes are counted first; only when their labels
+        fit does the placement touch free counts and domains."""
+        touched, grown = [], []
+        mine = forms_by_unknown[u]
+        if not count([fi for fi in mine if nfree[fi] == 1], v, touched, grown):
+            uncount(touched)
+            return None
         assign[u] = v
         assigned[u] = True
-        mine = forms_by_unknown[u]
         for fi in mine:
             nfree[fi] -= 1
-        touched, saved = [], []
-        if settle(mine, touched, saved):
+        saved = []
+        if prune(mine, grown, saved):
             return u, touched, saved
         undo(u, touched, saved)
         return None
@@ -1070,7 +1078,7 @@ def _dfs_direct(system: ConstraintSystem, form_groups: list[list[int]],
     def dfs(depth):
         if depth == n:
             return all(c == cap for cnt, cap in zip(counts, caps) for c in cnt) and \
-                all(c % o == 0 for ecnt, o in zip(ecounts, orbits) if ecnt for c in ecnt)
+                all(c % o == 0 for ecnt, o in zip(ecounts, orbits) if o > 1 for c in ecnt)
         _, u = min((domains[u].bit_count(), u) for u in range(n) if not assigned[u])
         # scaling gauge at the root (bit 0 is generator^0 = 1); elsewhere
         # the live domain, lowest discrete log first
@@ -1091,7 +1099,11 @@ def _dfs_direct(system: ConstraintSystem, form_groups: list[list[int]],
         return False
 
     gauge = not any(consts)
-    if settle(range(len(terms)), [], []) and dfs(0):
+    fixed = [fi for fi, ts in enumerate(terms) if not ts]
+    for fi in fixed:
+        pending[fi] = None, 0, consts[fi]           # a constant reads 0*x + c
+    if all(consts[fi] for fi in fixed) and count(fixed, 0, [], []) \
+            and prune(range(len(terms)), [], []) and dfs(0):
         return SolveResult("sat", {u: assign[u] for u in range(n)}, budget.nodes)
     status = "exhausted" if budget.nodes <= budget.limit else "budget_exceeded"
     return SolveResult(status, nodes=budget.nodes)

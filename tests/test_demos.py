@@ -8,7 +8,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-# 03_search_and_repair.py is left out: it takes about 18 s, and test_search
+# 03_search_and_repair.py is left out: it takes about 10 s, and test_search
 # covers the calls it makes
 @pytest.mark.parametrize("demo", ["01_catalog_tour.py", "02_design_624.py", "04_codes.py"])
 def test_demo_runs(demo):

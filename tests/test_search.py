@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import json
 import tracemalloc
+from dataclasses import replace
 from decimal import Decimal, getcontext, localcontext
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from framedf import catalog, search
 from framedf.families import verify_fdf
-from framedf.fields import make_field
+from framedf.fields import field_of_order, make_field
 from framedf.lifting import check_lifting_conditions, lift_sdf
 from framedf.search import (ConstraintSystem, Form, RepairBudgetExceeded, RepairError,
                             SolveResult, UniformityGroup, _apply_reduction, _clusters_of,
@@ -74,7 +76,8 @@ def test_generic_system_congruence_guard():
 def test_generic_solve_z7_at_89():
     sysm = generic_system(catalog.family("z7_8_8"), 89, 88, 8, 1)
     res = solve(sysm, seed=0, budget=3_000_000)
-    assert res.status == "sat" and res.nodes == 249_889
+    assert (res.status, res.nodes, _digest(res.assignment)) == (
+        "sat", 249_889, "c2506c3653ab0cc5f292f125271d9bcb87c9078026f7c39a023f53a659698e5e")
     data = sysm.lifting_builder([res.assignment[u] for u in sysm.unknowns])
     assert check_lifting_conditions(data).ok
     assert verify_fdf(lift_sdf(data)).ok
@@ -231,8 +234,10 @@ def _digest(assignment):
     return hashlib.sha256(json.dumps(assignment, sort_keys=True).encode()).hexdigest()
 
 
-# (status, nodes, assignment digest) as the numpy-based solver returned them;
-# any change of search order shows up here
+# (status, nodes, assignment digest) as the numpy-based solver returned them,
+# and (from generic:paley3_5@7 on) as the solver before the two-stage
+# placement in _dfs_direct returned them; any change of search order shows
+# up here
 @pytest.mark.parametrize("make,pinned", [
     (lambda: generic_system(catalog.family("z7_8_8"), 25, 24, 8, 1),
      ("exhausted", 8777, None)),
@@ -244,7 +249,20 @@ def _digest(assignment):
      ("exhausted", 44563, None)),
     (lambda: paley3_pattern_system(5, 61),
      ("sat", 17, "ac25706f4a1f37c3de94cf3eac0040a167e4cc15682667bf5296a0b268890991")),
-], ids=["z7@25", "z7@73", "twinPrime3@17", "twinPrime3@49", "paley3_5@61"])
+    (lambda: generic_system(catalog.family("paley3", 5), 7, 6, 6, 2),
+     ("sat", 6, "11759f76e11ae9abc6a900e3403195002c61251fc80dafb6aaf0364a3f49e331")),
+    (lambda: generic_system(catalog.family("z125_6_6"), 67, 66, 6, 1),
+     ("sat", 306, "ed385415b0878bf888855618da408ade914a6bbcafca30ec2bf3d4d34f6e5460")),
+    (lambda: paired_pattern_system(catalog.family("paley2", 7), 113),
+     ("sat", 24, "78f7a385064e21542ec01e0b696f464f515f8b38c22563df8208583fb40f548d")),
+    (lambda: _z63_repair(False), ("exhausted", 0, None)),
+    (lambda: _z63_repair(True),
+     ("sat", 212366, "5439d9ad9dca0538fdebda85f4b992cdf5ddb17d99e53fa69d045084e1f65578")),
+    (lambda: _z7_blank(),
+     ("sat", 3, "a04a9bd573fdb2a206deda1e3b2dbb46f98a231d1776310c68eb137ece269a77")),
+], ids=["z7@25", "z7@73", "twinPrime3@17", "twinPrime3@49", "paley3_5@61",
+        "generic:paley3_5@7", "generic:z125@67", "paired:paley2_7@113",
+        "repair:z63_narrow", "repair:z63_widened", "repair:z7_blank"])
 def test_search_order_is_pinned(make, pinned):
     res = solve(make(), seed=0)
     assert (res.status, res.nodes, _digest(res.assignment)) == pinned
@@ -330,6 +348,64 @@ def test_constant_forms_are_counted_before_the_first_node():
     zero = ConstraintSystem(fld, 2, ("a", "b"), forms,
                             sysm.groups + (UniformityGroup((4,), 1),))
     assert solve(zero) == SolveResult("exhausted", nodes=0)
+
+
+def _divisors(m):
+    return [d for d in range(1, m + 1) if m % d == 0]
+
+
+@st.composite
+def _tiny_systems(draw):
+    """2-4 unknowns over GF(q), q <= 13; 1- and 2-term forms, with and
+    without constants, coefficients from -3..3 (some vanish mod p); groups
+    of any orbit, multiplicity 1 or 2 and modulus dividing e, with forms
+    listed more than once.  Half the groups are filled from the labels of
+    a planted assignment (orbit copies of one e-class each), so that many
+    systems are satisfiable."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13]))
+    fld, q1, n = field_of_order(q), q - 1, draw(st.integers(2, 4))
+    forms = []
+    for i in range(draw(st.integers(1, 6))):
+        us = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+        terms = tuple((u, draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))) for u in us)
+        forms.append(Form(f"f{i}", terms, draw(st.integers(0, q1)) if draw(st.booleans()) else 0))
+    sysm = ConstraintSystem(fld, 1, tuple(f"y{u}" for u in range(n)), tuple(forms), ())
+    planted = [draw(st.integers(1, q1)) for _ in range(n)]
+    logs = [int(fld.dlog(v)) if v else None
+            for v in (sysm.eval_form(fi, planted) for fi in range(len(forms)))]
+    groups = []
+    for _ in range(draw(st.integers(1, 3))):
+        orbit = draw(st.sampled_from(_divisors(q1)))
+        e = q1 // orbit
+        modulus, mult = draw(st.sampled_from(_divisors(e))), draw(st.integers(1, 2))
+        size = modulus * mult * orbit
+        if size > 8:
+            continue
+        members = []
+        if draw(st.booleans()):
+            for cls in range(modulus):
+                ecs = sorted({lg % e for lg in logs if lg is not None and lg % modulus == cls})
+                if len(ecs) < mult:
+                    break
+                for ec in draw(st.permutations(ecs))[:mult]:
+                    fis = [fi for fi, lg in enumerate(logs) if lg is not None and lg % e == ec]
+                    members += [draw(st.sampled_from(fis)) for _ in range(orbit)]
+        if len(members) != size:
+            members = draw(st.lists(st.integers(0, len(forms) - 1), min_size=size,
+                                    max_size=size))
+        groups.append(UniformityGroup(tuple(sorted(members)), modulus, mult, orbit))
+    return replace(sysm, groups=tuple(groups))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tiny_systems())
+def test_solve_agrees_with_brute_force(sysm):
+    q, n = sysm.field.q, len(sysm.unknowns)
+    found = any(sysm.check_assignment(a) for a in itertools.product(range(1, q), repeat=n))
+    res = solve(sysm)
+    assert res.status == ("sat" if found else "exhausted")
+    if found:
+        assert sysm.check_assignment([res.assignment[u] for u in sysm.unknowns])
 
 
 def test_repair_identity_and_blank_recovery():
