@@ -9,8 +9,8 @@ hopping sequences.
 
 from . import catalog, codes, designs, families, fields, groups, lifting, search, serialize
 
-from .fields import FiniteField, FieldElement, CyclotomicIndexer, make_field
-from .groups import AbelianGroup, GroupElement, crt_iso
+from .fields import FiniteField, make_field
+from .groups import AbelianGroup, crt_iso
 from .families import (DesignFamily, DifferenceMatrix, Report, delta_block, relabel_family,
                        verify_sdf, verify_relative_df, verify_fdf, verify_pdf, verify_dm)
 from .lifting import (LiftingData, check_lifting_conditions, lift_sdf, mul_table_dm,
@@ -21,7 +21,6 @@ from .designs import (BlockDesign, Resolution, rbibd_from_fdf, trivial_rbibd,
                       affine_plane, verify_bibd, verify_resolution,
                       verify_one_rotational, recursion_params)
 from .codes import (CCC, FHS, ccc_from_pdf, ccc_bound, fhs_from_elementary_fdf,
-                    partial_hamming, fhs_correlations, fhs_max_correlation, fhs_bound,
-                    verify_strictly_optimal)
+                    partial_hamming, fhs_correlations, fhs_bound, verify_strictly_optimal)
 
 __version__ = "0.1.0"

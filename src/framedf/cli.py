@@ -268,10 +268,15 @@ def _run_step(op, step, env, workdir):
     sid = step.get("id", op)
     p = step.get("params", {})
 
-    def param(key, kind=str):
+    def param(key, kind=str, default=None):
+        """params[key], which must be a `kind` (a bool is not an int); an
+        absent or null key gives `default` when there is one."""
+        if default is not None and p.get(key) is None:
+            return default
         value = _require(p, key, f"step {sid!r} has no params.{key}")
-        if not isinstance(value, kind):
-            raise KeyError(f"step {sid!r}: params.{key} is not a {kind.__name__}")
+        if not isinstance(value, kind) or (kind is int and type(value) is bool):
+            raise KeyError(f"step {sid!r}: params.{key} is not "
+                           f"{'an' if kind is int else 'a'} {kind.__name__}")
         return value
 
     # every op but check-conditions stores its product under "out"
@@ -336,23 +341,23 @@ def _run_step(op, step, env, workdir):
         if not ok:
             record["failing_L"] = list(rep.witnesses)
     elif op == "solve":
-        system, q = param("system"), param("q", int)
+        system, q, budget = param("system"), param("q", int), param("budget", int, 10**8)
         needs = _SYSTEM_NEEDS.get(system)
         if needs is None or any(p.get(key) in (None, "") for key in needs):
             return USAGE_ERROR, {"error": "unknown system" if needs is None else " and ".join(
                 "--" + key for key in needs) + f" required for the {system} system"}
         if "sdf" in needs:      # a catalog name with parameters: 'twinPrime:3'
-            name, _, rest = p["sdf"].partition(":")
+            name, _, rest = param("sdf").partition(":")
             sdf = catalog.family(name, *([int(x) for x in rest.split(",")] if rest else []))
         if system == "generic":
-            sysm = search.generic_system(sdf, q, q - 1, p["d"], p.get("lam", 1))
+            sysm = search.generic_system(sdf, q, q - 1, param("d", int), param("lam", int, 1))
         elif system == "paired":
             sysm = search.paired_pattern_system(sdf, q)
         elif system == "paley3":
-            sysm = search.paley3_pattern_system(p["p"], q)
+            sysm = search.paley3_pattern_system(param("p", int), q)
         else:
             sysm = search.z125_system(q)
-        res = search.solve(sysm, budget=p.get("budget", 10**8))
+        res = search.solve(sysm, budget=budget)
         record = {"status": res.status, "nodes": res.nodes}
         if res.status != "sat":     # "exhausted" proves there is no solution
             return (BUDGET_FAIL if res.status == "budget_exceeded" else VERIFY_FAIL), \

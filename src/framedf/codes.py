@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .families import DesignFamily, PDF, Report, verify_fdf, verify_pdf
+from .families import DesignFamily, PDF, Report, _n_translates, verify_fdf, verify_pdf
 
 # shifts per step of the window scan in fhs_correlations: (batch, n, n) cells
 _SHIFT_BATCH = 8
@@ -27,7 +27,6 @@ __all__ = [
     "fhs_from_elementary_fdf",
     "partial_hamming",
     "fhs_correlations",
-    "fhs_max_correlation",
     "fhs_bound",
     "verify_strictly_optimal",
 ]
@@ -133,16 +132,9 @@ def fhs_from_elementary_fdf(fdf: DesignFamily) -> FHS:
         raise ValueError("FDF is not elementary")
     if (fdf.group.order + 1) % (n + 1):
         raise ValueError("alphabet size (kv+1)/(k+1) is not integral")
-    G = fdf.group
-    sub = np.asarray(fdf.subgroup, dtype=np.int64)
-    parts = []
-    for blk in fdf.blocks:
-        arr = np.asarray(blk, dtype=np.int64)
-        for h in sub:
-            parts.append(np.sort(G.add(arr, int(h))))
-    parts.sort(key=lambda a: int(a[0]))
-    seq = np.empty(G.order, dtype=np.int64)
-    seq[sub] = 0
+    parts = _n_translates(fdf)
+    seq = np.empty(fdf.group.order, dtype=np.int64)
+    seq[np.asarray(fdf.subgroup, dtype=np.int64)] = 0
     for idx, part in enumerate(parts, start=1):
         seq[part] = idx
     return FHS(seq, len(parts) + 1,
@@ -182,14 +174,6 @@ def fhs_correlations(x: FHS) -> np.ndarray:
         windows = sliding_window_view(sums, n + 1, axis=1)[:, :n]
         np.maximum(out, (windows[:, :, 1:] - windows[:, :, :1]).max(axis=(0, 1)), out=out)
     return out
-
-
-def fhs_max_correlation(x: FHS, L: int) -> int:
-    """H(X;L): the exact maximum of the partial autocorrelation over tau >= 1
-    and all window starts, for one window length."""
-    if not 1 <= L <= x.n:
-        raise ValueError("window length out of range")
-    return int(fhs_correlations(x)[L - 1])
 
 
 def fhs_bound(n: int, l: int, L: int) -> int:

@@ -69,6 +69,18 @@ def relabel_family(fam: DesignFamily, iso) -> DesignFamily:
                         provenance=fam.provenance + " (cyclic relabel)")
 
 
+def _n_translates(fam: DesignFamily) -> list[np.ndarray]:
+    """Every translate B + h, h in N, of every base block B of a frame, each
+    sorted, in ascending order of least element (ties in block order, then
+    subgroup order): the parts that fdf_to_pdf and fhs_from_elementary_fdf
+    read beside N."""
+    G, sub = fam.group, np.asarray(fam.subgroup, dtype=np.int64)
+    parts = [row for blk in fam.blocks
+             for row in np.sort(G.add(np.asarray(blk, dtype=np.int64), sub[:, None]), axis=1)]
+    parts.sort(key=lambda a: int(a[0]))
+    return parts
+
+
 @dataclass(frozen=True)
 class DifferenceMatrix:
     group: AbelianGroup

@@ -1,16 +1,16 @@
-"""Exact finite field arithmetic with discrete-log tables and cyclotomic classes.
+"""Exact finite field arithmetic with discrete-log tables.
 
 Elements of GF(p^m) are stored as integer encodings: the element with
 polynomial-basis coefficients (c_0, ..., c_{m-1}) is encoded as
 sum(c_i * p**i).  For prime fields the encoding is just the residue.
 Every field builds a full exp/log table at construction (fields in scope
 are small; discrete logs are the workhorse of all cyclotomic reasoning),
-so dlog, multiplication and cyclotomic class lookups are O(1).
+so dlog and multiplication are O(1).  The cyclotomic e-class of a nonzero
+x is dlog(x) mod e.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -18,8 +18,6 @@ import numpy as np
 
 __all__ = [
     "FiniteField",
-    "FieldElement",
-    "CyclotomicIndexer",
     "make_field",
     "field_of_order",
     "least_primitive_root",
@@ -172,19 +170,6 @@ class FiniteField:
             enc //= self.p
         return tuple(out)
 
-    def element(self, value) -> "FieldElement":
-        if isinstance(value, FieldElement):
-            if value.owner is not self:
-                raise ValueError("element from a different field")
-            return value
-        if isinstance(value, (int, np.integer)):
-            if self.m == 1:
-                return FieldElement(self, int(value) % self.p)
-            if not 0 <= value < self.q:
-                raise ValueError("encoding out of range")
-            return FieldElement(self, int(value))
-        return FieldElement(self, self.encode(value))
-
     # -- arithmetic on encodings (vectorised over numpy arrays) -------------
 
     def add(self, a, b):
@@ -227,8 +212,6 @@ class FiniteField:
 
     def dlog(self, a) -> int:
         """Discrete log base the field generator; total on nonzero elements."""
-        if isinstance(a, FieldElement):
-            a = a.encoding
         if np.any(np.asarray(a) == 0):
             raise ZeroDivisionError("zero has no discrete log")
         out = self._log[a]
@@ -309,7 +292,7 @@ def make_field(p: int, m: int = 1, modulus: Optional[Sequence[int]] = None) -> F
     of one field returns the same object: for m = 1 the modulus is dropped
     (after checking it is monic linear), and for m > 1 an omitted modulus
     becomes the default primitive polynomial and a given one is reduced
-    mod p.  Elements built from any spelling therefore share one owner."""
+    mod p."""
     if not is_prime(p):
         raise ValueError(f"characteristic {p} is not prime")
     if m < 1:
@@ -342,75 +325,3 @@ def field_of_order(q: int) -> FiniteField:
                 return make_field(p, m)
             break
     raise ValueError(f"{q} is not a prime power")
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A field element: owner plus integer encoding of its coefficient vector."""
-
-    owner: FiniteField
-    encoding: int
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.owner.decode(self.encoding)
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.owner, self.owner.add(self.encoding, other.encoding))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.owner, self.owner.sub(self.encoding, other.encoding))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.owner, self.owner.neg(self.encoding))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.owner, int(self.owner.mul(self.encoding, other.encoding)))
-
-    def _check(self, other):
-        if not isinstance(other, FieldElement) or other.owner is not self.owner:
-            raise ValueError("operands belong to different fields")
-
-    def __repr__(self):
-        return f"{self.owner!r}:{self.encoding}"
-
-
-class CyclotomicIndexer:
-    """Cyclotomic class bookkeeping for a fixed field and class count e | q-1.
-
-    class_of(x) is dlog(x) mod e; the e classes partition the nonzero
-    elements into cosets of the subgroup of e-th powers, each of size
-    (q-1)/e.
-    """
-
-    def __init__(self, field: FiniteField, e: int):
-        if (field.q - 1) % e != 0:
-            raise ValueError(f"e={e} does not divide q-1={field.q - 1}")
-        self.field = field
-        self.e = e
-
-    def class_of(self, x) -> int:
-        return self.field.dlog(x) % self.e
-
-    def classes_of(self, xs) -> np.ndarray:
-        xs = np.asarray(xs)
-        if np.any(xs == 0):
-            raise ZeroDivisionError("zero has no cyclotomic class")
-        return self.field._log[xs] % self.e
-
-    def class_members(self, i: int) -> np.ndarray:
-        k = (self.field.q - 1) // self.e
-        idx = (i % self.e) + self.e * np.arange(k)
-        return self.field._exp[idx]
-
-    def is_transversal(self, elems, lam: int) -> bool:
-        """True iff every class contains exactly lam members of elems
-        (with multiplicity).  Members must be nonzero."""
-        elems = np.asarray(list(elems) if not isinstance(elems, np.ndarray) else elems)
-        if elems.size != lam * self.e:
-            return False
-        counts = np.bincount(self.classes_of(elems), minlength=self.e)
-        return bool(np.all(counts == lam))

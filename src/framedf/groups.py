@@ -10,14 +10,13 @@ arrays of encodings and are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .fields import FiniteField
 
-__all__ = ["AbelianGroup", "GroupElement", "CrtIsomorphism", "crt_iso"]
+__all__ = ["AbelianGroup", "CrtIsomorphism", "crt_iso"]
 
 
 class AbelianGroup:
@@ -33,16 +32,13 @@ class AbelianGroup:
             if n < 1:
                 raise ValueError("cyclic order must be >= 1")
             self._radices = (n,)
-            self._moduli = (n,)
         elif kind == "field":
             assert field is not None
             self._radices = (field.p,) * field.m
-            self._moduli = (field.p,) * field.m
         elif kind == "product":
             if not factors:
                 raise ValueError("empty product")
             self._radices = tuple(r for f in self.factors for r in f._radices)
-            self._moduli = self._radices
         else:
             raise ValueError(f"unknown group kind {kind}")
         self.order = math.prod(self._radices)
@@ -105,24 +101,8 @@ class AbelianGroup:
         d = self._digits(a)
         return self._reduced(np.negative(d, out=d))
 
-    @property
-    def zero(self) -> int:
-        return 0
-
     def enumerate(self) -> np.ndarray:
         return np.arange(self.order, dtype=np.int64)
-
-    def element(self, coords) -> "GroupElement":
-        if isinstance(coords, GroupElement):
-            if coords.owner is not self:
-                raise ValueError("element from a different group")
-            return coords
-        if isinstance(coords, (int, np.integer)):
-            if not 0 <= coords < self.order:
-                raise ValueError("encoding out of range")
-            return GroupElement(self, int(coords))
-        arr = np.asarray([c % r for c, r in zip(coords, self._radices)])
-        return GroupElement(self, self._undigits(arr))
 
     # -- product structure ------------------------------------------------------
 
@@ -134,16 +114,6 @@ class AbelianGroup:
         for fac, part in reversed(list(zip(self.factors, parts))):
             enc = enc * fac.order + int(part)
         return enc
-
-    def unpack(self, enc):
-        if self.kind != "product":
-            raise ValueError("unpack only applies to product groups")
-        enc = np.asarray(enc, dtype=np.int64)
-        out = []
-        for fac in self.factors:
-            out.append(enc % fac.order if enc.ndim else int(enc % fac.order))
-            enc = enc // fac.order
-        return tuple(out)
 
     def factor_slice_subgroup(self, index: int) -> np.ndarray:
         """Encodings of factor_index x {0} x ... inside a product group."""
@@ -176,27 +146,6 @@ class AbelianGroup:
         if self.kind == "field":
             return f"{self.field!r}+"
         return " x ".join(repr(f) for f in self.factors)
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    owner: AbelianGroup
-    encoding: int
-
-    @property
-    def coords(self) -> tuple[int, ...]:
-        return tuple(int(x) for x in self.owner._digits(self.encoding))
-
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        if other.owner != self.owner:
-            raise ValueError("operands belong to different groups")
-        return GroupElement(self.owner, int(self.owner.add(self.encoding, other.encoding)))
-
-    def __neg__(self) -> "GroupElement":
-        return GroupElement(self.owner, int(self.owner.neg(self.encoding)))
-
-    def __repr__(self):
-        return f"{self.owner!r}:{self.encoding}"
 
 
 class CrtIsomorphism:

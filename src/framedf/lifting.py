@@ -21,11 +21,12 @@ import numpy as np
 from .fields import FiniteField
 from .groups import AbelianGroup
 from .families import (DesignFamily, DifferenceMatrix, FDF, PDF, SDF, Report,
-                       is_homogeneous)
+                       _n_translates, is_homogeneous)
 
 __all__ = [
     "LiftingData",
     "check_lifting_conditions",
+    "in_orbit_normal_form",
     "d_set",
     "lift_sdf",
     "mul_table_dm",
@@ -89,11 +90,6 @@ class LiftingData:
         return tuple((i, a) for i, row in enumerate(self.phi)
                      for a, v in enumerate(row) if v == 0)
 
-    def replace_phi(self, phi) -> "LiftingData":
-        return LiftingData(self.sdf, self.field, self.e, self.d, self.lam,
-                           tuple(tuple(int(v) for v in row) for row in phi),
-                           self.partition, self.provenance)
-
 
 def _slot_multisets(data: LiftingData) -> dict[int, list[int]]:
     """M_h: the phi differences whose SDF differences equal h, over all blocks."""
@@ -101,31 +97,32 @@ def _slot_multisets(data: LiftingData) -> dict[int, list[int]]:
     fld = data.field
     slots: dict[int, list[int]] = {h: [] for h in range(G.order)}
     for frow, prow in zip(data.sdf.blocks, data.phi):
-        k = len(frow)
-        for a in range(k):
-            for b in range(k):
-                if a == b:
-                    continue
-                h = int(G.sub(frow[a], frow[b]))
-                slots[h].append(int(fld.sub(prow[a], prow[b])))
+        f, v = np.asarray(frow, dtype=np.int64), np.asarray(prow, dtype=np.int64)
+        off = ~np.eye(len(frow), dtype=bool)        # the pairs a != b, a-major
+        for h, x in zip(G.sub(f[:, None], f)[off].tolist(),
+                        fld.sub(v[:, None], v)[off].tolist()):
+            slots[h].append(x)
     return slots
 
 
-def _orbit_normal_form_ok(fld: FiniteField, elems: Sequence[int], e: int, d: int,
-                          lam: int) -> bool:
-    """elems == C_0^{e,q} * (lam-transversal of d-classes)?  See module docstring."""
-    per_orbit = (fld.q - 1) // e
-    if len(elems) != lam * d * per_orbit:
+def in_orbit_normal_form(logs: Sequence[int], q1: int, e: int, d: int, lam: int) -> bool:
+    """Are these the discrete logs of a multiset C_0^{e,q} * T of GF(q),
+    q1 = q - 1, for a lam-transversal T of the d-classes?  See the module
+    docstring.  The log -1 stands for 0, which fails."""
+    orbit = q1 // e
+    if len(logs) != lam * d * orbit or min(logs, default=0) < 0:
         return False
-    arr = np.asarray(elems, dtype=np.int64)
-    if np.any(arr == 0):
+    dcounts = [0] * d
+    for lg in logs:
+        dcounts[lg % d] += 1
+    if any(c != lam * orbit for c in dcounts):
         return False
-    logs = fld._log[arr]
-    ecounts = np.bincount(logs % e, minlength=e)
-    if np.any(ecounts % per_orbit):
-        return False
-    dcounts = np.bincount(logs % d, minlength=d)
-    return bool(np.all(dcounts == lam * per_orbit))
+    if orbit == 1:
+        return True
+    ecounts = [0] * e
+    for lg in logs:
+        ecounts[lg % e] += 1
+    return all(c % orbit == 0 for c in ecounts)
 
 
 def check_lifting_conditions(data: LiftingData) -> Report:
@@ -138,15 +135,15 @@ def check_lifting_conditions(data: LiftingData) -> Report:
     as witnesses so repair flows can target them; otherwise the witnesses
     are ("cond1", h) and ("cond2", part).
     """
-    fld = data.field
     zeros = data.zero_positions()
     if zeros:
         return Report(False, f"zero phi entries at {zeros}", zeros)
+    log, q1 = data.field._log.tolist(), data.field.q - 1
     bad1 = [h for h, elems in _slot_multisets(data).items()
-            if not _orbit_normal_form_ok(fld, elems, data.e, data.d, data.lam)]
+            if not in_orbit_normal_form([log[x] for x in elems], q1, data.e, data.d, data.lam)]
     bad2 = [pi for pi, part in enumerate(data.partition)
-            if not _orbit_normal_form_ok(fld, [v for i in part for v in data.phi[i]],
-                                         data.e, data.d, 1)]
+            if not in_orbit_normal_form([log[v] for i in part for v in data.phi[i]],
+                                        q1, data.e, data.d, 1)]
     if not bad1 and not bad2:
         return Report(True)
     return Report(False, f"cond1 fails at h={bad1[:8]}, cond2 fails at parts={bad2[:8]}",
@@ -284,14 +281,7 @@ def fdf_to_pdf(fdf: DesignFamily) -> DesignFamily:
         raise ValueError("FDF is not elementary")
     if n != k - 1:
         raise ValueError("construction needs |N| = k-1")
-    G = fdf.group
-    sub = np.asarray(fdf.subgroup, dtype=np.int64)
-    translated = []
-    for blk in fdf.blocks:
-        arr = np.asarray(blk, dtype=np.int64)
-        for h in sub:
-            translated.append(tuple(int(x) for x in np.sort(G.add(arr, int(h)))))
-    translated.sort(key=lambda b: b[0])
-    blocks = (tuple(int(x) for x in np.sort(sub)),) + tuple(translated)
-    return DesignFamily(PDF, G, k - 1, blocks, subgroup=None,
+    blocks = (tuple(sorted(int(x) for x in fdf.subgroup)),) + \
+        tuple(tuple(row.tolist()) for row in _n_translates(fdf))
+    return DesignFamily(PDF, fdf.group, k - 1, blocks, subgroup=None,
                         provenance=(fdf.provenance + " -> PDF") if fdf.provenance else "PDF")

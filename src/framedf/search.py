@@ -66,7 +66,7 @@ import numpy as np
 
 from .fields import FiniteField, field_of_order
 from .families import DesignFamily, SDF
-from .lifting import LiftingData, check_lifting_conditions
+from .lifting import LiftingData, check_lifting_conditions, in_orbit_normal_form
 
 __all__ = [
     "q_bound",
@@ -177,22 +177,12 @@ class UniformityGroup:
     each e-class count is a multiple of `orbit`, and each class mod
     `modulus` receives multiplicity * orbit labels in total.  With orbit 1
     the labels mod `modulus` simply cover every class `multiplicity`
-    times.  A form may be listed more than once."""
+    times.  A form may be listed more than once.  The check is
+    lifting.in_orbit_normal_form."""
     forms: tuple[int, ...]
     modulus: int
     multiplicity: int = 1
     orbit: int = 1
-
-
-def _labels_fit(g: UniformityGroup, logs: Sequence[int], q1: int) -> bool:
-    """Do these discrete logs of nonzero values meet group g?  q1 = q - 1."""
-    e = q1 // g.orbit
-    ecounts, dcounts = [0] * e, [0] * g.modulus
-    for lg in logs:
-        ecounts[lg % e] += 1
-        dcounts[lg % g.modulus] += 1
-    return (all(c % g.orbit == 0 for c in ecounts)
-            and all(c == g.multiplicity * g.orbit for c in dcounts))
 
 
 @dataclass
@@ -225,7 +215,8 @@ class ConstraintSystem:
         if any(v == 0 for v in vals):
             return False
         q1 = self.field.q - 1
-        return all(_labels_fit(g, [log[vals[fi]] for fi in g.forms], q1)
+        return all(in_orbit_normal_form([log[vals[fi]] for fi in g.forms], q1,
+                                        q1 // g.orbit, g.modulus, g.multiplicity)
                    for g in self.groups)
 
 
@@ -368,7 +359,8 @@ def _lifting_system(sdf: DesignFamily, fld: FiniteField, e: int, d: int, lam: in
         g = UniformityGroup(tuple(sorted(index[k] for k in ks)), modulus, mult, orb)
         if any(k[0] for k in ks):
             groups.append(g)
-        elif 0 in [k[1] for k in ks] or not _labels_fit(g, [tab.log[k[1]] for k in ks], q1):
+        elif not in_orbit_normal_form([tab.log[k[1]] for k in ks], q1, q1 // orb, modulus,
+                                      mult):
             raise ValueError(f"precondition violated: {name} fails and holds no unknown")
 
     def builder(assignment):

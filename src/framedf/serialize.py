@@ -5,13 +5,14 @@ throughout the package.  Field descriptors carry the modulus and the
 generator coefficient vector so a reader can rebuild identical tables.
 
 Readers check their input once, where it is built: every integer field
-(v, k, lambda, e, d) must be a plain int that fits in int64, every row of
-a block, class, subgroup, frame partition, phi or lifting partition a
-list, and every entry an integer that fits in int64; a bool is neither.
-Otherwise a ValueError names the first bad entry.  A design's blocks and
-classes are read straight into int64 arrays and stored as designs._stored
-stores them: read-only (rows, width) arrays when the rows have one
-nonzero length.
+(v, k, lambda, e, d, and a descriptor's n, p, m) must be a plain int that
+fits in int64, every row of a block, class, subgroup, frame partition,
+phi or lifting partition, and a field modulus, a list, and every entry an
+integer that fits in int64; a bool is neither.  A type, kind or
+provenance must be a str.  Otherwise a ValueError names the first bad
+entry.  A design's blocks and classes are read straight into int64 arrays
+and stored as designs._stored stores them: read-only (rows, width) arrays
+when the rows have one nonzero length.
 
 `dump` and `dumps` are the package's one JSON writer (product files and
 CLI output).  For a value whose dict keys are all str, their text is
@@ -58,7 +59,8 @@ def field_to_dict(field: FiniteField) -> dict:
 
 
 def field_from_dict(d: dict) -> FiniteField:
-    fld = make_field(d["p"], d["m"], tuple(d["modulus"]) if d["m"] > 1 else None)
+    p, m, modulus = _int(d, "p"), _int(d, "m"), _int_tuples(d, "modulus", depth=1)
+    fld = make_field(p, m, modulus if m > 1 else None)
     if fld.descriptor() != d:
         raise ValueError("field descriptor does not match canonical construction")
     return fld
@@ -69,13 +71,14 @@ def group_to_dict(group: AbelianGroup) -> dict:
 
 
 def group_from_dict(d: dict) -> AbelianGroup:
-    if d["type"] == "cyclic":
-        return AbelianGroup.cyclic(d["n"])
-    if d["type"] == "field":
+    kind = _str(d, "type")
+    if kind == "cyclic":
+        return AbelianGroup.cyclic(_int(d, "n"))
+    if kind == "field":
         return AbelianGroup.additive(field_from_dict(d["field"]))
-    if d["type"] == "product":
+    if kind == "product":
         return AbelianGroup.product(*(group_from_dict(f) for f in d["factors"]))
-    raise ValueError(f"unknown group descriptor type {d['type']!r}")
+    raise ValueError(f"unknown group descriptor type {kind!r}")
 
 
 def family_to_dict(fam: DesignFamily) -> dict:
@@ -95,13 +98,13 @@ def family_to_dict(fam: DesignFamily) -> dict:
 
 def family_from_dict(d: dict) -> DesignFamily:
     return DesignFamily(
-        kind=d["kind"],
+        kind=_str(d, "kind"),
         group=group_from_dict(d["group"]),
         lam=_int(d, "lambda"),
         blocks=_int_tuples(d, "blocks"),
         subgroup=_int_tuples(d, "subgroup", depth=1) if "subgroup" in d else None,
         frame_partition=_int_tuples(d, "framePartition") if "framePartition" in d else None,
-        provenance=d.get("provenance", ""),
+        provenance=_str(d, "provenance", ""),
     )
 
 
@@ -127,7 +130,7 @@ def lifting_from_dict(d: dict) -> LiftingData:
         lam=_int(d, "lambda"),
         phi=_int_tuples(d, "phi"),
         partition=_int_tuples(d, "partition"),
-        provenance=d.get("provenance", ""),
+        provenance=_str(d, "provenance", ""),
     )
 
 
@@ -147,7 +150,7 @@ def design_to_dict(design: BlockDesign, res: Resolution | None = None) -> dict:
 def design_from_dict(d: dict) -> tuple[BlockDesign, Resolution | None]:
     design = BlockDesign(_int(d, "v"), _int(d, "k"), _int(d, "lambda"),
                          _stored(*_int_array(d["blocks"], "blocks")),
-                         provenance=d.get("provenance", ""))
+                         provenance=_str(d, "provenance", ""))
     res = Resolution(_stored(*_int_array(d["resolution"], "resolution"))) \
         if "resolution" in d else None
     return design, res
@@ -157,6 +160,15 @@ def _int(d: dict, key: str) -> int:
     x = d[key]
     if type(x) is not int or not -2**63 <= x < 2**63:     # a bool's type is bool
         raise ValueError(f"{key} = {x!r} is not an int64 integer")
+    return x
+
+
+def _str(d: dict, key: str, default: str | None = None) -> str:
+    """d[key], which must be a str; an absent key gives `default` when
+    there is one."""
+    x = d[key] if default is None else d.get(key, default)
+    if type(x) is not str:
+        raise ValueError(f"{key} = {x!r} is not a string")
     return x
 
 

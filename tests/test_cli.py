@@ -485,3 +485,47 @@ def test_lift_rejects_a_phi_entry_that_is_not_an_int(tmp_path, capsys):
     rc, out, err = run(capsys, "lift", "--data", str(bad))
     assert (rc, out) == (2, "")
     assert err == f"error: phi[0][0] = {blob['phi'][0][0]!r} is not an int64 integer\n"
+
+
+@pytest.mark.parametrize("params,named", [
+    ({"system": "z125", "q": 79, "budget": "5"}, "budget"),
+    ({"system": "generic", "sdf": "z7_8_8", "q": 41, "d": "8"}, "d"),
+    ({"system": "generic", "sdf": "z7_8_8", "q": 41, "d": 8, "lam": True}, "lam"),
+    ({"system": "paley3", "p": 5.0, "q": 13}, "p"),
+    ({"system": "paired", "sdf": 7, "q": 17}, "sdf"),
+], ids=["budget-str", "d-str", "lam-bool", "p-float", "sdf-int"])
+def test_run_solve_rejects_a_wrongly_typed_param(tmp_path, capsys, params, named):
+    recipe = tmp_path / "solve.json"
+    recipe.write_text(json.dumps({"steps": [
+        {"id": "solve", "op": "solve", "out": "$d", "params": params}]}))
+    rc, out, _ = run(capsys, "--format", "json", "run", str(recipe))
+    assert rc == 2
+    [record] = json.loads(out)
+    kind = "a str" if named == "sdf" else "an int"
+    assert not record["verified"]
+    assert record["error"] == f"step 'solve': params.{named} is not {kind}"
+
+
+# a lifting datum as written to a file: the group {"type": "cyclic", "n": 7}
+# sits at sdf.group and the field {"p": 89, "m": 1, "modulus": [0, 1], ...}
+# at field
+@pytest.mark.parametrize("path,value,named", [
+    (("sdf", "group", "n"), 7.0, "n = 7.0 is not an int64 integer"),
+    (("sdf", "group", "n"), "7", "n = '7' is not an int64 integer"),
+    (("sdf", "group", "n"), True, "n = True is not an int64 integer"),
+    (("field", "p"), 89.0, "p = 89.0 is not an int64 integer"),
+    (("field", "m"), "1", "m = '1' is not an int64 integer"),
+    (("field", "modulus", 1), 1.0, "modulus[1] = 1.0 is not an int64 integer"),
+    (("sdf", "group", "type"), ["cyclic"], "type = ['cyclic'] is not a string"),
+    (("sdf", "kind"), 7, "kind = 7 is not a string"),
+    (("sdf", "provenance"), 7, "provenance = 7 is not a string"),
+    (("provenance",), None, "provenance = None is not a string"),
+], ids=["n-float", "n-str", "n-bool", "p-float", "m-str", "modulus-float", "type-list",
+        "kind-int", "sdf-provenance-int", "provenance-null"])
+def test_lift_rejects_a_malformed_descriptor(tmp_path, capsys, path, value, named):
+    blob = serialize.lifting_to_dict(catalog.lifting_datum("fdf_z7xF89"))
+    *keys, last = path
+    functools.reduce(lambda obj, key: obj[key], keys, blob)[last] = value
+    bad = tmp_path / "datum.json"
+    bad.write_text(json.dumps(blob))
+    assert run(capsys, "lift", "--data", str(bad)) == (2, "", f"error: {named}\n")

@@ -5,7 +5,7 @@ import pytest
 
 from framedf import catalog, codes
 from framedf.codes import (FHS, ccc_bound, ccc_from_pdf, fhs_bound,
-                           fhs_correlations, fhs_from_elementary_fdf, fhs_max_correlation,
+                           fhs_correlations, fhs_from_elementary_fdf,
                            partial_hamming, verify_strictly_optimal)
 from framedf.families import PDF, DesignFamily
 from framedf.groups import AbelianGroup, crt_iso
@@ -71,7 +71,6 @@ def test_max_correlation_matches_naive_oracle():
         x = FHS(seq, l)
         want = [naive_max_correlation(seq.tolist(), L) for L in range(1, n + 1)]
         assert fhs_correlations(x).tolist() == want
-        assert [fhs_max_correlation(x, L) for L in (1, n)] == [want[0], want[-1]]
 
 
 def test_fhs_bound_examples_and_monotonicity():
@@ -127,9 +126,9 @@ def test_bound_is_true_lower_bound():
         seq = rng.integers(0, l, size=n)
         while len(np.unique(seq)) < l:
             seq = rng.integers(0, l, size=n)
-        x = FHS(seq, l)
+        maxima = fhs_correlations(FHS(seq, l))
         for L in range(1, n + 1):
-            assert fhs_max_correlation(x, L) >= fhs_bound(n, l, L)
+            assert maxima[L - 1] >= fhs_bound(n, l, L)
 
 
 def test_ccc_pairwise_distance_uniform():

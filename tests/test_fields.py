@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from framedf.fields import (CyclotomicIndexer, FiniteField, field_of_order, is_prime,
-                            least_primitive_root, make_field)
+from framedf.fields import FiniteField, field_of_order, is_prime, make_field
+from framedf.lifting import in_orbit_normal_form
 
 
 def brute_primitive_root(p):
@@ -17,9 +17,9 @@ def brute_primitive_root(p):
 
 def test_make_field_gf25_paper_modulus():
     fld = make_field(5, 2, (2, 4, 1))      # x^2 - x + 2
-    w = fld.element([0, 1])
+    w = fld.encode([0, 1])
     # w^2 = w - 2
-    assert (w * w).coeffs == fld.element([-2, 1]).coeffs
+    assert fld.decode(fld.mul(w, w)) == fld.decode(fld.encode([-2, 1]))
     assert fld.generator == fld.encode([0, 1])
     assert fld.q == 25
 
@@ -60,33 +60,36 @@ def test_supplied_modulus_must_be_primitive():
 
 
 def test_class_of_examples():
+    # the cyclotomic e-class of x is dlog(x) mod e
     f89 = make_field(89)
-    idx8 = CyclotomicIndexer(f89, 8)
-    assert idx8.class_of(f89.generator) == 1
-    idx2 = CyclotomicIndexer(f89, 2)
-    sq = f89.pow_generator(10)
-    assert idx2.class_of(sq) == 0
+    assert f89.dlog(f89.generator) % 8 == 1
+    assert f89.dlog(f89.pow_generator(10)) % 2 == 0
     f25 = make_field(5, 2)
-    idx6 = CyclotomicIndexer(f25, 6)
-    assert idx6.class_of(f25.pow_generator(6)) == 0
+    assert f25.dlog(f25.pow_generator(6)) % 6 == 0
 
 
 def test_class_of_is_multiplicative():
     fld = make_field(89)
-    idx = CyclotomicIndexer(fld, 8)
     rng = np.random.default_rng(0)
     for _ in range(200):
         x, y = rng.integers(1, 89, size=2)
         xy = int(fld.mul(int(x), int(y)))
-        assert idx.class_of(xy) == (idx.class_of(int(x)) + idx.class_of(int(y))) % 8
+        assert fld.dlog(xy) % 8 == (fld.dlog(int(x)) + fld.dlog(int(y))) % 8
+
+
+def _is_transversal(fld, elems, e, lam):
+    """Every cyclotomic e-class holds exactly lam of elems: the orbit normal
+    form with orbit 1 (e = q - 1) and the e-classes as the d-classes."""
+    logs = [fld.dlog(int(x)) if x else -1 for x in elems]
+    return in_orbit_normal_form(logs, fld.q - 1, fld.q - 1, e, lam)
 
 
 def test_transversal_examples():
     f89 = make_field(89)
-    idx = CyclotomicIndexer(f89, 8)
-    assert idx.is_transversal([19, 42, 43, 44, 45, 46, 47, 70], 1)
-    assert not idx.is_transversal(list(range(1, 9)), 1)
-    assert idx.is_transversal(f89.nonzero_encodings(), 11)
+    assert _is_transversal(f89, [19, 42, 43, 44, 45, 46, 47, 70], 8, 1)
+    assert not _is_transversal(f89, list(range(1, 9)), 8, 1)
+    assert _is_transversal(f89, f89.nonzero_encodings(), 8, 11)
+    assert not _is_transversal(f89, [0, 42, 43, 44, 45, 46, 47, 70], 8, 1)
 
 
 def test_transversal_independent_of_primitive_root():
@@ -98,16 +101,15 @@ def test_transversal_independent_of_primitive_root():
               149, 157, 173, 181, 193, 197):
         e = max(d for d in (2, 4, 8) if (p - 1) % d == 0)
         fld = make_field(p)
-        idx = CyclotomicIndexer(fld, e)
         roots = [g for g in range(2, p) if _is_root(g, p)][:3]
         for trial in range(6):
             if trial % 2 == 0:
                 # genuine 1-transversal: one element from each class
-                sample = [int(idx.class_members(c)[rng.integers(0, (p - 1) // e)])
+                sample = [fld.pow_generator(c + e * int(rng.integers(0, (p - 1) // e)))
                           for c in range(e)]
             else:
                 sample = [int(v) for v in rng.integers(1, p, size=e)]
-            base = idx.is_transversal(sample, 1)
+            base = _is_transversal(fld, sample, e, 1)
             for g in roots:
                 dlog = _dlog_table(g, p)
                 counts = np.bincount([dlog[x] % e for x in sample], minlength=e)
@@ -133,13 +135,6 @@ def _dlog_table(g, p):
     return table
 
 
-def test_class_members_partition():
-    fld = make_field(13)
-    idx = CyclotomicIndexer(fld, 4)
-    all_members = np.concatenate([idx.class_members(i) for i in range(4)])
-    assert sorted(all_members.tolist()) == list(range(1, 13))
-
-
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
@@ -154,13 +149,6 @@ def test_make_field_is_canonical():
         make_field(89, 1, (3, 2))
     with pytest.raises(ValueError):
         make_field(5, 0)
-
-
-def test_elements_from_different_spellings_mix():
-    a, b = make_field(89).element(3), field_of_order(89).element(4)
-    assert (a + b).encoding == 7 and (a * b).encoding == 12
-    x, y = make_field(5, 2).element([0, 1]), make_field(5, 2, (2, 4, 1)).element([1, 1])
-    assert (x + y).coeffs == (1, 2)
 
 
 def test_field_of_order():

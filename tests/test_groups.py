@@ -13,27 +13,20 @@ def z7xf89():
 def test_group_ops_basics():
     g = AbelianGroup.cyclic(125)
     assert g.add(100, 50) == 25
-    assert g.neg(g.zero) == g.zero
+    assert g.neg(0) == 0
     assert sorted(g.enumerate().tolist()) == list(range(125))
 
 
 def test_product_pack_unpack():
     g = z7xf89()
-    enc = g.pack(3, 41)
-    assert g.unpack(enc) == (3, 41)
+    # mixed radix, first factor least significant
+    assert g.pack(3, 41) == 3 + 7 * 41
 
 
 def test_additive_field_group():
     g = AbelianGroup.additive(make_field(5, 2))
     assert g.order == 25
     assert g.add(4, 4) == 3       # digitwise mod 5: 4+4=8 -> digit 3
-
-
-def test_cross_group_mixing_rejected():
-    a = AbelianGroup.cyclic(6).element(1)
-    b = AbelianGroup.cyclic(7).element(1)
-    with pytest.raises(ValueError):
-        a + b
 
 
 def test_crt_examples():
@@ -73,7 +66,7 @@ def test_factor_slice_subgroup():
     g = z7xf89()
     sub = g.factor_slice_subgroup(0)
     assert len(sub) == 7
-    assert all(g.unpack(int(x))[1] == 0 for x in sub)
+    assert sub.tolist() == list(range(7))          # (x, 0) packs to x
 
 
 def test_descriptor_round_trip_equality():

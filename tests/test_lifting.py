@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from framedf import catalog
@@ -20,7 +22,7 @@ def test_corrupted_phi_breaks_a_slot():
     data = catalog.lifting_datum("fdf_z7xF89")
     row = list(data.phi[0])
     row[0], row[2] = row[2], row[0]
-    bad = data.replace_phi([tuple(row)])
+    bad = replace(data, phi=(tuple(row),))
     rep = check_lifting_conditions(bad)
     assert not rep.ok and any(w[0] == "cond1" for w in rep.witnesses)
 
@@ -30,7 +32,7 @@ def test_phi_entries_must_be_field_encodings(value):
     # -88 would wrap to 1 and pass; 90 would index past the field tables
     data = catalog.lifting_datum("fdf_z7xF89")
     with pytest.raises(ValueError, match=r"phi entry \(0, 0\)"):
-        data.replace_phi([(value,) + data.phi[0][1:]])
+        replace(data, phi=((value,) + data.phi[0][1:],))
 
 
 def test_lift_block_counts_match_formula():

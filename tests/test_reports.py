@@ -2,6 +2,8 @@
 `ok`; a failing report names its first offender in `detail` and lists up
 to 32 offenders, that one first, in `witnesses`."""
 
+from dataclasses import replace
+
 import pytest
 
 from framedf import catalog
@@ -33,7 +35,7 @@ def _swapped_z7_phi():
     data = catalog.lifting_datum("fdf_z7xF89")
     row = list(data.phi[0])
     row[0], row[2] = row[2], row[0]
-    return data.replace_phi([tuple(row)])
+    return replace(data, phi=(tuple(row),))
 
 
 def _tiny_design():

@@ -278,13 +278,13 @@ def _gf25_system(groups, n=4):
 
 
 def _reference_value(sysm, fi, values):
-    """The form's value by FieldElement arithmetic, each coefficient c
-    taken as the constant polynomial c of GF(25)."""
+    """The form's value by the field's own arithmetic on encodings, each
+    coefficient c taken as the constant polynomial c of GF(25)."""
     F = sysm.field
-    acc = F.element(0)
+    acc = 0
     for u, c in sysm.forms[fi].terms:
-        acc = acc + F.element((c,)) * F.element(int(values[u]))
-    return acc.encoding
+        acc = F.add(acc, F.mul(F.encode((c,)), int(values[u])))
+    return int(acc)
 
 
 def test_gf25_coefficients_act_through_the_prime_subfield():
@@ -411,7 +411,7 @@ def test_solve_agrees_with_brute_force(sysm):
 def test_repair_identity_and_blank_recovery():
     data = catalog.lifting_datum("fdf_z7xF89")
     assert repair_block(data, []) is data
-    blanked = data.replace_phi([(0,) + data.phi[0][1:]])
+    blanked = replace(data, phi=((0,) + data.phi[0][1:],))
     fixed = repair_block(blanked, [(0, 0)])
     assert check_lifting_conditions(fixed).ok
 
@@ -436,7 +436,7 @@ def test_repair_narrow_fails_then_widens():
 def test_repair_budget_stop_is_not_a_proof(monkeypatch):
     # three blanked entries: the narrow attempt needs more than one node
     data = catalog.lifting_datum("fdf_z7xF89")
-    blanked = data.replace_phi([(0, 0, 0) + data.phi[0][3:]])
+    blanked = replace(data, phi=((0, 0, 0) + data.phi[0][3:],))
     calls = []
     real = search.solve
 
@@ -461,7 +461,7 @@ def test_repair_precondition_guard():
 @pytest.mark.parametrize("stray", [(1, 0), (0, 8), (0, -1)])
 def test_repair_rejects_suspects_outside_the_table(stray):
     data = catalog.lifting_datum("fdf_z7xF89")
-    blanked = data.replace_phi([(0,) + data.phi[0][1:]])
+    blanked = replace(data, phi=((0,) + data.phi[0][1:],))
     with pytest.raises(ValueError, match="suspects must be") as info:
         repair_block(blanked, [(0, 0), stray])
     assert not isinstance(info.value, RepairError)
@@ -495,7 +495,7 @@ def _scaled_data(draw):
         stays_valid &= len(cols) == k
         for a in cols:
             phi[i][a] = int(fld.mul(phi[i][a], c))
-    return data.replace_phi(phi), suspects, stays_valid
+    return replace(data, phi=tuple(map(tuple, phi))), suspects, stays_valid
 
 
 @settings(max_examples=60, deadline=None)
@@ -614,7 +614,7 @@ def _system_digest(sysm):
 
 def _z7_blank():
     data = catalog.lifting_datum("fdf_z7xF89")
-    blanked = data.replace_phi([(0, 0, 0) + data.phi[0][3:]])
+    blanked = replace(data, phi=((0, 0, 0) + data.phi[0][3:],))
     return _repair_system(blanked, set(blanked.zero_positions()))
 
 
