@@ -40,11 +40,13 @@ beside a narrow state: a class bitmask per group holding two or more of the
 cluster's forms, and the signature label of each cross form, written where
 the form completes.  Each level gathers only what its completing forms
 read and copies out the candidates that pass; at the last level each chunk
-keeps only its first candidate per signature.  The depth-first search
-keeps each unknown's live domain as an int bitset indexed by discrete log
-and each group's closed classes as one bitmask.  A placement first counts
-the labels it completes against the caps and only then prunes domains, by
-one cached bitset per (form, group).
+extends only the candidates whose first value is least in its coset of
+the scalings that fix every tracked class (only those can come first for
+their signature) and keeps only its first candidate per signature.  The
+depth-first search keeps each unknown's live domain as an int bitset
+indexed by discrete log and each group's closed classes as one bitmask.
+A placement first counts the labels it completes against the caps and
+only then prunes domains, by one cached bitset per (form, group).
 
 Hints order candidates (signatures agreeing with the hinted label plan are
 tried first) but never exclude assignments.  Every success is re-verified
@@ -610,8 +612,9 @@ def _clusters_of(system: ConstraintSystem) -> list[list[int]]:
 
 # Cluster enumeration gives up (and the solver falls back to _dfs_direct) once
 # the candidate rows it has expanded exceed _WORK_CAP.  Frontiers are expanded
-# in chunks of at most _FRONTIER_CAP rows; at the last level each chunk keeps
-# only the first row per signature, so the full last frontier never exists.
+# in chunks of at most _FRONTIER_CAP rows; at the last level each chunk expands
+# only its coset-least columns and keeps the first row per signature, so the
+# full last frontier never exists.
 _FRONTIER_CAP = 2_500_000
 _WORK_CAP = 80_000_000
 
@@ -638,6 +641,22 @@ def _enumerate_cluster(system: ConstraintSystem, form_groups: list[list[int]],
     only the rows its completing forms read, and copies out just the
     candidates that pass.  The last level keeps the first candidate per
     signature chunk by chunk, then over the chunks.
+
+    With M the lcm of the tracked moduli, M | q-1 and M < q-1, the last
+    level (past the first) extends only the columns whose first value is
+    the least encoding of its coset of C = {t : M | log t}, and the result
+    is the same.  Scaling the cluster by t in C keeps every check: the
+    forms are homogeneous (constants return None above), so a nonzero
+    value stays nonzero and its class mod each tracked modulus, a divisor
+    of M, is unchanged; the bitmasks, signatures and class-directed
+    expansion are therefore those of the scaled row.  C acts freely on
+    rows, and within one orbit the column order of every level (chunk of
+    the source column, class, source column, value) ascends with the first
+    value, so each signature's first row has a coset-least first value.
+    The restriction filters the columns inside each chunk of the full
+    frontier, so the chunk boundaries, and with them the order of the rows
+    kept, are those of the unrestricted expansion; `work` is counted on the
+    full frontier, so _WORK_CAP gives up exactly where it did without it.
     """
     if any(f.const or not f.terms for f in system.forms):
         return None
@@ -677,6 +696,13 @@ def _enumerate_cluster(system: ConstraintSystem, form_groups: list[list[int]],
     dtype = np.min_scalar_type(1 << (max(mod.values(), default=1) - 1))
     class_bit = {m: (1 << (log % m)).astype(dtype) for m in set(mod.values())}
     label = {m: (log % m).astype(dtype) for m in set(mod.values())}
+    # least[x]: x is the least encoding of its coset of C = {t : M | log t}
+    # (only when C is a proper nontrivial subgroup and a level 1 exists)
+    M = math.lcm(*mod.values())
+    least = None
+    if last and (q - 1) % M == 0 and M < q - 1:
+        least = np.zeros(q, dtype=bool)
+        least[values[np.unique(log[values] % M, return_index=True)[1]]] = True
 
     def form_values(fi, column):
         """The values of form fi on the candidates, column(i) giving those
@@ -776,12 +802,16 @@ def _enumerate_cluster(system: ConstraintSystem, form_groups: list[list[int]],
     def grow(frontier, state, level):
         """Place order[level] on every column, in chunks of at most
         _FRONTIER_CAP candidates; the chunks are freed on return.  At the
-        last level each chunk keeps its first column per signature."""
+        last level each chunk extends only its columns whose first value is
+        least in its coset, and keeps its first column per signature."""
         parts_f, parts_s = [], []
         chunk = max(1, _FRONTIER_CAP // len(values))
         for lo in range(0, frontier.shape[1], chunk):
-            st = state[:, lo:lo + chunk]
-            fr2, st2 = place(frontier[:, lo:lo + chunk], st, *expansion(st, level), level)
+            fr, st = frontier[:, lo:lo + chunk], state[:, lo:lo + chunk]
+            if level == last and least is not None:
+                sel = np.flatnonzero(least.take(fr[0]))
+                fr, st = fr[:, sel], st[:, sel]
+            fr2, st2 = place(fr, st, *expansion(st, level), level)
             if level == last:
                 keep = first_rows(st2)
                 fr2, st2 = fr2[:, keep], st2[:, keep]

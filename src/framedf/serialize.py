@@ -4,7 +4,9 @@ Round trips are lossless; element encodings are the integers used
 throughout the package.  Field descriptors carry the modulus and the
 generator coefficient vector so a reader can rebuild identical tables.
 
-Readers check their input once, where it is built: every integer field
+Readers check their input once, where it is built: a design, family,
+lifting datum, group or field must be a JSON object and a product's
+factors a list; every integer field
 (v, k, lambda, e, d, and a descriptor's n, p, m) must be a plain int that
 fits in int64, every row of a block, class, subgroup, frame partition,
 phi or lifting partition, and a field modulus, a list, and every entry an
@@ -28,6 +30,7 @@ encoder, nor become one list of lists.
 from __future__ import annotations
 
 import json
+import reprlib
 from array import array
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -59,6 +62,7 @@ def field_to_dict(field: FiniteField) -> dict:
 
 
 def field_from_dict(d: dict) -> FiniteField:
+    _typed(d, dict, "field")
     p, m, modulus = _int(d, "p"), _int(d, "m"), _int_tuples(d, "modulus", depth=1)
     fld = make_field(p, m, modulus if m > 1 else None)
     if fld.descriptor() != d:
@@ -71,13 +75,14 @@ def group_to_dict(group: AbelianGroup) -> dict:
 
 
 def group_from_dict(d: dict) -> AbelianGroup:
-    kind = _str(d, "type")
+    kind = _str(_typed(d, dict, "group"), "type")
     if kind == "cyclic":
         return AbelianGroup.cyclic(_int(d, "n"))
     if kind == "field":
         return AbelianGroup.additive(field_from_dict(d["field"]))
     if kind == "product":
-        return AbelianGroup.product(*(group_from_dict(f) for f in d["factors"]))
+        factors = _typed(d["factors"], list, "factors")
+        return AbelianGroup.product(*map(group_from_dict, factors))
     raise ValueError(f"unknown group descriptor type {kind!r}")
 
 
@@ -97,6 +102,7 @@ def family_to_dict(fam: DesignFamily) -> dict:
 
 
 def family_from_dict(d: dict) -> DesignFamily:
+    _typed(d, dict, "family")
     return DesignFamily(
         kind=_str(d, "kind"),
         group=group_from_dict(d["group"]),
@@ -122,6 +128,7 @@ def lifting_to_dict(data: LiftingData) -> dict:
 
 
 def lifting_from_dict(d: dict) -> LiftingData:
+    _typed(d, dict, "lifting datum")
     return LiftingData(
         sdf=family_from_dict(d["sdf"]),
         field=field_from_dict(d["field"]),
@@ -148,12 +155,22 @@ def design_to_dict(design: BlockDesign, res: Resolution | None = None) -> dict:
 
 
 def design_from_dict(d: dict) -> tuple[BlockDesign, Resolution | None]:
+    _typed(d, dict, "design")
     design = BlockDesign(_int(d, "v"), _int(d, "k"), _int(d, "lambda"),
                          _stored(*_int_array(d["blocks"], "blocks")),
                          provenance=_str(d, "provenance", ""))
     res = Resolution(_stored(*_int_array(d["resolution"], "resolution"))) \
         if "resolution" in d else None
     return design, res
+
+
+def _typed(x, kind: type, what: str):
+    """x, which must be a dict (a JSON object) or a list, as `kind` says;
+    otherwise a ValueError names `what`."""
+    if type(x) is not kind:
+        raise ValueError(f"{what} = {reprlib.repr(x)} is not "
+                         f"{'an object' if kind is dict else 'a list'}")
+    return x
 
 
 def _int(d: dict, key: str) -> int:

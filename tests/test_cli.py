@@ -529,3 +529,33 @@ def test_lift_rejects_a_malformed_descriptor(tmp_path, capsys, path, value, name
     bad = tmp_path / "datum.json"
     bad.write_text(json.dumps(blob))
     assert run(capsys, "lift", "--data", str(bad)) == (2, "", f"error: {named}\n")
+
+
+# a product file whose descriptor or top level is not an object, or whose
+# factors are not a list, is malformed (exit 2), not a failed verification
+@pytest.mark.parametrize("cmd,edit,named", [
+    (["lift", "--data"], lambda b: b["sdf"].update(group=7), "group = 7 is not an object"),
+    (["lift", "--data"], lambda b: b.update(field=[]), "field = [] is not an object"),
+    (["assemble", "--ingredient", "trivial", "--fdf"],
+     lambda b: b["group"].update(factors=5), "factors = 5 is not a list"),
+    (["assemble", "--ingredient", "trivial", "--fdf"],
+     lambda b: b["group"].update(factors=[5, 7]), "group = 5 is not an object"),
+    (["lift", "--data"], lambda b: [1, 2], "lifting datum = [1, 2] is not an object"),
+    (["verify-design"], lambda b: [1, 2], "design = [1, 2] is not an object"),
+], ids=["sdf-group-int", "field-list", "factors-int", "factor-int", "lift-toplevel-list",
+        "verify-design-toplevel-list"])
+def test_a_non_object_descriptor_or_file_exits_2(tmp_path, capsys, cmd, edit, named):
+    datum = catalog.lifting_datum("fdf_z7xF89")
+    blob = serialize.lifting_to_dict(datum) if cmd[0] == "lift" else \
+        serialize.family_to_dict(lift_sdf(datum))
+    blob = edit(blob) or blob
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(blob))
+    assert run(capsys, *cmd, str(bad)) == (2, "", f"error: {named}\n")
+
+
+def test_import_of_a_non_object_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1, 2]")
+    assert run(capsys, "import", str(bad)) == (
+        2, "", "parse failure: design = [1, 2] is not an object\n")

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import tracemalloc
 from dataclasses import replace
 from decimal import Decimal, getcontext, localcontext
@@ -564,17 +565,100 @@ def test_cluster_enumeration_is_chunk_invariant(monkeypatch, make, ci, pinned):
     assert hashlib.sha256(wit2.tobytes() + sig2.tobytes()).hexdigest() == pinned
 
 
-def test_cluster_enumeration_memory_is_bounded():
-    sysm = z125_system(67)
+# digests of (witnesses, signatures) of the 13 z125@79 clusters, at the
+# default _FRONTIER_CAP and at 6,000, as they were when the last level
+# extended every column
+_Z125_79_DEFAULT = [
+    "754e087f3daf4904dff9e17f746539ec2610149b7ee28f7a8c1038c8c3dbfe76",
+    "3d0b1c95d8150bb2f2c79be432f45e7f9db833bafda9ec6085c7127fe73086ea",
+    "6397ccaef88371c05ee27484d9dd53085de16191d0b8fdcedd05d6907a1e0643",
+    "4d1c3d468477fb51b83cd018fbfef1502cffdd7322ad9402b995acdd9daf7079",
+    "1336323d91e79ba4e5d70a7b5983657930abc3d5b4af439e15a4b9de636b385b",
+    "a059e6462be7c56733950fc5b40a7054b9adbb17570ea508ca4b9ea47d1fb3e6",
+    "5fd7580940107f903999987b05865efdc5fc69885bc6dea21b47c593cdcf1882",
+    "a6abbedd423750416f0f7bf33c7789d917e3d6e704b32f552d1e14b3d85b980d",
+    "a6abbedd423750416f0f7bf33c7789d917e3d6e704b32f552d1e14b3d85b980d",
+    "e0e3b98fd050ac53c02df37e9b16d5434ec4402165b15be4595ec68a3c8fc6b2",
+    "a6abbedd423750416f0f7bf33c7789d917e3d6e704b32f552d1e14b3d85b980d",
+    "a6abbedd423750416f0f7bf33c7789d917e3d6e704b32f552d1e14b3d85b980d",
+    "6c1f037e5bb5282f5e93af1eb2fc19693f59bc47430591adc19f6fb4293da83e",
+]
+_Z125_79_CAP_6000 = [
+    "b367c98f2e026ebe2aa548c38038b9429e6f9086aa9b009ee0268a903665ba9d",
+    "249f6acaa55a1f164342ad82a11e98f7a753b65c55ffc4d78389edf43b808a42",
+    "447d04cdda0588d89fd429d9d4f91efe96f6e175152d711d8845e6dc74299942",
+    "7823cf75762874b9f221ca4f4625680410695413795fc8f792c04a56a162e8e3",
+    "3d29e2b1dc0c80dd2eaef730cf631dacb991a99ec11ec33c89450966e65223d5",
+    "3374db5ae041ebeeadec8a8d9dee01fd89646ac79b534e8703a960e5e65f6e01",
+    "3cd9cf72453c42a54436548d64083e472049a6e537bcad0a99ba167a532632aa",
+    "421dcd2a5c23c27ec7f456ecde42051cb8461e2c85cb194381d6560eab3a4c1a",
+    "421dcd2a5c23c27ec7f456ecde42051cb8461e2c85cb194381d6560eab3a4c1a",
+    "b10a974a00539548ff34d7c0b06436b302ed78525aba7ba165d9c4539eb88d82",
+    "421dcd2a5c23c27ec7f456ecde42051cb8461e2c85cb194381d6560eab3a4c1a",
+    "421dcd2a5c23c27ec7f456ecde42051cb8461e2c85cb194381d6560eab3a4c1a",
+    "8d9db393b0e986e8fe122a781b7ce2afdd1e8269b3e4da5999854734e43081ec",
+]
+
+
+@pytest.mark.parametrize("cap,pinned", [
+    (None, _Z125_79_DEFAULT), (6_000, _Z125_79_CAP_6000),
+], ids=["default", "6000"])
+def test_cluster_enumeration_is_pinned(monkeypatch, cap, pinned):
+    sysm = z125_system(79)
     fg = _form_groups(sysm)
+    if cap is not None:
+        monkeypatch.setattr(search, "_FRONTIER_CAP", cap)
+    digests = []
     for cl in _clusters_of(sysm):
-        tracemalloc.start()
-        try:
-            search._enumerate_cluster(sysm, fg, cl)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 100_000_000, (cl, peak)
+        wit, sig, _ = search._enumerate_cluster(sysm, fg, cl)
+        digests.append(hashlib.sha256(wit.tobytes() + sig.tobytes()).hexdigest())
+    assert digests == pinned
+
+
+def test_cluster_enumeration_work_cap_threshold(monkeypatch):
+    """The z125@79 y_2 cluster expands 8,548,020 candidate rows after its
+    first level: one fewer allowed gives up, exactly that many enumerates."""
+    sysm = z125_system(79)
+    fg, cl = _form_groups(sysm), _clusters_of(sysm)[1]
+    assert [sysm.unknowns[u] for u in cl] == ["y_2_1", "y_2_2", "y_2_3", "y_2_4"]
+    monkeypatch.setattr(search, "_WORK_CAP", 8_548_019)
+    assert search._enumerate_cluster(sysm, fg, cl) is None
+    monkeypatch.setattr(search, "_WORK_CAP", 8_548_020)
+    assert len(search._enumerate_cluster(sysm, fg, cl)[0]) == 29565
+
+
+@pytest.mark.parametrize("make", [
+    lambda: z125_system(67), lambda: z125_system(79), lambda: paley3_pattern_system(5, 61),
+], ids=["z125@67", "z125@79", "paley3_5@61"])
+def test_cluster_witnesses_start_coset_least(make):
+    """Scaling a cluster by t with M | log t (M the lcm of the moduli of the
+    groups it holds forms of) keeps every check of the enumeration, and
+    the enumeration meets the images of a row in ascending order of their
+    first value; so each witness row's first value is the least encoding
+    of its class mod M.  The last level relies on this."""
+    sysm = make()
+    fg, log = _form_groups(sysm), sysm.field._log
+    for cl in _clusters_of(sysm):
+        inner = {fi for fi, f in enumerate(sysm.forms) if {u for u, _ in f.terms} <= set(cl)}
+        M = math.lcm(*(g.modulus for g in sysm.groups if inner.intersection(g.forms)))
+        least = {}
+        for x in range(1, sysm.field.q):
+            least.setdefault(int(log[x]) % M, x)
+        wit, _, _ = search._enumerate_cluster(sysm, fg, cl)
+        assert len(wit) and all(least[int(log[x]) % M] == x for x in wit[:, 0].tolist())
+
+
+def test_cluster_enumeration_memory_is_bounded():
+    for sysm in (z125_system(67), z125_system(79)):
+        fg = _form_groups(sysm)
+        for cl in _clusters_of(sysm):
+            tracemalloc.start()
+            try:
+                search._enumerate_cluster(sysm, fg, cl)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 12_000_000, (sysm.field.q, cl, peak)
 
 
 def test_generic_system_even_lambda_branch():
