@@ -17,7 +17,9 @@ components of the form graph) and
   (fail-first, hint-preferred order) when every cluster is enumerable;
 * otherwise runs one complete depth-first search over unknown values with
   value-level forward checking, a scaling gauge on the first unknown when
-  no form has a constant, and candidates in ascending discrete-log order.
+  no form has a constant, and candidates in ascending discrete-log order;
+  once it runs long, a forked helper searches its subtrees beside the
+  caller, merged in the order of the one-process search.
 
 Every lifting system comes from one builder, _lifting_system, which turns
 one symbolic row per SDF block (an unknown times a prime-subfield
@@ -62,6 +64,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -906,9 +909,9 @@ def _fc_over_clusters(system: ConstraintSystem, form_groups: list[list[int]], cl
     return SolveResult(status, nodes=budget.nodes)
 
 
-def _dfs_direct(system: ConstraintSystem, form_groups: list[list[int]],
-                budget: _Budget) -> SolveResult:
-    """Complete DFS over unknown values with value-level forward checking.
+def _direct_search(system: ConstraintSystem, form_groups: list[list[int]]) -> SimpleNamespace:
+    """The state and moves of a complete DFS over unknown values with
+    value-level forward checking, the search behind _dfs_direct.
 
     Without constant terms every requirement is a uniformity group, which
     is invariant under scaling every unknown by a common nonzero element,
@@ -936,8 +939,19 @@ def _dfs_direct(system: ConstraintSystem, form_groups: list[list[int]],
     Then the forms left with one free unknown, and those of every group
     whose mask grew, prune that unknown through one cached lookup per
     group.  Constant forms are counted, and every form with one free
-    unknown pruned, before the first node.  This leaves every domain where
-    a full re-check of all such forms after each placement would.
+    unknown pruned, before the first node (`feasible` is False when that
+    already fails).  This leaves every domain where a full re-check of all
+    such forms after each placement would.
+
+    The state is returned with its moves.  dfs(depth, budget) searches
+    below the placements in force, spending one node per value tried and
+    undoing its own placements unless it finds a solution, left in
+    `assign`; given a depth `stop` and a callable `visit`, it calls visit()
+    at each node of that depth it reaches instead of searching below it,
+    and stops once visit() returns True.  The placement made at each depth
+    is in force while its undo token is in trail[depth]: place(u, v)
+    returns such a token (None on a contradiction) and undo(*token) takes
+    the placement back.
     """
     tab = _field_tables(system.field)
     add, log, exp, mul = tab.add, tab.log, tab.exp, tab.mul
@@ -962,6 +976,7 @@ def _dfs_direct(system: ConstraintSystem, form_groups: list[list[int]],
     closed = [0] * len(groups)
     assign = [0] * n
     assigned = [False] * n
+    trail = [None] * n                             # undo token per depth in force
     consts = [f.const for f in system.forms]
     terms = [[(u, c % p) for u, c in f.terms] for f in system.forms]
     nfree = [len(ts) for ts in terms]              # unassigned terms per form
@@ -1097,7 +1112,9 @@ def _dfs_direct(system: ConstraintSystem, form_groups: list[list[int]],
         undo(u, touched, saved)
         return None
 
-    def dfs(depth):
+    def dfs(depth, budget, stop=-1, visit=None):
+        if depth == stop:
+            return visit()
         if depth == n:
             return all(c == cap for cnt, cap in zip(counts, caps) for c in cnt) and \
                 all(c % o == 0 for ecnt, o in zip(ecounts, orbits) if o > 1 for c in ecnt)
@@ -1110,10 +1127,10 @@ def _dfs_direct(system: ConstraintSystem, form_groups: list[list[int]],
             dom ^= low
             if not budget.spend():
                 return False
-            token = do_assign(u, exp[low.bit_length() - 1])
+            token = trail[depth] = do_assign(u, exp[low.bit_length() - 1])
             if token is None:
                 continue
-            if dfs(depth + 1):
+            if dfs(depth + 1, budget, stop, visit):
                 return True
             undo(*token)
             if budget.nodes > budget.limit:
@@ -1124,11 +1141,20 @@ def _dfs_direct(system: ConstraintSystem, form_groups: list[list[int]],
     fixed = [fi for fi, ts in enumerate(terms) if not ts]
     for fi in fixed:
         pending[fi] = None, 0, consts[fi]           # a constant reads 0*x + c
-    if all(consts[fi] for fi in fixed) and count(fixed, 0, [], []) \
-            and prune(range(len(terms)), [], []) and dfs(0):
-        return SolveResult("sat", {u: assign[u] for u in range(n)}, budget.nodes)
-    status = "exhausted" if budget.nodes <= budget.limit else "budget_exceeded"
-    return SolveResult(status, nodes=budget.nodes)
+    feasible = all(consts[fi] for fi in fixed) and count(fixed, 0, [], []) \
+        and prune(range(len(terms)), [], [])
+    return SimpleNamespace(n=n, feasible=feasible, assign=assign, trail=trail,
+                           place=do_assign, undo=undo, dfs=dfs)
+
+
+def _dfs_direct(system: ConstraintSystem, form_groups: list[list[int]],
+                budget: _Budget) -> SolveResult:
+    """Complete DFS over unknown values (see _direct_search), with the same
+    nodes, result and node count as one process walking the tree; once it
+    runs long, a forked helper searches subtrees of it beside the caller
+    (see framedf._split, compiled only when a direct search runs)."""
+    from ._split import split_search
+    return split_search(_direct_search(system, form_groups), budget)
 
 
 def _apply_reduction(system: ConstraintSystem, red: dict):
@@ -1205,6 +1231,12 @@ def solve(system: ConstraintSystem, seed: int = 0, budget: int = 10**8) -> Solve
     exhaustion is status-coded, never an exception.  Every satisfying
     assignment is re-verified against the whole system, and against the
     lifting conditions when the system can assemble a lifting datum.
+
+    A direct search (see _dfs_direct) that runs past 20,000 nodes forks a
+    helper process, where this process may run on two CPUs or more, that
+    searches subtrees beside the caller; it is gone when solve returns or
+    raises.  The status, assignment and node count are those of
+    one process walking the tree, whatever the number of CPUs.
     """
     for g in system.groups:
         if len(g.forms) != g.modulus * g.multiplicity * g.orbit:

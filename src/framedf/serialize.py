@@ -128,12 +128,20 @@ def lifting_to_dict(data: LiftingData) -> dict:
 
 
 def lifting_from_dict(d: dict) -> LiftingData:
+    """The datum `d` describes.  LiftingData's check d | e, e | q-1 is made
+    first from the field descriptor's p and m, before the field's tables,
+    which take time and memory linear in q, are built."""
     _typed(d, dict, "lifting datum")
+    sdf = family_from_dict(d["sdf"])
+    fd = _typed(d["field"], dict, "field")
+    p, m, e, dd = _int(fd, "p"), _int(fd, "m"), _int(d, "e"), _int(d, "d")
+    if e < 1 or dd < 1 or e % dd or pow(p, max(m, 0), e) != 1 % e:
+        raise ValueError("need d | e and e | q-1")
     return LiftingData(
-        sdf=family_from_dict(d["sdf"]),
-        field=field_from_dict(d["field"]),
-        e=_int(d, "e"),
-        d=_int(d, "d"),
+        sdf=sdf,
+        field=field_from_dict(fd),
+        e=e,
+        d=dd,
         lam=_int(d, "lambda"),
         phi=_int_tuples(d, "phi"),
         partition=_int_tuples(d, "partition"),

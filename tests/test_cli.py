@@ -531,6 +531,21 @@ def test_lift_rejects_a_malformed_descriptor(tmp_path, capsys, path, value, name
     assert run(capsys, "lift", "--data", str(bad)) == (2, "", f"error: {named}\n")
 
 
+def test_lift_rejects_a_field_order_before_building_the_field(tmp_path, capsys, monkeypatch):
+    # GF(1000003) would take about a second and 16 MB of tables to build,
+    # and e = 88 does not divide q - 1 = 1000002
+    blob = serialize.lifting_to_dict(catalog.lifting_datum("fdf_z7xF89"))
+    blob["field"]["p"] = 1000003
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the field was built before its order was checked")
+
+    monkeypatch.setattr(serialize, "make_field", unbuilt)
+    bad = tmp_path / "datum.json"
+    bad.write_text(json.dumps(blob))
+    assert run(capsys, "lift", "--data", str(bad)) == (2, "", "error: need d | e and e | q-1\n")
+
+
 # a product file whose descriptor or top level is not an object, or whose
 # factors are not a list, is malformed (exit 2), not a failed verification
 @pytest.mark.parametrize("cmd,edit,named", [

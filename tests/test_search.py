@@ -2,15 +2,21 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from decimal import Decimal, getcontext, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framedf import catalog, search
+from framedf import _split, catalog, search
 from framedf.families import verify_fdf
 from framedf.fields import field_of_order, make_field
 from framedf.lifting import check_lifting_conditions, lift_sdf
@@ -235,6 +241,31 @@ def _digest(assignment):
     return hashlib.sha256(json.dumps(assignment, sort_keys=True).encode()).hexdigest()
 
 
+_WIDENED_PIN = ("sat", 212366,
+                "5439d9ad9dca0538fdebda85f4b992cdf5ddb17d99e53fa69d045084e1f65578")
+
+
+@pytest.fixture(scope="module")
+def z63_widened():
+    """repair_block on the z63 datum's zero entries, run once for the tests
+    that need it: (the datum, the repaired datum, the SolveResult of its
+    widened system).  That system is _z63_repair(True)."""
+    data = catalog.lifting_datum("fdf_z63xF25")
+    solved = []
+
+    def recording(system, *args, **kwargs):
+        solved.append((system, real(system, *args, **kwargs)))
+        return solved[-1][1]
+
+    real = search.solve
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "solve", recording)
+        fixed = repair_block(data, data.zero_positions())
+    system, res = solved[-1]
+    assert _system_digest(system) == _system_digest(_z63_repair(True))
+    return data, fixed, res
+
+
 # (status, nodes, assignment digest) as the numpy-based solver returned them,
 # and (from generic:paley3_5@7 on) as the solver before the two-stage
 # placement in _dfs_direct returned them; any change of search order shows
@@ -257,16 +288,143 @@ def _digest(assignment):
     (lambda: paired_pattern_system(catalog.family("paley2", 7), 113),
      ("sat", 24, "78f7a385064e21542ec01e0b696f464f515f8b38c22563df8208583fb40f548d")),
     (lambda: _z63_repair(False), ("exhausted", 0, None)),
-    (lambda: _z63_repair(True),
-     ("sat", 212366, "5439d9ad9dca0538fdebda85f4b992cdf5ddb17d99e53fa69d045084e1f65578")),
+    (None, _WIDENED_PIN),                 # solved once, by the z63_widened fixture
     (lambda: _z7_blank(),
      ("sat", 3, "a04a9bd573fdb2a206deda1e3b2dbb46f98a231d1776310c68eb137ece269a77")),
 ], ids=["z7@25", "z7@73", "twinPrime3@17", "twinPrime3@49", "paley3_5@61",
         "generic:paley3_5@7", "generic:z125@67", "paired:paley2_7@113",
         "repair:z63_narrow", "repair:z63_widened", "repair:z7_blank"])
-def test_search_order_is_pinned(make, pinned):
+def test_search_order_is_pinned(make, pinned, request):
+    res = request.getfixturevalue("z63_widened")[2] if make is None else solve(make(), seed=0)
+    assert (res.status, res.nodes, _digest(res.assignment)) == pinned
+
+
+def _no_child_left():
+    """True when this process has no child, reaping one that has exited."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+# _dfs_direct with helpers forked at its first subtree: one helper, and
+# three (more than helper_count() ever gives), must reproduce the
+# one-process search node for node and leave no process behind
+@pytest.fixture(params=[1, 3], ids=["1helper", "3helpers"])
+def helpers(request, monkeypatch):
+    """The number of helpers each _dfs_direct call forked, in call order."""
+    started, real = [], _split.start_helpers
+
+    def counting(state, depth, out):
+        real(state, depth, out)
+        started.append(len(out))
+
+    def overdue(*_):
+        raise TimeoutError("a search with helpers ran for 300 s")
+
+    monkeypatch.setattr(_split, "FORK_AFTER", 0)
+    monkeypatch.setattr(_split, "helper_count", lambda: request.param)
+    monkeypatch.setattr(_split, "start_helpers", counting)
+    previous = signal.signal(signal.SIGALRM, overdue)
+    signal.alarm(300)            # a lost result fails the test instead of hanging it
+    try:
+        yield started
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert _no_child_left()
+
+
+@pytest.mark.parametrize("make,pinned", [
+    (lambda: generic_system(catalog.family("z7_8_8"), 25, 24, 8, 1),
+     ("exhausted", 8777, None)),
+    (lambda: paired_pattern_system(catalog.family("twinPrime", 3), 49),
+     ("exhausted", 44563, None)),
+    (lambda: _z63_repair(True), _WIDENED_PIN),
+], ids=["z7@25", "twinPrime3@49", "repair:z63_widened"])
+def test_helpers_keep_the_pinned_search_order(helpers, request, make, pinned):
     res = solve(make(), seed=0)
     assert (res.status, res.nodes, _digest(res.assignment)) == pinned
+    assert helpers and set(helpers) == {request.node.callspec.params["helpers"]}
+
+
+# A search with a budget returns what one process walking the tree returns
+# (its pins in test_search_order_is_pinned: z7@25 exhausted at 8,777, z7@73
+# sat at 47): the pinned result once the limit allows its nodes, else
+# budget_exceeded at limit + 1.  At split depth 5, z7@25's walk spends
+# nodes above the subtree roots after its last subtree (limits 8,774 and
+# 8,775) and runs out of budget between two subtrees (56 and 57).
+@pytest.mark.parametrize("helpers", [0, 1, 3], ids=["0helpers", "1helper", "3helpers"],
+                         indirect=True)
+@pytest.mark.parametrize("q,depth,limit", [
+    *((q, None, limit) for q in (25, 73) for limit in (1, 50, 4000, 8776, 8777)),
+    (73, None, 46), (73, None, 47),
+    (25, 5, 56), (25, 5, 57), (25, 5, 8774), (25, 5, 8775), (25, 5, 8777)])
+def test_helpers_stop_on_a_budget_where_one_process_stops(helpers, monkeypatch, q, depth,
+                                                          limit):
+    if depth is not None:
+        monkeypatch.setattr(_split, "split_depth", lambda n: depth)
+    pinned = {25: ("exhausted", 8777, None),
+              73: ("sat", 47, "9594c85623800ee5dd12ff6ac6a6602a56b8d1b8999cc52aa18be5a55fbdab44")}[q]
+    res = solve(generic_system(catalog.family("z7_8_8"), q, q - 1, 8, 1), budget=limit)
+    expected = pinned if limit >= pinned[1] else ("budget_exceeded", limit + 1, None)
+    assert (res.status, res.nodes, _digest(res.assignment)) == expected
+    assert _no_child_left()
+    assert helpers or limit == 1        # limit 1 stops the walk before its first subtree
+
+
+@pytest.mark.parametrize("where", ["helper", "caller"])
+def test_an_error_mid_search_leaves_no_helper_behind(helpers, monkeypatch, where):
+    caller, calls, searched = os.getpid(), [], _split.subtree
+
+    def goto(state, depth, path):           # only helpers put prefixes in force
+        raise RuntimeError("a broken helper")
+
+    def subtree(state, depth, room):
+        if os.getpid() == caller:
+            calls.append(depth)
+            if len(calls) == 5:
+                raise KeyboardInterrupt
+        return searched(state, depth, room)
+
+    if where == "helper":
+        monkeypatch.setattr(_split, "goto", goto)
+        expected = pytest.raises(RuntimeError, match=r"search helper \d+ exited")
+    else:
+        monkeypatch.setattr(_split, "subtree", subtree)
+        expected = pytest.raises(KeyboardInterrupt)
+    with expected:
+        solve(paired_pattern_system(catalog.family("twinPrime", 3), 49))
+    assert helpers and _no_child_left()
+
+
+def test_no_helper_is_forked_beside_another_thread(helpers):
+    stop = threading.Event()
+    waiting = threading.Thread(target=stop.wait)
+    waiting.start()
+    try:
+        res = solve(generic_system(catalog.family("z7_8_8"), 25, 24, 8, 1))
+    finally:
+        stop.set()
+        waiting.join(10)
+    assert (res.status, res.nodes) == ("exhausted", 8777)
+    assert set(helpers) == {0} and not waiting.is_alive()
+
+
+def test_importing_framedf_loads_no_multiprocessing():
+    # the split search loads on first use, so no import of the package pays
+    # for it, and its helpers are forked without multiprocessing
+    code = ("import framedf, framedf.cli, sys; "
+            "print(*(m in sys.modules for m in ('multiprocessing', 'framedf._split'))); "
+            "from framedf import _split, catalog, search; "
+            "_split.FORK_AFTER = 0; _split.helper_count = lambda: 1; "
+            "res = search.solve(search.generic_system(catalog.family('z7_8_8'), 25, 24, 8, 1)); "
+            "print(res.nodes, 'multiprocessing' in sys.modules)")
+    src = str(Path(search.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.split() == ["False", "False", "8777", "False"]
 
 
 def _gf25_system(groups, n=4):
@@ -417,14 +575,13 @@ def test_repair_identity_and_blank_recovery():
     assert check_lifting_conditions(fixed).ok
 
 
-def test_repair_narrow_fails_then_widens():
-    data = catalog.lifting_datum("fdf_z63xF25")
+def test_repair_narrow_fails_then_widens(z63_widened):
+    data, fixed, _ = z63_widened          # fixed = repair_block(data, zeros)
     zeros = data.zero_positions()
     with pytest.raises(RepairError):
         repair_block(data, zeros, widen=False)
     # the fixed values alone rule the narrow completion out
     assert solve(_repair_system(data, set(zeros))) == SolveResult("exhausted", nodes=0)
-    fixed = repair_block(data, zeros)
     rep = check_lifting_conditions(fixed)
     assert rep.ok
     assert _digest(fixed.phi) == "37ce4e21f5b5029e010c470ce34acd3a200784381c3f86a707d899503a2eb655"
