@@ -342,6 +342,8 @@ def _run_step(op, step, env, workdir):
             record["failing_L"] = list(rep.witnesses)
     elif op == "solve":
         system, q, budget = param("system"), param("q", int), param("budget", int, 10**8)
+        if budget < 0:
+            return USAGE_ERROR, {"error": f"step {sid!r}: params.budget {budget} is negative"}
         needs = _SYSTEM_NEEDS.get(system)
         if needs is None or any(p.get(key) in (None, "") for key in needs):
             return USAGE_ERROR, {"error": "unknown system" if needs is None else " and ".join(

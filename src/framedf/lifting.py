@@ -63,6 +63,11 @@ class LiftingData:
             raise ValueError("phi rows must align with SDF blocks")
         if any(len(row) != k for row in self.phi):
             raise ValueError("each phi row must have block length")
+        n = self.sdf.group.order
+        for i, block in enumerate(self.sdf.blocks):
+            for a, x in enumerate(block):
+                if not 0 <= x < n:
+                    raise ValueError(f"SDF block {i} entry {a} = {x} lies outside 0..{n - 1}")
         for i, row in enumerate(self.phi):
             for a, v in enumerate(row):
                 if not 0 <= v < q:

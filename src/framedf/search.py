@@ -896,6 +896,8 @@ def _fc_over_clusters(system: ConstraintSystem, form_groups: list[list[int]], cl
             for cj, m in reversed(saved):
                 masks[cj] = m
             del assigned[ci]
+            if budget.nodes > budget.limit:
+                return False
         return False
 
     if dfs():
@@ -943,15 +945,15 @@ def _direct_search(system: ConstraintSystem, form_groups: list[list[int]]) -> Si
     already fails).  This leaves every domain where a full re-check of all
     such forms after each placement would.
 
-    The state is returned with its moves.  dfs(depth, budget) searches
-    below the placements in force, spending one node per value tried and
-    undoing its own placements unless it finds a solution, left in
-    `assign`; given a depth `stop` and a callable `visit`, it calls visit()
-    at each node of that depth it reaches instead of searching below it,
-    and stops once visit() returns True.  The placement made at each depth
-    is in force while its undo token is in trail[depth]: place(u, v)
-    returns such a token (None on a contradiction) and undo(*token) takes
-    the placement back.
+    The namespace returned holds n, feasible, assign and dfs.
+    dfs(depth, budget) searches below the placements in force, spending
+    one node per value tried and undoing its own placements unless it
+    finds a solution, left in `assign`; given a depth `stop` and a
+    callable `visit`, it calls visit() at each node of that depth it
+    reaches instead of searching below it, and stops once visit() returns
+    True.  framedf._split walks the tree above a depth this way, in the
+    caller and in a helper forked in the middle of the walk, and searches
+    the subtrees below it in place.
     """
     tab = _field_tables(system.field)
     add, log, exp, mul = tab.add, tab.log, tab.exp, tab.mul
@@ -976,7 +978,6 @@ def _direct_search(system: ConstraintSystem, form_groups: list[list[int]]) -> Si
     closed = [0] * len(groups)
     assign = [0] * n
     assigned = [False] * n
-    trail = [None] * n                             # undo token per depth in force
     consts = [f.const for f in system.forms]
     terms = [[(u, c % p) for u, c in f.terms] for f in system.forms]
     nfree = [len(ts) for ts in terms]              # unassigned terms per form
@@ -1127,7 +1128,7 @@ def _direct_search(system: ConstraintSystem, form_groups: list[list[int]]) -> Si
             dom ^= low
             if not budget.spend():
                 return False
-            token = trail[depth] = do_assign(u, exp[low.bit_length() - 1])
+            token = do_assign(u, exp[low.bit_length() - 1])
             if token is None:
                 continue
             if dfs(depth + 1, budget, stop, visit):
@@ -1143,16 +1144,16 @@ def _direct_search(system: ConstraintSystem, form_groups: list[list[int]]) -> Si
         pending[fi] = None, 0, consts[fi]           # a constant reads 0*x + c
     feasible = all(consts[fi] for fi in fixed) and count(fixed, 0, [], []) \
         and prune(range(len(terms)), [], [])
-    return SimpleNamespace(n=n, feasible=feasible, assign=assign, trail=trail,
-                           place=do_assign, undo=undo, dfs=dfs)
+    return SimpleNamespace(n=n, feasible=feasible, assign=assign, dfs=dfs)
 
 
 def _dfs_direct(system: ConstraintSystem, form_groups: list[list[int]],
                 budget: _Budget) -> SolveResult:
     """Complete DFS over unknown values (see _direct_search), with the same
     nodes, result and node count as one process walking the tree; once it
-    runs long, a forked helper searches subtrees of it beside the caller
-    (see framedf._split, compiled only when a direct search runs)."""
+    runs long, a helper forked in the middle of the walk searches every
+    other subtree beside the caller (see framedf._split, compiled only when
+    a direct search runs)."""
     from ._split import split_search
     return split_search(_direct_search(system, form_groups), budget)
 
@@ -1233,11 +1234,15 @@ def solve(system: ConstraintSystem, seed: int = 0, budget: int = 10**8) -> Solve
     lifting conditions when the system can assemble a lifting datum.
 
     A direct search (see _dfs_direct) that runs past 20,000 nodes forks a
-    helper process, where this process may run on two CPUs or more, that
-    searches subtrees beside the caller; it is gone when solve returns or
-    raises.  The status, assignment and node count are those of
-    one process walking the tree, whatever the number of CPUs.
+    helper process, where this process may run on two CPUs or more: a
+    copy of the search in the middle of its walk, which searches every
+    other subtree beside the caller; it is gone when solve returns or
+    raises.  The status, assignment and node count are those of one
+    process walking the tree, whatever the number of CPUs.  A negative
+    budget raises ValueError.
     """
+    if budget < 0:
+        raise ValueError(f"budget {budget} is negative")
     for g in system.groups:
         if len(g.forms) != g.modulus * g.multiplicity * g.orbit:
             # each form contributes one label, so exact coverage is impossible
@@ -1348,8 +1353,11 @@ def repair_block(data: LiftingData, suspects: Sequence[tuple[int, int]],
     original data) keep their scaling relation, which is how printed orbit
     data stays an orbit.  Raises RepairError when a complete search finds
     no completion, and RepairBudgetExceeded (without widening) when a
-    search spends its node budget first.
+    search spends its node budget first; a negative budget raises
+    ValueError.
     """
+    if budget < 0:
+        raise ValueError(f"budget {budget} is negative")
     suspects = {(int(i), int(a)) for i, a in suspects}
     if any(not (0 <= i < len(data.phi) and 0 <= a < data.k) for i, a in suspects):
         raise ValueError(f"suspects must be (block, position) entries: {sorted(suspects)}")

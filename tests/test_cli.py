@@ -63,6 +63,16 @@ def test_lift_rejects_out_of_range_phi(tmp_path, capsys):
     assert rc == 2 and "phi entry (0, 0) = -88" in err
 
 
+def test_lift_rejects_an_sdf_element_outside_the_group(tmp_path, capsys):
+    # the SDF's 0s written as 7, which Z7 would reduce to 0 again
+    blob = serialize.lifting_to_dict(catalog.lifting_datum("fdf_z7xF89"))
+    blob["sdf"]["blocks"] = [[7 if x == 0 else x for x in b] for b in blob["sdf"]["blocks"]]
+    bad = tmp_path / "wrapped_sdf.json"
+    serialize.dump(blob, bad)
+    rc, _, err = run(capsys, "lift", "--data", str(bad))
+    assert rc == 2 and "SDF block 0 entry 0 = 7 lies outside 0..6" in err
+
+
 def _fdf_file_with_wrapped_element(tmp_path):
     """The z7xF89 frame with one block element x replaced by x + |G|, which
     names x again once reduced modulo the group order."""
@@ -245,6 +255,25 @@ def test_search_command_budget_exit(capsys):
     rc, _, err = run(capsys, "search", "--system", "z125", "--q", "79",
                      "--budget", "1")
     assert rc == 3
+
+
+@pytest.mark.parametrize("system", [
+    ["--system", "generic", "--sdf", "z7_8_8", "--q", "89", "--d", "8"],
+    ["--system", "z125", "--q", "79"]], ids=["generic", "z125"])
+def test_search_command_rejects_a_negative_budget(capsys, system):
+    rc, _, err = run(capsys, "search", *system, "--budget", "-5")
+    assert rc == 2 and "budget -5 is negative" in err
+
+
+def test_recipe_solve_step_rejects_a_negative_budget(tmp_path, capsys):
+    recipe = tmp_path / "solve.json"
+    recipe.write_text(json.dumps({"steps": [
+        {"id": "solve", "op": "solve", "out": "$d",
+         "params": {"system": "z125", "q": 79, "budget": -1}}]}))
+    rc, out, _ = run(capsys, "--format", "json", "run", str(recipe))
+    assert rc == 2
+    [step] = json.loads(out)
+    assert not step["verified"] and "budget -1 is negative" in step["error"]
 
 
 def test_search_command_produces_datum(tmp_path, capsys):

@@ -35,6 +35,17 @@ def test_phi_entries_must_be_field_encodings(value):
         replace(data, phi=((value,) + data.phi[0][1:],))
 
 
+@pytest.mark.parametrize("value", [-7, 7])
+def test_sdf_elements_must_lie_in_the_group(value):
+    # Z7 would reduce 7 (or -7) to 0: the datum would pass the lifting
+    # conditions and lift to a family that fails verify_fdf
+    data = catalog.lifting_datum("fdf_z7xF89")
+    sdf = replace(data.sdf, blocks=tuple(tuple(value if x == 0 else x for x in b)
+                                         for b in data.sdf.blocks))
+    with pytest.raises(ValueError, match=rf"SDF block 0 entry 0 = {value} lies outside 0..6"):
+        replace(data, sdf=sdf)
+
+
 def test_lift_block_counts_match_formula():
     for name in ("fdf_z7xF89", "fdf_z119xF25", "fdf_z125xF67"):
         data = catalog.lifting_datum(name)

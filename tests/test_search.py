@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from decimal import Decimal, getcontext, localcontext
@@ -308,28 +309,30 @@ def _no_child_left():
     return False
 
 
-# _dfs_direct with helpers forked at its first subtree: one helper, and
-# three (more than helper_count() ever gives), must reproduce the
-# one-process search node for node and leave no process behind
-@pytest.fixture(params=[1, 3], ids=["1helper", "3helpers"])
+# _dfs_direct with its helper forked at its first subtree must reproduce
+# the one-process search node for node and leave no process behind
+@pytest.fixture(params=[1], ids=["1helper"])
 def helpers(request, monkeypatch):
-    """The number of helpers each _dfs_direct call forked, in call order."""
-    started, real = [], _split.start_helpers
+    """The helpers forked while the test ran, by pid, with forking allowed
+    whatever the number of CPUs (param 1) or not at all (param 0)."""
+    forks, real = [], os.fork
 
-    def counting(state, depth, out):
-        real(state, depth, out)
-        started.append(len(out))
+    def counting():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
 
     def overdue(*_):
-        raise TimeoutError("a search with helpers ran for 300 s")
+        raise TimeoutError("a search with a helper ran for 300 s")
 
     monkeypatch.setattr(_split, "FORK_AFTER", 0)
-    monkeypatch.setattr(_split, "helper_count", lambda: request.param)
-    monkeypatch.setattr(_split, "start_helpers", counting)
+    monkeypatch.setattr(_split, "can_fork", lambda: bool(request.param))
+    monkeypatch.setattr(os, "fork", counting)
     previous = signal.signal(signal.SIGALRM, overdue)
     signal.alarm(300)            # a lost result fails the test instead of hanging it
     try:
-        yield started
+        yield forks
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -343,10 +346,10 @@ def helpers(request, monkeypatch):
      ("exhausted", 44563, None)),
     (lambda: _z63_repair(True), _WIDENED_PIN),
 ], ids=["z7@25", "twinPrime3@49", "repair:z63_widened"])
-def test_helpers_keep_the_pinned_search_order(helpers, request, make, pinned):
+def test_helpers_keep_the_pinned_search_order(helpers, make, pinned):
     res = solve(make(), seed=0)
     assert (res.status, res.nodes, _digest(res.assignment)) == pinned
-    assert helpers and set(helpers) == {request.node.callspec.params["helpers"]}
+    assert helpers
 
 
 # A search with a budget returns what one process walking the tree returns
@@ -355,14 +358,13 @@ def test_helpers_keep_the_pinned_search_order(helpers, request, make, pinned):
 # budget_exceeded at limit + 1.  At split depth 5, z7@25's walk spends
 # nodes above the subtree roots after its last subtree (limits 8,774 and
 # 8,775) and runs out of budget between two subtrees (56 and 57).
-@pytest.mark.parametrize("helpers", [0, 1, 3], ids=["0helpers", "1helper", "3helpers"],
-                         indirect=True)
+@pytest.mark.parametrize("helpers", [0, 1], ids=["0helpers", "1helper"], indirect=True)
 @pytest.mark.parametrize("q,depth,limit", [
     *((q, None, limit) for q in (25, 73) for limit in (1, 50, 4000, 8776, 8777)),
     (73, None, 46), (73, None, 47),
     (25, 5, 56), (25, 5, 57), (25, 5, 8774), (25, 5, 8775), (25, 5, 8777)])
-def test_helpers_stop_on_a_budget_where_one_process_stops(helpers, monkeypatch, q, depth,
-                                                          limit):
+def test_helpers_stop_on_a_budget_where_one_process_stops(helpers, monkeypatch, request, q,
+                                                          depth, limit):
     if depth is not None:
         monkeypatch.setattr(_split, "split_depth", lambda n: depth)
     pinned = {25: ("exhausted", 8777, None),
@@ -371,29 +373,72 @@ def test_helpers_stop_on_a_budget_where_one_process_stops(helpers, monkeypatch, 
     expected = pinned if limit >= pinned[1] else ("budget_exceeded", limit + 1, None)
     assert (res.status, res.nodes, _digest(res.assignment)) == expected
     assert _no_child_left()
-    assert helpers or limit == 1        # limit 1 stops the walk before its first subtree
+    # limit 1 stops the walk before its first subtree
+    assert bool(helpers) == (request.node.callspec.params["helpers"] == 1 and limit > 1)
+
+
+# A caller slowed down at each of its subtrees lets the helper run ahead:
+# its results, deciding ones among them, arrive for subtrees the caller has
+# not reached yet, and the caller still walks on to the first deciding one.
+@pytest.mark.parametrize("q,limit", [(25, 50), (25, 4000), (25, 8776), (73, 10**8)])
+def test_a_helper_ahead_of_the_caller_merges_in_order(helpers, monkeypatch, q, limit):
+    caller, searched = os.getpid(), _split.subtree
+
+    def subtree(state, depth, room):
+        if os.getpid() == caller:
+            time.sleep(0.002)
+        return searched(state, depth, room)
+
+    monkeypatch.setattr(_split, "subtree", subtree)
+    pinned = {25: ("exhausted", 8777, None),
+              73: ("sat", 47, "9594c85623800ee5dd12ff6ac6a6602a56b8d1b8999cc52aa18be5a55fbdab44")}[q]
+    res = solve(generic_system(catalog.family("z7_8_8"), q, q - 1, 8, 1), budget=limit)
+    expected = pinned if limit >= pinned[1] else ("budget_exceeded", limit + 1, None)
+    assert (res.status, res.nodes, _digest(res.assignment)) == expected
+    assert helpers
+
+
+# The cluster path stops where _dfs_direct does: at limit + 1, or with the
+# pinned result (z125@79 sat at 464, paley3_5@61 sat at 17) once the limit
+# allows its nodes.
+@pytest.mark.parametrize("make,limit,pinned", [
+    *((lambda: z125_system(79), limit,
+       ("sat", 464, "9f439c2b74340d5eab7c3b5208b4c467fa048d87b4129d42dd956befe75a0cae"))
+      for limit in (1, 10, 100, 463, 464)),
+    *((lambda: paley3_pattern_system(5, 61), limit,
+       ("sat", 17, "ac25706f4a1f37c3de94cf3eac0040a167e4cc15682667bf5296a0b268890991"))
+      for limit in (16, 17))],
+    ids=[*(f"z125@79-{n}" for n in (1, 10, 100, 463, 464)), "paley3_5@61-16", "paley3_5@61-17"])
+def test_cluster_search_stops_on_a_budget_at_limit_plus_one(make, limit, pinned):
+    sysm = make()
+    assert len(_clusters_of(sysm)) > 1
+    res = solve(sysm, budget=limit)
+    expected = pinned if limit >= pinned[1] else ("budget_exceeded", limit + 1, None)
+    assert (res.status, res.nodes, _digest(res.assignment)) == expected
+
+
+def test_a_negative_budget_raises():
+    with pytest.raises(ValueError, match="budget -1 is negative"):
+        solve(paley3_pattern_system(5, 61), budget=-1)
+    data = catalog.lifting_datum("fdf_z63xF25")
+    with pytest.raises(ValueError, match="budget -1 is negative"):
+        repair_block(data, data.zero_positions(), budget=-1)
 
 
 @pytest.mark.parametrize("where", ["helper", "caller"])
 def test_an_error_mid_search_leaves_no_helper_behind(helpers, monkeypatch, where):
     caller, calls, searched = os.getpid(), [], _split.subtree
 
-    def goto(state, depth, path):           # only helpers put prefixes in force
-        raise RuntimeError("a broken helper")
-
-    def subtree(state, depth, room):
-        if os.getpid() == caller:
+    def subtree(state, depth, room):        # fails at the 5th subtree of `where`
+        if (os.getpid() == caller) == (where == "caller"):
             calls.append(depth)
             if len(calls) == 5:
-                raise KeyboardInterrupt
+                raise KeyboardInterrupt if where == "caller" else RuntimeError("a broken helper")
         return searched(state, depth, room)
 
-    if where == "helper":
-        monkeypatch.setattr(_split, "goto", goto)
-        expected = pytest.raises(RuntimeError, match=r"search helper \d+ exited")
-    else:
-        monkeypatch.setattr(_split, "subtree", subtree)
-        expected = pytest.raises(KeyboardInterrupt)
+    monkeypatch.setattr(_split, "subtree", subtree)
+    expected = pytest.raises(KeyboardInterrupt) if where == "caller" else \
+        pytest.raises(RuntimeError, match=r"search helper \d+ exited")
     with expected:
         solve(paired_pattern_system(catalog.family("twinPrime", 3), 49))
     assert helpers and _no_child_left()
@@ -409,16 +454,16 @@ def test_no_helper_is_forked_beside_another_thread(helpers):
         stop.set()
         waiting.join(10)
     assert (res.status, res.nodes) == ("exhausted", 8777)
-    assert set(helpers) == {0} and not waiting.is_alive()
+    assert helpers == [] and not waiting.is_alive()
 
 
 def test_importing_framedf_loads_no_multiprocessing():
     # the split search loads on first use, so no import of the package pays
-    # for it, and its helpers are forked without multiprocessing
+    # for it, and its helper is forked without multiprocessing
     code = ("import framedf, framedf.cli, sys; "
             "print(*(m in sys.modules for m in ('multiprocessing', 'framedf._split'))); "
             "from framedf import _split, catalog, search; "
-            "_split.FORK_AFTER = 0; _split.helper_count = lambda: 1; "
+            "_split.FORK_AFTER = 0; _split.can_fork = lambda: True; "
             "res = search.solve(search.generic_system(catalog.family('z7_8_8'), 25, 24, 8, 1)); "
             "print(res.nodes, 'multiprocessing' in sys.modules)")
     src = str(Path(search.__file__).resolve().parents[1])
