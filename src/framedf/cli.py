@@ -159,8 +159,9 @@ def cmd_import(args) -> int:
 
 def cmd_verify_fhs(args) -> int:
     import numpy as np
-    blob = serialize.load(args.fhs)
-    fhs = codes.FHS(np.asarray(blob["seq"]), blob["alphabet"])
+    blob = serialize._typed(serialize.load(args.fhs), dict, "hopping sequence")
+    fhs = codes.FHS(np.asarray(blob["seq"]), serialize._int(blob, "alphabet"))
+    serialize._int_array(blob["seq"], "seq", depth=1)      # names a bool, read as 0 or 1 above
     rep = codes.verify_strictly_optimal(fhs)
     _emit({"n": fhs.n, "strictly_optimal": bool(rep.ok),
            "failing_L": list(rep.witnesses)}, args.format)
@@ -169,8 +170,8 @@ def cmd_verify_fhs(args) -> int:
 
 def cmd_verify_ccc(args) -> int:
     import numpy as np
-    blob = serialize.load(args.ccc)
-    rows = blob["codewords"]
+    blob = serialize._typed(serialize.load(args.ccc), dict, "code")
+    rows = serialize._typed(blob["codewords"], list, "codewords")
     if not rows:
         raise ValueError("the code's codeword list is empty")
     for i, row in enumerate(rows):
@@ -181,11 +182,12 @@ def cmd_verify_ccc(args) -> int:
     cw = np.asarray(rows)
     if cw.dtype.kind not in "iu":
         raise ValueError("the codewords hold a symbol that is not an integer")
-    ccc = codes.CCC(cw.shape[1], cw, tuple(blob["composition"]))
+    serialize._int_array(rows, "codewords")                # names a bool, read as 0 or 1 above
+    ccc = codes.CCC(cw.shape[1], cw, serialize._int_tuples(blob, "composition", depth=1))
+    want = serialize._int(blob, "d") if "d" in blob else None
     comp_ok = all(sorted(np.bincount(row, minlength=len(ccc.composition)))
                   == sorted(ccc.composition) for row in cw)
     d = ccc.min_distance()
-    want = blob.get("d")
     ok = comp_ok and (want is None or d == want)
     _emit({"M": ccc.size, "d": d, "composition_ok": bool(comp_ok), "verified": bool(ok)},
           args.format)

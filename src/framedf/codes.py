@@ -1,8 +1,15 @@
 """Constant composition codes from partitioned families and strictly optimal
 frequency hopping sequences from elementary frames.
 
-All bound arithmetic is exact (Fraction / integer ceilings); correlation
-scans are exact counts vectorized over numpy arrays.
+All bound arithmetic is exact (Fraction / integer ceilings), and every
+count is exact.  The verifiers cost what the structure costs: a hopping
+sequence's correlations are counted from its coincidences, O(K^2) per
+shift with K <= n/2 the most that any shift has (of coincidences, or of
+non-coincidences where those are fewer), not O(n^2); a code built by
+ccc_from_pdf records its group, and its distance is read off the pairs
+with codeword 0 once the other codewords are checked to be its
+translates, O(Mn), where any other code is compared pair by pair,
+O(M^2 n).
 """
 
 from __future__ import annotations
@@ -14,10 +21,8 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .groups import AbelianGroup
 from .families import DesignFamily, PDF, Report, _n_translates, verify_fdf, verify_pdf
-
-# shifts per step of the window scan in fhs_correlations: (batch, n, n) cells
-_SHIFT_BATCH = 8
 
 __all__ = [
     "CCC",
@@ -38,16 +43,23 @@ class CCC:
     codewords: np.ndarray          # (M, n) symbol matrix
     composition: tuple[int, ...]   # sorted symbol counts, one per alphabet symbol
     provenance: str = ""
+    group: AbelianGroup | None = None   # ccc_from_pdf's: codeword g is codeword 0 moved by g
 
     @property
     def size(self) -> int:
         return self.codewords.shape[0]
 
     def min_distance(self) -> int:
-        """Exhaustive pairwise Hamming distance: the length less the most
-        positions any two codewords agree on (n for fewer than two).
-        Integer symbols are compared in the narrowest dtype that holds their
-        range, and agreements are counted in at least 16 bits, enough for n."""
+        """Pairwise Hamming distance: the length less the most positions any
+        two codewords agree on (n for fewer than two).  When `group` is set,
+        the codewords X are first checked to be its translates, as
+        ccc_from_pdf builds them: X[g+gamma, t] = X[g, t-gamma] for each
+        generator gamma, O(Mn) each.  Then codewords g and h agree where
+        codewords 0 and h-g do, so only the pairs with codeword 0 are
+        compared.  Any other code, or one that fails the check, is compared
+        pair by pair, O(M^2 n).  Integer symbols are compared in the
+        narrowest dtype that holds their range, and agreements are counted
+        in at least 16 bits, enough for n."""
         X = self.codewords
         if X.shape[0] < 2:
             return self.n
@@ -56,9 +68,19 @@ class CCC:
             if narrow.kind in "iu":     # not float64, the promotion of int64 with uint64
                 X = X.astype(narrow)
         count = np.promote_types(np.min_scalar_type(X.shape[1]), np.uint16)
-        most = max(int((X[i + 1:] == X[i]).sum(axis=1, dtype=count).max())
-                   for i in range(X.shape[0] - 1))
+        pairs = range(1 if self._translates(X) else X.shape[0] - 1)
+        most = max(int((X[i + 1:] == X[i]).sum(axis=1, dtype=count).max()) for i in pairs)
         return X.shape[1] - most
+
+    def _translates(self, X: np.ndarray) -> bool:
+        """Whether X's rows are the translates of row 0 under `group`, as
+        ccc_from_pdf builds them: X[g, t] = X[0, t-g] for every g and t."""
+        G = self.group
+        if G is None or X.shape != (G.order, G.order):
+            return False
+        elems = G.enumerate()
+        return all(np.array_equal(X[G.add(elems, gamma)], X[:, G.sub(elems, gamma)])
+                   for gamma in G.generators())
 
 
 @dataclass(frozen=True)
@@ -86,7 +108,8 @@ class FHS:
 def ccc_from_pdf(pdf: DesignFamily) -> CCC:
     """One codeword per group element g: position t carries the index of the
     block containing t - g.  |G| codewords of length |G| whose composition
-    is the block-size multiset."""
+    is the block-size multiset, built by one broadcast subtraction; the
+    code records G, so min_distance can use the translates."""
     if pdf.kind != PDF:
         raise ValueError("need a PDF")
     rep = verify_pdf(pdf)
@@ -97,13 +120,10 @@ def ccc_from_pdf(pdf: DesignFamily) -> CCC:
     for bi, blk in enumerate(pdf.blocks):
         label[np.asarray(blk, dtype=np.int64)] = bi
     elems = G.enumerate()
-    rows = []
-    for g in elems:
-        rows.append(label[G.sub(elems, int(g))])
-    codewords = np.stack(rows)
+    codewords = label[G.sub(elems[None, :], elems[:, None])]
     composition = tuple(sorted(len(b) for b in pdf.blocks))
     return CCC(G.order, codewords, composition,
-               provenance=(pdf.provenance + " -> CCC") if pdf.provenance else "CCC")
+               provenance=(pdf.provenance + " -> CCC") if pdf.provenance else "CCC", group=G)
 
 
 def ccc_bound(n: int, d: int, composition: Sequence[int]) -> Fraction:
@@ -155,25 +175,54 @@ def partial_hamming(x: FHS, tau: int, j: int, L: int) -> int:
 
 def fhs_correlations(x: FHS) -> np.ndarray:
     """H(X;L) for L = 1..n (entry L-1): the maximum windowed coincidence
-    count over all shifts tau >= 1 and all starts.  Shifts are scanned
-    _SHIFT_BATCH at a time: each window sum is a difference of two prefix
-    sums of the doubled coincidence row, in the narrowest dtype that holds
-    2n.  Shift n - tau sees the coincidences of shift tau rotated by tau,
-    so it has the same window sums and only tau <= n/2 is scanned."""
+    count over all shifts tau >= 1 and all starts, counted from the
+    coincidences x(t) = x(t+tau).  Shift n - tau sees the coincidences of
+    shift tau rotated by tau, so only tau <= n/2 is read.
+
+    A shift with at most n/2 coincidences marks them: w_m is the least
+    cyclic span (last position less first) of m consecutive ones, W_m the
+    least w_m over such shifts, and a window of length L holds m of them
+    iff W_m <= L-1; W_m grows with m, so that gives #{m : W_m <= L-1}.  A
+    denser shift marks its non-coincidences: G_j is the longest window
+    holding at most j of them, longest over such shifts, and a window of
+    length L holds L - min{j : G_j >= L} coincidences or fewer.  H(X;L) is
+    the larger of the two counts.  With K <= n/2 the most positions a
+    shift marks, each shift costs K cells for each span of j = 1..K
+    steps, in the narrowest signed dtype that holds 4n: K^2 cells, where a
+    scan of every window costs n^2.  K is 7 on the shipped length-623
+    sequence, and 0 on a constant one."""
     s = np.asarray(x.seq)
     n = x.n
-    out = np.zeros(n, dtype=np.int64)
-    dtype = np.min_scalar_type(2 * n)
-    t = np.arange(n)
-    for lo in range(1, n // 2 + 1, _SHIFT_BATCH):
-        taus = np.arange(lo, min(lo + _SHIFT_BATCH, n // 2 + 1))
-        hits = s == s[(t + taus[:, None]) % n]            # (shift, t)
-        sums = np.zeros((len(taus), 2 * n), dtype=dtype)
-        np.cumsum(np.tile(hits, 2)[:, :-1], axis=1, dtype=dtype, out=sums[:, 1:])
-        # windows[b, j, L] = sums[b, j + L] for starts j < n and L = 0..n
-        windows = sliding_window_view(sums, n + 1, axis=1)[:, :n]
-        np.maximum(out, (windows[:, :, 1:] - windows[:, :, :1]).max(axis=(0, 1)), out=out)
-    return out
+    hits = sliding_window_view(np.concatenate([s, s]), n)[1:n // 2 + 1] == s    # (tau - 1, t)
+    c = np.count_nonzero(hits, axis=1)
+    dense = 2 * c > n
+    hits ^= dense[:, None]                         # a dense shift marks the others
+    k = np.where(dense, n - c, c)
+    shift, pos = np.divmod(np.flatnonzero(hits), n)
+    col = np.arange(len(pos)) - (np.cumsum(k) - k)[shift]
+    # each shift's marked positions, then again one turn on, a dense
+    # shift's negated so that its least span is -G; the pads -2n and 2n
+    # make every span that reads one the longest of its row
+    sign = np.where(dense[shift], -1, 1)
+    width = int(k.max(initial=0))
+    dtype = np.min_scalar_type(-4 * n - 1)
+    first = np.full((len(k), width), -2 * n, dtype=dtype)
+    twice = np.full((len(k), 2 * width), 2 * n, dtype=dtype)
+    first[shift, col] = twice[shift, col] = sign * pos
+    twice[shift, col + k[shift]] = sign * (pos + n)
+    least = np.full(n + 1, n)                      # least[m] = W_m, n if none
+    least[1] = 0 if (k[~dense] > 0).any() else n
+    longest = np.zeros(n + 1, dtype=np.int64)      # longest[j] = G_j, n from j = k
+    longest[k[dense].min(initial=n + 1):] = n
+    for j in range(1, width + 1):
+        # spans of j steps: a whole turn, n, at j = k, which leaves least as
+        # it is and makes G_{k-1} = n - 1; more past k, where G_{j-1} is n
+        span = (twice[:, j:j + width] - first).min(axis=1)
+        least[j + 1] = span[~dense].min(initial=n)
+        longest[j - 1] = max(longest[j - 1], -span[dense].min(initial=0) - 1)
+    L = np.arange(1, n + 1)
+    return np.maximum(np.searchsorted(least[1:], L - 1, side="right"),
+                      L - np.searchsorted(longest, L))
 
 
 def fhs_bound(n: int, l: int, L: int) -> int:

@@ -188,9 +188,11 @@ def _size_error(lens: np.ndarray, k: int) -> tuple:
 def verify_bibd(design: BlockDesign) -> Report:
     """Exact pair coverage: every 2-subset of points in exactly lam blocks.
     Points must lie in 0..v-1.  The pair scan runs over chunks of
-    _PAIR_CHUNK points x: the blocks through x (found through one sort of
-    the incidences) are counted into a row of v cells per x, and the cells
-    y > x are compared with lam, so memory is O(b*k + _PAIR_CHUNK*v).  Pair
+    _PAIR_CHUNK points x: the blocks through x (found through one stable
+    sort of the incidences) are counted into a row of v cells per x, and
+    the cells y > x are compared with lam, so memory is O(b*k +
+    _PAIR_CHUNK*v).  The points are held in the narrowest dtype that holds
+    v-1 and the cells in int32 while _PAIR_CHUNK*v < 2**31.  Pair
     witnesses are (point, point, count), in lexicographic order."""
     v = design.v
     k = design.k
@@ -206,16 +208,19 @@ def verify_bibd(design: BlockDesign) -> Report:
         bi, pos = stray[0]
         return Report(False, f"block {bi} holds point {mat[bi, pos]} outside 0..{v - 1}",
                       [(int(b), int(mat[b, p])) for b, p in stray])
-    by_point = np.argsort(flat)
-    start = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=v))])
+    points = flat.astype(np.min_scalar_type(v - 1))
+    blocks = points.reshape(-1, k)
+    by_point = np.argsort(points, kind="stable")
+    start = np.concatenate([[0], np.cumsum(np.bincount(points, minlength=v))])
+    cell = np.int32 if _PAIR_CHUNK * v < 2**31 else np.int64
     bad: list[tuple[int, int, int]] = []
     for x0 in range(0, v, _PAIR_CHUNK):
         x1 = min(v, x0 + _PAIR_CHUNK)
         inc = by_point[start[x0]:start[x1]]
         # a block holding x a times and y b times covers the pair a*b times
-        cells = (flat[inc] - x0)[:, None] * v + mat[inc // k]
+        cells = (points[inc].astype(cell) - x0)[:, None] * v + blocks[inc // k]
         counts = np.bincount(cells.ravel(), minlength=(x1 - x0) * v).reshape(x1 - x0, v)
-        xs, ys = np.nonzero(counts != design.lam)
+        xs, ys = np.divmod(np.flatnonzero(counts != design.lam), v)
         upper = np.flatnonzero(ys > xs + x0)[:WITNESSES - len(bad)]
         xs, ys = xs[upper], ys[upper]
         bad += zip((xs + x0).tolist(), ys.tolist(), counts[xs, ys].tolist())
@@ -324,7 +329,7 @@ def verify_one_rotational(design: BlockDesign, res: Resolution,
 
     blocks, classes = multisets(np.arange(design.v))
     infinity = design.v - 1
-    for gamma in _generators(G):
+    for gamma in G.generators():
         perm = np.empty(design.v, dtype=np.int64)
         perm[infinity] = infinity
         perm[point_of] = point_of[G.add(np.arange(G.order, dtype=np.int64), int(gamma))]
@@ -354,15 +359,6 @@ def _canonical(rows: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     ids = np.empty(len(rows), dtype=np.int64)
     ids[order] = np.cumsum(new) - 1
     return ranked, ids
-
-
-def _generators(G: AbelianGroup) -> list[int]:
-    gens = []
-    acc = 1
-    for r in G._radices:
-        gens.append(acc)       # the element with digit 1 in this leaf
-        acc *= r
-    return gens
 
 
 def recursion_params(rule: str, m: int, n: int) -> dict:

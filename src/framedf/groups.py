@@ -104,6 +104,11 @@ class AbelianGroup:
     def enumerate(self) -> np.ndarray:
         return np.arange(self.order, dtype=np.int64)
 
+    def generators(self) -> list[int]:
+        """One generator per leaf: the element with digit 1 in that leaf and
+        0 in the others."""
+        return self._weights.tolist()
+
     # -- product structure ------------------------------------------------------
 
     def pack(self, *parts) -> int:

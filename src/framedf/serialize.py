@@ -30,6 +30,7 @@ encoder, nor become one list of lists.
 from __future__ import annotations
 
 import json
+import math
 import reprlib
 from array import array
 from itertools import chain
@@ -86,6 +87,21 @@ def group_from_dict(d: dict) -> AbelianGroup:
     raise ValueError(f"unknown group descriptor type {kind!r}")
 
 
+def _order(d: dict) -> int:
+    """The order of the group descriptor d, read as group_from_dict reads
+    it but building nothing.  A field's m is taken as at most 64: p**64 is
+    past any order that blocks held in memory can give."""
+    kind = _str(_typed(d, dict, "group"), "type")
+    if kind == "cyclic":
+        return _int(d, "n")
+    if kind == "field":
+        fd = _typed(d["field"], dict, "field")
+        return _int(fd, "p") ** min(max(_int(fd, "m"), 0), 64)
+    if kind == "product":
+        return math.prod(map(_order, _typed(d["factors"], list, "factors")))
+    raise ValueError(f"unknown group descriptor type {kind!r}")
+
+
 def family_to_dict(fam: DesignFamily) -> dict:
     out = {
         "kind": fam.kind,
@@ -128,11 +144,19 @@ def lifting_to_dict(data: LiftingData) -> dict:
 
 
 def lifting_from_dict(d: dict) -> LiftingData:
-    """The datum `d` describes.  LiftingData's check d | e, e | q-1 is made
-    first from the field descriptor's p and m, before the field's tables,
-    which take time and memory linear in q, are built."""
+    """The datum `d` describes.  Two checks are made from the descriptors
+    before any field's tables, which take time and memory linear in q, are
+    built: the SDF's group order must be sum |B|(|B|-1)/lambda over its
+    blocks B, and LiftingData's d | e, e | q-1 is checked from the field
+    descriptor's p and m."""
     _typed(d, dict, "lifting datum")
-    sdf = family_from_dict(d["sdf"])
+    sd = _typed(d["sdf"], dict, "sdf")
+    pairs = sum(len(b) * (len(b) - 1) for b in _int_tuples(sd, "blocks"))
+    order, mu = _order(sd["group"]), _int(sd, "lambda")
+    if mu * order != pairs:
+        raise ValueError(f"SDF blocks have {pairs} differences, not lambda * |G| = "
+                         f"{mu} * {order}")
+    sdf = family_from_dict(sd)
     fd = _typed(d["field"], dict, "field")
     p, m, e, dd = _int(fd, "p"), _int(fd, "m"), _int(d, "e"), _int(d, "d")
     if e < 1 or dd < 1 or e % dd or pow(p, max(m, 0), e) != 1 % e:

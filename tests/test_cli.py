@@ -472,6 +472,51 @@ def test_verify_ccc_names_a_ragged_or_malformed_codeword(tmp_path, capsys):
         assert (rc, out, err) == (2, "", f"error: {problem}\n")
 
 
+# a hopping sequence or code file read as the design readers read theirs:
+# every malformed entry exits 2 and is named
+@pytest.mark.parametrize("cmd,blob,named", [
+    ("verify-fhs", [0, 1], "hopping sequence = [0, 1] is not an object"),
+    ("verify-fhs", [1], "hopping sequence = [1] is not an object"),
+    ("verify-fhs", {"n": 2, "alphabet": "2", "seq": [0, 1]},
+     "alphabet = '2' is not an int64 integer"),
+    ("verify-fhs", {"n": 2, "alphabet": 2.0, "seq": [0, 1]},
+     "alphabet = 2.0 is not an int64 integer"),
+    ("verify-fhs", {"n": 2, "alphabet": 2, "seq": [0, True]},
+     "seq[1] = True is not an int64 integer"),
+    ("verify-ccc", [0, 1], "code = [0, 1] is not an object"),
+    ("verify-ccc", {"n": 2, "codewords": [[0, 1], [1, 0]], "composition": [1, 1], "d": "2"},
+     "d = '2' is not an int64 integer"),
+    ("verify-ccc", {"n": 2, "codewords": [[0, 1], [1, 0]], "composition": [1, 1], "d": 2.0},
+     "d = 2.0 is not an int64 integer"),
+    ("verify-ccc", {"n": 2, "codewords": [[0, 1], [True, 0]], "composition": [1, 1], "d": 2},
+     "codewords[1][0] = True is not an int64 integer"),
+    ("verify-ccc", {"n": 2, "codewords": 5, "composition": [1, 1]},
+     "codewords = 5 is not a list"),
+], ids=["fhs-list", "fhs-one", "alphabet-str", "alphabet-float", "seq-bool", "ccc-list",
+        "d-str", "d-float", "codeword-bool", "codewords-int"])
+def test_malformed_code_file_exits_2(tmp_path, capsys, cmd, blob, named):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(blob))
+    assert run(capsys, cmd, str(bad)) == (2, "", f"error: {named}\n")
+
+
+def test_lift_checks_the_sdf_group_order_before_building_its_field(tmp_path, capsys,
+                                                                   monkeypatch):
+    # z7_8_8 has one block of 8 points and lambda 8: its group has order 7
+    blob = serialize.lifting_to_dict(catalog.lifting_datum("fdf_z7xF89"))
+    blob["sdf"]["group"] = {"type": "field",
+                            "field": {"p": 1000003, "m": 1, "modulus": [0, 1]}}
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the SDF's field was built before its order was checked")
+
+    monkeypatch.setattr(serialize, "make_field", unbuilt)
+    bad = tmp_path / "datum.json"
+    bad.write_text(json.dumps(blob))
+    assert run(capsys, "lift", "--data", str(bad)) == (
+        2, "", "error: SDF blocks have 56 differences, not lambda * |G| = 8 * 1000003\n")
+
+
 # AG(2,2) as written to a file: blocks [[0, 2], [1, 3], [0, 3], [1, 2], [0, 1],
 # [2, 3]] and classes [[0, 1], [2, 3], [4, 5]].  The first four edits read
 # back as the same valid design if the value is taken as an int.

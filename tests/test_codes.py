@@ -1,7 +1,10 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from framedf import catalog, codes
 from framedf.codes import (FHS, ccc_bound, ccc_from_pdf, fhs_bound,
@@ -32,6 +35,24 @@ def naive_max_correlation(seq, L):
     return best
 
 
+def window_scan_correlations(seq):
+    """H(X;L) as the window scan first computed it, shift by shift: each
+    window sum is a difference of two prefix sums of the doubled
+    coincidence row, for every start and length, at every shift tau <= n/2
+    (shift n - tau has the same sums)."""
+    s = np.asarray(seq)
+    n = len(s)
+    out = np.zeros(n, dtype=np.int64)
+    dtype = np.min_scalar_type(2 * n)
+    t = np.arange(n)
+    for tau in range(1, n // 2 + 1):
+        sums = np.zeros(2 * n, dtype=dtype)
+        np.cumsum(np.tile(s == s[(t + tau) % n], 2)[:-1], dtype=dtype, out=sums[1:])
+        windows = sliding_window_view(sums, n + 1)[:n]     # windows[j, L] = sums[j + L]
+        np.maximum(out, (windows[:, 1:] - windows[:, :1]).max(axis=0), out=out)
+    return out
+
+
 def test_trivial_pdf_to_ccc():
     pdf = DesignFamily(PDF, AbelianGroup.cyclic(2), 0, ((0,), (1,)))
     ccc = ccc_from_pdf(pdf)
@@ -58,11 +79,9 @@ def test_partial_hamming_examples():
 
 
 def test_max_correlation_matches_naive_oracle():
-    # shifts are scanned codes._SHIFT_BATCH at a time, and only up to n/2:
-    # n runs past both, odd and even, and every window length is checked
+    # odd and even n, at every window length
     rng = np.random.default_rng(4)
     sizes = [2, 3, 4, 5] + [int(n) for n in rng.integers(6, 40, size=12)]
-    assert max(sizes) // 2 > 2 * codes._SHIFT_BATCH
     for n in sizes:
         l = int(rng.integers(2, min(6, n) + 1))
         seq = rng.integers(0, l, size=n)
@@ -71,6 +90,41 @@ def test_max_correlation_matches_naive_oracle():
         x = FHS(seq, l)
         want = [naive_max_correlation(seq.tolist(), L) for L in range(1, n + 1)]
         assert fhs_correlations(x).tolist() == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=16))
+@example([0])
+@example([0, 0])
+@example([0, 1])
+@example([0] * 11)                  # constant: every shift dense
+@example(list(range(11)))           # all symbols distinct: no coincidence
+@example([0] * 10 + [1])            # one symbol used once
+@example([0, 1] * 6)                # shifts of 0 and of n coincidences
+@example([1, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1,
+          1, 1, 1, 1, 0, 1, 1, 0, 0, 1, 1, 0, 1, 1, 1, 0])   # n = 32: spans reach 4n = 128
+def test_fhs_correlations_match_the_window_scan_and_the_naive_count(symbols):
+    seq = np.unique(symbols, return_inverse=True)[1].astype(np.int64)   # every symbol used
+    n = len(seq)
+    got = fhs_correlations(FHS(seq, int(seq.max()) + 1)).tolist()
+    assert got == window_scan_correlations(seq).tolist()
+    assert got == [naive_max_correlation(seq.tolist(), L) for L in range(1, n + 1)]
+
+
+def dense_sequences_623():
+    """The n = 623 sequences whose shifts hold more coincidences than not,
+    or about as many: constant, one symbol used once, random binary."""
+    near = np.zeros(623, dtype=np.int64)
+    near[311] = 1
+    return {"constant": np.zeros(623, dtype=np.int64), "near-constant": near,
+            "binary": np.random.default_rng(17).integers(0, 2, size=623)}
+
+
+@pytest.mark.parametrize("name", ["constant", "near-constant", "binary"])
+def test_dense_shifts_match_the_window_scan_at_623(name):
+    seq = dense_sequences_623()[name]
+    x = FHS(seq, int(seq.max()) + 1)
+    assert fhs_correlations(x).tolist() == window_scan_correlations(seq).tolist()
 
 
 def test_fhs_bound_examples_and_monotonicity():
@@ -93,6 +147,7 @@ def test_fhs_from_fdf_and_strict_optimality():
     correlations = fhs_correlations(x)
     for L in (1, 89, 623):
         assert correlations[L - 1] == fhs_bound(623, 78, L)
+    assert correlations.tolist() == window_scan_correlations(x.seq).tolist()
 
 
 def test_fhs_perturbation_fails_with_witness():
@@ -102,6 +157,9 @@ def test_fhs_perturbation_fails_with_witness():
     seq[5] = seq[4]
     rep = verify_strictly_optimal(FHS(seq, int(seq.max()) + 1))
     assert not rep.ok and len(rep.witnesses) > 0
+    # the window scan gives the same correlations, so the same witnesses
+    assert fhs_correlations(FHS(seq, int(seq.max()) + 1)).tolist() == \
+        window_scan_correlations(seq).tolist()
 
 
 def test_fhs_rejects_wrong_shapes():
@@ -142,6 +200,9 @@ def test_ccc_pairwise_distance_uniform():
         if i != j:
             assert int((X[i] != X[j]).sum()) == 616
     assert ccc.min_distance() == 616
+    # from the translates of codeword 0 over Z7 x GF(89), and pair by pair
+    assert ccc.group.kind == "product"
+    assert dataclasses.replace(ccc, group=None).min_distance() == 616
 
 
 def test_ccc_codewords_are_cyclic_shifts_on_cyclic_groups():
@@ -179,3 +240,45 @@ def test_min_distance_matches_double_loop():
         assert ccc.min_distance() == naive_min_distance(X.tolist(), n), (M, n, lo, hi)
     ends = np.array([[-2**63, 2**63 - 1, 0], [2**63 - 1, 2**63 - 1, 0], [-2**63, 0, 0]])
     assert codes.CCC(3, ends, ()).min_distance() == naive_min_distance(ends.tolist(), 3) == 1
+
+
+def odd_order_pdf(group):
+    """{0} and the pairs {a, -a}: a PDF with lambda 1 over any group of odd
+    order, since a block {a, -a} has the differences 2a and -2a."""
+    elems = group.enumerate()
+    pairs = sorted({tuple(sorted((int(a), int(group.neg(int(a)))))) for a in elems[1:]})
+    return DesignFamily(PDF, group, 1, ((0,),) + tuple(pairs))
+
+
+def small_pdfs():
+    z7 = AbelianGroup.cyclic(7)
+    squares = DesignFamily(PDF, z7, 2, ((0,), (1, 2, 4), (3, 5, 6)))
+    z3 = AbelianGroup.cyclic(3)
+    return [squares, odd_order_pdf(z7), odd_order_pdf(AbelianGroup.cyclic(15)),
+            odd_order_pdf(AbelianGroup.product(z3, z3)),
+            odd_order_pdf(AbelianGroup.product(z3, AbelianGroup.cyclic(5)))]
+
+
+def test_min_distance_of_translates_matches_double_loop():
+    for pdf in small_pdfs():
+        ccc = ccc_from_pdf(pdf)
+        assert ccc.group == pdf.group
+        assert ccc.min_distance() == naive_min_distance(ccc.codewords.tolist(), ccc.n), pdf
+
+
+def test_min_distance_falls_back_to_pairs_when_a_symbol_changes():
+    """One symbol of codeword 3 becomes codeword 4's there.  The rows are
+    no longer translates, and codewords 3 and 4 may agree more than any
+    pair with codeword 0 does, so only the pairwise scan gets d."""
+    ccc = ccc_from_pdf(small_pdfs()[0])
+    X = ccc.codewords
+    for t in np.flatnonzero(X[3] != X[4]):
+        Y = X.copy()
+        Y[3, t] = X[4, t]
+        with_row_0 = ccc.n - int((Y[1:] == Y[0]).sum(axis=1).max())
+        want = naive_min_distance(Y.tolist(), ccc.n)
+        if want != with_row_0:
+            break
+    else:
+        pytest.fail("no change of one symbol tells the two scans apart")
+    assert dataclasses.replace(ccc, codewords=Y).min_distance() == want

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import tracemalloc
 from collections import Counter
@@ -401,6 +402,30 @@ def test_verify_bibd_matches_dict_oracle(chunk, monkeypatch):
     assert min(outcomes[True], outcomes[False]) >= 20, outcomes
 
 
+def all_pairs_cases(v):
+    """The (v, 2, 1) design of all pairs, then with a point moved to v-1,
+    to 0 and outside 0..v-1, and with a block repeating a point."""
+    blocks = np.array(list(itertools.combinations(range(v), 2)))
+    cases = [blocks]
+    for at, point in (((7, 0), v - 1), ((len(blocks) - 1, 1), 0), ((9, 1), v), ((3, 1), 0)):
+        moved = blocks.copy()
+        moved[at] = point
+        cases.append(moved)
+    return [BlockDesign(v, 2, 1, rows) for rows in cases]
+
+
+# 255 and 256 points fit uint8, 257 take uint16; a chunk of 2**30 points
+# makes the cells int64
+@pytest.mark.parametrize("v", [255, 256, 257])
+def test_verify_bibd_matches_dict_oracle_across_point_dtypes(v, monkeypatch):
+    cases = all_pairs_cases(v)
+    want = [bibd_oracle(design) for design in cases]
+    assert [rep.ok for rep in want] == [True, False, False, False, False]
+    for chunk in (128, 1 << 30):
+        monkeypatch.setattr(designs, "_PAIR_CHUNK", chunk)
+        assert [verify_bibd(design) for design in cases] == want, chunk
+
+
 def test_verify_resolution_matches_dict_oracle():
     outcomes = Counter()
     for design, res in ORACLE_CASES:
@@ -442,7 +467,7 @@ def one_rotational_oracle(design, res, rot):
 
     blocks, classes = multisets(np.arange(design.v))
     infinity = design.v - 1
-    for gamma in designs._generators(G):
+    for gamma in G.generators():
         perm = np.empty(design.v, dtype=np.int64)
         perm[infinity] = infinity
         perm[point_of] = point_of[G.add(np.arange(G.order, dtype=np.int64), int(gamma))]
