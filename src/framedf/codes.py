@@ -105,11 +105,17 @@ class FHS:
         return len(self.seq)
 
 
+# ccc_from_pdf subtracts at most this many cells at once: one chunk up to
+# n = 724, so the n = 623 codes take one subtraction
+_CCC_CELLS = 1 << 19
+
+
 def ccc_from_pdf(pdf: DesignFamily) -> CCC:
     """One codeword per group element g: position t carries the index of the
     block containing t - g.  |G| codewords of length |G| whose composition
-    is the block-size multiset, built by one broadcast subtraction; the
-    code records G, so min_distance can use the translates."""
+    is the block-size multiset, built by one broadcast subtraction per
+    chunk of rows of at most _CCC_CELLS cells; the code records G, so
+    min_distance can use the translates."""
     if pdf.kind != PDF:
         raise ValueError("need a PDF")
     rep = verify_pdf(pdf)
@@ -120,7 +126,10 @@ def ccc_from_pdf(pdf: DesignFamily) -> CCC:
     for bi, blk in enumerate(pdf.blocks):
         label[np.asarray(blk, dtype=np.int64)] = bi
     elems = G.enumerate()
-    codewords = label[G.sub(elems[None, :], elems[:, None])]
+    rows = max(1, _CCC_CELLS // G.order)
+    codewords = np.empty((G.order, G.order), dtype=np.int64)
+    for lo in range(0, G.order, rows):
+        codewords[lo:lo + rows] = label[G.sub(elems[None, :], elems[lo:lo + rows, None])]
     composition = tuple(sorted(len(b) for b in pdf.blocks))
     return CCC(G.order, codewords, composition,
                provenance=(pdf.provenance + " -> CCC") if pdf.provenance else "CCC", group=G)

@@ -839,20 +839,35 @@ def _enumerate_cluster(system: ConstraintSystem, form_groups: list[list[int]],
 
 def _fc_over_clusters(system: ConstraintSystem, form_groups: list[list[int]], clusters,
                       domains, budget: _Budget):
-    """Forward-checking DFS over enumerated cluster domains (complete)."""
+    """Forward-checking DFS over enumerated cluster domains (complete).
+
+    Each cluster's rows are put in hint order, a stable sort by the number
+    of cross labels that differ from the system's hints, and its live
+    domain is one int: bit i stands for row hint_order[ci][i], so scanning
+    the set bits from the lowest visits the live rows in hint order.  A
+    node takes the unassigned cluster with the fewest live rows (the lower
+    index on a tie) and tries its rows in turn, one node each.  A row's
+    cross labels are forbidden in every unassigned cluster whose cross
+    column shares a group with them: that cluster's domain is and-ed with
+    the bits of its rows whose label in the column differs, an int built
+    on first use for each (cluster, column, label) and kept for the
+    solve.  So a live row never repeats a label of an assigned cluster in
+    a shared group, and a cluster left with no live row fails the node.
+    """
     ncl = len(clusters)
-    # cross constraint incidence: (cluster, col in its signature, group, modulus)
-    slots = []
-    for ci, (_, sigl, cross) in enumerate(domains):
+    bygroup: dict[int, list[tuple[int, int]]] = {}
+    for ci, (_, _, cross) in enumerate(domains):
         for k, fi in enumerate(cross):
             for gi in form_groups[fi]:
-                slots.append((ci, k, gi))
-    bygroup: dict[int, list[tuple[int, int]]] = {}
-    for ci, k, gi in slots:
-        bygroup.setdefault(gi, []).append((ci, k))
-    # hint-preferred ordering: stable sort by disagreement count then original order
-    hint_order = []
-    for ci, (wit, sigl, cross) in enumerate(domains):
+                bygroup.setdefault(gi, []).append((ci, k))
+    # allowed[cj][kk]: label -> the bits of cluster cj's rows whose label in
+    # column kk differs, built on first use; targets[ci][k]: the (cluster,
+    # column, allowed bits) that a label in column k of cluster ci restricts
+    allowed = [[{} for _ in cross] for _, _, cross in domains]
+    targets = [[[(cj, kk, allowed[cj][kk]) for gi in form_groups[fi] for cj, kk in bygroup[gi]
+                 if cj != ci] for fi in cross] for ci, (_, _, cross) in enumerate(domains)]
+    hint_order, sigs = [], []            # sigs[ci]: the signatures in bit order
+    for _, sigl, cross in domains:
         if len(sigl) == 0:
             return SolveResult("exhausted", nodes=budget.nodes)
         score = np.zeros(len(sigl), dtype=np.int64)
@@ -860,50 +875,41 @@ def _fc_over_clusters(system: ConstraintSystem, form_groups: list[list[int]], cl
             if fi in system.hints:
                 score += sigl[:, k] != system.hints[fi]
         hint_order.append(np.argsort(score, kind="stable"))
-    masks = [np.ones(len(d[0]), dtype=bool) for d in domains]
-    assigned: dict[int, int] = {}
+        sigs.append(sigl[hint_order[-1]])
+    assigned: dict[int, int] = {}        # cluster -> bit of its row
 
-    def dfs():
+    def dfs(masks):
         if len(assigned) == ncl:
             return True
-        live = [(int(masks[ci].sum()), ci) for ci in range(ncl) if ci not in assigned]
-        cnt, ci = min(live)
+        cnt, ci = min((masks[c].bit_count(), c) for c in range(ncl) if c not in assigned)
         if cnt == 0:
             return False
-        wit, sigl, cross = domains[ci]
-        idxs = hint_order[ci][masks[ci][hint_order[ci]]]
-        for row in idxs:
+        live = masks[ci]
+        while live:
+            low = live & -live
+            live ^= low
             if not budget.spend():
                 return False
-            assigned[ci] = int(row)
-            saved = []
-            ok = True
-            for k, fi in enumerate(cross):
-                lab = sigl[row, k]
-                for gi in form_groups[fi]:
-                    for cj, kk in bygroup.get(gi, ()):
-                        if cj == ci or cj in assigned:
-                            if cj != ci and cj in assigned and \
-                                    domains[cj][1][assigned[cj], kk] == lab:
-                                ok = False
-                            continue
-                        saved.append((cj, masks[cj]))
-                        masks[cj] = masks[cj] & (domains[cj][1][:, kk] != lab)
-                if not ok:
-                    break
-            if ok and dfs():
+            assigned[ci] = low.bit_length() - 1
+            child = masks[:]
+            for k, lab in enumerate(sigs[ci][assigned[ci]].tolist()):
+                for cj, kk, bits in targets[ci][k]:
+                    if cj not in assigned:
+                        if lab not in bits:
+                            packed = np.packbits(sigs[cj][:, kk] != lab, bitorder="little")
+                            bits[lab] = int.from_bytes(packed.tobytes(), "little")
+                        child[cj] &= bits[lab]
+            if dfs(child):
                 return True
-            for cj, m in reversed(saved):
-                masks[cj] = m
             del assigned[ci]
             if budget.nodes > budget.limit:
                 return False
         return False
 
-    if dfs():
+    if dfs([(1 << len(s)) - 1 for s in sigs]):
         assignment = {}
         for ci, cl in enumerate(clusters):
-            wit = domains[ci][0][assigned[ci]]
+            wit = domains[ci][0][hint_order[ci][assigned[ci]]]
             for i, u in enumerate(cl):
                 assignment[u] = int(wit[i])
         return SolveResult("sat", assignment, budget.nodes)
@@ -1203,6 +1209,32 @@ def _apply_reduction(system: ConstraintSystem, red: dict):
     return reduced, expand
 
 
+def _cluster_shape(system: ConstraintSystem, form_groups: list[list[int]],
+                   cluster: list[int]) -> tuple[tuple, list[int]]:
+    """(key, inner forms) of a cluster, the key holding everything that
+    _enumerate_cluster reads of it: its size; its inner forms in form-index
+    order as (local terms, const); and per inner form its groups, renamed
+    by first appearance, with modulus, multiplicity, orbit, whether the
+    group straddles and its count of inner forms.  Clusters with equal
+    keys enumerate to the same witnesses and signatures, with the cross
+    forms at the same places among their inner forms."""
+    pos = {u: i for i, u in enumerate(cluster)}
+    inner = [fi for fi, f in enumerate(system.forms) if all(u in pos for u, _ in f.terms)]
+    inside, names = set(inner), {}
+    forms, groups = [], []
+    for fi in inner:
+        f = system.forms[fi]
+        forms.append((tuple((pos[u], c) for u, c in f.terms), f.const))
+        row = []
+        for gi in form_groups[fi]:
+            g = system.groups[gi]
+            ins = sum(x in inside for x in g.forms)
+            row.append((names.setdefault(gi, len(names)), g.modulus, g.multiplicity, g.orbit,
+                        ins < len(g.forms), ins))
+        groups.append(tuple(row))
+    return (len(cluster), tuple(forms), tuple(groups)), inner
+
+
 def _solve_one(system: ConstraintSystem, bud: _Budget) -> SolveResult:
     form_groups: list[list[int]] = [[] for _ in system.forms]
     for gi, g in enumerate(system.groups):
@@ -1211,12 +1243,21 @@ def _solve_one(system: ConstraintSystem, bud: _Budget) -> SolveResult:
     clusters = _clusters_of(system)
     if len(clusters) <= 1:
         return _dfs_direct(system, form_groups, bud)
+    # one enumeration per cluster shape: its arrays are shared read-only,
+    # its cross forms placed among each cluster's own inner forms
+    shapes: dict[tuple, tuple] = {}
     domains = []
     for cl in clusters:
-        dom = _enumerate_cluster(system, form_groups, cl)
-        if dom is None:
-            return _dfs_direct(system, form_groups, bud)
-        domains.append(dom)
+        key, inner = _cluster_shape(system, form_groups, cl)
+        if key not in shapes:
+            dom = _enumerate_cluster(system, form_groups, cl)
+            if dom is None:
+                return _dfs_direct(system, form_groups, bud)
+            wit, sig, cross = dom
+            wit.flags.writeable = sig.flags.writeable = False
+            shapes[key] = wit, sig, [inner.index(fi) for fi in cross]
+        wit, sig, at = shapes[key]
+        domains.append((wit, sig, [inner[j] for j in at]))
     return _fc_over_clusters(system, form_groups, clusters, domains, bud)
 
 

@@ -1,22 +1,28 @@
-"""The benchmark's output check, run against a changed design.
+"""The benchmark's output checks, run through its own Runner.
 
 perfbench/selftest.py changes one point of the 624-point design file by
 copying the rows with list(b).  Since designs store their rows as int64
 arrays that copy holds numpy scalars, which serialize.dump rejects, so the
-operation fails on a TypeError before the file is compared.  This test
+operation fails on a TypeError before the file is compared.  This module
 writes the changed design (rows copied with tolist()) and checks that the
-benchmark's recipe operation fails on the file's SHA-256."""
+benchmark's recipe operation fails on the file's SHA-256.
 
+It also runs the benchmark's z125@79 solve against perfbench/golden.json,
+so that a change of the cluster path's node count or assignment fails
+here as well as in the benchmark."""
+
+import dataclasses
 import importlib
 import json
 from pathlib import Path
 
 import pytest
 
-from framedf import serialize
+from framedf import search, serialize
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 OP = "recipe_s.rbibd624"
+SOLVE_OP = "solve_s.z125_79"
 
 
 @pytest.fixture
@@ -25,17 +31,17 @@ def bench(monkeypatch):
     return importlib.import_module("run")
 
 
-def _run_624_recipe(bench, wd):
+def _run_op(bench, workload, op, wd):
     wd.mkdir()
-    runner = bench.Runner("recipes", bench.Ctx(0, wd, json.loads(bench.GOLDEN.read_text())))
+    runner = bench.Runner(workload, bench.Ctx(0, wd, json.loads(bench.GOLDEN.read_text())))
     runner.setup("setup")
-    runner._attempt(OP, dict(bench.WORKLOADS["recipes"]["ops"])[OP])
+    runner._attempt(op, dict(bench.WORKLOADS[workload]["ops"])[op])
     return runner
 
 
 def test_benchmark_fails_a_624_point_design_with_one_point_changed(bench, tmp_path,
                                                                    monkeypatch):
-    runner = _run_624_recipe(bench, tmp_path / "intact")
+    runner = _run_op(bench, "recipes", OP, tmp_path / "intact")
     assert (runner.failed, runner.errors) == (0, [])
     dump = serialize.dump
 
@@ -47,6 +53,22 @@ def test_benchmark_fails_a_624_point_design_with_one_point_changed(bench, tmp_pa
         dump(obj, path)
 
     monkeypatch.setattr(serialize, "dump", changed_dump)
-    runner = _run_624_recipe(bench, tmp_path / "changed")
+    runner = _run_op(bench, "recipes", OP, tmp_path / "changed")
     assert runner.failed == 1
     assert runner.errors[0].startswith(f"{OP}: file.rbibd_624.json: got ")
+
+
+def test_benchmark_z125_79_solve_matches_its_golden(bench, tmp_path, monkeypatch):
+    runner = _run_op(bench, "search", SOLVE_OP, tmp_path / "intact")
+    assert (runner.failed, runner.errors) == (0, [])
+    assert runner.sizes[SOLVE_OP]["nodes"] == 464
+    solve = search.solve
+
+    def one_node_more(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        return dataclasses.replace(res, nodes=res.nodes + 1)
+
+    monkeypatch.setattr(search, "solve", one_node_more)
+    runner = _run_op(bench, "search", SOLVE_OP, tmp_path / "drifted")
+    assert runner.failed == 1
+    assert runner.errors[0].startswith(f"{SOLVE_OP}: solve.z125_79: got ")

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -264,6 +265,44 @@ def test_min_distance_of_translates_matches_double_loop():
         ccc = ccc_from_pdf(pdf)
         assert ccc.group == pdf.group
         assert ccc.min_distance() == naive_min_distance(ccc.codewords.tolist(), ccc.n), pdf
+
+
+def row_by_row_codewords(pdf, rows=None):
+    """Codeword g position t: the index of the block holding t - g, one
+    group subtraction per cell; every codeword, or those of `rows`."""
+    G = pdf.group
+    block_of = {int(x): bi for bi, blk in enumerate(pdf.blocks) for x in blk}
+    return [[block_of[int(G.sub(t, g))] for t in range(G.order)]
+            for g in (range(G.order) if rows is None else rows)]
+
+
+@pytest.mark.parametrize("cells", [1, 20, 100, None])
+def test_ccc_chunks_match_the_row_by_row_build(monkeypatch, cells):
+    """Row chunks of one row, of a few rows with a short last chunk, and
+    the whole code at once give the same codewords."""
+    if cells is not None:
+        monkeypatch.setattr(codes, "_CCC_CELLS", cells)
+    for pdf in small_pdfs():
+        ccc = ccc_from_pdf(pdf)
+        assert ccc.codewords.dtype == np.int64 and ccc.codewords.flags.c_contiguous
+        assert ccc.codewords.tolist() == row_by_row_codewords(pdf), (cells, pdf.group)
+
+
+def test_ccc_at_2191_builds_in_bounded_memory():
+    """n = 2191 (Z7 x Z313, the size of the q = 313 CCC) takes ten row
+    chunks: the peak is the 38 MB of codewords and one chunk's digits,
+    where one subtraction over all n^2 cells held about 115 MB."""
+    pdf = odd_order_pdf(AbelianGroup.product(AbelianGroup.cyclic(7), AbelianGroup.cyclic(313)))
+    tracemalloc.start()
+    try:
+        ccc = ccc_from_pdf(pdf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ccc.codewords.shape == (2191, 2191)
+    rows = [0, 238, 239, 1095, 2190]                 # 239 rows per chunk
+    assert ccc.codewords[rows].tolist() == row_by_row_codewords(pdf, rows)
+    assert peak < 74_000_000, peak
 
 
 def test_min_distance_falls_back_to_pairs_when_a_symbol_changes():

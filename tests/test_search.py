@@ -612,6 +612,81 @@ def test_solve_agrees_with_brute_force(sysm):
         assert sysm.check_assignment([res.assignment[u] for u in sysm.unknowns])
 
 
+@st.composite
+def _cluster_systems(draw):
+    """Systems that reach the cluster path: 2-3 clusters of one or two
+    unknowns (at most 4 in all, and at most 2,401 assignments to scan),
+    constant-free 1- and 2-term forms inside each cluster, coefficients
+    from -3..3 (some vanish mod p); groups of multiplicity 1 and orbit 1,
+    all of one modulus m >= 2 (a signature holds a cross form's label mod
+    its first group's modulus only), forms listed more than once.  The first
+    group straddles two clusters; the others are filled from the labels
+    of a planted assignment (one form per class) or drawn at random."""
+    sizes = draw(st.lists(st.integers(1, 2), min_size=2, max_size=3).filter(
+        lambda s: sum(s) <= 4))
+    n = sum(sizes)
+    q = draw(st.sampled_from([q for q in (3, 4, 5, 7, 9, 11, 13) if (q - 1) ** n <= 2401]))
+    fld = field_of_order(q)
+    coeff = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    forms, owner, first = [], [], 0
+    for ci, size in enumerate(sizes):
+        us = list(range(first, first + size))
+        first += size
+        shapes = [us] if size == 2 else []          # keeps a pair of unknowns one cluster
+        shapes += draw(st.lists(st.lists(st.sampled_from(us), min_size=1, max_size=2,
+                                         unique=True), min_size=1, max_size=3))
+        for terms in shapes:
+            forms.append(Form(f"f{len(forms)}", tuple((u, draw(coeff)) for u in terms)))
+            owner.append(ci)
+    sysm = ConstraintSystem(fld, 1, tuple(f"y{u}" for u in range(n)), tuple(forms), ())
+    planted = [draw(st.integers(1, q - 1)) for _ in range(n)]
+    logs = [int(fld.dlog(v)) if v else None
+            for v in (sysm.eval_form(fi, planted) for fi in range(len(forms)))]
+    m = draw(st.sampled_from([d for d in _divisors(q - 1) if 2 <= d <= 4]))
+    pick = st.integers(0, len(forms) - 1)
+    a = draw(st.sampled_from([fi for fi in range(len(forms)) if owner[fi] == 0]))
+    b = draw(st.sampled_from([fi for fi in range(len(forms)) if owner[fi] == 1]))
+    groups = [(a, b, *draw(st.lists(pick, min_size=m - 2, max_size=m - 2)))]
+    for _ in range(draw(st.integers(0, 3))):
+        members = []
+        if draw(st.booleans()):
+            for cls in range(m):
+                fis = [fi for fi, lg in enumerate(logs) if lg is not None and lg % m == cls]
+                if fis:
+                    members.append(draw(st.sampled_from(fis)))
+        if len(members) != m:
+            members = draw(st.lists(pick, min_size=m, max_size=m))
+        groups.append(tuple(members))
+    return replace(sysm, groups=tuple(UniformityGroup(tuple(sorted(g)), m) for g in groups))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cluster_systems(), st.data())
+def test_cluster_search_agrees_with_brute_force(sysm, data):
+    """The cluster path (enumeration, then _fc_over_clusters) against a full
+    scan: the same status, a valid assignment when sat, and a budget below
+    its node count stops at limit + 1."""
+    q, n = sysm.field.q, len(sysm.unknowns)
+    assert len(_clusters_of(sysm)) > 1
+    found = any(sysm.check_assignment(a) for a in itertools.product(range(1, q), repeat=n))
+    ran, real = [], search._fc_over_clusters
+
+    def spy(*args):
+        ran.append(True)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_fc_over_clusters", spy)
+        res = solve(sysm)
+    assert ran
+    assert res.status == ("sat" if found else "exhausted")
+    if found:
+        assert sysm.check_assignment([res.assignment[u] for u in sysm.unknowns])
+    if res.nodes:
+        limit = data.draw(st.integers(0, res.nodes - 1))
+        assert solve(sysm, budget=limit) == SolveResult("budget_exceeded", nodes=limit + 1)
+
+
 def test_repair_identity_and_blank_recovery():
     data = catalog.lifting_datum("fdf_z7xF89")
     assert repair_block(data, []) is data
@@ -848,6 +923,61 @@ def test_cluster_witnesses_start_coset_least(make):
             least.setdefault(int(log[x]) % M, x)
         wit, _, _ = search._enumerate_cluster(sysm, fg, cl)
         assert len(wit) and all(least[int(log[x]) % M] == x for x in wit[:, 0].tolist())
+
+
+@pytest.mark.parametrize("make,enumerations", [
+    (lambda: z125_system(67), 10), (lambda: z125_system(79), 10),
+    (lambda: z125_system(103), 10), (lambda: z125_system(127), 10),
+    (lambda: paley3_pattern_system(5, 61), 1),
+], ids=["z125@67", "z125@79", "z125@103", "z125@127", "paley3_5@61"])
+def test_clusters_of_one_shape_share_one_enumeration(monkeypatch, make, enumerations):
+    """solve enumerates each cluster shape once (z125: 13 clusters, 4 of them
+    alike; paley3: 2 alike), and every domain it hands to
+    _fc_over_clusters is what _enumerate_cluster gives for that cluster
+    alone, its witnesses and signatures read-only."""
+    sysm = make()
+    real_enum, real_fc = search._enumerate_cluster, search._fc_over_clusters
+    calls, handed = [], []
+
+    def enumerate_spy(*args):
+        calls.append(args[2])
+        return real_enum(*args)
+
+    def fc_spy(system, form_groups, clusters, domains, budget):
+        handed.append((clusters, domains))
+        return real_fc(system, form_groups, clusters, domains, budget)
+
+    monkeypatch.setattr(search, "_enumerate_cluster", enumerate_spy)
+    monkeypatch.setattr(search, "_fc_over_clusters", fc_spy)
+    assert solve(sysm).status == "sat"
+    [(clusters, domains)] = handed
+    assert len(calls) == enumerations < len(clusters)
+    fg = _form_groups(sysm)
+    for cl, (wit, sig, cross) in zip(clusters, domains):
+        wit2, sig2, cross2 = real_enum(sysm, fg, cl)
+        assert np.array_equal(wit, wit2) and np.array_equal(sig, sig2) and cross == cross2
+        assert not wit.flags.writeable and not sig.flags.writeable
+    shared = [d[0] for d in domains]
+    wit = next(w for i, w in enumerate(shared) if any(w is v for v in shared[:i]))
+    with pytest.raises(ValueError):
+        wit[0, 0] = 1
+
+
+def test_clusters_that_pair_their_forms_apart_are_enumerated_apart(monkeypatch):
+    """Two one-unknown clusters with the same forms c*y, c = 1, 2, 3, 5 over
+    GF(7) (labels log c = 0, 2, 1, 5 mod 2 plus log y): cluster y0 pairs
+    them {1, 3}, {2, 5}, which covers both classes, and cluster y1 pairs
+    them {1, 2}, {3, 5}, which cannot.  Their shapes differ only in which
+    forms share a group, so each is enumerated, and the system is
+    exhausted."""
+    forms = tuple(Form(f"{c}y{u}", ((u, c),)) for u in (0, 1) for c in (1, 2, 3, 5))
+    groups = tuple(UniformityGroup(g, 2) for g in ((0, 2), (1, 3), (4, 5), (6, 7)))
+    sysm = ConstraintSystem(make_field(7), 2, ("y0", "y1"), forms, groups)
+    calls, real = [], search._enumerate_cluster
+    monkeypatch.setattr(search, "_enumerate_cluster",
+                        lambda *args: calls.append(args[2]) or real(*args))
+    assert solve(sysm) == SolveResult("exhausted", nodes=0)
+    assert calls == [[0], [1]]
 
 
 def test_cluster_enumeration_memory_is_bounded():
