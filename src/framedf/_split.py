@@ -12,19 +12,29 @@ one-process run has there.  At the first subtree root reached once the
 search has spent FORK_AFTER nodes, visit() forks a helper (none on one
 CPU, without fork, or beside other threads): a copy of the caller in the
 middle of the same walk.  From then on both walk the whole tree above the
-split depth, the caller searching the subtrees of even index and the helper
-those of odd index.  For each of its subtrees the helper sends back
-(index, (nodes, assignment or None), decides) and, when its walk ends,
-None.  A subtree decides when it finds a solution or overruns its room: no
-later subtree is needed, so the helper ends its walk there, and the caller
-walks on until it reaches the first deciding subtree it knows of.
+split depth and claim its subtrees on demand.  A counter in a shared
+anonymous mmap, made just before the fork, holds the next unclaimed
+subtree index; the caller takes the subtree at which it forks.  At each
+later root a process reads the counter: when it is at most the root's
+index, the process writes index + 1 and searches the subtree, and when it
+is larger, the other process has claimed the subtree.  Both processes
+reach the roots in the same order, so whichever reads at a root first
+finds no larger value and claims it: no subtree is skipped.  A lost race,
+both reading before either writes, only has both search the subtree, with
+the same (nodes, assignment); it may also leave a smaller value behind,
+hence "at most".  For each of its subtrees the helper sends back (index,
+(nodes, assignment or None), decides) and, when its walk ends, None.  A
+subtree decides when it finds a solution or overruns its room: no later
+subtree is needed, so the helper ends its walk there, and the caller walks
+on until it reaches the first deciding subtree it knows of.
 
-Results are merged in DFS order, which reproduces the one-process run: the
-subtree reached with `at` nodes spent (the nodes above it plus those of
-every earlier subtree) that spends k more nodes ends the search with a
-solution at at + k nodes, or with budget_exceeded at limit + 1 once at + k
-passes the limit.  The helper is killed and reaped on every exit; it never
-returns past split_search, printing any error and leaving by os._exit.
+Results are merged in DFS order, one per index, which reproduces the
+one-process run: the subtree reached with `at` nodes spent (the nodes
+above it plus those of every earlier subtree) that spends k more nodes
+ends the search with a solution at at + k nodes, or with budget_exceeded
+at limit + 1 once at + k passes the limit.  The helper is killed and
+reaped on every exit; it never returns past split_search, printing any
+error and leaving by os._exit.
 
 The helper is a plain os.fork child that talks through a pipe, so that
 neither an import of framedf nor a search loads multiprocessing.  This
@@ -33,6 +43,7 @@ module is imported by the first direct search, not by framedf.
 
 from __future__ import annotations
 
+import mmap
 import os
 import pickle
 import select
@@ -46,7 +57,9 @@ from typing import Optional
 
 from .search import SolveResult, _Budget
 
-FORK_AFTER = 20_000
+# a fork, exit and wait cost 3-5 ms on a 2-vCPU x86_64 box, the time of
+# 200-300 nodes of z7@89 alone
+FORK_AFTER = 1_000
 
 
 def can_fork() -> bool:
@@ -58,8 +71,10 @@ def can_fork() -> bool:
 
 def split_depth(n: int) -> int:
     """The depth of the subtree roots for n unknowns: 3 for z7@89's 8 (527
-    subtrees up to its solution, 766 nodes at most) and 4 for the widened
-    z63 repair's 16 (368 subtrees, 3,803 nodes at most)."""
+    subtrees up to its solution, 766 nodes at most) and for twinPrime3@49's
+    (1,512 subtrees of about 32 nodes), and 4 for the widened z63 repair's
+    16 (368 subtrees, 3,803 nodes at most).  Each process walks every node
+    above this depth."""
     return min(n, 2 + n // 8)
 
 
@@ -84,6 +99,19 @@ def recv(fd: int):
     return pickle.loads(read(struct.unpack("<Q", read(8))[0]))
 
 
+COUNTER = struct.Struct("q")   # the next unclaimed subtree: an aligned native int64,
+                               # so each read or write moves it whole
+
+
+def claim(shared: mmap.mmap, i: int) -> bool:
+    """True when this process takes subtree i, read from and written to the
+    counter at the start of `shared` (see above)."""
+    if COUNTER.unpack_from(shared)[0] > i:
+        return False
+    COUNTER.pack_into(shared, 0, i + 1)
+    return True
+
+
 def subtree(search: SimpleNamespace, depth: int, room: int) -> tuple[int, Optional[list]]:
     """Search below the placements in force, at `depth`, with `room` nodes:
     (nodes spent, the assignment found or None).  More than `room` nodes
@@ -104,9 +132,11 @@ def split_search(search: SimpleNamespace, budget: _Budget) -> SolveResult:
     results: dict = {}                     # subtree -> (nodes, assignment or None)
     merged = spent = 0                     # subtrees merged and their nodes
     first = float("inf")                   # the first subtree known to decide
-    walking, forked, done, res = True, False, False, None
-    pid = fd = None                        # once forked: the helper's pid (0 in the
-                                           # helper) and this process's end of the pipe
+    walking, done, res = True, False, None
+    forked_at = None                       # the subtree at which the fork was tried
+    pid = fd = shared = None               # once forked: the helper's pid (0 in the
+                                           # helper), this process's end of the pipe
+                                           # and the mmap of the claim counter
 
     def finish(status, nodes, found=None):
         nonlocal res
@@ -136,13 +166,16 @@ def split_search(search: SimpleNamespace, budget: _Budget) -> SolveResult:
         return finish("exhausted", total) if total <= limit \
             else finish("budget_exceeded", limit + 1)
 
-    def fork():
-        """Fork the helper, unless this process may not: a lock that another
-        thread holds would stay held in the helper."""
-        nonlocal pid, fd
+    def fork(i):
+        """Fork the helper at subtree i, which the caller takes, unless this
+        process may not: a lock that another thread holds would stay held
+        in the helper."""
+        nonlocal pid, fd, shared
         if not can_fork() or threading.active_count() > 1:
             return
         r, w = os.pipe()
+        shared = mmap.mmap(-1, COUNTER.size)
+        COUNTER.pack_into(shared, 0, i + 1)
         try:
             pid = os.fork()
         except OSError:
@@ -166,7 +199,9 @@ def split_search(search: SimpleNamespace, budget: _Budget) -> SolveResult:
             if msg is None:
                 done = True
             else:
-                i, results[i], decides = msg
+                i, result, decides = msg
+                if i >= merged:            # a subtree both processes searched merges once
+                    results[i] = result
                 if decides:
                     first = min(first, i)
             block = False
@@ -176,14 +211,15 @@ def split_search(search: SimpleNamespace, budget: _Budget) -> SolveResult:
     def visit():
         """The walk's step at each subtree root: fork the helper once the
         search has run long, and search the subtree here if it is this
-        process's; True once the walk may stop."""
-        nonlocal forked, first
-        if not forked and above.nodes + spent >= FORK_AFTER:
-            forked = True
-            fork()
+        process's (every subtree before the fork, then those it claims);
+        True once the walk may stop."""
+        nonlocal forked_at, first
         i = len(starts)
         starts.append(above.nodes)
-        if pid is None or i % 2 == (pid == 0):     # the caller's even, the helper's odd
+        if forked_at is None and above.nodes + spent >= FORK_AFTER:
+            forked_at = i
+            fork(i)
+        if pid is None or (pid and i == forked_at) or claim(shared, i):
             room = limit - base - starts[i]
             nodes, found = result = subtree(search, depth, room)
             if found is not None or nodes > room:
@@ -217,3 +253,5 @@ def split_search(search: SimpleNamespace, budget: _Budget) -> SolveResult:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(fd)
+        if shared is not None:
+            shared.close()

@@ -629,10 +629,11 @@ def _enumerate_cluster(system: ConstraintSystem, form_groups: list[list[int]],
 
     Returns (witnesses, signatures, cross_forms) deduplicated by signature
     (the labels of the cluster's forms belonging to straddling groups, each
-    mod the first such group's modulus), keeping the first row of each, or
-    None when the expansion is too large, or when a form is or has a
-    constant or a group has multiplicity or orbit > 1.  Witnesses are int64
-    rows, signatures int8 rows.
+    mod the modulus of its straddling groups), keeping the first row of
+    each, or None when the expansion is too large, when a form is or has a
+    constant, when a group has multiplicity or orbit > 1, or when a cross
+    form's straddling groups differ in modulus (one label per form could
+    not stand for both).  Witnesses are int64 rows, signatures int8 rows.
 
     The frontier is held column-major in the narrow value dtype of the
     field tables: one row per placed unknown, one column per candidate
@@ -683,7 +684,10 @@ def _enumerate_cluster(system: ConstraintSystem, form_groups: list[list[int]],
                           if fi in inner_set})
     # state rows: the masks, then the signature labels
     mcol = {gi: k for k, gi in enumerate(masked)}
-    smod = [next(mod[gi] for gi in form_groups[fi] if gi in mod) for fi in cross_forms]
+    smods = [{mod[gi] for gi in form_groups[fi] if gi in straddle} for fi in cross_forms]
+    if any(len(ms) > 1 for ms in smods):
+        return None
+    smod = [ms.pop() for ms in smods]
     scol = {fi: (len(masked) + k, m) for k, (fi, m) in enumerate(zip(cross_forms, smod))}
     order = list(cluster)
     pos = {u: i for i, u in enumerate(order)}
@@ -1100,13 +1104,13 @@ def _direct_search(system: ConstraintSystem, form_groups: list[list[int]]) -> Si
             nfree[fi] += 1
         assigned[u] = False
 
-    def do_assign(u, v):
+    def do_assign(u, v, fis):
         """Place u = v; returns an undo token, or None on contradiction.
-        The forms u completes are counted first; only when their labels
-        fit does the placement touch free counts and domains."""
+        The forms u completes, fis, are counted first; only when their
+        labels fit does the placement touch free counts and domains."""
         touched, grown = [], []
         mine = forms_by_unknown[u]
-        if not count([fi for fi in mine if nfree[fi] == 1], v, touched, grown):
+        if not count(fis, v, touched, grown):
             uncount(touched)
             return None
         assign[u] = v
@@ -1129,12 +1133,14 @@ def _direct_search(system: ConstraintSystem, form_groups: list[list[int]]) -> Si
         # scaling gauge at the root (bit 0 is generator^0 = 1); elsewhere
         # the live domain, lowest discrete log first
         dom = 1 if depth == 0 and gauge else domains[u]
+        # the forms u completes: the same for every value, each undone in full
+        fis = [fi for fi in forms_by_unknown[u] if nfree[fi] == 1]
         while dom:
             low = dom & -dom
             dom ^= low
             if not budget.spend():
                 return False
-            token = do_assign(u, exp[low.bit_length() - 1])
+            token = do_assign(u, exp[low.bit_length() - 1], fis)
             if token is None:
                 continue
             if dfs(depth + 1, budget, stop, visit):
@@ -1157,9 +1163,9 @@ def _dfs_direct(system: ConstraintSystem, form_groups: list[list[int]],
                 budget: _Budget) -> SolveResult:
     """Complete DFS over unknown values (see _direct_search), with the same
     nodes, result and node count as one process walking the tree; once it
-    runs long, a helper forked in the middle of the walk searches every
-    other subtree beside the caller (see framedf._split, compiled only when
-    a direct search runs)."""
+    runs long, a helper forked in the middle of the walk claims subtrees
+    beside the caller (see framedf._split, compiled only when a direct
+    search runs)."""
     from ._split import split_search
     return split_search(_direct_search(system, form_groups), budget)
 
@@ -1274,11 +1280,11 @@ def solve(system: ConstraintSystem, seed: int = 0, budget: int = 10**8) -> Solve
     assignment is re-verified against the whole system, and against the
     lifting conditions when the system can assemble a lifting datum.
 
-    A direct search (see _dfs_direct) that runs past 20,000 nodes forks a
+    A direct search (see _dfs_direct) that runs past 1,000 nodes forks a
     helper process, where this process may run on two CPUs or more: a
-    copy of the search in the middle of its walk, which searches every
-    other subtree beside the caller; it is gone when solve returns or
-    raises.  The status, assignment and node count are those of one
+    copy of the search in the middle of its walk, which searches the
+    subtrees it claims first beside the caller; it is gone when solve
+    returns or raises.  The status, assignment and node count are those of one
     process walking the tree, whatever the number of CPUs.  A negative
     budget raises ValueError.
     """

@@ -300,6 +300,9 @@ def test_search_order_is_pinned(make, pinned, request):
     assert (res.status, res.nodes, _digest(res.assignment)) == pinned
 
 
+FORK_AFTER = _split.FORK_AFTER          # the default, which the helpers fixture lowers to 0
+
+
 def _no_child_left():
     """True when this process has no child, reaping one that has exited."""
     try:
@@ -350,6 +353,56 @@ def test_helpers_keep_the_pinned_search_order(helpers, make, pinned):
     res = solve(make(), seed=0)
     assert (res.status, res.nodes, _digest(res.assignment)) == pinned
     assert helpers
+
+
+# Every claim succeeding is the worst case of a lost race: both processes
+# search every subtree they reach, and each index must still merge once.
+@pytest.mark.parametrize("make,pinned", [
+    (lambda: generic_system(catalog.family("z7_8_8"), 25, 24, 8, 1),
+     ("exhausted", 8777, None)),
+    (lambda: paired_pattern_system(catalog.family("twinPrime", 3), 49),
+     ("exhausted", 44563, None)),
+    (lambda: _z63_repair(True), _WIDENED_PIN),
+], ids=["z7@25", "twinPrime3@49", "repair:z63_widened"])
+def test_subtrees_searched_by_both_processes_merge_once(helpers, monkeypatch, tmp_path,
+                                                        make, pinned):
+    searched = _split.subtree
+
+    def subtree(state, depth, room):        # one byte per subtree, in a file per process
+        with open(tmp_path / str(os.getpid()), "ab") as f:
+            f.write(b".")
+        return searched(state, depth, room)
+
+    def searched_by(pid):
+        path = tmp_path / str(pid)
+        return path.stat().st_size if path.exists() else 0
+
+    monkeypatch.setattr(_split, "subtree", subtree)
+    monkeypatch.setattr(_split, "can_fork", lambda: False)
+    alone = solve(make(), seed=0)
+    roots = searched_by(os.getpid())
+    (tmp_path / str(os.getpid())).unlink()
+    assert helpers == [] and (alone.status, alone.nodes, _digest(alone.assignment)) == pinned
+
+    monkeypatch.setattr(_split, "can_fork", lambda: True)
+    monkeypatch.setattr(_split, "claim", lambda shared, i: True)
+    res = solve(make(), seed=0)
+    assert (res.status, res.nodes, _digest(res.assignment)) == pinned
+    # the caller searched every subtree it would search alone, and the
+    # helpers (one per direct search: a reduction first, for z7@25) searched
+    # some of them again
+    assert searched_by(os.getpid()) == roots
+    assert helpers and sum(map(searched_by, helpers)) > 0
+
+
+def test_only_a_search_past_fork_after_forks(helpers, monkeypatch):
+    # z7@25 spends 8,777 nodes, z7@73 47: below FORK_AFTER, a fork would
+    # cost more than the search
+    monkeypatch.setattr(_split, "FORK_AFTER", FORK_AFTER)
+    assert solve(generic_system(catalog.family("z7_8_8"), 73, 72, 8, 1)).nodes == 47
+    assert helpers == []
+    assert solve(generic_system(catalog.family("z7_8_8"), 25, 24, 8, 1)).nodes == 8777
+    assert len(helpers) == 1
 
 
 # A search with a budget returns what one process walking the tree returns
@@ -618,10 +671,9 @@ def _cluster_systems(draw):
     unknowns (at most 4 in all, and at most 2,401 assignments to scan),
     constant-free 1- and 2-term forms inside each cluster, coefficients
     from -3..3 (some vanish mod p); groups of multiplicity 1 and orbit 1,
-    all of one modulus m >= 2 (a signature holds a cross form's label mod
-    its first group's modulus only), forms listed more than once.  The first
-    group straddles two clusters; the others are filled from the labels
-    of a planted assignment (one form per class) or drawn at random."""
+    each of its own modulus m >= 2, forms listed more than once.  The first
+    group straddles two clusters; the others are filled from the labels of
+    a planted assignment (one form per class) or drawn at random."""
     sizes = draw(st.lists(st.integers(1, 2), min_size=2, max_size=3).filter(
         lambda s: sum(s) <= 4))
     n = sum(sizes)
@@ -642,13 +694,15 @@ def _cluster_systems(draw):
     planted = [draw(st.integers(1, q - 1)) for _ in range(n)]
     logs = [int(fld.dlog(v)) if v else None
             for v in (sysm.eval_form(fi, planted) for fi in range(len(forms)))]
-    m = draw(st.sampled_from([d for d in _divisors(q - 1) if 2 <= d <= 4]))
+    modulus = st.sampled_from([d for d in _divisors(q - 1) if 2 <= d <= 4])
     pick = st.integers(0, len(forms) - 1)
     a = draw(st.sampled_from([fi for fi in range(len(forms)) if owner[fi] == 0]))
     b = draw(st.sampled_from([fi for fi in range(len(forms)) if owner[fi] == 1]))
-    groups = [(a, b, *draw(st.lists(pick, min_size=m - 2, max_size=m - 2)))]
+    m = draw(modulus)
+    groups = [UniformityGroup(tuple(sorted((a, b, *draw(st.lists(pick, min_size=m - 2,
+                                                                 max_size=m - 2))))), m)]
     for _ in range(draw(st.integers(0, 3))):
-        members = []
+        m, members = draw(modulus), []
         if draw(st.booleans()):
             for cls in range(m):
                 fis = [fi for fi, lg in enumerate(logs) if lg is not None and lg % m == cls]
@@ -656,14 +710,25 @@ def _cluster_systems(draw):
                     members.append(draw(st.sampled_from(fis)))
         if len(members) != m:
             members = draw(st.lists(pick, min_size=m, max_size=m))
-        groups.append(tuple(members))
-    return replace(sysm, groups=tuple(UniformityGroup(tuple(sorted(g)), m) for g in groups))
+        groups.append(UniformityGroup(tuple(sorted(members)), m))
+    return replace(sysm, groups=tuple(groups))
+
+
+def _mixed_cross_moduli(sysm):
+    """True when some form lies in two groups of different moduli that each
+    straddle clusters: the cluster path then gives way to _dfs_direct."""
+    cluster_of = {u: ci for ci, cl in enumerate(_clusters_of(sysm)) for u in cl}
+    straddle = [g for g in sysm.groups
+                if len({cluster_of[sysm.forms[fi].terms[0][0]] for fi in g.forms}) > 1]
+    return any(len({g.modulus for g in straddle if fi in g.forms}) > 1
+               for fi in range(len(sysm.forms)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_cluster_systems(), st.data())
 def test_cluster_search_agrees_with_brute_force(sysm, data):
-    """The cluster path (enumeration, then _fc_over_clusters) against a full
+    """The cluster path (enumeration, then _fc_over_clusters, or _dfs_direct
+    when a cross form straddles groups of different moduli) against a full
     scan: the same status, a valid assignment when sat, and a budget below
     its node count stops at limit + 1."""
     q, n = sysm.field.q, len(sysm.unknowns)
@@ -678,13 +743,31 @@ def test_cluster_search_agrees_with_brute_force(sysm, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_fc_over_clusters", spy)
         res = solve(sysm)
-    assert ran
+    assert bool(ran) != _mixed_cross_moduli(sysm)
     assert res.status == ("sat" if found else "exhausted")
     if found:
         assert sysm.check_assignment([res.assignment[u] for u in sysm.unknowns])
     if res.nodes:
         limit = data.draw(st.integers(0, res.nodes - 1))
         assert solve(sysm, budget=limit) == SolveResult("budget_exceeded", nodes=limit + 1)
+
+
+def test_a_cross_form_in_groups_of_two_moduli_leaves_the_cluster_path():
+    # f0 straddles in a group mod 4 and one mod 2: no one label of f0 serves
+    # both, so the system goes to _dfs_direct, which finds one of its 16
+    # solutions
+    forms = (Form("f0", ((0, -3), (1, -3))), *(Form(f"f{i}", ((0, -3),)) for i in (1, 2, 3)),
+             Form("f4", ((2, -3), (3, -3))), Form("f5", ((2, -3),)))
+    sysm = ConstraintSystem(field_of_order(5), 1, ("y0", "y1", "y2", "y3"), forms,
+                            (UniformityGroup((0, 1, 4, 5), 4), UniformityGroup((0, 5), 2)))
+    assert len(_clusters_of(sysm)) == 2 and _mixed_cross_moduli(sysm)
+    assert sum(map(sysm.check_assignment, itertools.product(range(1, 5), repeat=4))) == 16
+    form_groups = [[gi for gi, g in enumerate(sysm.groups) if fi in g.forms]
+                   for fi in range(len(forms))]
+    assert search._enumerate_cluster(sysm, form_groups, [0, 1]) is None
+    res = solve(sysm)
+    assert res.status == "sat"
+    assert sysm.check_assignment([res.assignment[u] for u in sysm.unknowns])
 
 
 def test_repair_identity_and_blank_recovery():
