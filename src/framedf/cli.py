@@ -123,7 +123,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify_design(args) -> int:
-    design, res = serialize.design_from_dict(serialize.load(args.design))
+    design, res = serialize.load_design(args.design)
     rep = designs.verify_bibd(design)
     ok = rep.ok
     out = {"bibd": bool(rep.ok)}
@@ -137,7 +137,7 @@ def cmd_verify_design(args) -> int:
 
 def cmd_import(args) -> int:
     try:
-        design, res = serialize.design_from_dict(serialize.load(args.file))
+        design, res = serialize.load_design(args.file)
     except (KeyError, ValueError) as exc:   # json.JSONDecodeError is a ValueError
         print(f"parse failure: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -317,7 +317,7 @@ def _run_step(op, step, env, workdir):
         if name in ("trivial", "affine"):   # built on the block size of the verified family
             ing, ing_res = designs.affine_plane if name == "affine" else designs.trivial_rbibd, None
         else:
-            ing, ing_res = serialize.design_from_dict(serialize.load(workdir / name))
+            ing, ing_res = serialize.load_design(workdir / name)
             if ing_res is None:
                 return USAGE_ERROR, {"error": "ingredient file carries no resolution"}
         product = designs.rbibd_from_fdf(data, ing, ing_res)

@@ -187,12 +187,13 @@ def _size_error(lens: np.ndarray, k: int) -> tuple:
 
 def verify_bibd(design: BlockDesign) -> Report:
     """Exact pair coverage: every 2-subset of points in exactly lam blocks.
-    Points must lie in 0..v-1.  The pair scan runs over chunks of
-    _PAIR_CHUNK points x: the blocks through x (found through one stable
-    sort of the incidences) are counted into a row of v cells per x, and
-    the cells y > x are compared with lam, so memory is O(b*k +
-    _PAIR_CHUNK*v).  The points are held in the narrowest dtype that holds
-    v-1 and the cells in int32 while _PAIR_CHUNK*v < 2**31.  Pair
+    Points must lie in 0..v-1.  The pair scan counts each pair x < y once
+    per pair of positions p < q of a block's sorted row that holds it, over
+    chunks of _PAIR_CHUNK points x: the rows with x at position p (found
+    through one stable sort per position) are counted into a row of cells
+    y = x0..v-1 per x, from the chunk's first point x0, and the cells y > x
+    are compared with lam, so memory is O(b*k + _PAIR_CHUNK*v).  The sorted
+    rows are held in the narrowest dtype that holds v-1.  Pair
     witnesses are (point, point, count), in lexicographic order."""
     v = design.v
     k = design.k
@@ -208,22 +209,28 @@ def verify_bibd(design: BlockDesign) -> Report:
         bi, pos = stray[0]
         return Report(False, f"block {bi} holds point {mat[bi, pos]} outside 0..{v - 1}",
                       [(int(b), int(mat[b, p])) for b, p in stray])
-    points = flat.astype(np.min_scalar_type(v - 1))
-    blocks = points.reshape(-1, k)
-    by_point = np.argsort(points, kind="stable")
-    start = np.concatenate([[0], np.cumsum(np.bincount(points, minlength=v))])
-    cell = np.int32 if _PAIR_CHUNK * v < 2**31 else np.int64
+    # sorted rows hold every pair x < y of a block at positions p < q: a block
+    # holding x a times and y b times covers the pair a*b times
+    rows = np.sort(mat.astype(np.min_scalar_type(v - 1)), axis=1)
+    heads = [rows[:, p] for p in range(k - 1)]
+    by_head = [np.argsort(h, kind="stable") for h in heads]
+    starts = [np.concatenate([[0], np.cumsum(np.bincount(h, minlength=v))]) for h in heads]
     bad: list[tuple[int, int, int]] = []
     for x0 in range(0, v, _PAIR_CHUNK):
         x1 = min(v, x0 + _PAIR_CHUNK)
-        inc = by_point[start[x0]:start[x1]]
-        # a block holding x a times and y b times covers the pair a*b times
-        cells = (points[inc].astype(cell) - x0)[:, None] * v + blocks[inc // k]
-        counts = np.bincount(cells.ravel(), minlength=(x1 - x0) * v).reshape(x1 - x0, v)
-        xs, ys = np.divmod(np.flatnonzero(counts != design.lam), v)
-        upper = np.flatnonzero(ys > xs + x0)[:WITNESSES - len(bad)]
-        xs, ys = xs[upper], ys[upper]
-        bad += zip((xs + x0).tolist(), ys.tolist(), counts[xs, ys].tolist())
+        width = v - x0
+        # the cell (x - x0) * width + y - x0 counts the pair (x, y), y >= x >= x0
+        parts = []
+        for p, order, start in zip(range(k - 1), by_head, starts):
+            at = rows[order[start[x0]:start[x1]], p:]
+            cells = at[:, 1:] - np.intp(x0)
+            cells += (at[:, :1] - np.intp(x0)) * width
+            parts.append(cells.ravel())
+        counts = np.bincount(np.concatenate(parts), minlength=(x1 - x0) * width)
+        wrong = (counts != design.lam).reshape(x1 - x0, width)
+        wrong[:, :x1 - x0] &= ~np.tri(x1 - x0, dtype=bool)     # y > x only
+        xs, ys = np.divmod(np.flatnonzero(wrong)[:WITNESSES - len(bad)], width)
+        bad += zip((xs + x0).tolist(), (ys + x0).tolist(), counts[xs * width + ys].tolist())
         if len(bad) == WITNESSES:
             break
     if bad:

@@ -303,9 +303,10 @@ def coset_labels(group: AbelianGroup, subgroup: Sequence[int]) -> np.ndarray:
 
 
 def verify_fdf(fam: DesignFamily) -> Report:
-    """Relative-DF check plus the frame property: the partition must have
-    lambda*n/(k-1) parts of (g-n)/(nk) blocks each, and each part's blocks
-    jointly meet every nontrivial coset of N exactly once."""
+    """Relative-DF check plus the frame property: every block must have the
+    k elements of block 0, the partition must have lambda*n/(k-1) parts of
+    (g-n)/(nk) blocks each, and each part's blocks jointly meet every
+    nontrivial coset of N exactly once."""
     if fam.kind != FDF:
         raise ValueError("verify_fdf expects an FDF family")
     parts = fam.frame_partition
@@ -320,6 +321,9 @@ def verify_fdf(fam: DesignFamily) -> Report:
     g = fam.group.order
     n = len(fam.subgroup)
     k = len(fam.blocks[0]) if fam.blocks else 0
+    odd = [i for i, blk in enumerate(fam.blocks) if len(blk) != k]
+    if odd:
+        return Report(False, f"block {odd[0]} does not have the {k} elements of block 0", odd)
     expected_parts = fam.lam * n // (k - 1) if k > 1 else 0
     if len(parts) != expected_parts:
         return Report(False, f"frame partition has {len(parts)} parts, expected "

@@ -16,6 +16,14 @@ entry.  A design's blocks and classes are read straight into int64 arrays
 and stored as designs._stored stores them: read-only (rows, width) arrays
 when the rows have one nonzero length.
 
+`load_design` is the one reader of design files, and mirrors the writer:
+a file laid out exactly as dump(design_to_dict(...)) writes it has its
+blocks and classes parsed from the text into int64 arrays a chunk of rows
+at a time, after the chunk's bytes are proved to be the writer's row
+template filled with canonical integers (_canonical_rows), so no Python
+int is made per entry; any other file goes through json and
+design_from_dict, with their errors.
+
 `dump` and `dumps` are the package's one JSON writer (product files and
 CLI output).  For a value whose dict keys are all str, their text is
 exactly ``json.dumps(obj, indent=1, sort_keys=True)`` with an int array
@@ -51,7 +59,7 @@ __all__ = [
     "family_to_dict", "family_from_dict",
     "lifting_to_dict", "lifting_from_dict",
     "design_to_dict", "design_from_dict",
-    "dump", "dumps", "load",
+    "dump", "dumps", "load", "load_design",
 ]
 
 # rows per `%` of a rectangular int list in _pieces; bounds the transient text
@@ -188,12 +196,124 @@ def design_to_dict(design: BlockDesign, res: Resolution | None = None) -> dict:
 
 def design_from_dict(d: dict) -> tuple[BlockDesign, Resolution | None]:
     _typed(d, dict, "design")
-    design = BlockDesign(_int(d, "v"), _int(d, "k"), _int(d, "lambda"),
-                         _stored(*_int_array(d["blocks"], "blocks")),
+    return _design(d, lambda key: _stored(*_int_array(d[key], key)))
+
+
+def _design(d: dict, rows) -> tuple[BlockDesign, Resolution | None]:
+    """The design the dict d describes, its blocks and resolution read by
+    rows(key)."""
+    design = BlockDesign(_int(d, "v"), _int(d, "k"), _int(d, "lambda"), rows("blocks"),
                          provenance=_str(d, "provenance", ""))
-    res = Resolution(_stored(*_int_array(d["resolution"], "resolution"))) \
-        if "resolution" in d else None
-    return design, res
+    return design, Resolution(rows("resolution")) if "resolution" in d else None
+
+
+def load_design(path) -> tuple[BlockDesign, Resolution | None]:
+    """design_from_dict(load(path)), reading the file's blocks and
+    resolution straight into int64 arrays when it is laid out as
+    dump(design_to_dict(...)) writes it (see _canonical_design); any other
+    file is read through json, so its errors are those of
+    design_from_dict(load(path))."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    read = _canonical_design(data)
+    return read if read is not None else design_from_dict(load(path))
+
+
+# layout bytes to spaces, so numpy's text parse sees the values alone
+_LAYOUT_TO_SPACE = bytes.maketrans(b"[],", b"   ")
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+_ROWS_KEYS = ("blocks", "resolution")
+
+
+def _canonical_design(data: bytes) -> tuple[BlockDesign, Resolution | None] | None:
+    """The design whose file text is `data`, when the text is exactly what
+    dump(design_to_dict(...)) writes with blocks and resolution as
+    rectangular rows of non-empty int rows (read by _canonical_rows), else
+    None.  The rest of the text, each array replaced by "[]", is parsed by
+    json and must be what dumps writes for what it parses (plus the final
+    newline): then each "[]" stood at the top-level key it follows, since
+    canonical text has no raw newline inside a string and indents every
+    key by its depth."""
+    arrays, rest, pos = {}, [], 0
+    for key in _ROWS_KEYS:
+        mark = b'\n "%s": ' % key.encode()
+        at = data.find(mark + b"[\n  [\n", pos)
+        if at < 0:
+            continue
+        start = at + len(mark)
+        read = _canonical_rows(data, start)
+        if read is None:
+            return None
+        arrays[key], end = read
+        rest += [data[pos:start], b"[]"]
+        pos = end
+    if "blocks" not in arrays:
+        return None
+    rest.append(data[pos:])
+    try:
+        text = b"".join(rest).decode("ascii")
+        d = json.loads(text)
+    except ValueError:      # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        return None
+    if (type(d) is not dict or dumps(d) + "\n" != text
+            or any((key in d) != (key in arrays) for key in _ROWS_KEYS)):
+        return None
+    return _design(d, lambda key: _stored(arrays[key]))
+
+
+def _canonical_rows(data: bytes, start: int) -> tuple[np.ndarray, int] | None:
+    """The rows of the top-level int array whose text starts at
+    data[start], and the offset just past its text, when that text is
+    exactly what _row_pieces writes for rows of one nonzero width, each
+    |entry| < 10**18; else None.
+
+    The text is read in chunks of about _ROW_CHUNK rows, each cut after a
+    row's "]", and each chunk is proved before it is stored.  With digits
+    and "-" deleted it must equal the template's text for its rows, and
+    the template's glue between entry slots (",\\n   " within a row,
+    "\\n  ],\\n  [\\n   " between rows, and the chunk's first and last
+    glue) must occur in it as often as in the template: glue holds no
+    digit or "-", so then every digit and "-" lies in a slot.  Every "-"
+    must follow a space and precede a digit, so it leads its slot and is
+    no slot's whole text; numpy's text parse must then give one value per
+    slot, so no slot is empty; and the values' canonical lengths, sign
+    included, must add up to the bytes deleted, which no slot with a
+    leading zero or "-0" leaves.  So every slot holds the canonical text
+    of its value."""
+    end = data.find(b"\n ]", start)        # the array's closing line
+    first = data.find(b"]", start)          # the first row's end
+    if not start < first < end:
+        return None
+    width = data.count(b",", start, first) + 1
+    rows = data.count(b"]", start, end)
+    if rows * width * 5 > end - start:      # a slot takes at least 5 bytes
+        return None
+    row = b"[\n   " + b",\n   " * (width - 1) + b"\n  ]"
+    out = np.empty((rows, width), dtype=np.int64)
+    step = _ROW_CHUNK * (first - start)
+    sep, done, pos = b"[\n  ", 0, start
+    while pos < end:
+        # at least one row, however long
+        cut = data.rfind(b"]", pos, min(end, pos + step)) + 1 or data.find(b"]", pos, end) + 1
+        chunk = data[pos:cut]
+        n = chunk.count(b"]")
+        skeleton = chunk.translate(None, b"0123456789-")
+        minus = chunk.count(b"-")
+        if (n == 0 or skeleton != sep + row + (b",\n  " + row) * (n - 1)
+                or not chunk.startswith(sep + b"[\n   ") or not chunk.endswith(b"\n  ]")
+                or chunk.count(b",\n   ") != n * (width - 1)
+                or chunk.count(b"\n  ],\n  [\n   ") != n - 1
+                or minus and (chunk.count(b" -") != minus or b"-," in chunk
+                              or b"-\n" in chunk)):
+            return None
+        values = np.fromstring(chunk.translate(_LAYOUT_TO_SPACE), dtype=np.int64, sep=" ")
+        if (len(values) != n * width or values.min() <= -10**18 or values.max() >= 10**18
+                or np.searchsorted(_POW10, np.abs(values), side="right").sum()
+                + len(values) + (values < 0).sum() != len(chunk) - len(skeleton)):
+            return None
+        out[done:done + n] = values.reshape(n, width)
+        done, pos, sep = done + n, cut, b",\n  "
+    return out, end + 3
 
 
 def _typed(x, kind: type, what: str):
@@ -319,7 +439,8 @@ def _pieces(obj, ind: str) -> Iterator[str]:
 def _row_pieces(rows, ind: str, ints) -> Iterator[str]:
     """Non-empty rows of one nonzero length, as _pieces writes them: one
     row template filled by one `%` per _ROW_CHUNK rows, whose ints come
-    from ints(chunk) in row order."""
+    from ints(chunk) in row order.  _canonical_rows reads this text back
+    for a design's blocks and classes, so the two change together."""
     inner = ind + " "
     cell = inner + " "
     row = "[\n" + cell + (",\n" + cell).join(["%d"] * len(rows[0])) + "\n" + inner + "]"

@@ -126,6 +126,16 @@ def test_import_accepts_and_rejects(tmp_path, capsys):
     assert rc == 1 and "rejected" in err
 
 
+def test_import_out_writes_the_file_it_read(tmp_path, capsys, monkeypatch):
+    # the file is read as arrays: json.load is never called
+    design, res = affine_plane(3)
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    serialize.dump(serialize.design_to_dict(design, res), src)
+    monkeypatch.setattr(json, "load", None)
+    rc, _, _ = run(capsys, "import", str(src), "--out", str(out))
+    assert rc == 0 and out.read_bytes() == src.read_bytes()
+
+
 def test_import_rejects_out_of_range_point(tmp_path, capsys):
     design = BlockDesign(3, 2, 1, ((0, 1), (0, 2), (0, 5)))
     bad = tmp_path / "stray.json"

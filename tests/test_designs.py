@@ -8,13 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from framedf import catalog, designs, serialize
 from framedf.designs import (BlockDesign, Resolution, RotationalStructure,
                              affine_plane, recursion_params, rbibd_from_fdf,
                              trivial_rbibd, verify_bibd, verify_one_rotational,
                              verify_resolution)
-from framedf.families import Report, _count_report, _flat, _outside
+from framedf.families import WITNESSES, Report, _count_report, _flat, _outside
 from framedf.groups import crt_iso
 from framedf.lifting import lift_sdf
 
@@ -424,6 +425,63 @@ def test_verify_bibd_matches_dict_oracle_across_point_dtypes(v, monkeypatch):
     for chunk in (128, 1 << 30):
         monkeypatch.setattr(designs, "_PAIR_CHUNK", chunk)
         assert [verify_bibd(design) for design in cases] == want, chunk
+
+
+def pair_scan_at_parent(design, chunk):
+    """verify_bibd's pair scan before it counted the pairs y > x alone: the
+    blocks through each x counted into all v cells (int32 while chunk*v <
+    2**31), the cells y > x compared with lam."""
+    v, k = design.v, design.k
+    flat = _flat(design.blocks) if not isinstance(design.blocks, np.ndarray) \
+        else design.blocks.ravel()
+    points = flat.astype(np.min_scalar_type(v - 1))
+    blocks = points.reshape(-1, k)
+    by_point = np.argsort(points, kind="stable")
+    start = np.concatenate([[0], np.cumsum(np.bincount(points, minlength=v))])
+    cell = np.int32 if chunk * v < 2**31 else np.int64
+    bad = []
+    for x0 in range(0, v, chunk):
+        x1 = min(v, x0 + chunk)
+        inc = by_point[start[x0]:start[x1]]
+        cells = (points[inc].astype(cell) - x0)[:, None] * v + blocks[inc // k]
+        counts = np.bincount(cells.ravel(), minlength=(x1 - x0) * v).reshape(x1 - x0, v)
+        xs, ys = np.divmod(np.flatnonzero(counts != design.lam), v)
+        upper = np.flatnonzero(ys > xs + x0)[:WITNESSES - len(bad)]
+        xs, ys = xs[upper], ys[upper]
+        bad += zip((xs + x0).tolist(), ys.tolist(), counts[xs, ys].tolist())
+        if len(bad) == WITNESSES:
+            break
+    return bad
+
+
+BIBD_BASES = [(fano(), Resolution(tuple((i,) for i in range(7)))), trivial_rbibd(4)] + \
+    [affine_plane(q) for q in (2, 3, 4, 5)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(range(len(BIBD_BASES))),
+       st.integers(1, 3), st.integers(0, 3), st.sampled_from([1, 3, 128, 1 << 30]))
+def test_pair_scan_gives_the_witnesses_of_the_scan_it_replaced(seed, base, lam, faults, chunk):
+    """The pair witnesses of verify_bibd equal those of the old scan on
+    relabelled designs with up to three random faults (corrupted)."""
+    rng = np.random.default_rng(seed)
+    design, res = relabelled(*BIBD_BASES[base], rng, lam)
+    for _ in range(faults):
+        design, res = corrupted(design, res, rng)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(designs, "_PAIR_CHUNK", chunk)
+        rep = verify_bibd(design)
+    flat = _flat(design.blocks)
+    if design.k < 2 or any(len(b) != design.k for b in design.blocks) \
+            or ((flat < 0) | (flat >= design.v)).any():
+        return      # rejected before the pair scan
+    bad = pair_scan_at_parent(design, chunk)
+    if bad:
+        assert not rep.ok and list(rep.witnesses) == bad
+        assert rep.detail == f"pair ({bad[0][0]}, {bad[0][1]}) lies in {bad[0][2]} blocks, " \
+                             f"not {design.lam}"
+    else:       # it passes, or fails on the block count
+        assert rep == bibd_oracle(design)
 
 
 def test_verify_resolution_matches_dict_oracle():

@@ -3,15 +3,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from framedf import catalog, families
 from framedf.families import (FDF, PDF, RELATIVE_DF, SDF, DesignFamily,
-                              DifferenceMatrix, delta_block, is_homogeneous,
+                              DifferenceMatrix, Report, delta_block, is_homogeneous,
                               verify_dm, verify_fdf, verify_pdf,
                               verify_relative_df, verify_sdf)
 from framedf.fields import make_field
 from framedf.groups import AbelianGroup
-from framedf.lifting import lift_sdf, mul_table_dm
+from framedf.lifting import fdf_to_pdf, lift_sdf, mul_table_dm
 
 
 def brute_delta(group, elems):
@@ -235,3 +236,210 @@ def test_subgroup_closure_witnesses_follow_the_addition_table(cells, sub, monkey
     a, b, c = outside[0]
     assert families._subgroup_error(AbelianGroup.cyclic(60), sub) == (
         f"designated subgroup is not closed: {a} + {b} = {c} lies outside it", outside[:32])
+
+
+# -- property suites: verify_fdf and verify_pdf against dictionary counting --
+
+def _outside_oracle(values, n, what):
+    bad = [x for x in values if not 0 <= x < n]
+    return (f"{what} {bad[0]} lies outside 0..{n - 1}", bad) if bad else ()
+
+
+def _counts_oracle(counts, want, n, what):
+    bad = [(x, counts[x]) for x in range(n) if counts[x] != want(x)]
+    if bad:
+        return Report(False, f"{what} {bad[0][0]} occurs {bad[0][1]} times, not "
+                             f"{want(bad[0][0])}", bad)
+    return Report(True)
+
+
+def _differences(n, blocks):
+    return Counter((a - b) % n for blk in blocks for i, a in enumerate(blk)
+                   for j, b in enumerate(blk) if i != j)
+
+
+def relative_oracle(fam):
+    """verify_relative_df on a cyclic group by dictionary counting."""
+    n = fam.group.order
+    if fam.subgroup is None:
+        return Report(False, "relative family without subgroup", [("subgroup", None)])
+    sub = list(fam.subgroup)
+    error = (_outside_oracle(sub, n, "subgroup element")
+             or _outside_oracle([x for b in fam.blocks for x in b], n, "block element"))
+    if error:
+        return Report(False, *error)
+    if not sub:
+        return Report(False, "designated subgroup is empty", [("subgroup", ())])
+    listed = Counter(sub)
+    twice = [x for x in sub if listed[x] > 1]
+    if twice:
+        return Report(False, f"subgroup element {twice[0]} is listed twice", twice)
+    sums = [(a, b, (a + b) % n) for a in sub for b in sub if (a + b) % n not in listed]
+    if sums:
+        a, b, c = sums[0]
+        return Report(False, f"designated subgroup is not closed: {a} + {b} = {c} lies "
+                             "outside it", sums)
+    return _counts_oracle(_differences(n, fam.blocks),
+                          lambda x: 0 if x in listed else fam.lam, n, "difference")
+
+
+def fdf_oracle(fam):
+    """verify_fdf on a cyclic group by dictionary counting: the partition
+    covers each block once, the relative difference family condition, one
+    block size k, then lam*n/(k-1) parts of (g-n)/(nk) blocks, each meeting
+    every coset x + N other than N exactly once."""
+    parts = fam.frame_partition
+    if parts is None:
+        return Report(False, "missing frame partition", [("frame_partition", None)])
+    nb = len(fam.blocks)
+    listed = [i for part in parts for i in part]
+    error = _outside_oracle(listed, nb, "frame partition block index")
+    if error:
+        return Report(False, *error)
+    seen = Counter(listed)
+    bad = [(i, seen[i]) for i in range(nb) if seen[i] != 1]
+    if bad:
+        return Report(False, f"block index {bad[0][0]} appears {bad[0][1]} times in the "
+                             "frame partition, not once", bad)
+    rep = relative_oracle(fam)
+    if not rep.ok:
+        return rep
+    g, n = fam.group.order, len(fam.subgroup)
+    k = len(fam.blocks[0]) if fam.blocks else 0
+    odd = [i for i, blk in enumerate(fam.blocks) if len(blk) != k]
+    if odd:
+        return Report(False, f"block {odd[0]} does not have the {k} elements of block 0", odd)
+    expected_parts = fam.lam * n // (k - 1) if k > 1 else 0
+    if len(parts) != expected_parts:
+        return Report(False, f"frame partition has {len(parts)} parts, expected "
+                             f"{expected_parts}", [("parts", len(parts))])
+    size = (g - n) // (n * k) if n * k else 0
+    coset = {x: min((x + h) % g for h in fam.subgroup) for x in range(g)}
+    nontrivial = Counter(set(coset.values()) - {coset[0]})
+    bad = [pi for pi, part in enumerate(parts)
+           if len(part) != size or Counter(coset[x] for i in part for x in fam.blocks[i])
+           != nontrivial]
+    if bad:
+        return Report(False, f"frame part {bad[0]} does not meet each nontrivial coset of N "
+                             f"exactly once in {size} blocks", bad)
+    return Report(True)
+
+
+def pdf_oracle(fam):
+    """verify_pdf on a cyclic group by dictionary counting: the blocks cover
+    each element off the designated set N once and none on it, and every
+    difference off N and 0 occurs lam times."""
+    n = fam.group.order
+    sub = set(fam.subgroup or ())
+    elems = [x for b in fam.blocks for x in b]
+    error = (_outside_oracle(list(fam.subgroup or ()), n, "subgroup element")
+             or _outside_oracle(elems, n, "block element"))
+    if error:
+        return Report(False, *error)
+    rep = _counts_oracle(Counter(elems), lambda x: 0 if x in sub else 1, n, "point")
+    if not rep.ok:
+        return rep
+    return _counts_oracle(_differences(n, fam.blocks),
+                          lambda x: 0 if x in sub or x == 0 else fam.lam, n, "difference")
+
+
+# (n, N, lam, blocks, frame partition): frame difference families over Z_n
+VALID_FDFS = [
+    (6, (0, 3), 1, ((1, 5), (4, 5)), ((0,), (1,))),
+    (7, (0,), 2, ((3, 5, 6), (1, 2, 4)), ((0, 1),)),
+    (8, (0, 4), 1, ((1, 2, 7),), ((0,),)),
+    (9, (0, 3, 6), 1, ((7, 8), (2, 7), (5, 7)), ((0,), (1,), (2,))),
+    (12, (0, 4, 8), 2, ((2, 3, 5), (5, 6, 11), (2, 9, 11)), ((0,), (1,), (2,))),
+    (15, (0, 5, 10), 1, ((6, 7, 9, 13),), ((0,),)),
+    (16, (0, 4, 8, 12), 1, ((1, 3, 6), (1, 10, 11)), ((0,), (1,))),
+]
+# elementary ones (lam * |N| = k - 1 = |N|) give PDFs through fdf_to_pdf
+VALID_PDFS = [fdf_to_pdf(DesignFamily(FDF, AbelianGroup.cyclic(n), lam, blocks, sub, parts))
+              for n, sub, lam, blocks, parts in VALID_FDFS if lam * len(sub) == len(blocks[0]) - 1
+              == len(sub)] + [DesignFamily(PDF, AbelianGroup.cyclic(5), 3, ((1, 2, 3, 4),), (0,))]
+
+
+@st.composite
+def _faulty(draw, blocks, subgroup, lam, partition, n):
+    """blocks, subgroup, lam and partition with up to three faults: an
+    element moved, repeated, dropped, added or pushed outside 0..n-1, a
+    block emptied, repeated or dropped, lam off by one, and the subgroup
+    or partition changed, emptied or missing."""
+    blocks = [list(b) for b in blocks]
+    sub = None if subgroup is None else list(subgroup)
+    parts = None if partition is None else [list(p) for p in partition]
+    element = st.integers(0, n - 1) | st.sampled_from([-1, n, n + 3])
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.integers(0, 11))
+        b = draw(st.integers(0, len(blocks) - 1)) if blocks else None
+        if fault == 0 and b is not None and blocks[b]:
+            blocks[b][draw(st.integers(0, len(blocks[b]) - 1))] = draw(element)
+        elif fault == 1 and b is not None:
+            blocks[b].append(draw(element))
+        elif fault == 2 and b is not None and blocks[b]:
+            blocks[b].pop(draw(st.integers(0, len(blocks[b]) - 1)))
+        elif fault == 3 and b is not None:
+            blocks[b] = []
+        elif fault == 4 and b is not None:
+            blocks.append(list(blocks[b]))
+            if parts:
+                parts[draw(st.integers(0, len(parts) - 1))].append(len(blocks) - 1)
+        elif fault == 5 and b is not None:
+            blocks.pop(b)
+        elif fault == 6:
+            lam += draw(st.sampled_from([-1, 1]))
+        elif fault == 7 and sub is not None:
+            sub = draw(st.sampled_from([[], sub[:-1], sub + [sub[-1]] if sub else [0],
+                                        sub + [draw(element)], None]))
+        elif fault == 8 and parts:
+            p = draw(st.integers(0, len(parts) - 1))
+            parts[p].append(draw(st.integers(-1, len(blocks))))
+        elif fault == 9 and parts and len(parts[0]) and len(parts) > 1:
+            parts[-1].append(parts[0].pop())
+        elif fault == 10 and parts is not None:
+            parts = draw(st.sampled_from([None, [], parts + [[]], parts[:-1]]))
+        elif fault == 11:
+            sub = draw(st.sampled_from([None, [0]])) if subgroup is None else sub
+    return (tuple(map(tuple, blocks)), None if sub is None else tuple(sub), lam,
+            None if parts is None else tuple(map(tuple, parts)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.sampled_from(VALID_FDFS))
+def test_verify_fdf_against_dictionary_counting(data, base):
+    n, sub, lam, blocks, parts = base
+    blocks, sub, lam, parts = data.draw(_faulty(blocks, sub, lam, parts, n))
+    fam = DesignFamily(FDF, AbelianGroup.cyclic(n), lam, blocks, sub, parts)
+    assert verify_fdf(fam) == fdf_oracle(fam)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.sampled_from(VALID_PDFS))
+def test_verify_pdf_against_dictionary_counting(data, base):
+    n = base.group.order
+    blocks, sub, lam, _ = data.draw(_faulty(base.blocks, base.subgroup, base.lam, None, n))
+    fam = DesignFamily(PDF, base.group, lam, blocks, sub)
+    assert verify_pdf(fam) == pdf_oracle(fam)
+
+
+@pytest.mark.parametrize("base", VALID_FDFS)
+def test_the_property_suites_start_from_valid_families(base):
+    n, sub, lam, blocks, parts = base
+    fam = DesignFamily(FDF, AbelianGroup.cyclic(n), lam, blocks, sub, parts)
+    assert verify_fdf(fam).ok and fdf_oracle(fam).ok
+    assert all(verify_pdf(pdf).ok and pdf_oracle(pdf).ok for pdf in VALID_PDFS)
+    assert len(VALID_PDFS) == 3
+
+
+def test_verify_fdf_rejects_blocks_of_other_sizes():
+    # Z17, N = {0}, lam = 3: blocks of sizes 3, 6, 1, 3, 3 cover each nonzero
+    # difference 3 times and meet every nonzero element once in one part of
+    # (17 - 1) // 3 blocks, and 3 * 1 // (3 - 1) = 1 part is expected; but a
+    # frame family has one block size, and lam * n / (k - 1) = 3/2 parts
+    fam = DesignFamily(FDF, AbelianGroup.cyclic(17), 3,
+                       ((5, 9, 14), (1, 2, 3, 4, 7, 10), (11,), (6, 12, 16), (8, 13, 15)),
+                       (0,), ((0, 1, 2, 3, 4),))
+    assert verify_relative_df(fam).ok
+    rep = verify_fdf(fam)
+    assert rep == Report(False, "block 1 does not have the 3 elements of block 0", [1, 2])
+    assert rep == fdf_oracle(fam)

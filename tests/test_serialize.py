@@ -3,14 +3,15 @@ import functools
 import io
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from framedf import catalog, serialize
+from framedf import catalog, designs, serialize
 from framedf.cli import _emit
-from framedf.designs import affine_plane
+from framedf.designs import BlockDesign, Resolution, affine_plane
 from framedf.fields import make_field
 from framedf.groups import AbelianGroup
 from framedf.lifting import lift_sdf
@@ -165,3 +166,179 @@ def test_design_from_dict_stores_rectangular_rows_as_arrays_and_ragged_as_rows()
                for r in design.blocks + res.classes)
     assert serialize.dumps(serialize.design_to_dict(design, res)) == json.dumps(
         blob, indent=1, sort_keys=True)
+
+
+# -- load_design: the writer's layout read as arrays, anything else through json --
+
+def _read(fn, path):
+    """What fn(path) gives: the design and resolution, or the exception's
+    type and message."""
+    try:
+        return fn(path)
+    except (KeyError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _json_design(path):
+    return serialize.design_from_dict(serialize.load(path))
+
+
+def _assert_same_read(got, want):
+    """Two reads agree: the same exception, or designs with equal fields and
+    rows stored in the same form (read-only int64, an array or a tuple)."""
+    if not isinstance(want[0], BlockDesign):
+        assert got == want
+        return
+    (design, res), (want_design, want_res) = got, want
+    for field in ("v", "k", "lam", "provenance"):
+        assert getattr(design, field) == getattr(want_design, field), field
+    assert (res is None) == (want_res is None)
+    pairs = [(design.blocks, want_design.blocks)]
+    if res is not None:
+        pairs.append((res.classes, want_res.classes))
+    for rows, want_rows in pairs:
+        assert type(rows) is type(want_rows)
+        if isinstance(rows, np.ndarray):
+            rows, want_rows = (rows,), (want_rows,)
+        assert len(rows) == len(want_rows)
+        for r, w in zip(rows, want_rows):
+            assert r.dtype == np.int64 and not r.flags.writeable and np.array_equal(r, w)
+
+
+_entries = (st.integers(-3, 20) | st.integers(-2**63, 2**63 - 1)
+            | st.sampled_from([10**17, -10**17, 10**18 - 1, 1 - 10**18, 10**18, -10**18,
+                               2**63 - 1, -2**63]))
+_rect = st.integers(1, 4).flatmap(
+    lambda m: st.lists(st.lists(_entries, min_size=m, max_size=m), min_size=1, max_size=7))
+_rows_st = _rect | st.lists(st.lists(_entries, max_size=4), max_size=5)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(-2, 50), st.integers(-2, 9), st.integers(-1, 3), _rows_st,
+       st.none() | _rows_st, st.text(), st.booleans(), st.sampled_from([1, 2, 4096]))
+@example(13, 4, 1, [[-5, 10**18 - 1], [0, -(10**18 - 1)]], None, "é\n\"\\x", True, 1)
+def test_load_design_reads_what_dump_writes_as_the_json_path_does(
+        tmp_path, v, k, lam, blocks, classes, provenance, as_arrays, chunk):
+    def stored(rows):
+        """rows, or as a design stores them when they fit (see _stored)"""
+        if as_arrays and len(set(map(len, rows))) == 1 and all(
+                -2**63 <= x < 2**63 for r in rows for x in r):
+            return designs._stored(np.array(rows, dtype=np.int64).reshape(len(rows), -1))
+        return rows
+    design = BlockDesign(v, k, lam, stored(blocks), provenance=provenance)
+    res = None if classes is None else Resolution(stored(classes))
+    path = tmp_path / "design.json"
+    serialize.dump(serialize.design_to_dict(design, res), path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(serialize, "_ROW_CHUNK", chunk)
+        _assert_same_read(_read(serialize.load_design, path), _read(_json_design, path))
+        # rows of one nonzero width and entries below 10**18 take the array path
+        readable = [rows for rows in (blocks, classes) if rows is not None and (
+            len(set(map(len, rows))) == 1 and rows[0] and max(map(abs, sum(rows, []))) < 10**18)]
+        if len(readable) == 1 + (classes is not None):
+            assert serialize._canonical_design(path.read_bytes()) is not None
+
+
+def _canonical_file(tmp_path):
+    design = BlockDesign(9, 3, 1, designs._stored(np.array(
+        [[0, 1, 2], [-3, 45, 6], [10**18 - 1, 70, 8], [123, -4567, 89]])), provenance="p")
+    res = Resolution(designs._stored(np.array([[0, 1], [2, 3]])))
+    path = tmp_path / "design.json"
+    serialize.dump(serialize.design_to_dict(design, res), path)
+    return path
+
+
+_EDIT_BYTES = [bytes([b]) for b in b"0123456789-,[]\n "]
+
+
+@settings(max_examples=600, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data(), st.sampled_from(["replace", "insert", "delete", "slot"]),
+       st.sampled_from([1, 2, 4096]))
+def test_load_design_agrees_with_json_on_a_file_one_edit_away(tmp_path, data, edit, chunk):
+    """Either both reads raise the same error or both give equal designs:
+    the array reader accepts no file that json rejects."""
+    path = _canonical_file(tmp_path)
+    text = path.read_bytes()
+    if edit == "slot":
+        # a slot made non-canonical: a leading zero, "-0", "1-2" or nothing
+        slots = [m.span() for m in re.finditer(rb"-?\d+", text)]
+        lo, hi = data.draw(st.sampled_from(slots))
+        new = data.draw(st.sampled_from([b"0" + text[lo:hi], b"-0", b"1-2", b"", b"00", b"-"]))
+        text = text[:lo] + new + text[hi:]
+    else:
+        at = data.draw(st.integers(0, len(text) - 1))
+        byte = b"" if edit == "delete" else data.draw(st.sampled_from(_EDIT_BYTES))
+        text = text[:at] + byte + text[at + (edit != "insert"):]
+    path.write_bytes(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(serialize, "_ROW_CHUNK", chunk)
+        _assert_same_read(_read(serialize.load_design, path), _read(_json_design, path))
+
+
+@pytest.mark.parametrize("edit", [
+    (b"   45", b"  4[5"),         # digits moved out of a slot into the glue
+    (b"   45,", b"  4 5,"),       # a slot split in two
+    (b"   6\n", b"   -\n"),       # a lone minus
+    (b"  [\n   -3", b"  -[\n   3"),   # a minus moved before a row's bracket
+    (b"   70", b"   070"), (b"   89\n", b"   -0\n"), (b"   1,", b"   ,")])
+def test_load_design_falls_back_on_a_slot_that_is_not_canonical(tmp_path, edit):
+    path = _canonical_file(tmp_path)
+    text = path.read_bytes()
+    assert text.count(edit[0]) == 1
+    path.write_bytes(text.replace(*edit))
+    assert serialize._canonical_design(path.read_bytes()) is None
+    _assert_same_read(_read(serialize.load_design, path), _read(_json_design, path))
+
+
+def test_load_design_reads_a_canonical_files_arrays_without_json(tmp_path, monkeypatch):
+    design, res = affine_plane(16)
+    path = tmp_path / "ag16.json"
+    serialize.dump(serialize.design_to_dict(design, res), path)
+    want = _json_design(path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the array reader called json.load")
+    parsed = []
+
+    def loads(text, *args, **kwargs):
+        parsed.append(text)
+        return json_loads(text, *args, **kwargs)
+    json_loads = json.loads
+    monkeypatch.setattr(serialize, "load", refuse)
+    monkeypatch.setattr(json, "load", refuse)
+    monkeypatch.setattr(json, "loads", loads)
+    got = serialize.load_design(path)
+    _assert_same_read(got, want)
+    # json read only the object around the arrays, each array replaced by []
+    assert parsed == [serialize.dumps({"blocks": [], "k": 16, "lambda": 1, "resolution": [],
+                                       "provenance": design.provenance, "v": 256}) + "\n"]
+
+
+def test_load_design_holds_no_int_object_per_entry(tmp_path, monkeypatch):
+    # AG(2,64): 266,240 entries, whose int objects alone would take 7 MB
+    design, res = affine_plane(64)
+    path = tmp_path / "ag64.json"
+    serialize.dump(serialize.design_to_dict(design, res), path)
+    size = path.stat().st_size
+    monkeypatch.setattr(serialize, "_ROW_CHUNK", 64)
+    tracemalloc.start()
+    try:
+        got, got_res = serialize.load_design(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got.blocks, design.blocks)
+    assert np.array_equal(got_res.classes, res.classes)
+    # the file's bytes, the arrays, and one chunk's transients
+    assert peak < size + design.blocks.nbytes + res.classes.nbytes + 2**20, peak
+
+
+def test_load_design_reads_a_repeated_key_as_json_does(tmp_path):
+    # json keeps the last "blocks", which is not a list; the array reader
+    # must not keep the first
+    path = _canonical_file(tmp_path)
+    path.write_bytes(path.read_bytes().replace(b'\n "k": 3,', b'\n "blocks": 5,\n "k": 3,'))
+    assert _read(serialize.load_design, path) == (
+        ValueError, "blocks = 5 is not a list") == _read(_json_design, path)
