@@ -185,6 +185,20 @@ def _size_error(lens: np.ndarray, k: int) -> tuple:
     return (f"block {wrong[0]} does not have {k} points", wrong.tolist()) if len(wrong) else ()
 
 
+def _pair_cells(at: np.ndarray, x0: int, width: int) -> np.ndarray:
+    """The intp cells (x - x0) * width + y - x0 of the pairs (x, y) that the
+    rows `at` hold at their first position x and each later position y.
+    The rows are cast before any arithmetic, as they may be held in a
+    dtype too narrow for the cells."""
+    cells = at[:, 1:].astype(np.intp)
+    cells -= x0
+    head = at[:, :1].astype(np.intp)
+    head -= x0
+    head *= width
+    cells += head
+    return cells.ravel()
+
+
 def verify_bibd(design: BlockDesign) -> Report:
     """Exact pair coverage: every 2-subset of points in exactly lam blocks.
     Points must lie in 0..v-1.  The pair scan counts each pair x < y once
@@ -220,12 +234,8 @@ def verify_bibd(design: BlockDesign) -> Report:
         x1 = min(v, x0 + _PAIR_CHUNK)
         width = v - x0
         # the cell (x - x0) * width + y - x0 counts the pair (x, y), y >= x >= x0
-        parts = []
-        for p, order, start in zip(range(k - 1), by_head, starts):
-            at = rows[order[start[x0]:start[x1]], p:]
-            cells = at[:, 1:] - np.intp(x0)
-            cells += (at[:, :1] - np.intp(x0)) * width
-            parts.append(cells.ravel())
+        parts = [_pair_cells(rows[order[start[x0]:start[x1]], p:], x0, width)
+                 for p, order, start in zip(range(k - 1), by_head, starts)]
         counts = np.bincount(np.concatenate(parts), minlength=(x1 - x0) * width)
         wrong = (counts != design.lam).reshape(x1 - x0, width)
         wrong[:, :x1 - x0] &= ~np.tri(x1 - x0, dtype=bool)     # y > x only

@@ -19,10 +19,9 @@ when the rows have one nonzero length.
 `load_design` is the one reader of design files, and mirrors the writer:
 a file laid out exactly as dump(design_to_dict(...)) writes it has its
 blocks and classes parsed from the text into int64 arrays a chunk of rows
-at a time, after the chunk's bytes are proved to be the writer's row
-template filled with canonical integers (_canonical_rows), so no Python
-int is made per entry; any other file goes through json and
-design_from_dict, with their errors.
+at a time, and is taken only if writing those arrays again gives the
+text read (_canonical_rows), so no Python int outlives its chunk; any
+other file goes through json and design_from_dict, with their errors.
 
 `dump` and `dumps` are the package's one JSON writer (product files and
 CLI output).  For a value whose dict keys are all str, their text is
@@ -40,6 +39,7 @@ from __future__ import annotations
 import json
 import math
 import reprlib
+import warnings
 from array import array
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -62,8 +62,9 @@ __all__ = [
     "dump", "dumps", "load", "load_design",
 ]
 
-# rows per `%` of a rectangular int list in _pieces; bounds the transient text
-_ROW_CHUNK = 4096
+# entries per `%` of a rectangular int list in _pieces (whole rows, at least
+# one); bounds the transient text and ints
+_CHUNK = 32768
 
 
 def field_to_dict(field: FiniteField) -> dict:
@@ -214,14 +215,12 @@ def load_design(path) -> tuple[BlockDesign, Resolution | None]:
     file is read through json, so its errors are those of
     design_from_dict(load(path))."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    read = _canonical_design(data)
+        read = _canonical_design(fh.read())   # the bytes are freed before any fallback
     return read if read is not None else design_from_dict(load(path))
 
 
 # layout bytes to spaces, so numpy's text parse sees the values alone
 _LAYOUT_TO_SPACE = bytes.maketrans(b"[],", b"   ")
-_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
 _ROWS_KEYS = ("blocks", "resolution")
 
 
@@ -264,56 +263,45 @@ def _canonical_design(data: bytes) -> tuple[BlockDesign, Resolution | None] | No
 def _canonical_rows(data: bytes, start: int) -> tuple[np.ndarray, int] | None:
     """The rows of the top-level int array whose text starts at
     data[start], and the offset just past its text, when that text is
-    exactly what _row_pieces writes for rows of one nonzero width, each
-    |entry| < 10**18; else None.
-
-    The text is read in chunks of about _ROW_CHUNK rows, each cut after a
-    row's "]", and each chunk is proved before it is stored.  With digits
-    and "-" deleted it must equal the template's text for its rows, and
-    the template's glue between entry slots (",\\n   " within a row,
-    "\\n  ],\\n  [\\n   " between rows, and the chunk's first and last
-    glue) must occur in it as often as in the template: glue holds no
-    digit or "-", so then every digit and "-" lies in a slot.  Every "-"
-    must follow a space and precede a digit, so it leads its slot and is
-    no slot's whole text; numpy's text parse must then give one value per
-    slot, so no slot is empty; and the values' canonical lengths, sign
-    included, must add up to the bytes deleted, which no slot with a
-    leading zero or "-0" leaves.  So every slot holds the canonical text
-    of its value."""
+    exactly what _pieces writes for the rows; else None.  The values are
+    parsed a chunk of about _CHUNK entries at a time, each cut after a
+    row's "]", and are taken only if the writer's text for them, written
+    piece by piece, is the text read."""
     end = data.find(b"\n ]", start)        # the array's closing line
     first = data.find(b"]", start)          # the first row's end
     if not start < first < end:
         return None
     width = data.count(b",", start, first) + 1
     rows = data.count(b"]", start, end)
-    if rows * width * 5 > end - start:      # a slot takes at least 5 bytes
+    if rows * width > end - start:          # each value takes a byte at least
         return None
-    row = b"[\n   " + b",\n   " * (width - 1) + b"\n  ]"
     out = np.empty((rows, width), dtype=np.int64)
-    step = _ROW_CHUNK * (first - start)
-    sep, done, pos = b"[\n  ", 0, start
-    while pos < end:
-        # at least one row, however long
-        cut = data.rfind(b"]", pos, min(end, pos + step)) + 1 or data.find(b"]", pos, end) + 1
-        chunk = data[pos:cut]
-        n = chunk.count(b"]")
-        skeleton = chunk.translate(None, b"0123456789-")
-        minus = chunk.count(b"-")
-        if (n == 0 or skeleton != sep + row + (b",\n  " + row) * (n - 1)
-                or not chunk.startswith(sep + b"[\n   ") or not chunk.endswith(b"\n  ]")
-                or chunk.count(b",\n   ") != n * (width - 1)
-                or chunk.count(b"\n  ],\n  [\n   ") != n - 1
-                or minus and (chunk.count(b" -") != minus or b"-," in chunk
-                              or b"-\n" in chunk)):
+    flat = out.reshape(-1)
+    step = max(1, _CHUNK // width) * (first - start)
+    done, pos = 0, start
+    with warnings.catch_warnings():
+        # numpy 1.x warns, and numpy 2 raises, when a text parse stops early
+        warnings.simplefilter("error", DeprecationWarning)
+        while pos < end:
+            cut = data.find(b"]", min(pos + step, end - 1), end) + 1 or end
+            try:
+                values = np.fromstring(data[pos:cut].translate(_LAYOUT_TO_SPACE),
+                                       dtype=np.int64, sep=" ")
+            except (ValueError, DeprecationWarning):
+                return None
+            if done + len(values) > len(flat):
+                return None
+            flat[done:done + len(values)] = values
+            done, pos = done + len(values), cut
+    if done != len(flat):
+        return None
+    pos = start
+    for piece in _pieces(out, " "):
+        piece = piece.encode()
+        if not data.startswith(piece, pos):
             return None
-        values = np.fromstring(chunk.translate(_LAYOUT_TO_SPACE), dtype=np.int64, sep=" ")
-        if (len(values) != n * width or values.min() <= -10**18 or values.max() >= 10**18
-                or np.searchsorted(_POW10, np.abs(values), side="right").sum()
-                + len(values) + (values < 0).sum() != len(chunk) - len(skeleton)):
-            return None
-        out[done:done + n] = values.reshape(n, width)
-        done, pos, sep = done + n, cut, b",\n  "
-    return out, end + 3
+        pos += len(piece)
+    return out, pos
 
 
 def _typed(x, kind: type, what: str):
@@ -438,15 +426,15 @@ def _pieces(obj, ind: str) -> Iterator[str]:
 
 def _row_pieces(rows, ind: str, ints) -> Iterator[str]:
     """Non-empty rows of one nonzero length, as _pieces writes them: one
-    row template filled by one `%` per _ROW_CHUNK rows, whose ints come
-    from ints(chunk) in row order.  _canonical_rows reads this text back
-    for a design's blocks and classes, so the two change together."""
+    row template filled by one `%` per chunk of _CHUNK entries in whole
+    rows, whose ints come from ints(chunk) in row order."""
     inner = ind + " "
     cell = inner + " "
     row = "[\n" + cell + (",\n" + cell).join(["%d"] * len(rows[0])) + "\n" + inner + "]"
     sep = "[\n" + inner
-    for lo in range(0, len(rows), _ROW_CHUNK):
-        chunk = rows[lo:lo + _ROW_CHUNK]
+    step = max(1, _CHUNK // len(rows[0]))
+    for lo in range(0, len(rows), step):
+        chunk = rows[lo:lo + step]
         yield sep + (",\n" + inner).join([row] * len(chunk)) % tuple(ints(chunk))
         sep = ",\n" + inner
     yield "\n" + ind + "]"

@@ -427,6 +427,18 @@ def test_verify_bibd_matches_dict_oracle_across_point_dtypes(v, monkeypatch):
         assert [verify_bibd(design) for design in cases] == want, chunk
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+def test_pair_cells_are_intp_for_rows_of_any_dtype(dtype):
+    # the largest cell of the first chunk, (top - 1) * (top + 1) + top,
+    # overflows the rows' dtype; so does a cell past a chunk's first point
+    top = int(np.iinfo(dtype).max)
+    at = np.array([[top - 1, top], [1, top]], dtype=dtype)
+    cells = designs._pair_cells(at, 0, top + 1)
+    assert cells.dtype == np.intp
+    assert cells.tolist() == [(top - 1) * (top + 1) + top, top + 1 + top]
+    assert designs._pair_cells(at, 1, top).tolist() == [(top - 2) * top + top - 1, top - 1]
+
+
 def pair_scan_at_parent(design, chunk):
     """verify_bibd's pair scan before it counted the pairs y > x alone: the
     blocks through each x counted into all v cells (int32 while chunk*v <

@@ -103,7 +103,7 @@ def test_dump_and_cli_json_match_json_dumps(tmp_path, obj):
 
 
 def test_dumps_chunks_long_int_rows_exactly(monkeypatch):
-    monkeypatch.setattr(serialize, "_ROW_CHUNK", 3)
+    monkeypatch.setattr(serialize, "_CHUNK", 3)
     for rows in ([[i, -i] for i in range(7)], [(i,) for i in range(6)], [[5, 6, 7]]):
         assert serialize.dumps({"rows": rows}) == json.dumps({"rows": rows}, indent=1,
                                                              sort_keys=True)
@@ -231,11 +231,11 @@ def test_load_design_reads_what_dump_writes_as_the_json_path_does(
     path = tmp_path / "design.json"
     serialize.dump(serialize.design_to_dict(design, res), path)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(serialize, "_ROW_CHUNK", chunk)
+        mp.setattr(serialize, "_CHUNK", chunk)
         _assert_same_read(_read(serialize.load_design, path), _read(_json_design, path))
-        # rows of one nonzero width and entries below 10**18 take the array path
-        readable = [rows for rows in (blocks, classes) if rows is not None and (
-            len(set(map(len, rows))) == 1 and rows[0] and max(map(abs, sum(rows, []))) < 10**18)]
+        # rows of one nonzero width take the array path
+        readable = [rows for rows in (blocks, classes)
+                    if rows is not None and len(set(map(len, rows))) == 1 and rows[0]]
         if len(readable) == 1 + (classes is not None):
             assert serialize._canonical_design(path.read_bytes()) is not None
 
@@ -273,7 +273,7 @@ def test_load_design_agrees_with_json_on_a_file_one_edit_away(tmp_path, data, ed
         text = text[:at] + byte + text[at + (edit != "insert"):]
     path.write_bytes(text)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(serialize, "_ROW_CHUNK", chunk)
+        mp.setattr(serialize, "_CHUNK", chunk)
         _assert_same_read(_read(serialize.load_design, path), _read(_json_design, path))
 
 
@@ -322,7 +322,7 @@ def test_load_design_holds_no_int_object_per_entry(tmp_path, monkeypatch):
     path = tmp_path / "ag64.json"
     serialize.dump(serialize.design_to_dict(design, res), path)
     size = path.stat().st_size
-    monkeypatch.setattr(serialize, "_ROW_CHUNK", 64)
+    monkeypatch.setattr(serialize, "_CHUNK", 4096)
     tracemalloc.start()
     try:
         got, got_res = serialize.load_design(path)
@@ -333,6 +333,26 @@ def test_load_design_holds_no_int_object_per_entry(tmp_path, monkeypatch):
     assert np.array_equal(got_res.classes, res.classes)
     # the file's bytes, the arrays, and one chunk's transients
     assert peak < size + design.blocks.nbytes + res.classes.nbytes + 2**20, peak
+
+
+def test_load_design_frees_the_files_bytes_before_reading_it_through_json(tmp_path):
+    # a file json reads but dump does not write: the array path rejects it,
+    # and the json read must not also hold the file's bytes
+    design, res = affine_plane(32)
+    path = tmp_path / "ag32.json"
+    path.write_text(json.dumps(dict(serialize.design_to_dict(design, res),
+                                    blocks=design.blocks.tolist(),
+                                    resolution=res.classes.tolist())))
+    assert serialize._canonical_design(path.read_bytes()) is None
+    peaks = []
+    for fn in (_json_design, serialize.load_design):
+        tracemalloc.start()
+        try:
+            fn(path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + path.stat().st_size // 2, peaks
 
 
 def test_load_design_reads_a_repeated_key_as_json_does(tmp_path):
