@@ -9,6 +9,7 @@ Nothing in here silently alters ingested values.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,7 +38,7 @@ def paley2(p: int) -> DesignFamily:
     if p % 4 != 3:
         raise CatalogDataError("paley2 needs a prime power p = 3 (mod 4)")
     fld = field_of_order(p)
-    group = AbelianGroup.additive(fld) if fld.m > 1 else AbelianGroup.cyclic(p)
+    group = AbelianGroup.of_field(fld)
     block = tuple(sorted([0] + _squares(fld)) * 2)
     block = tuple(sorted(block))
     return DesignFamily(SDF, group, p + 1, (block,), provenance="paley2(%d)" % p)
@@ -48,10 +49,9 @@ def paley3(p: int) -> DesignFamily:
     if p % 2 == 0 or p < 3:
         raise CatalogDataError("paley3 needs an odd prime power")
     fld = field_of_order(p)
-    group = AbelianGroup.additive(fld) if fld.m > 1 else AbelianGroup.cyclic(p)
+    group = AbelianGroup.of_field(fld)
     sq = _squares(fld)
-    nonsq = sorted(set(range(1, p)) - set(sq)) if fld.m == 1 else \
-        sorted(set(int(x) for x in fld.nonzero_encodings()) - set(sq))
+    nonsq = sorted(set(range(1, p)) - set(sq))
     b1 = tuple(sorted(([0] + sq) * 2))
     b2 = tuple(sorted(([0] + nonsq) * 2))
     return DesignFamily(SDF, group, 2 * p + 2, (b1, b2), provenance="paley3(%d)" % p)
@@ -62,12 +62,9 @@ def twin_prime(p: int) -> DesignFamily:
     of the classical twin-prime-power difference set."""
     f1 = field_of_order(p)
     f2 = field_of_order(p + 2)
-    g1 = AbelianGroup.additive(f1) if f1.m > 1 else AbelianGroup.cyclic(p)
-    g2 = AbelianGroup.additive(f2) if f2.m > 1 else AbelianGroup.cyclic(p + 2)
-    group = AbelianGroup.product(g1, g2)
+    group = AbelianGroup.product(AbelianGroup.of_field(f1), AbelianGroup.of_field(f2))
     sq1, sq2 = set(_squares(f1)), set(_squares(f2))
-    nz1 = set(int(x) for x in f1.nonzero_encodings())
-    nz2 = set(int(x) for x in f2.nonzero_encodings())
+    nz1, nz2 = set(range(1, p)), set(range(1, p + 2))
     ds = {group.pack(a, b) for a in sq1 for b in sq2}
     ds |= {group.pack(a, b) for a in nz1 - sq1 for b in nz2 - sq2}
     ds |= {group.pack(a, 0) for a in nz1 | {0}}
@@ -195,19 +192,11 @@ def lifting_z7xF89() -> LiftingData:
                        partition=((0,),), provenance="fdf_z7xF89")
 
 
-def _gf25():
-    return make_field(5, 2, (2, 4, 1))
-
-
-def _w(fld, j):
-    return fld.pow_generator(j)
-
-
 def lifting_z63xF25() -> LiftingData:
     """Verbatim z63 x GF(25) data; note the zero second coordinates in the
     rows for the second and sixth base blocks (and their scaled copies)."""
-    fld = _gf25()
-    w = lambda j: _w(fld, j)
+    fld = field_of_order(25)
+    w = fld.pow_generator
     xi = w(6)
     neg = fld.neg
     mulv = lambda row, m: tuple(int(fld.mul(v, m)) for v in row)
@@ -222,8 +211,8 @@ def lifting_z63xF25() -> LiftingData:
 
 
 def lifting_z119xF25() -> LiftingData:
-    fld = _gf25()
-    w = lambda j: _w(fld, j)
+    fld = field_of_order(25)
+    w = fld.pow_generator
     xi = w(6)
     neg = fld.neg
     mulv = lambda row, m: tuple(int(fld.mul(v, m)) for v in row)
@@ -279,25 +268,28 @@ def lifting_z125xF67() -> LiftingData:
 @dataclass(frozen=True)
 class _Entry:
     builder: Callable
-    takes_params: bool
     provenance: str
     lifting: bool = False
 
+    @property
+    def arity(self) -> int:
+        return len(inspect.signature(self.builder).parameters)
+
 
 _REGISTRY: dict[str, _Entry] = {
-    "paley2": _Entry(paley2, True, "Paley difference multiset of the second type"),
-    "paley3": _Entry(paley3, True, "Paley strong difference family of the third type"),
-    "twinPrime": _Entry(twin_prime, True, "twin prime power difference multiset"),
-    "singer": _Entry(singer, True, "Singer difference multiset"),
-    "z7_8_8": _Entry(z7_8_8, False, "single-block (Z7,8,8) table"),
-    "z63_8_8": _Entry(z63_8_8, False, "(Z63,8,8) table"),
-    "z119_8_8": _Entry(z119_8_8, False, "(Z119,8,8) table"),
-    "z125_6_6": _Entry(z125_6_6, False, "(Z125,6,6) table, 25 blocks"),
-    "fdf_z7xF89": _Entry(lifting_z7xF89, False, "Z7 x GF(89) lifting datum", lifting=True),
-    "fdf_z63xF25": _Entry(lifting_z63xF25, False, "Z63 x GF(25) lifting datum (printed zeros)",
+    "paley2": _Entry(paley2, "Paley difference multiset of the second type"),
+    "paley3": _Entry(paley3, "Paley strong difference family of the third type"),
+    "twinPrime": _Entry(twin_prime, "twin prime power difference multiset"),
+    "singer": _Entry(singer, "Singer difference multiset"),
+    "z7_8_8": _Entry(z7_8_8, "single-block (Z7,8,8) table"),
+    "z63_8_8": _Entry(z63_8_8, "(Z63,8,8) table"),
+    "z119_8_8": _Entry(z119_8_8, "(Z119,8,8) table"),
+    "z125_6_6": _Entry(z125_6_6, "(Z125,6,6) table, 25 blocks"),
+    "fdf_z7xF89": _Entry(lifting_z7xF89, "Z7 x GF(89) lifting datum", lifting=True),
+    "fdf_z63xF25": _Entry(lifting_z63xF25, "Z63 x GF(25) lifting datum (printed zeros)",
                           lifting=True),
-    "fdf_z119xF25": _Entry(lifting_z119xF25, False, "Z119 x GF(25) lifting datum", lifting=True),
-    "fdf_z125xF67": _Entry(lifting_z125xF67, False, "Z125 x GF(67) lifting datum", lifting=True),
+    "fdf_z119xF25": _Entry(lifting_z119xF25, "Z119 x GF(25) lifting datum", lifting=True),
+    "fdf_z125xF67": _Entry(lifting_z125xF67, "Z125 x GF(67) lifting datum", lifting=True),
 }
 
 
@@ -311,7 +303,7 @@ def entry_info(name: str) -> dict:
     e = _REGISTRY[name]
     return {"name": name, "provenance": e.provenance,
             "kind": "lifting" if e.lifting else "sdf",
-            "parametrized": e.takes_params}
+            "parametrized": e.arity > 0}
 
 
 def lifting_datum(name: str) -> LiftingData:
@@ -329,6 +321,9 @@ def family(name: str, *params) -> DesignFamily:
     e = _REGISTRY.get(name)
     if e is None:
         raise KeyError(f"unknown catalog entry {name!r}")
+    if len(params) != e.arity:
+        raise CatalogDataError(f"catalog entry {name!r} takes {e.arity} parameter(s), "
+                               f"got {len(params)}")
     if e.lifting:
         data = e.builder()
         report = check_lifting_conditions(data)
@@ -338,12 +333,8 @@ def family(name: str, *params) -> DesignFamily:
                 f"({report.detail or 'see report'}); repair it explicitly with "
                 "framedf.search.repair_block")
         return lift_sdf(data).with_provenance(name)
-    if e.takes_params:
-        if not params:
-            raise CatalogDataError(f"catalog entry {name!r} needs parameters")
-        try:
-            fam = e.builder(*params)
-        except ValueError as exc:       # e.g. an order that is not a prime power
-            raise CatalogDataError(str(exc)) from exc
-        return fam.with_provenance("%s(%s)" % (name, ",".join(map(str, params))))
-    return e.builder().with_provenance(name)
+    try:
+        fam = e.builder(*params)
+    except ValueError as exc:       # e.g. an order that is not a prime power
+        raise CatalogDataError(str(exc)) from exc
+    return fam.with_provenance("%s(%s)" % (name, ",".join(map(str, params))) if params else name)

@@ -6,8 +6,9 @@ search) run their input as a one-step recipe: each op has one implementation.
 
 Exit codes: 0 success, 1 verification failure (a recipe step that raises
 ValueError, or a search that proved its system has no solution, counts as
-one), 2 usage error (a recipe step without a key it needs, or naming an
-undefined reference, counts as one), 3 search or repair budget exhausted.
+one), 2 usage error (a recipe step without a key it needs, naming an
+undefined reference, or whose sdf the catalog refuses, counts as one), 3
+search or repair budget exhausted.
 Searches are deterministic; their order does not depend on --seed.
 """
 
@@ -351,8 +352,12 @@ def _run_step(op, step, env, workdir):
             return USAGE_ERROR, {"error": "unknown system" if needs is None else " and ".join(
                 "--" + key for key in needs) + f" required for the {system} system"}
         if "sdf" in needs:      # a catalog name with parameters: 'twinPrime:3'
-            name, _, rest = param("sdf").partition(":")
-            sdf = catalog.family(name, *([int(x) for x in rest.split(",")] if rest else []))
+            spec = param("sdf")
+            name, _, rest = spec.partition(":")
+            try:
+                sdf = catalog.family(name, *([int(x) for x in rest.split(",")] if rest else []))
+            except (KeyError, ValueError) as exc:   # an unknown name, or a parameter refused
+                return USAGE_ERROR, {"error": f"step {sid!r}: params.sdf {spec!r}: {exc.args[0]}"}
         if system == "generic":
             sysm = search.generic_system(sdf, q, q - 1, param("d", int), param("lam", int, 1))
         elif system == "paired":

@@ -3,18 +3,22 @@
 Elements of GF(p^m) are stored as integer encodings: the element with
 polynomial-basis coefficients (c_0, ..., c_{m-1}) is encoded as
 sum(c_i * p**i).  For prime fields the encoding is just the residue.
-Every field builds a full exp/log table at construction (fields in scope
-are small; discrete logs are the workhorse of all cyclotomic reasoning),
-so dlog and multiplication are O(1).  The cyclotomic e-class of a nonzero
-x is dlog(x) mod e.
+Addition is the law of the field's additive group, an AbelianGroup of m
+digits mod p, so the field keeps no digit arithmetic of its own.  Every
+field builds a full exp/log table at construction (fields in scope are
+small; discrete logs are the workhorse of all cyclotomic reasoning), so
+dlog and multiplication are O(1).  The cyclotomic e-class of a nonzero x
+is dlog(x) mod e.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
+
+from .groups import AbelianGroup
 
 __all__ = [
     "FiniteField",
@@ -61,26 +65,6 @@ def least_primitive_root(p: int) -> int:
     raise ArithmeticError(f"no primitive root found mod {p}")
 
 
-def _poly_mul_mod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p: int) -> list[int]:
-    """Multiply coefficient vectors mod (modulus, p).  modulus is monic of degree m."""
-    m = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    # reduce: x^m = -(modulus[0] + ... + modulus[m-1] x^{m-1})
-    for deg in range(len(prod) - 1, m - 1, -1):
-        c = prod[deg]
-        if c:
-            prod[deg] = 0
-            for j in range(m):
-                prod[deg - m + j] = (prod[deg - m + j] - c * modulus[j]) % p
-    out = prod[:m]
-    out += [0] * (m - len(out))
-    return out
-
-
 class FiniteField:
     """GF(p^m) with a fixed primitive polynomial and primitive element.
 
@@ -102,9 +86,8 @@ class FiniteField:
                 if len(mod) != 2 or mod[1] != 1:
                     raise ValueError("prime-field modulus must be monic linear")
             self.modulus = (0, 1)
-            g = least_primitive_root(p) if p > 2 else 1
-            self.generator = g
-            self._build_prime_tables(g)
+            self.generator = least_primitive_root(p) if p > 2 else 1
+            times_generator = lambda x: x * self.generator % p
         else:
             if modulus is None:
                 modulus = _default_primitive_poly(p, m)
@@ -112,48 +95,39 @@ class FiniteField:
             if len(mod) != m + 1 or mod[m] != 1:
                 raise ValueError(f"modulus must be monic of degree {m}")
             self.modulus = tuple(mod)
-            self._build_ext_tables()
-            if self._log is None:
-                raise ValueError("modulus is not primitive over GF(%d)" % p)
             self.generator = self.p  # encoding of x
+            times_generator = self._times_x
+        if not self._build_tables(times_generator):
+            raise ValueError("modulus is not primitive over GF(%d)" % p)
+        self._group = AbelianGroup.additive(self)
 
     # -- table construction -------------------------------------------------
 
-    def _build_prime_tables(self, g: int) -> None:
+    def _times_x(self, enc: int) -> int:
+        """x * enc: the coefficients move up one degree, and the top one
+        comes back down as x^m = -(modulus[0] + ... + modulus[m-1] x^(m-1))."""
+        c = self.decode(enc)
+        top = c[-1]
+        return self.encode([-top * self.modulus[0]] +
+                           [c[j - 1] - top * self.modulus[j] for j in range(1, self.m)])
+
+    def _build_tables(self, times_generator: Callable[[int], int]) -> bool:
+        """The exp/log tables of the generator's powers, stepping by
+        times_generator; False when the powers cycle before q - 1 steps."""
         q = self.q
-        exp = np.zeros(q - 1, dtype=np.int64)
-        log = np.full(q, -1, dtype=np.int64)
+        exp, log = [], [-1] * q
         x = 1
         for i in range(q - 1):
-            exp[i] = x
+            if log[x] >= 0:
+                return False
+            exp.append(x)
             log[x] = i
-            x = x * g % q
-        if x != 1 or np.any(log[1:] < 0):
-            raise ArithmeticError(f"{g} is not primitive mod {q}")
-        self._exp = exp
-        self._log = log
-
-    def _build_ext_tables(self) -> None:
-        p, m, q = self.p, self.m, self.q
-        exp = np.zeros(q - 1, dtype=np.int64)
-        log = np.full(q, -1, dtype=np.int64)
-        gen = [0, 1] + [0] * (m - 2)  # x
-        cur = [1] + [0] * (m - 1)
-        for i in range(q - 1):
-            enc = 0
-            for j in reversed(range(m)):
-                enc = enc * p + cur[j]
-            if log[enc] >= 0:
-                self._log = None  # reducible or imprimitive: cycle shorter than q-1
-                return
-            exp[i] = enc
-            log[enc] = i
-            cur = _poly_mul_mod(cur, gen, self.modulus, p)
-        if cur != [1] + [0] * (m - 1):
-            self._log = None
-            return
-        self._exp = exp
-        self._log = log
+            x = times_generator(x)
+        if x != 1:
+            return False
+        self._exp = np.array(exp, dtype=np.int64)
+        self._log = np.array(log, dtype=np.int64)
+        return True
 
     # -- element encoding ---------------------------------------------------
 
@@ -173,23 +147,13 @@ class FiniteField:
     # -- arithmetic on encodings (vectorised over numpy arrays) -------------
 
     def add(self, a, b):
-        if self.m == 1:
-            return (a + b) % self.p
-        da = self._digits(a)
-        db = self._digits(b)
-        return self._undigits((da + db) % self.p)
+        return self._group.add(a, b)
 
     def sub(self, a, b):
-        if self.m == 1:
-            return (a - b) % self.p
-        da = self._digits(a)
-        db = self._digits(b)
-        return self._undigits((da - db) % self.p)
+        return self._group.sub(a, b)
 
     def neg(self, a):
-        if self.m == 1:
-            return (-a) % self.p
-        return self._undigits((-self._digits(a)) % self.p)
+        return self._group.neg(a)
 
     def mul(self, a, b):
         za = np.asarray(a) == 0
@@ -216,25 +180,6 @@ class FiniteField:
             raise ZeroDivisionError("zero has no discrete log")
         out = self._log[a]
         return int(out) if out.ndim == 0 else out
-
-    def _digits(self, a):
-        a = np.asarray(a, dtype=np.int64)
-        out = np.empty(a.shape + (self.m,), dtype=np.int64)
-        for j in range(self.m):
-            out[..., j] = a % self.p
-            a = a // self.p
-        return out
-
-    def _undigits(self, d):
-        out = np.zeros(d.shape[:-1], dtype=np.int64)
-        for j in reversed(range(self.m)):
-            out = out * self.p + d[..., j]
-        if out.ndim == 0:
-            return int(out)
-        return out
-
-    def nonzero_encodings(self) -> np.ndarray:
-        return np.arange(1, self.q, dtype=np.int64) if self.m == 1 else self._exp.copy()
 
     # -- misc ---------------------------------------------------------------
 

@@ -4,17 +4,21 @@ A group is described by a descriptor tree (Cyclic(n) | AdditiveField(field) |
 Product(...)) and its elements are integer encodings 0..order-1 in mixed
 radix over the flattened tree leaves.  Addition is componentwise modular
 addition on the leaf digits; all operations accept plain ints or numpy
-arrays of encodings and are pure.
+arrays of encodings and are pure.  This law is the only additive
+arithmetic in the package: FiniteField.add, sub and neg are the law of
+the field's additive group.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .fields import FiniteField
+if TYPE_CHECKING:
+    from .fields import FiniteField
 
 __all__ = ["AbelianGroup", "CrtIsomorphism", "crt_iso"]
 
@@ -60,6 +64,14 @@ class AbelianGroup:
     @classmethod
     def additive(cls, field: FiniteField) -> "AbelianGroup":
         return cls("field", field=field)
+
+    @classmethod
+    def of_field(cls, field: FiniteField) -> "AbelianGroup":
+        """F_q^+ as the package writes it: Z_p for a prime field, the field
+        group otherwise."""
+        if field.m == 1:
+            return cls.cyclic(field.p)
+        return cls.additive(field)
 
     @classmethod
     def product(cls, *factors: "AbelianGroup") -> "AbelianGroup":
@@ -154,34 +166,23 @@ class AbelianGroup:
 
 
 class CrtIsomorphism:
-    """Bijective homomorphism from a product of coprime cyclic pieces to Z_n."""
+    """Bijective homomorphism onto Z_n from a group whose leaf orders are
+    pairwise coprime."""
 
     def __init__(self, group: AbelianGroup):
-        if group.kind == "cyclic":
-            leaf_orders = [group.n]
-        else:
-            leaf_orders = []
-            for fac in (group.factors if group.kind == "product" else (group,)):
-                if fac.kind == "cyclic":
-                    leaf_orders.append(fac.n)
-                elif fac.kind == "field" and fac.field.m == 1:
-                    leaf_orders.append(fac.field.p)
-                else:
-                    raise ValueError(f"factor {fac!r} is not cyclic")
-        for i in range(len(leaf_orders)):
-            for j in range(i + 1, len(leaf_orders)):
-                if math.gcd(leaf_orders[i], leaf_orders[j]) != 1:
-                    raise ValueError("factor orders are not pairwise coprime")
+        leaf_orders = group._radices
+        for a, b in itertools.combinations(leaf_orders, 2):
+            if math.gcd(a, b) != 1:
+                raise ValueError(f"leaf orders {a} and {b} of {group!r} share a factor")
         self.source = group
-        self.n = math.prod(leaf_orders)
+        self.n = group.order
         self.target = AbelianGroup.cyclic(self.n)
-        # CRT weights: w_i = 1 mod n_i, 0 mod n_j (j != i); leaf radices equal orders here
+        # CRT weights: w_i = 1 mod n_i, 0 mod n_j (j != i)
         ws = []
-        for i, ni in enumerate(leaf_orders):
+        for ni in leaf_orders:
             rest = self.n // ni
             ws.append(rest * pow(rest, -1, ni) % self.n)
         self._weights = np.array(ws, dtype=np.int64)
-        self._orders = leaf_orders
 
     def apply(self, a):
         digits = self.source._digits(a)
@@ -190,7 +191,7 @@ class CrtIsomorphism:
 
     def invert(self, x):
         x = np.asarray(x, dtype=np.int64)
-        digits = np.stack([x % ni for ni in self._orders], axis=-1)
+        digits = np.stack([x % ni for ni in self.source._radices], axis=-1)
         return self.source._undigits(digits)
 
 

@@ -58,7 +58,11 @@ class LiftingData:
         q = self.field.q
         if (q - 1) % self.e or self.e % self.d:
             raise ValueError("need d | e and e | q-1")
+        if not self.sdf.blocks:
+            raise ValueError("lifting data needs an SDF with at least one block")
         k = len(self.sdf.blocks[0])
+        if k < 2:
+            raise ValueError(f"SDF block 0 has {k} point(s); lifting needs blocks of at least 2")
         if len(self.phi) != len(self.sdf.blocks):
             raise ValueError("phi rows must align with SDF blocks")
         if any(len(row) != k for row in self.phi):
@@ -197,8 +201,7 @@ def lift_sdf(data: LiftingData) -> DesignFamily:
         raise ValueError(f"lifting conditions fail: {report.detail}")
     G = data.sdf.group
     fld = data.field
-    prod = AbelianGroup.product(G, AbelianGroup.additive(fld) if fld.m > 1
-                                else AbelianGroup.cyclic(fld.q))
+    prod = AbelianGroup.product(G, AbelianGroup.of_field(fld))
     S = canonical_reps(data)
     blocks = []
     for frow, prow in zip(data.sdf.blocks, data.phi):
@@ -217,20 +220,18 @@ def lift_sdf(data: LiftingData) -> DesignFamily:
 
 def mul_table_dm(field: FiniteField) -> DifferenceMatrix:
     """The q x q multiplication table: an (F_q^+, q, 1) difference matrix."""
-    group = AbelianGroup.additive(field) if field.m > 1 else AbelianGroup.cyclic(field.q)
+    group = AbelianGroup.of_field(field)
     encs = np.arange(field.q, dtype=np.int64)
     rows = tuple(tuple(int(x) for x in field.mul(np.full(field.q, r, dtype=np.int64), encs))
                  for r in range(field.q))
     return DifferenceMatrix(group, rows)
 
 
-def homogenize(dm: DifferenceMatrix, lam: int = 1) -> DifferenceMatrix:
+def homogenize(dm: DifferenceMatrix) -> DifferenceMatrix:
     """Normalize (column operations zeroing row 0), then delete row 0.
 
-    Requires lam = 1; the result has each row a permutation of the group.
+    The result of a (G, k, 1) matrix has each row a permutation of the group.
     """
-    if lam != 1:
-        raise ValueError("homogenization needs lambda = 1")
     group = dm.group
     row0 = np.asarray(dm.rows[0], dtype=np.int64)
     rows = tuple(tuple(int(x) for x in group.sub(np.asarray(r, dtype=np.int64), row0))

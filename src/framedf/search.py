@@ -71,6 +71,7 @@ import numpy as np
 
 from .fields import FiniteField, field_of_order
 from .families import DesignFamily, SDF
+from .groups import AbelianGroup
 from .lifting import LiftingData, check_lifting_conditions, in_orbit_normal_form
 
 __all__ = [
@@ -386,11 +387,11 @@ def _lifting_system(sdf: DesignFamily, fld: FiniteField, e: int, d: int, lam: in
                             lifting_builder=builder, provenance=provenance)
 
 
-def generic_system(sdf: DesignFamily, q: int, e: int, d: int, lam: int,
-                   partition: Optional[Sequence[Sequence[int]]] = None) -> ConstraintSystem:
+def generic_system(sdf: DesignFamily, q: int, e: int, d: int, lam: int) -> ConstraintSystem:
     """Symbolic label system for lifting an SDF over GF(q) with e = q - 1:
     one unknown per block position, one difference group per group element
-    (half-range convention on 2-torsion slots), one element group per part.
+    (half-range convention on 2-torsion slots), one element group per part
+    of t consecutive blocks.
     """
     if sdf.kind != SDF:
         raise ValueError("need an SDF")
@@ -404,11 +405,10 @@ def generic_system(sdf: DesignFamily, q: int, e: int, d: int, lam: int,
     if (lam * G.order) % (k - 1):
         raise ValueError("lambda|G| must be divisible by k-1")
     n = len(sdf.blocks)
-    if partition is None:
-        nparts = lam * G.order // (k - 1)
-        if n != nparts * t:
-            raise ValueError("cannot derive a partition: block count mismatch")
-        partition = tuple(tuple(range(i * t, (i + 1) * t)) for i in range(nparts))
+    nparts = lam * G.order // (k - 1)
+    if n != nparts * t:
+        raise ValueError("cannot derive a partition: block count mismatch")
+    partition = tuple(tuple(range(i * t, (i + 1) * t)) for i in range(nparts))
     if lam % 2 == 1 and (q - d - 1) % (2 * d):
         raise ValueError("odd lambda requires q = d+1 (mod 2d)")
     ui = lambda i, a: i * k + a
@@ -490,8 +490,7 @@ def paley3_pattern_system(p: int, q: int) -> ConstraintSystem:
     if (q - 1) % (2 * p + 2):
         raise ValueError("need q = 1 (mod 2p+2)")
     pfld = field_of_order(p)
-    from .groups import AbelianGroup
-    G = AbelianGroup.additive(pfld) if pfld.m > 1 else AbelianGroup.cyclic(p)
+    G = AbelianGroup.of_field(pfld)
     evens = [0] + [pfld.pow_generator(2 * j) for j in range(1, (p - 1) // 2 + 1)]
     odds = [0] + [pfld.pow_generator(2 * j + 1) for j in range((p - 1) // 2)]
     b1 = tuple(v for x in evens for v in (x, x))

@@ -42,6 +42,14 @@ def test_congruence_errors():
         catalog.family("paley3", 8)
 
 
+@pytest.mark.parametrize("name,params", [
+    ("z7_8_8", (5,)), ("fdf_z7xF89", (89,)), ("twinPrime", ()), ("twinPrime", (3, 5)),
+    ("singer", (2,))])
+def test_family_takes_exactly_its_entrys_parameters(name, params):
+    with pytest.raises(catalog.CatalogDataError, match="parameter"):
+        catalog.family(name, *params)
+
+
 def test_lifting_data_zero_flagging():
     data = catalog.lifting_datum("fdf_z63xF25")
     rep = check_lifting_conditions(data)

@@ -63,6 +63,21 @@ def test_lift_rejects_out_of_range_phi(tmp_path, capsys):
     assert rc == 2 and "phi entry (0, 0) = -88" in err
 
 
+@pytest.mark.parametrize("blocks,problem", [
+    ([], "lifting data needs an SDF with at least one block"),
+    ([[0]], "SDF block 0 has 1 point(s); lifting needs blocks of at least 2"),
+], ids=["no-blocks", "one-point-block"])
+def test_lift_rejects_an_sdf_without_differences(tmp_path, capsys, blocks, problem):
+    blob = serialize.lifting_to_dict(catalog.lifting_datum("fdf_z7xF89"))
+    blob["sdf"].update(blocks=blocks, **{"lambda": 0})
+    blob["phi"] = [[1] for _ in blocks]
+    blob["partition"] = [[i] for i in range(len(blocks))]
+    bad = tmp_path / "no_differences.json"
+    serialize.dump(blob, bad)
+    rc, out, err = run(capsys, "lift", "--data", str(bad))
+    assert (rc, out, err) == (2, "", f"error: {problem}\n")
+
+
 def test_lift_rejects_an_sdf_element_outside_the_group(tmp_path, capsys):
     # the SDF's 0s written as 7, which Z7 would reduce to 0 again
     blob = serialize.lifting_to_dict(catalog.lifting_datum("fdf_z7xF89"))
@@ -228,6 +243,18 @@ def test_run_step_given_wrong_type_reports_and_exits_2(tmp_path, capsys):
     ({"id": "lift", "op": "lift", "in": "$d"}, "step 'lift' has no 'out'"),
     ({"id": "datum2", "op": "catalog-lifting", "out": "$e"},
      "step 'datum2' has no params.name"),
+    # the sdf of a solve step: parameters for an entry that takes none, a
+    # parameter that is not an int, and none for an entry that needs one
+    ({"id": "solve", "op": "solve", "out": "$s", "params": {
+        "system": "generic", "sdf": "z7_8_8:5", "q": 41, "d": 8, "budget": 1}},
+     "step 'solve': params.sdf 'z7_8_8:5': catalog entry 'z7_8_8' takes 0 parameter(s), got 1"),
+    ({"id": "solve", "op": "solve", "out": "$s", "params": {
+        "system": "paired", "sdf": "twinPrime:x", "q": 17}},
+     "step 'solve': params.sdf 'twinPrime:x': invalid literal for int() with base 10: 'x'"),
+    ({"id": "solve", "op": "solve", "out": "$s", "params": {
+        "system": "paired", "sdf": "twinPrime", "q": 17}},
+     "step 'solve': params.sdf 'twinPrime': catalog entry 'twinPrime' takes 1 parameter(s), "
+     "got 0"),
 ])
 def test_run_step_usage_error_exits_2(tmp_path, capsys, step, problem):
     recipe = tmp_path / "usage.json"
@@ -284,6 +311,14 @@ def test_recipe_solve_step_rejects_a_negative_budget(tmp_path, capsys):
     assert rc == 2
     [step] = json.loads(out)
     assert not step["verified"] and "budget -1 is negative" in step["error"]
+
+
+def test_search_command_rejects_parameters_for_an_entry_without_any(capsys):
+    rc, out, err = run(capsys, "search", "--system", "generic", "--sdf", "z7_8_8:5",
+                       "--q", "41", "--d", "8", "--budget", "1")
+    assert (rc, out) == (2, "")
+    assert err == ("error: step 'solve': params.sdf 'z7_8_8:5': catalog entry 'z7_8_8' "
+                   "takes 0 parameter(s), got 1\n")
 
 
 def test_search_command_produces_datum(tmp_path, capsys):

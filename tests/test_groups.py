@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from framedf.fields import make_field
+from framedf.fields import field_of_order, make_field
 from framedf.groups import AbelianGroup, crt_iso
 
 
@@ -55,11 +55,31 @@ def test_crt_bijective_homomorphism():
 
 
 def test_crt_rejects_bad_factors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="leaf orders 6 and 9 "):
         crt_iso(AbelianGroup.product(AbelianGroup.cyclic(6), AbelianGroup.cyclic(9)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="leaf orders 5 and 5 "):
         crt_iso(AbelianGroup.product(AbelianGroup.cyclic(7),
                                      AbelianGroup.additive(make_field(5, 2))))
+
+
+def test_crt_reads_the_leaves_of_nested_products_and_prime_fields():
+    g = AbelianGroup.product(AbelianGroup.product(AbelianGroup.cyclic(4), AbelianGroup.cyclic(9)),
+                             AbelianGroup.additive(make_field(5)))
+    iso = crt_iso(g)
+    encs = g.enumerate()
+    assert np.array_equal(np.sort(iso.apply(encs)), encs)
+    assert np.array_equal(iso.invert(iso.apply(encs)), encs)
+    a, b = np.meshgrid(encs, encs)
+    assert np.array_equal(iso.apply(g.add(a, b)), (iso.apply(a) + iso.apply(b)) % g.order)
+
+
+@pytest.mark.parametrize("q,expect", [(89, "Z89"), (25, "GF(5^2)+"), (8, "GF(2^3)+")])
+def test_of_field_is_z_p_for_a_prime_field_and_the_field_group_otherwise(q, expect):
+    fld = field_of_order(q)
+    g = AbelianGroup.of_field(fld)
+    assert repr(g) == expect and g.order == q
+    encs = g.enumerate()
+    assert np.array_equal(g.add(encs[:, None], encs), fld.add(encs[:, None], encs))
 
 
 def test_factor_slice_subgroup():
