@@ -118,7 +118,7 @@ def subtree(search: SimpleNamespace, depth: int, room: int) -> tuple[int, Option
     means the search stopped there."""
     budget = _Budget(room)
     found = search.dfs(depth, budget)
-    return budget.nodes, list(search.assign) if found else None
+    return budget.nodes, search.solution() if found else None
 
 
 def split_search(search: SimpleNamespace, budget: _Budget) -> SolveResult:

@@ -7,7 +7,8 @@ search) run their input as a one-step recipe: each op has one implementation.
 Exit codes: 0 success, 1 verification failure (a recipe step that raises
 ValueError, or a search that proved its system has no solution, counts as
 one), 2 usage error (a recipe step without a key it needs, naming an
-undefined reference, or whose sdf the catalog refuses, counts as one), 3
+undefined reference, whose sdf the catalog refuses, or whose system
+refuses its q or sdf or has a group solve refuses, counts as one), 3
 search or repair budget exhausted.
 Searches are deterministic; their order does not depend on --seed.
 """
@@ -159,10 +160,7 @@ def cmd_import(args) -> int:
 
 
 def cmd_verify_fhs(args) -> int:
-    import numpy as np
-    blob = serialize._typed(serialize.load(args.fhs), dict, "hopping sequence")
-    fhs = codes.FHS(np.asarray(blob["seq"]), serialize._int(blob, "alphabet"))
-    serialize._int_array(blob["seq"], "seq", depth=1)      # names a bool, read as 0 or 1 above
+    fhs = serialize.fhs_from_dict(serialize.load(args.fhs))
     rep = codes.verify_strictly_optimal(fhs)
     _emit({"n": fhs.n, "strictly_optimal": bool(rep.ok),
            "failing_L": list(rep.witnesses)}, args.format)
@@ -171,23 +169,9 @@ def cmd_verify_fhs(args) -> int:
 
 def cmd_verify_ccc(args) -> int:
     import numpy as np
-    blob = serialize._typed(serialize.load(args.ccc), dict, "code")
-    rows = serialize._typed(blob["codewords"], list, "codewords")
-    if not rows:
-        raise ValueError("the code's codeword list is empty")
-    for i, row in enumerate(rows):
-        if not isinstance(row, list):
-            raise ValueError(f"codeword {i} is not a list of symbols")
-        if len(row) != len(rows[0]):
-            raise ValueError(f"codeword {i} has {len(row)} symbols, codeword 0 has {len(rows[0])}")
-    cw = np.asarray(rows)
-    if cw.dtype.kind not in "iu":
-        raise ValueError("the codewords hold a symbol that is not an integer")
-    serialize._int_array(rows, "codewords")                # names a bool, read as 0 or 1 above
-    ccc = codes.CCC(cw.shape[1], cw, serialize._int_tuples(blob, "composition", depth=1))
-    want = serialize._int(blob, "d") if "d" in blob else None
+    ccc, want = serialize.ccc_from_dict(serialize.load(args.ccc))
     comp_ok = all(sorted(np.bincount(row, minlength=len(ccc.composition)))
-                  == sorted(ccc.composition) for row in cw)
+                  == sorted(ccc.composition) for row in ccc.codewords)
     d = ccc.min_distance()
     ok = comp_ok and (want is None or d == want)
     _emit({"M": ccc.size, "d": d, "composition_ok": bool(comp_ok), "verified": bool(ok)},
@@ -245,22 +229,6 @@ def _require(mapping, key, problem: str):
         return mapping[key]
     except KeyError:
         raise KeyError(problem) from None
-
-
-def _file_blob(product, record) -> dict:
-    """The one file format of each product, written for a step's `file`
-    (and so for a subcommand's --out)."""
-    if isinstance(product, lifting.LiftingData):
-        return serialize.lifting_to_dict(product)
-    if isinstance(product, families.DesignFamily):
-        return serialize.family_to_dict(product)
-    if isinstance(product, codes.CCC):
-        return {"n": product.n, "codewords": product.codewords.tolist(), "d": record["d"],
-                "composition": list(product.composition), "provenance": product.provenance}
-    if isinstance(product, codes.FHS):
-        return {"n": product.n, "alphabet": product.alphabet_size, "seq": product.seq.tolist()}
-    design, res, _rot = product
-    return serialize.design_to_dict(design, res)
 
 
 def _run_step(op, step, env, workdir):
@@ -358,15 +326,19 @@ def _run_step(op, step, env, workdir):
                 sdf = catalog.family(name, *([int(x) for x in rest.split(",")] if rest else []))
             except (KeyError, ValueError) as exc:   # an unknown name, or a parameter refused
                 return USAGE_ERROR, {"error": f"step {sid!r}: params.sdf {spec!r}: {exc.args[0]}"}
-        if system == "generic":
-            sysm = search.generic_system(sdf, q, q - 1, param("d", int), param("lam", int, 1))
-        elif system == "paired":
-            sysm = search.paired_pattern_system(sdf, q)
-        elif system == "paley3":
-            sysm = search.paley3_pattern_system(param("p", int), q)
-        else:
-            sysm = search.z125_system(q)
-        res = search.solve(sysm, budget=budget)
+        try:
+            if system == "generic":
+                sysm = search.generic_system(sdf, q, q - 1, param("d", int),
+                                             param("lam", int, 1))
+            elif system == "paired":
+                sysm = search.paired_pattern_system(sdf, q)
+            elif system == "paley3":
+                sysm = search.paley3_pattern_system(param("p", int), q)
+            else:
+                sysm = search.z125_system(q)
+            res = search.solve(sysm, budget=budget)
+        except ValueError as exc:       # the system refuses q, the sdf or a group
+            return USAGE_ERROR, {"error": str(exc)}
         record = {"status": res.status, "nodes": res.nodes}
         if res.status != "sat":     # "exhausted" proves there is no solution
             return (BUDGET_FAIL if res.status == "budget_exceeded" else VERIFY_FAIL), \
@@ -377,7 +349,7 @@ def _run_step(op, step, env, workdir):
         return USAGE_ERROR, {"error": f"unknown op {op!r}"}
     env[out] = product
     if "file" in step:
-        serialize.dump(_file_blob(product, record), workdir / step["file"])
+        serialize.dump(serialize.product_to_dict(product, record.get("d")), workdir / step["file"])
     return (0 if ok else VERIFY_FAIL), record
 
 

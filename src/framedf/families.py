@@ -372,12 +372,15 @@ def verify_pdf(fam: DesignFamily) -> Report:
 def verify_dm(dm: DifferenceMatrix, lam: Optional[int] = None) -> Report:
     """Every row pair's entrywise difference list must cover each group
     element exactly lam times (inferred from the column count when not
-    given).  Witnesses are (row, row, difference, count)."""
+    given).  A matrix without columns fails: lam >= 1.  Witnesses are
+    (row, row, difference, count)."""
     group = dm.group
     rows = np.asarray(dm.rows, dtype=np.int64)
     error = _outside(rows.ravel(), group.order, "entry")
     if error:
         return Report(False, *error)
+    if not dm.ncols:
+        return Report(False, "the matrix has no columns", [("ncols", 0)])
     if lam is None:
         if dm.ncols % group.order:
             return Report(False, f"{dm.ncols} columns are not a multiple of |H| = "

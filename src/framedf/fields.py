@@ -155,28 +155,35 @@ class FiniteField:
     def neg(self, a):
         return self._group.neg(a)
 
+    def _encodings(self, a) -> np.ndarray:
+        """a as an array; ValueError naming its first entry outside 0..q-1."""
+        arr = np.asarray(a)
+        bad = (arr < 0) | (arr >= self.q)
+        if bad.any():
+            raise ValueError(f"{arr.flat[np.argmax(bad)]} is not an encoding of {self!r} "
+                             f"(0..{self.q - 1})")
+        return arr
+
     def mul(self, a, b):
-        za = np.asarray(a) == 0
-        zb = np.asarray(b) == 0
-        la = self._log[a]
-        lb = self._log[b]
-        out = self._exp[(la + lb) % (self.q - 1)]
-        if out.ndim == 0:
-            return 0 if (za or zb) else int(out)
-        out = np.where(za | zb, 0, out)
-        return out
+        a, b = self._encodings(a), self._encodings(b)
+        out = self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        out = np.where((a == 0) | (b == 0), 0, out)
+        return int(out) if out.ndim == 0 else out
 
     def inv(self, a):
-        if np.any(np.asarray(a) == 0):
+        a = self._encodings(a)
+        if np.any(a == 0):
             raise ZeroDivisionError("zero has no inverse")
-        return self._exp[(-self._log[a]) % (self.q - 1)]
+        out = self._exp[(-self._log[a]) % (self.q - 1)]
+        return int(out) if out.ndim == 0 else out
 
     def pow_generator(self, k: int) -> int:
         return int(self._exp[k % (self.q - 1)])
 
     def dlog(self, a) -> int:
         """Discrete log base the field generator; total on nonzero elements."""
-        if np.any(np.asarray(a) == 0):
+        a = self._encodings(a)
+        if np.any(a == 0):
             raise ZeroDivisionError("zero has no discrete log")
         out = self._log[a]
         return int(out) if out.ndim == 0 else out

@@ -31,24 +31,25 @@ rows, links and partition, beside their own checks, hints and
 reductions; repair's unknowns are the suspect entries, every other entry
 a constant.
 
-Field arithmetic in the search goes through one set of lookup tables per
-field, built on first use: exp/log lists, a q x q addition table and one
-multiplication row per prime-subfield element, since a form coefficient c
-is the element c mod p.  The scalar loops (the depth-first search, form
-evaluation) index the Python lists; cluster enumeration gathers from numpy
-copies in the narrowest dtype holding q - 1.  It keeps its frontier in that
-dtype, column-major (a row per placed unknown, a column per candidate),
-beside a narrow state: a class bitmask per group holding two or more of the
-cluster's forms, and the signature label of each cross form, written where
-the form completes.  Each level gathers only what its completing forms
-read and copies out the candidates that pass; at the last level each chunk
-extends only the candidates whose first value is least in its coset of
-the scalings that fix every tracked class (only those can come first for
-their signature) and keeps only its first candidate per signature.  The
-depth-first search keeps each unknown's live domain as an int bitset
-indexed by discrete log and each group's closed classes as one bitmask.
-A placement first counts the labels it completes against the caps and
-only then prunes domains, by one cached bitset per (form, group).
+Field arithmetic in the search runs on discrete logs through three lists
+of O(q) entries per field, exp, log and the Zech logarithms
+zech[t] = log(1 + g^t), since log(g^a + g^b) = a + zech[b - a] mod q-1
+(Huber, "Some comments on Zech's logarithms", IEEE Trans. Inf. Theory 36,
+1990); a form coefficient c is the prime-subfield element c mod p.
+Cluster enumeration keeps the logs of its candidates in the narrowest
+dtype holding q - 1, in the order of their encodings, column-major (a row
+per placed unknown, a column per candidate), beside a narrow state: a
+class bitmask per group holding two or more of the cluster's forms, and
+the signature label of each cross form, written where the form completes.
+Each level gathers only what its completing forms read and copies out the
+candidates that pass; at the last level each chunk extends only the
+candidates whose first value is least in its coset of the scalings that
+fix every tracked class (only those can come first for their signature)
+and keeps only its first candidate per signature.  The depth-first search
+keeps each placed value as its log, each unknown's live domain as an int
+bitset indexed by discrete log and each group's closed classes as one
+bitmask.  A placement first counts the labels it completes against the
+caps and only then prunes domains, by one cached bitset per (form, group).
 
 Hints order candidates (signatures agreeing with the hinted label plan are
 tried first) but never exclude assignments.  Every success is re-verified
@@ -121,43 +122,40 @@ def q_bound_bracket(d: int, m: int) -> tuple[Fraction, Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# Plain-int field tables for the search loops
+# Field arithmetic on discrete logs for the search loops
 
 
-class _FieldTables:
-    """Arithmetic of one field as lookup tables on integer encodings.
-
-    exp, log (log[0] = -1) and the q x q addition table `add` are Python
-    lists for the scalar loops; `add_flat` and `mul_arr` are numpy copies
-    in the narrowest dtype holding q - 1, gathered from by the vectorised
-    cluster enumeration.  mul[s] is the row x -> s*x of the prime-subfield
-    element s (encoding s, 0 <= s < p); a form coefficient c acts as the
-    element c mod p, through row(c).
-    """
+class _FieldLogs:
+    """Arithmetic of one field on integer encodings through its discrete
+    logs, as Python lists of O(q) entries: exp[i] = g^i, log[x] (log[0] =
+    -1) and zech[t] = log(1 + g^t), which is -1 where 1 + g^t = 0 (t = 0 in
+    characteristic 2, else t = (q-1)/2).  The depth-first search reads the
+    labels of its linear forms from `lines`, zech twice over and then the
+    identity (see _direct_search)."""
 
     def __init__(self, fld: FiniteField):
-        q, p = fld.q, fld.p
-        enc = np.arange(q, dtype=np.int64)
-        add = fld.add(enc[:, None], enc[None, :])
-        mul = np.zeros((p, q), dtype=np.int64)
-        for s in range(1, p):
-            mul[s] = fld.mul(enc, s)
-        self.p = p
+        self.p, self.q1 = fld.p, fld.q - 1
         self.exp = fld._exp.tolist()
         self.log = fld._log.tolist()
-        self.add = add.tolist()
-        self.mul = mul.tolist()
-        narrow = np.min_scalar_type(q - 1)
-        self.add_flat = add.ravel().astype(narrow)
-        self.mul_arr = mul.astype(narrow)
+        self.zech = fld._log[fld.add(fld._exp, 1)].tolist()
+        self.lines = self.zech * 2 + list(range(self.q1))
 
-    def row(self, c: int) -> list[int]:
-        return self.mul[c % self.p]
+    def add(self, a: int, b: int) -> int:
+        if not (a and b):
+            return a or b
+        la = self.log[a]
+        z = self.zech[(self.log[b] - la) % self.q1]
+        return 0 if z < 0 else self.exp[(la + z) % self.q1]
+
+    def scale(self, c: int, x: int) -> int:
+        """x times the prime-subfield element c mod p."""
+        s = c % self.p
+        return self.exp[(self.log[s] + self.log[x]) % self.q1] if s and x else 0
 
 
 @lru_cache(maxsize=None)
-def _field_tables(fld: FiniteField) -> _FieldTables:
-    return _FieldTables(fld)
+def _field_logs(fld: FiniteField) -> _FieldLogs:
+    return _FieldLogs(fld)
 
 
 # ---------------------------------------------------------------------------
@@ -207,16 +205,15 @@ class ConstraintSystem:
     reductions: tuple[dict, ...] = ()
 
     def eval_form(self, fi: int, assignment: Sequence[int]) -> int:
-        tab = _field_tables(self.field)
-        add = tab.add
+        fl = _field_logs(self.field)
         f = self.forms[fi]
         acc = f.const
         for u, c in f.terms:
-            acc = add[acc][tab.row(c)[int(assignment[u])]]
+            acc = fl.add(acc, fl.scale(c, int(assignment[u])))
         return acc
 
     def check_assignment(self, assignment: Sequence[int]) -> bool:
-        log = _field_tables(self.field).log
+        log = _field_logs(self.field).log
         vals = [self.eval_form(fi, assignment) for fi in range(len(self.forms))]
         if any(v == 0 for v in vals):
             return False
@@ -289,8 +286,7 @@ def _lifting_system(sdf: DesignFamily, fld: FiniteField, e: int, d: int, lam: in
     raises ValueError naming its slot or part.  The lifting builder
     assembles the datum (with `partition`) from an assignment.
     """
-    tab = _field_tables(fld)
-    add, neg, q1 = tab.add, tab.row(-1), fld.q - 1
+    fl, q1 = _field_logs(fld), fld.q - 1
     G, orbit = sdf.group, q1 // e
     links = links or {}
 
@@ -301,12 +297,12 @@ def _lifting_system(sdf: DesignFamily, fld: FiniteField, e: int, d: int, lam: in
             if isinstance(x, tuple):
                 coeffs[x[0]] = coeffs.get(x[0], 0) + sign * x[1]
             else:
-                const = add[const][x if sign > 0 else neg[x]]
+                const = fl.add(const, fl.scale(sign, x))
         return _form_key(coeffs, const)
 
     @lru_cache(maxsize=None)
     def negated(k):
-        return _form_key({u: -c for u, c in k[0]}, neg[k[1]])
+        return _form_key({u: -c for u, c in k[0]}, fl.scale(-1, k[1]))
 
     def signed_rep(k):
         return negated(k) if k[0] and max(k[0])[1] < 0 else k
@@ -365,12 +361,12 @@ def _lifting_system(sdf: DesignFamily, fld: FiniteField, e: int, d: int, lam: in
         g = UniformityGroup(tuple(sorted(index[k] for k in ks)), modulus, mult, orb)
         if any(k[0] for k in ks):
             groups.append(g)
-        elif not in_orbit_normal_form([tab.log[k[1]] for k in ks], q1, q1 // orb, modulus,
+        elif not in_orbit_normal_form([fl.log[k[1]] for k in ks], q1, q1 // orb, modulus,
                                       mult):
             raise ValueError(f"precondition violated: {name} fails and holds no unknown")
 
     def builder(assignment):
-        value = lambda x: tab.row(x[1])[int(assignment[x[0]])] if isinstance(x, tuple) \
+        value = lambda x: fl.scale(x[1], int(assignment[x[0]])) if isinstance(x, tuple) \
             else int(x)
         phi = {j: tuple(value(x) for x in row_of(j)) for j in range(len(sdf.blocks))
                if j not in links}
@@ -556,13 +552,8 @@ def z125_system(q: int) -> ConstraintSystem:
         have = [hints[fi] for fi in g.forms if fi in hints]
         if len(set(have)) != len(have):
             continue
-        rest = sorted(set(range(3)) - set(have))
-        it = iter(rest)
-        for fi in g.forms:
-            if fi not in hints:
-                nxt = next(it, None)
-                if nxt is not None:
-                    hints[fi] = nxt
+        free = [fi for fi in dict.fromkeys(g.forms) if fi not in hints]
+        hints.update(zip(free, sorted(set(range(3)) - set(have))))
     return replace(system, hints=hints)
 
 
@@ -630,13 +621,15 @@ def _enumerate_cluster(system: ConstraintSystem, form_groups: list[list[int]],
     (the labels of the cluster's forms belonging to straddling groups, each
     mod the modulus of its straddling groups), keeping the first row of
     each, or None when the expansion is too large, when a form is or has a
-    constant, when a group has multiplicity or orbit > 1, or when a cross
-    form's straddling groups differ in modulus (one label per form could
-    not stand for both).  Witnesses are int64 rows, signatures int8 rows.
+    constant or has more than two terms, when a group has multiplicity or
+    orbit > 1, or when a cross form's straddling groups differ in modulus
+    (one label per form could not stand for both).  Witnesses are int64
+    rows, signatures int8 rows.
 
-    The frontier is held column-major in the narrow value dtype of the
-    field tables: one row per placed unknown, one column per candidate
-    assignment.  Beside it sits a narrow state, also column-major: one
+    The frontier holds the logs of the values, column-major in the
+    narrowest dtype holding q - 1: one row per placed unknown, one column
+    per candidate assignment, each unknown's values tried in the order of
+    their encodings.  Beside it sits a narrow state, also column-major: one
     class bitmask per group holding at least two of the cluster's forms (a
     group with one cannot fill a class twice), then one signature label per
     cross form, written at the level where the form completes.  A level
@@ -661,7 +654,7 @@ def _enumerate_cluster(system: ConstraintSystem, form_groups: list[list[int]],
     kept, are those of the unrestricted expansion; `work` is counted on the
     full frontier, so _WORK_CAP gives up exactly where it did without it.
     """
-    if any(f.const or not f.terms for f in system.forms):
+    if any(f.const or not 0 < len(f.terms) <= 2 for f in system.forms):
         return None
     log = system.field._log
     cluster_set = set(cluster)
@@ -694,31 +687,35 @@ def _enumerate_cluster(system: ConstraintSystem, form_groups: list[list[int]],
     completes_at: dict[int, list[int]] = {}
     for fi in sorted(inner_set):
         completes_at.setdefault(max(pos[u] for u, _ in system.forms[fi].terms), []).append(fi)
-    tab, q = _field_tables(system.field), system.field.q
-    pair = np.min_scalar_type(q * q - 1)       # holds an add_flat index
-    values = np.arange(1, q, dtype=tab.add_flat.dtype)
-    # per tracked modulus, each encoding's class bit and label (the entries
-    # for 0 are never read into a kept column: a zero value drops it)
+    p, q1 = system.field.p, system.field.q - 1
+    values = log[1:].astype(np.min_scalar_type(q1))   # the logs of 1..q-1, in that order
+    # zech twice over, 3(q-1) for the root's -1: read at i, |i| < 2(q-1), it gives zech[i % (q-1)]
+    zero, wide = 3 * q1, np.min_scalar_type(-5 * q1)
+    zech2 = np.asarray(_field_logs(system.field).zech * 2, dtype=wide)
+    zech2[zech2 < 0] = zero
+    # per tracked modulus (dividing q-1) the class bit and label of each unreduced log below 5(q-1)
     dtype = np.min_scalar_type(1 << (max(mod.values(), default=1) - 1))
-    class_bit = {m: (1 << (log % m)).astype(dtype) for m in set(mod.values())}
-    label = {m: (log % m).astype(dtype) for m in set(mod.values())}
-    # least[x]: x is the least encoding of its coset of C = {t : M | log t}
+    class_bit = {m: (1 << (np.arange(5 * q1) % m)).astype(dtype) for m in set(mod.values())}
+    label = {m: (np.arange(5 * q1) % m).astype(dtype) for m in set(mod.values())}
+    # least[log x]: x is the least encoding of its coset of C = {t : M | log t}
     # (only when C is a proper nontrivial subgroup and a level 1 exists)
     M = math.lcm(*mod.values())
     least = None
-    if last and (q - 1) % M == 0 and M < q - 1:
-        least = np.zeros(q, dtype=bool)
-        least[values[np.unique(log[values] % M, return_index=True)[1]]] = True
+    if last and q1 % M == 0 and M < q1:
+        least = np.zeros(q1, dtype=bool)
+        least[values[np.unique(values % M, return_index=True)[1]]] = True
 
     def form_values(fi, column):
-        """The values of form fi on the candidates, column(i) giving those
-        of order[i]; products and sums are gathers from the flat tables."""
+        """The unreduced logs of form fi's values on the candidates (3(q-1)
+        or more for 0), column(i) giving order[i]'s: a term's log is below
+        2(q-1), and a sum of two terms one gather from zech2."""
         acc = None
         for u, c in system.forms[fi].terms:
             x = column(pos[u])
-            term = x if c % tab.p == 1 else tab.mul_arr[c % tab.p].take(x)
-            acc = term if acc is None else tab.add_flat.take(acc.astype(pair) * q + term)
-        return acc
+            if c % p:                               # else the term vanishes
+                t = x.astype(wide) + int(log[c % p])
+                acc = t if acc is None else zech2.take(t - acc) + acc
+        return np.full(len(x), zero, dtype=wide) if acc is None else acc
 
     def place(fr, st, src, new, level):
         """The frontier and state of the candidates fr[:, src] extended by
@@ -736,7 +733,7 @@ def _enumerate_cluster(system: ConstraintSystem, form_groups: list[list[int]],
         written = {}                          # state row -> its values on the candidates
         for fi in completes_at.get(level, ()):
             val = form_values(fi, column)
-            good &= val != 0
+            good &= val < zero
             for gi in form_groups[fi]:
                 if gi in mcol:
                     k = mcol[gi]
@@ -786,7 +783,7 @@ def _enumerate_cluster(system: ConstraintSystem, form_groups: list[list[int]],
         if not cands:
             return None
         gi = max(cands, key=lambda g: mod[g])
-        cls = log[values] % mod[gi]
+        cls = values % mod[gi]
         return mcol.get(gi), mod[gi], [values[cls == c] for c in range(mod[gi])]
 
     def expansion(st, level):
@@ -836,7 +833,7 @@ def _enumerate_cluster(system: ConstraintSystem, form_groups: list[list[int]],
             return None
         frontier, state = grow(frontier, state, level)
     keep = first_rows(state)        # chunks kept column order: first overall too
-    return (frontier[:, keep].T.astype(np.int64, order="C"),
+    return (np.ascontiguousarray(system.field._exp.take(frontier[:, keep]).T),
             state[len(masked):, keep].T.astype(np.int8, order="C"), cross_forms)
 
 
@@ -931,18 +928,24 @@ def _direct_search(system: ConstraintSystem, form_groups: list[list[int]]) -> Si
     The next unknown is always one of minimal live domain, and its
     candidate values are tried in ascending discrete-log order.
 
-    The loop runs on plain ints through the shared field tables.  Each
-    live domain is an int bitset in which bit i stands for generator^i, so
-    reading the set bits from the lowest gives ascending discrete-log
-    order and int.bit_count() the live size.  A form listed k times in a
+    The loop runs on plain ints.  Each live domain is an int bitset in
+    which bit i stands for g^i, g the generator, so reading the set bits
+    from the lowest gives ascending discrete-log order and int.bit_count()
+    the live size; a placed value is kept as its log i.  Terms whose
+    coefficient vanishes mod p are dropped.  A form listed k times in a
     group is counted once with weight k.  Each group keeps one `closed`
     bitmask, over its classes mod the modulus when orbit = 1 and over its
     e-classes when orbit > 1: a class closes once it holds multiplicity *
     orbit labels, and in a group with orbit > 1 the empty e-classes of a
     class close once `multiplicity` of its e-classes are occupied.  Both
     caps hold in every completion.  A form left with one free unknown x
-    reads s*x + c; for each (s, c, width, mask) the bits of the x that
-    vanish or land in a closed class are built once.
+    reads s*x + c, kept as (x, a, lc): at x = g^i its label is
+    lc + lines[a + i] (lines: zech twice over, then the identity), with
+    a = log s - log c mod q-1 and lc = log c when c != 0, and a = 2(q-1),
+    lc = log s when c = 0; its root is the i with lines[a + i] = -1.
+    Labels are left unreduced, below 2(q-1): solve checks that the moduli
+    and widths they are read by divide q-1.  For each (a, lc, width, mask)
+    the bits of the x that vanish or land in a closed class are built once.
 
     Placing a value runs in two stages.  First the labels of the forms it
     completes are counted against the caps; a clash (124,739 of z7@89's
@@ -954,20 +957,18 @@ def _direct_search(system: ConstraintSystem, form_groups: list[list[int]]) -> Si
     already fails).  This leaves every domain where a full re-check of all
     such forms after each placement would.
 
-    The namespace returned holds n, feasible, assign and dfs.
+    The namespace returned holds n, feasible, dfs and solution.
     dfs(depth, budget) searches below the placements in force, spending
     one node per value tried and undoing its own placements unless it
-    finds a solution, left in `assign`; given a depth `stop` and a
-    callable `visit`, it calls visit() at each node of that depth it
-    reaches instead of searching below it, and stops once visit() returns
-    True.  framedf._split walks the tree above a depth this way, in the
-    caller and in a helper forked in the middle of the walk, and searches
-    the subtrees below it in place.
+    finds a solution, whose values solution() gives as encodings; given a
+    depth `stop` and a callable `visit`, it calls visit() at each node of
+    that depth it reaches instead of searching below it, and stops once
+    visit() returns True.  framedf._split walks the tree above a depth
+    this way, in the caller and in a helper forked in the middle of the
+    walk, and searches the subtrees below it in place.
     """
-    tab = _field_tables(system.field)
-    add, log, exp, mul = tab.add, tab.log, tab.exp, tab.mul
-    p, q1 = tab.p, system.field.q - 1
-    everything = (1 << q1) - 1
+    fl = _field_logs(system.field)
+    log, exp, zech, lines, q1 = fl.log, fl.exp, fl.zech, fl.lines, fl.q1
     n = len(system.unknowns)
     groups = system.groups
     weighted = [tuple((gi, gs.count(gi)) for gi in dict.fromkeys(gs)) for gs in form_groups]
@@ -985,44 +986,41 @@ def _direct_search(system: ConstraintSystem, form_groups: list[list[int]]) -> Si
     ecounts = [[0] * w for w in widths]
     occupied = [0] * len(groups)
     closed = [0] * len(groups)
-    assign = [0] * n
+    assign = [0] * n                               # the logs of the placed values
     assigned = [False] * n
-    consts = [f.const for f in system.forms]
-    terms = [[(u, c % p) for u, c in f.terms] for f in system.forms]
+    clogs = [log[f.const] for f in system.forms]
+    terms = [[(u, log[c % fl.p]) for u, c in f.terms if c % fl.p] for f in system.forms]
     nfree = [len(ts) for ts in terms]              # unassigned terms per form
-    pending = [None] * len(terms)                  # (x, s, c) while nfree is 1
+    pending = [None] * len(terms)                  # (x, a, lc) while nfree is 1
     forms_by_unknown = [[] for _ in range(n)]
     for fi, ts in enumerate(terms):
         for u, _ in ts:
             forms_by_unknown[u].append(fi)
-    domains = [everything] * n
+    domains = [(1 << q1) - 1] * n
 
     class Bans(dict):
         def __missing__(self, key):
-            """The bits of the x with s*x + c zero or in a class of `mask`."""
-            s, c, width, mask = key
-            out = everything if not (s or c) else 0
-            if s and c:
-                out = 1 << ((log[mul[p - 1][c]] - log[s]) % q1)
-            row = mul[s]
+            """The bits of the x = g^i with s*x + c zero or in a class of `mask`."""
+            a, lc, width, mask = key
+            out = 0
             for i in range(q1):
-                val = add[row[exp[i]]][c]
-                if val and mask >> (log[val] % width) & 1:
+                t = lines[a + i]
+                if t < 0 or mask >> ((lc + t) % width) & 1:
                     out |= 1 << i
             self[key] = out
             return out
 
     bans = Bans()
 
-    def count(fis, v, touched, grown):
+    def count(fis, i, touched, grown):
         """Add to their groups the labels of the forms in fis, each with
-        the value v put in for its one free unknown, logging each change in
+        g^i put in for its one free unknown, logging each change in
         touched and each group whose mask grew in grown; False when a cap
-        breaks.  The value is nonzero: v's domain excludes each form's
+        breaks.  The value is nonzero: i's domain excludes each form's
         root."""
         for fi in fis:
-            _, s, c = pending[fi]
-            lg = log[add[c][mul[s][v]]]
+            _, a, lc = pending[fi]
+            lg = lc + lines[a + i]
             for gi, k in weighted[fi]:
                 cls, cnt, mask = lg % mods[gi], counts[gi], closed[gi]
                 now = cnt[cls] + k
@@ -1063,17 +1061,21 @@ def _direct_search(system: ConstraintSystem, form_groups: list[list[int]]) -> Si
         for fi in fis:
             if nfree[fi] != 1:
                 continue
-            c = consts[fi]
-            for w, s in terms[fi]:
-                if assigned[w]:
-                    c = add[c][mul[s][assign[w]]]
-                else:
-                    x, sx = w, s
-            pending[fi] = x, sx, c
+            lc = clogs[fi]                          # log c, -1 while c = 0
+            for w, ls in terms[fi]:
+                if not assigned[w]:
+                    x, lx = w, ls
+                elif lc < 0:
+                    lc = (ls + assign[w]) % q1
+                else:                               # c += s*w: one Zech step
+                    z = zech[(ls + assign[w] - lc) % q1]
+                    lc = (lc + z) % q1 if z >= 0 else -1
+            a, lc = ((lx - lc) % q1, lc) if lc >= 0 else (2 * q1, lx)
+            pending[fi] = x, a, lc
             # each group's bits hold the root; a form in no group needs it alone
-            ban = 0 if weighted[fi] else bans[sx, c, 1, 0]
+            ban = 0 if weighted[fi] else bans[a, lc, 1, 0]
             for gi, _ in weighted[fi]:
-                ban |= bans[sx, c, widths[gi], closed[gi]]
+                ban |= bans[a, lc, widths[gi], closed[gi]]
             dom = domains[x]
             if dom & ban:
                 saved.append((x, dom))
@@ -1085,8 +1087,8 @@ def _direct_search(system: ConstraintSystem, form_groups: list[list[int]]) -> Si
             for fi in group_forms[gi]:
                 if nfree[fi] != 1:
                     continue
-                x, s, c = pending[fi]
-                ban = bans[s, c, width, mask]
+                x, a, lc = pending[fi]
+                ban = bans[a, lc, width, mask]
                 dom = domains[x]
                 if dom & ban:
                     saved.append((x, dom))
@@ -1103,16 +1105,16 @@ def _direct_search(system: ConstraintSystem, form_groups: list[list[int]]) -> Si
             nfree[fi] += 1
         assigned[u] = False
 
-    def do_assign(u, v, fis):
-        """Place u = v; returns an undo token, or None on contradiction.
+    def do_assign(u, i, fis):
+        """Place u = g^i; returns an undo token, or None on contradiction.
         The forms u completes, fis, are counted first; only when their
         labels fit does the placement touch free counts and domains."""
         touched, grown = [], []
         mine = forms_by_unknown[u]
-        if not count(fis, v, touched, grown):
+        if not count(fis, i, touched, grown):
             uncount(touched)
             return None
-        assign[u] = v
+        assign[u] = i
         assigned[u] = True
         for fi in mine:
             nfree[fi] -= 1
@@ -1139,7 +1141,7 @@ def _direct_search(system: ConstraintSystem, form_groups: list[list[int]]) -> Si
             dom ^= low
             if not budget.spend():
                 return False
-            token = do_assign(u, exp[low.bit_length() - 1], fis)
+            token = do_assign(u, low.bit_length() - 1, fis)
             if token is None:
                 continue
             if dfs(depth + 1, budget, stop, visit):
@@ -1149,13 +1151,14 @@ def _direct_search(system: ConstraintSystem, form_groups: list[list[int]]) -> Si
                 return False
         return False
 
-    gauge = not any(consts)
+    gauge = all(lc < 0 for lc in clogs)
     fixed = [fi for fi, ts in enumerate(terms) if not ts]
     for fi in fixed:
-        pending[fi] = None, 0, consts[fi]           # a constant reads 0*x + c
-    feasible = all(consts[fi] for fi in fixed) and count(fixed, 0, [], []) \
+        pending[fi] = None, 2 * q1, clogs[fi]       # counted at i = 0: the label log c
+    feasible = all(clogs[fi] >= 0 for fi in fixed) and count(fixed, 0, [], []) \
         and prune(range(len(terms)), [], [])
-    return SimpleNamespace(n=n, feasible=feasible, assign=assign, dfs=dfs)
+    return SimpleNamespace(n=n, feasible=feasible, dfs=dfs,
+                           solution=lambda: [exp[i] for i in assign])
 
 
 def _dfs_direct(system: ConstraintSystem, form_groups: list[list[int]],
@@ -1285,25 +1288,22 @@ def solve(system: ConstraintSystem, seed: int = 0, budget: int = 10**8) -> Solve
     subtrees it claims first beside the caller; it is gone when solve
     returns or raises.  The status, assignment and node count are those of one
     process walking the tree, whatever the number of CPUs.  A negative
-    budget raises ValueError.
+    budget raises ValueError, and so does a group whose orbit does not
+    divide q - 1 or whose modulus does not divide e = (q-1)/orbit.
     """
     if budget < 0:
         raise ValueError(f"budget {budget} is negative")
+    q1 = system.field.q - 1
+    bad = [gi for gi, g in enumerate(system.groups) if q1 % g.orbit or q1 // g.orbit % g.modulus]
+    if bad:
+        raise ValueError(f"group {bad[0]}: need orbit | q-1 and modulus | (q-1)/orbit")
     for g in system.groups:
         if len(g.forms) != g.modulus * g.multiplicity * g.orbit:
-            # each form contributes one label, so exact coverage is impossible
-            return SolveResult("exhausted")
+            return SolveResult("exhausted")     # each form gives one label: no exact cover
     bud = _Budget(budget)
-    attempts: list = []
-    for red in system.reductions:
-        pair = _apply_reduction(system, red)
-        if pair is not None:
-            attempts.append(pair)
-    attempts.append((system, None))
-    last = None
-    for sub, expand in attempts:
+    reduced = [_apply_reduction(system, red) for red in system.reductions]
+    for sub, expand in [r for r in reduced if r is not None] + [(system, None)]:
         res = _solve_one(sub, bud)
-        last = res
         if res.status == "sat":
             values = [res.assignment[u] for u in range(len(sub.unknowns))]
             full = expand(values) if expand is not None else values
@@ -1319,7 +1319,7 @@ def solve(system: ConstraintSystem, seed: int = 0, budget: int = 10**8) -> Solve
             return SolveResult("sat", named, bud.nodes)
         if res.status == "budget_exceeded":
             return SolveResult("budget_exceeded", nodes=bud.nodes)
-    return SolveResult(last.status if last else "exhausted", nodes=bud.nodes)
+    return SolveResult(res.status, nodes=bud.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -1340,7 +1340,7 @@ def _detect_scalings(data: LiftingData, suspects: set) -> dict[int, tuple[int, i
     suspect block's row is a pointwise C_0^{e,q}-multiple of an earlier
     suspect block's row with the same SDF block and the same suspect
     positions (zeros scale consistently)."""
-    fld, e = data.field, data.e
+    fl, e = _field_logs(data.field), data.e
     block_ids = sorted({i for i, _ in suspects})
     pattern = {i: {a for j, a in suspects if j == i} for i in block_ids}
     links: dict[int, tuple[int, int]] = {}
@@ -1350,12 +1350,11 @@ def _detect_scalings(data: LiftingData, suspects: set) -> dict[int, tuple[int, i
                     or pattern[i] != pattern[j]:
                 continue
             pairs = list(zip(data.phi[i], data.phi[j]))
-            ratios = {int(fld.mul(vb, int(fld.inv(va)))) for va, vb in pairs if va}
-            if len(ratios) == 1 and all((va == 0) == (vb == 0) for va, vb in pairs):
-                m = ratios.pop()
-                if fld.dlog(m) % e == 0:
-                    links[j] = (i, m)
-                    break
+            ratios = {(fl.log[vb] - fl.log[va]) % fl.q1 for va, vb in pairs if va}
+            if len(ratios) == 1 and all((va == 0) == (vb == 0) for va, vb in pairs) \
+                    and min(ratios) % e == 0:
+                links[j] = (i, fl.exp[min(ratios)])
+                break
     return links
 
 

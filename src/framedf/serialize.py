@@ -1,4 +1,4 @@
-"""JSON interchange for fields, groups, families, lifting data and designs.
+"""JSON interchange for fields, groups, families, lifting data, designs, CCCs and FHSs.
 
 Round trips are lossless; element encodings are the integers used
 throughout the package.  Field descriptors carry the modulus and the
@@ -52,6 +52,7 @@ from .groups import AbelianGroup
 from .families import DesignFamily
 from .lifting import LiftingData
 from .designs import BlockDesign, Resolution, _stored
+from .codes import CCC, FHS
 
 __all__ = [
     "field_to_dict", "field_from_dict",
@@ -59,6 +60,7 @@ __all__ = [
     "family_to_dict", "family_from_dict",
     "lifting_to_dict", "lifting_from_dict",
     "design_to_dict", "design_from_dict",
+    "ccc_from_dict", "fhs_from_dict", "product_to_dict",
     "dump", "dumps", "load", "load_design",
 ]
 
@@ -206,6 +208,50 @@ def _design(d: dict, rows) -> tuple[BlockDesign, Resolution | None]:
     design = BlockDesign(_int(d, "v"), _int(d, "k"), _int(d, "lambda"), rows("blocks"),
                          provenance=_str(d, "provenance", ""))
     return design, Resolution(rows("resolution")) if "resolution" in d else None
+
+
+def ccc_from_dict(blob) -> tuple[CCC, int | None]:
+    """The code of a code file, as long as its codewords (a non-empty list
+    of int rows of one length), and the distance it states or None."""
+    blob = _typed(blob, dict, "code")
+    rows = _typed(blob["codewords"], list, "codewords")
+    if not rows:
+        raise ValueError("the code's codeword list is empty")
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise ValueError(f"codeword {i} is not a list of symbols")
+        if len(row) != len(rows[0]):
+            raise ValueError(f"codeword {i} has {len(row)} symbols, codeword 0 has {len(rows[0])}")
+    cw = np.asarray(rows)
+    if cw.dtype.kind not in "iu":
+        raise ValueError("the codewords hold a symbol that is not an integer")
+    _int_array(rows, "codewords")                # names a bool, read as 0 or 1 above
+    ccc = CCC(cw.shape[1], cw, _int_tuples(blob, "composition", depth=1))
+    return ccc, _int(blob, "d") if "d" in blob else None
+
+
+def fhs_from_dict(blob) -> FHS:
+    blob = _typed(blob, dict, "hopping sequence")
+    fhs = FHS(np.asarray(blob["seq"]), _int(blob, "alphabet"))
+    _int_array(blob["seq"], "seq", depth=1)      # names a bool, read as 0 or 1 above
+    return fhs
+
+
+def product_to_dict(product, d: int | None = None) -> dict:
+    """The one file format of each product: a lifting datum, a family, a
+    CCC (stating its minimum distance d), an FHS, or a (design,
+    resolution, rotation) triple."""
+    if isinstance(product, LiftingData):
+        return lifting_to_dict(product)
+    if isinstance(product, DesignFamily):
+        return family_to_dict(product)
+    if isinstance(product, CCC):
+        return {"n": product.n, "codewords": product.codewords.tolist(), "d": d,
+                "composition": list(product.composition), "provenance": product.provenance}
+    if isinstance(product, FHS):
+        return {"n": product.n, "alphabet": product.alphabet_size, "seq": product.seq.tolist()}
+    design, res, _rot = product
+    return design_to_dict(design, res)
 
 
 def load_design(path) -> tuple[BlockDesign, Resolution | None]:

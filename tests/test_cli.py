@@ -333,6 +333,28 @@ def test_search_command_produces_datum(tmp_path, capsys):
     assert rc3 == 2
 
 
+@pytest.mark.parametrize("params,problem", [
+    ({"system": "paired", "sdf": "fdf_z7xF89", "q": 17},
+     "paired pattern needs a single base block"),
+    ({"system": "generic", "sdf": "z7_8_8", "q": 17, "d": 8},
+     "odd lambda requires q = d+1 (mod 2d)"),
+    # built, but solve refuses its groups: labels mod 6 with q - 1 = 10
+    ({"system": "generic", "sdf": "paley3:5", "q": 11, "d": 6, "lam": 2},
+     "group 0: need orbit | q-1 and modulus | (q-1)/orbit")],
+    ids=["paired", "generic", "generic-solve"])
+def test_a_system_refusing_its_input_exits_2_from_search_and_run(tmp_path, capsys, params,
+                                                                  problem):
+    args = [x for key, value in params.items() for x in (f"--{key}", str(value))]
+    rc, out, err = run(capsys, "search", *args)
+    assert (rc, out, err) == (2, "", f"error: {problem}\n")
+    recipe = tmp_path / "solve.json"
+    recipe.write_text(json.dumps({"steps": [{"op": "solve", "out": "$d", "params": params}]}))
+    rc, out, _ = run(capsys, "--format", "json", "run", str(recipe))
+    assert rc == 2
+    [step] = json.loads(out)
+    assert not step["verified"] and step["error"] == problem
+
+
 def test_run_recipe_1576(tmp_path, capsys):
     recipe = Path(__file__).resolve().parents[1] / "src" / "framedf" / "recipes" / "thm_2_6_1576.json"
     rc, out, _ = run(capsys, "--format", "json", "run", str(recipe),

@@ -443,3 +443,150 @@ def test_verify_fdf_rejects_blocks_of_other_sizes():
     rep = verify_fdf(fam)
     assert rep == Report(False, "block 1 does not have the 3 elements of block 0", [1, 2])
     assert rep == fdf_oracle(fam)
+
+
+# -- property suites: verify_sdf, verify_relative_df and verify_dm against
+# dictionary counting --
+
+def sdf_oracle(fam):
+    """verify_sdf on a cyclic group by dictionary counting: one block size
+    k, every element in range, k >= 2, lam even with k(k-1) | lam*n, then
+    every element of Z_n (0 included) lam times a difference."""
+    n, lam = fam.group.order, fam.lam
+    k = len(fam.blocks[0]) if fam.blocks else 0
+    odd = [i for i, blk in enumerate(fam.blocks) if len(blk) != k]
+    if odd:
+        return Report(False, f"block {odd[0]} does not have the {k} elements of block 0", odd)
+    error = _outside_oracle([x for b in fam.blocks for x in b], n, "block element")
+    if error:
+        return Report(False, *error)
+    if k < 2:
+        return Report(False, f"block size {k} < 2 covers no differences", [("k", k)])
+    if lam % 2:
+        return Report(False, f"lam = {lam} is odd", [("lam", lam)])
+    if lam * n % (k * (k - 1)):
+        return Report(False, f"lam|G| = {lam * n} is not divisible by k(k-1) = {k * (k - 1)}",
+                      [("lam", lam)])
+    return _counts_oracle(_differences(n, fam.blocks), lambda x: lam, n, "difference")
+
+
+def dm_oracle(n, rows, lam):
+    """verify_dm on Z_n by dictionary counting: every entry in range, at
+    least one column, lam (when None) the column count over n, which must
+    divide it, then every pair of rows differing by each element lam
+    times."""
+    error = _outside_oracle([x for row in rows for x in row], n, "entry")
+    if error:
+        return Report(False, *error)
+    ncols = len(rows[0])
+    if not ncols:
+        return Report(False, "the matrix has no columns", [("ncols", 0)])
+    if lam is None:
+        if ncols % n:
+            return Report(False, f"{ncols} columns are not a multiple of |H| = {n}",
+                          [("ncols", ncols)])
+        lam = ncols // n
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            counts = Counter((a - b) % n for a, b in zip(rows[i], rows[j]))
+            rep = _counts_oracle(counts, lambda x: lam, n, f"rows {i} and {j}: difference")
+            if not rep.ok:
+                return Report(False, rep.detail, [(i, j, *w) for w in rep.witnesses])
+    return Report(True)
+
+
+# (n, lam, blocks): SDFs over Z_n from the catalog
+VALID_SDFS = [(f.group.order, f.lam, f.blocks) for f in (
+    catalog.family("paley2", 3), catalog.family("z7_8_8"), catalog.family("singer", 2, 3),
+    catalog.family("paley3", 5), catalog.family("paley2", 11), catalog.family("z125_6_6"))]
+# (n, N, lam, blocks): relative difference families over Z_n, the frames
+# above and the (7, 3, 1) difference set
+VALID_RELATIVE_DFS = [(n, sub, lam, blocks) for n, sub, lam, blocks, _ in VALID_FDFS] + [
+    (7, (0,), 1, ((0, 1, 3),))]
+# (n, rows, lam): difference matrices over Z_n, the multiplication tables of
+# prime fields (lam = 1) and a (Z_3, 2, 2) one
+VALID_DMS = [(p, tuple(tuple(i * j % p for j in range(p)) for i in range(p)), 1)
+             for p in (2, 3, 5, 7)] + [(3, ((0, 1, 2, 0, 1, 2), (0, 2, 1, 1, 0, 2)), 2)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.sampled_from(VALID_SDFS))
+def test_verify_sdf_against_dictionary_counting(data, base):
+    n, lam, blocks = base
+    blocks, _, lam, _ = data.draw(_faulty(blocks, None, lam, None, n))
+    fam = DesignFamily(SDF, AbelianGroup.cyclic(n), lam, blocks)
+    assert verify_sdf(fam) == sdf_oracle(fam)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.sampled_from(VALID_RELATIVE_DFS))
+def test_verify_relative_df_against_dictionary_counting(data, base):
+    n, sub, lam, blocks = base
+    blocks, sub, lam, _ = data.draw(_faulty(blocks, sub, lam, None, n))
+    fam = DesignFamily(RELATIVE_DF, AbelianGroup.cyclic(n), lam, blocks, sub)
+    assert verify_relative_df(fam) == relative_oracle(fam)
+
+
+@st.composite
+def _faulty_dm(draw, rows, lam, n):
+    """rows and lam with up to three faults: an entry changed or pushed
+    outside 0..n-1, a row repeated, dropped or cut short (ragged), a
+    column dropped or repeated, and lam off by one or left to be
+    inferred."""
+    rows, given = [list(r) for r in rows], lam
+    entry = st.integers(0, n - 1) | st.sampled_from([-1, n, n + 3])
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.integers(0, 6))
+        r = draw(st.integers(0, len(rows) - 1)) if rows else None
+        c = draw(st.integers(0, len(rows[r]) - 1)) if r is not None and rows[r] else None
+        if fault == 0 and c is not None:
+            rows[r][c] = draw(entry)
+        elif fault == 1 and r is not None:
+            rows.insert(r, list(rows[r]))
+        elif fault == 2 and r is not None:
+            rows.pop(r)
+        elif fault == 3 and c is not None:
+            rows[r].pop(c)
+        elif fault == 4 and c is not None:
+            for row in rows:
+                del row[c:c + 1]
+        elif fault == 5 and c is not None:
+            for row in rows:
+                row[c:c + 1] = row[c:c + 1] * 2
+        elif fault == 6:
+            lam = draw(st.sampled_from([None, given - 1, given + 1]))
+    return tuple(map(tuple, rows)), lam
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.sampled_from(VALID_DMS))
+def test_verify_dm_against_dictionary_counting(data, base):
+    n, rows, lam = base
+    rows, lam = data.draw(_faulty_dm(rows, lam, n))
+    if len({len(row) for row in rows}) != 1:        # ragged or no rows: not a matrix
+        with pytest.raises(ValueError, match="ragged difference matrix"):
+            DifferenceMatrix(AbelianGroup.cyclic(n), rows)
+        return
+    assert verify_dm(DifferenceMatrix(AbelianGroup.cyclic(n), rows), lam) == \
+        dm_oracle(n, rows, lam)
+
+
+def test_the_sdf_relative_and_dm_suites_start_from_valid_inputs():
+    for n, lam, blocks in VALID_SDFS:
+        fam = DesignFamily(SDF, AbelianGroup.cyclic(n), lam, blocks)
+        assert verify_sdf(fam).ok and sdf_oracle(fam).ok
+    for n, sub, lam, blocks in VALID_RELATIVE_DFS:
+        fam = DesignFamily(RELATIVE_DF, AbelianGroup.cyclic(n), lam, blocks, sub)
+        assert verify_relative_df(fam).ok and relative_oracle(fam).ok
+    for n, rows, lam in VALID_DMS:
+        dm = DifferenceMatrix(AbelianGroup.cyclic(n), rows)
+        assert verify_dm(dm, lam).ok and verify_dm(dm).ok and dm_oracle(n, rows, lam).ok
+
+
+def test_verify_dm_rejects_a_matrix_without_columns():
+    # with no columns every row pair differs by each element 0 times, which
+    # passed as lam = 0, inferred or given; a difference matrix has lam|H|
+    # columns with lam >= 1
+    dm = DifferenceMatrix(AbelianGroup.cyclic(3), ((), ()))
+    for lam in (None, 0, 1):
+        assert verify_dm(dm, lam) == Report(False, "the matrix has no columns", [("ncols", 0)])

@@ -75,6 +75,28 @@ def test_field_axioms_on_every_pair(q):
     assert type(fld.add(np.int64(1), np.int64(q - 1))) is int
 
 
+@pytest.mark.parametrize("q", [7, 25])
+def test_mul_inv_dlog_refuse_encodings_outside_the_field(q):
+    """An encoding outside 0..q-1 raises ValueError naming the first one,
+    scalar or array: it used to index the log table, which read -1 as
+    q - 1 (at GF(7), mul(-1, 1) gave 6 and dlog(-1) gave 3) and raised
+    IndexError at q."""
+    fld = field_of_order(q)
+    for bad in (-1, q):
+        for call in (lambda: fld.mul(bad, 1), lambda: fld.mul(1, bad), lambda: fld.inv(bad),
+                     lambda: fld.dlog(bad)):
+            with pytest.raises(ValueError, match=f"^{bad} is not an encoding"):
+                call()
+    arr = np.array([1, 2, q + 3, -2])
+    for call in (lambda: fld.mul(arr, 1), lambda: fld.mul(np.ones(4, dtype=np.int64), arr),
+                 lambda: fld.inv(arr), lambda: fld.dlog(arr)):
+        with pytest.raises(ValueError, match=f"^{q + 3} is not an encoding"):
+            call()
+    assert type(fld.inv(2)) is int and fld.mul(fld.inv(2), 2) == 1
+    enc = np.arange(1, q)
+    assert np.array_equal(fld.mul(fld.inv(enc), enc), np.ones(q - 1, dtype=np.int64))
+
+
 def test_supplied_modulus_must_be_primitive():
     # x^2 + 1 over GF(5): its root has order 4, not 24
     with pytest.raises(ValueError):

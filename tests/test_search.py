@@ -91,6 +91,50 @@ def test_generic_solve_z7_at_89():
     assert verify_fdf(lift_sdf(data)).ok
 
 
+def test_z7_at_3001_solves_in_memory_linear_in_q():
+    """The search's field arithmetic takes O(q) memory: z7@3001 builds and
+    solves with a traced peak far below the 844 MB max RSS that its q x q
+    addition and multiplication tables took."""
+    tracemalloc.start()
+    try:
+        sysm = generic_system(catalog.family("z7_8_8"), 3001, 3000, 8, 1)
+        res = solve(sysm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.status, res.nodes) == ("sat", 12)
+    assert peak < 150 * 2**20, peak
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 25, 27, 89])
+def test_zech_arithmetic_matches_the_field_on_every_pair(q):
+    """The search's arithmetic on discrete logs against FiniteField: sums
+    through Zech logarithms and prime-subfield scalings on every pair, and
+    the label lc + lines[a + i] that the direct search reads for s*x + c at
+    x = g^i, with (a, lc) as _direct_search sets them, for every nonzero s
+    in the prime subfield, every c and every i.  1 + g^t vanishes at t = 0 in
+    characteristic 2, else at t = (q-1)/2."""
+    fld = field_of_order(q)
+    fl, q1, p = search._field_logs(fld), q - 1, fld.p
+    enc = np.arange(q)
+    assert fl.zech.count(-1) == 1 and fl.zech.index(-1) == (0 if p == 2 else q1 // 2)
+    assert [[fl.add(a, b) for b in range(q)] for a in range(q)] == \
+        fld.add(enc[:, None], enc[None, :]).tolist()
+    for c in range(-p, 2 * p):
+        assert [fl.scale(c, x) for x in range(q)] == fld.mul(c % p, enc).tolist()
+    lines, log = np.array(fl.lines), np.array(fl.log)
+    for s in range(1, p):
+        products = fld.mul(s, np.array(fl.exp))          # s * g^i, i = 0..q-2
+        for c in range(q):
+            ls, lc = fl.log[s], fl.log[c]
+            a, lc = ((ls - lc) % q1, lc) if lc >= 0 else (2 * q1, ls)
+            want, t = fld.add(products, c), lines[a:a + q1]
+            nonzero = want != 0
+            assert np.array_equal(t >= 0, nonzero)
+            assert np.array_equal((lc + t[nonzero]) % q1, log[want[nonzero]])
+            assert (lc + t < 2 * q1).all()
+
+
 def test_paired_pattern_shapes():
     assert len(paired_pattern_system(catalog.family("paley2", 7), 113).unknowns) == 4
     assert paired_pattern_system(catalog.family("paley2", 7), 113).d == 4
@@ -590,6 +634,17 @@ def test_solver_exhausts_toy_unsat():
         (UniformityGroup((0, 1), 2, 1),),
     )
     assert solve(sysm).status == "exhausted"
+
+
+@pytest.mark.parametrize("modulus,orbit", [(4, 1), (2, 4), (4, 2)])
+def test_solve_refuses_a_group_whose_classes_do_not_divide_q_minus_1(modulus, orbit):
+    # the search reads labels mod each modulus and e = (q-1)/orbit, which is
+    # sound only when they divide q - 1 = 6
+    forms = tuple(Form(f"{c}y", ((0, c),)) for c in range(1, 7))
+    group = UniformityGroup(tuple(i % 6 for i in range(modulus * orbit)), modulus, 1, orbit)
+    sysm = ConstraintSystem(make_field(7), modulus, ("y",), forms, (group,))
+    with pytest.raises(ValueError, match="^group 0: need orbit"):
+        solve(sysm)
 
 
 def test_constant_forms_are_counted_before_the_first_node():
