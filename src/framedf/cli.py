@@ -8,7 +8,7 @@ Exit codes: 0 success, 1 verification failure (a recipe step that raises
 ValueError, or a search that proved its system has no solution, counts as
 one), 2 usage error (a recipe step without a key it needs, naming an
 undefined reference, whose sdf the catalog refuses, or whose system
-refuses its q or sdf or has a group solve refuses, counts as one), 3
+refuses its q, d or sdf or has a group solve refuses, counts as one), 3
 search or repair budget exhausted.
 Searches are deterministic; their order does not depend on --seed.
 """
@@ -375,8 +375,7 @@ def main(argv=None) -> int:
     c.set_defaults(fn=cmd_lift)
 
     c = sub.add_parser("search", help="solve a cyclotomic constraint system")
-    c.add_argument("--system", required=True,
-                   choices=("generic", "paired", "paley3", "z125"))
+    c.add_argument("--system", required=True, choices=tuple(_SYSTEM_NEEDS))
     c.add_argument("--q", type=int, required=True)
     c.add_argument("--d", type=int)
     c.add_argument("--lam", type=int, default=1)

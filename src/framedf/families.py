@@ -87,8 +87,9 @@ class DifferenceMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        widths = {len(r) for r in self.rows}
-        if len(widths) != 1:
+        if not self.rows:
+            raise ValueError("difference matrix has no rows")
+        if len({len(r) for r in self.rows}) != 1:
             raise ValueError("ragged difference matrix")
 
     @property

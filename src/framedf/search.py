@@ -7,8 +7,8 @@ expression (y, -y, 2y, y_i +- y_j, y - c, constants) and uniformity groups
 in the orbit normal form of the lifting conditions: counted per cyclotomic
 e-class, the labels (discrete logs) of a group's forms fill whole
 C_0^{e,q} orbits and cover every class mod the group modulus an exact
-number of times.  The solver first tries any sign-pairing reductions
-attached to the system (the pattern structure of the underlying
+number of times.  The solver first searches the sign-paired restriction
+that a system may carry (the pattern structure of the underlying
 constructions), then splits the unknowns into clusters (connected
 components of the form graph) and
 
@@ -27,9 +27,11 @@ coefficient, or a field constant per entry), scaled-copy links and a
 partition into one group per slot and one per part, cutting +- pairs of
 forms to one representative where the caller asks.  generic_system, the
 sign-paired pattern systems, z125_system and repair state only their
-rows, links and partition, beside their own checks, hints and
-reductions; repair's unknowns are the suspect entries, every other entry
-a constant.
+rows, links and partition, beside their own checks and hints; repair's
+unknowns are the suspect entries, every other entry a constant.  The
+restricted spaces come from the builder too: generic_system's
+sign-paired restriction is a second call whose rows give each position
+its leader unknown with a sign.
 
 Field arithmetic in the search runs on discrete logs through three lists
 of O(q) entries per field, exp, log and the Zech logarithms
@@ -199,10 +201,10 @@ class ConstraintSystem:
     hints: dict = dc_field(default_factory=dict)        # form index -> preferred label
     lifting_builder: Optional[Callable] = None           # assignment -> LiftingData
     provenance: str = ""
-    # optional search-space restrictions tried before the full space: each is
-    # a map follower unknown -> (leader unknown, sign), e.g. the sign-paired
-    # tuples behind the pattern lemmas
-    reductions: tuple[dict, ...] = ()
+    # a restriction searched before the full space, the sign-paired tuples
+    # behind the pattern lemmas: (system, signs), unknown u of this system
+    # taking the value of the restricted unknown signs[u][0] times signs[u][1]
+    restricted: Optional[tuple[ConstraintSystem, tuple[tuple[int, int], ...]]] = None
 
     def eval_form(self, fi: int, assignment: Sequence[int]) -> int:
         fl = _field_logs(self.field)
@@ -384,10 +386,12 @@ def _lifting_system(sdf: DesignFamily, fld: FiniteField, e: int, d: int, lam: in
 
 
 def generic_system(sdf: DesignFamily, q: int, e: int, d: int, lam: int) -> ConstraintSystem:
-    """Symbolic label system for lifting an SDF over GF(q) with e = q - 1:
-    one unknown per block position, one difference group per group element
-    (half-range convention on 2-torsion slots), one element group per part
-    of t consecutive blocks.
+    """Symbolic label system for lifting an SDF over GF(q) with e = q - 1
+    and d | q - 1: one unknown per block position, one difference group per
+    group element (half-range convention on 2-torsion slots), one element
+    group per part of t consecutive blocks.  Unless every sign would be +1,
+    it carries its sign-paired restriction (see ConstraintSystem), built
+    from the same SDF with one leader unknown per pair of positions.
     """
     if sdf.kind != SDF:
         raise ValueError("need an SDF")
@@ -407,32 +411,40 @@ def generic_system(sdf: DesignFamily, q: int, e: int, d: int, lam: int) -> Const
     partition = tuple(tuple(range(i * t, (i + 1) * t)) for i in range(nparts))
     if lam % 2 == 1 and (q - d - 1) % (2 * d):
         raise ValueError("odd lambda requires q = d+1 (mod 2d)")
-    ui = lambda i, a: i * k + a
-    system = _lifting_system(
-        sdf, field_of_order(q), e, d, lam,
-        [f"phi_{i}_{a}" for i in range(n) for a in range(k)],
-        [tuple((ui(i, a), 1) for a in range(k)) for i in range(n)], partition,
-        pairs="torsion", provenance=f"generic({sdf.provenance},q={q},d={d})",
+    if (q - 1) % d:
+        raise ValueError(f"need d | q-1: d = {d}, q = {q}")
+    fld, names = field_of_order(q), [f"phi_{i}_{a}" for i in range(n) for a in range(k)]
+    build = lambda unknowns, rows, tag: _lifting_system(
+        sdf, fld, e, d, lam, unknowns, rows, partition, pairs="torsion",
+        provenance=f"generic({sdf.provenance},q={q},d={d}){tag}",
         datum_provenance=f"generic({sdf.provenance},q={q})")
+    system = build(names, [tuple((i * k + a, 1) for a in range(k)) for i in range(n)], "")
 
-    # sign-pairing restrictions (the pattern lemmas): adjacent repeated block
-    # values take opposite signs, and identical blocks pair up negated
-    reduction: dict[int, tuple[int, int]] = {}
-    for i, frow in enumerate(sdf.blocks):
-        for a in range(0, k - 1, 2):
-            if frow[a] == frow[a + 1]:
-                reduction[ui(i, a + 1)] = (ui(i, a), -1)
-    paired: set[int] = set()
+    # the sign-paired restriction (the pattern lemmas): each position takes
+    # its leader unknown with a sign, the right-hand copy of an adjacent
+    # repeated value -1, a later block equal to an earlier one the negated
+    # row of its partner
+    partner: dict[int, int] = {}
     for i in range(n):
-        if i in paired:
-            continue
-        for j in range(i + 1, n):
-            if j not in paired and sdf.blocks[j] == sdf.blocks[i]:
-                for a in range(k):
-                    reduction[ui(j, a)] = (ui(i, a), -1)
-                paired.update({i, j})
-                break
-    return replace(system, reductions=(reduction,) if reduction else ())
+        if i not in partner:
+            j = next((j for j in range(i + 1, n)
+                      if j not in partner and sdf.blocks[j] == sdf.blocks[i]), None)
+            if j is not None:
+                partner[j] = i
+    signs: list[tuple[int, int]] = []           # full unknown -> (leader, sign)
+    for i, frow in enumerate(sdf.blocks):
+        if i in partner:
+            signs += [(u, -s) for u, s in signs[partner[i] * k:(partner[i] + 1) * k]]
+        else:
+            signs += [(i * k + a - 1, -1) if a % 2 and frow[a - 1] == frow[a]
+                      else (i * k + a, 1) for a in range(k)]
+    if all(s > 0 for _, s in signs):
+        return system
+    leaders = {u: r for r, u in enumerate(sorted({u for u, _ in signs}))}
+    signs = [(leaders[u], s) for u, s in signs]
+    restricted = build([names[u] for u in leaders],
+                       [tuple(signs[i * k:(i + 1) * k]) for i in range(n)], "|sign-paired")
+    return replace(system, restricted=(restricted, tuple(signs)))
 
 
 def _pattern_values(block: Sequence[int]) -> list[int]:
@@ -1172,51 +1184,6 @@ def _dfs_direct(system: ConstraintSystem, form_groups: list[list[int]],
     return split_search(_direct_search(system, form_groups), budget)
 
 
-def _apply_reduction(system: ConstraintSystem, red: dict):
-    """Substitute follower unknowns by signed leaders; returns the reduced
-    system plus an expander back to full assignments, or None when some form
-    collapses to the zero expression under the substitution.  Merged
-    coefficients are reduced mod p, the characteristic, and written as the
-    residue of least absolute value."""
-    p = system.field.p
-
-    def resolve(u):
-        sign = 1
-        while u in red:
-            u2, s = red[u]
-            u = u2
-            sign *= s
-        return u, sign
-
-    reps = [u for u in range(len(system.unknowns)) if resolve(u)[0] == u]
-    newidx = {u: i for i, u in enumerate(reps)}
-    forms = []
-    for f in system.forms:
-        acc: dict[int, int] = {}
-        for u, c in f.terms:
-            base, sign = resolve(u)
-            acc[base] = (acc.get(base, 0) + c * sign) % p
-        terms = tuple(sorted((newidx[u], c if c <= p // 2 else c - p)
-                             for u, c in acc.items() if c))
-        if not terms:
-            return None
-        forms.append(Form(f.name, terms, f.const))
-    reduced = ConstraintSystem(system.field, system.d,
-                               tuple(system.unknowns[u] for u in reps),
-                               tuple(forms), system.groups, system.hints,
-                               None, system.provenance + "|reduced")
-
-    def expand(assignment_reduced: Sequence[int]) -> list[int]:
-        out = [0] * len(system.unknowns)
-        for u in range(len(system.unknowns)):
-            base, sign = resolve(u)
-            v = int(assignment_reduced[newidx[base]])
-            out[u] = v if sign > 0 else int(system.field.neg(v))
-        return out
-
-    return reduced, expand
-
-
 def _cluster_shape(system: ConstraintSystem, form_groups: list[list[int]],
                    cluster: list[int]) -> tuple[tuple, list[int]]:
     """(key, inner forms) of a cluster, the key holding everything that
@@ -1274,9 +1241,10 @@ def solve(system: ConstraintSystem, seed: int = 0, budget: int = 10**8) -> Solve
 
     Deterministic: the search order does not depend on `seed`, which is
     accepted for interface stability only, so every seed returns the same
-    assignment and node count.  Sign-pairing reductions attached to the
-    system are searched first (they carry the pattern structure of the
-    underlying constructions); the unrestricted space follows.  "exhausted"
+    assignment and node count.  The restriction the system carries, if any,
+    is searched first (it carries the pattern structure of the underlying
+    constructions); the unrestricted space follows, and the assignment
+    names every unknown of the system passed in.  "exhausted"
     is only reported when a complete space was fully explored; budget
     exhaustion is status-coded, never an exception.  Every satisfying
     assignment is re-verified against the whole system, and against the
@@ -1301,12 +1269,12 @@ def solve(system: ConstraintSystem, seed: int = 0, budget: int = 10**8) -> Solve
         if len(g.forms) != g.modulus * g.multiplicity * g.orbit:
             return SolveResult("exhausted")     # each form gives one label: no exact cover
     bud = _Budget(budget)
-    reduced = [_apply_reduction(system, red) for red in system.reductions]
-    for sub, expand in [r for r in reduced if r is not None] + [(system, None)]:
+    scale = _field_logs(system.field).scale
+    for sub, signs in ([system.restricted] if system.restricted else []) + [(system, None)]:
         res = _solve_one(sub, bud)
         if res.status == "sat":
             values = [res.assignment[u] for u in range(len(sub.unknowns))]
-            full = expand(values) if expand is not None else values
+            full = values if signs is None else [scale(s, values[r]) for r, s in signs]
             if not system.check_assignment(full):
                 raise AssertionError("solver returned an assignment failing its own system")
             if system.lifting_builder is not None:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from framedf import catalog, cli, families, lifting, search, serialize
+from framedf import catalog, cli, designs, families, lifting, search, serialize
 from framedf.cli import main
 from framedf.designs import BlockDesign, affine_plane
 from framedf.groups import AbelianGroup
@@ -338,10 +338,10 @@ def test_search_command_produces_datum(tmp_path, capsys):
      "paired pattern needs a single base block"),
     ({"system": "generic", "sdf": "z7_8_8", "q": 17, "d": 8},
      "odd lambda requires q = d+1 (mod 2d)"),
-    # built, but solve refuses its groups: labels mod 6 with q - 1 = 10
+    # even lambda skips the congruence guard, not the check that d | q - 1
     ({"system": "generic", "sdf": "paley3:5", "q": 11, "d": 6, "lam": 2},
-     "group 0: need orbit | q-1 and modulus | (q-1)/orbit")],
-    ids=["paired", "generic", "generic-solve"])
+     "need d | q-1: d = 6, q = 11")],
+    ids=["paired", "generic", "generic-d"])
 def test_a_system_refusing_its_input_exits_2_from_search_and_run(tmp_path, capsys, params,
                                                                   problem):
     args = [x for key, value in params.items() for x in (f"--{key}", str(value))]
@@ -715,3 +715,86 @@ def test_import_of_a_non_object_file_exits_2(tmp_path, capsys):
     bad.write_text("[1, 2]")
     assert run(capsys, "import", str(bad)) == (
         2, "", "parse failure: design = [1, 2] is not an object\n")
+
+
+@pytest.fixture(scope="module")
+def recipe_files(tmp_path_factory):
+    """The directory the 624-point and FHS recipes wrote their files to."""
+    recipes = Path(__file__).resolve().parents[1] / "src" / "framedf" / "recipes"
+    out = tmp_path_factory.mktemp("recipes")
+    for recipe in ("thm_2_3_624.json", "thm_6_8_fhs623.json"):
+        assert main(["run", str(recipes / recipe), "--workdir", str(out)]) == 0
+    return out
+
+
+def _edited(src, dst, edit):
+    """dst holding the JSON of src after edit(blob)."""
+    blob = json.loads(src.read_text())
+    edit(blob)
+    dst.write_text(json.dumps(blob))
+    return dst
+
+
+def test_verify_design_on_a_recipe_file_and_on_a_moved_point(recipe_files, tmp_path, capsys):
+    design = recipe_files / "rbibd_624.json"
+    rc, out, _ = run(capsys, "--format", "json", "verify-design", str(design))
+    assert (rc, json.loads(out)) == (0, {"bibd": True, "resolution": True})
+
+    def move(blob):                     # a point of block 0 to one not in it
+        blob["blocks"][0][0] = next(x for x in range(blob["v"]) if x not in blob["blocks"][0])
+
+    moved = _edited(design, tmp_path / "moved.json", move)
+    rc, out, _ = run(capsys, "--format", "json", "verify-design", str(moved))
+    assert (rc, json.loads(out)) == (1, {"bibd": False, "resolution": False})
+
+
+def test_verify_fhs_on_a_recipe_file_and_on_a_swap(recipe_files, tmp_path, capsys):
+    fhs = recipe_files / "fhs_623.json"
+    rc, out, _ = run(capsys, "--format", "json", "verify-fhs", str(fhs))
+    assert (rc, json.loads(out)) == (0, {"n": 623, "strictly_optimal": True, "failing_L": []})
+
+    def swap(blob):
+        seq = blob["seq"]
+        seq[0], seq[1] = seq[1], seq[0]
+
+    rc, out, _ = run(capsys, "--format", "json", "verify-fhs",
+                     str(_edited(fhs, tmp_path / "swapped.json", swap)))
+    blob = json.loads(out)
+    assert (rc, blob["strictly_optimal"], blob["failing_L"][:5]) == (1, False, [4, 5, 6, 7, 8])
+
+
+def test_verify_ccc_on_a_written_code_and_on_a_wrong_distance(tmp_path, capsys):
+    pdf, ccc = tmp_path / "pdf.json", tmp_path / "ccc.json"
+    serialize.dump(serialize.family_to_dict(
+        lifting.fdf_to_pdf(lift_sdf(catalog.lifting_datum("fdf_z7xF89")))), pdf)
+    assert run(capsys, "ccc-from-pdf", "--pdf", str(pdf), "--out", str(ccc))[0] == 0
+    rc, out, _ = run(capsys, "--format", "json", "verify-ccc", str(ccc))
+    assert (rc, json.loads(out)) == (0, {"M": 623, "d": 616, "composition_ok": True,
+                                         "verified": True})
+    off = _edited(ccc, tmp_path / "off.json", lambda blob: blob.update(d=blob["d"] + 1))
+    rc, out, _ = run(capsys, "--format", "json", "verify-ccc", str(off))
+    assert (rc, json.loads(out)["verified"]) == (1, False)
+
+
+def test_catalog_shows_a_lifting_entry(capsys):
+    rc, out, _ = run(capsys, "--format", "json", "catalog", "fdf_z63xF25")
+    blob = json.loads(out)
+    assert (rc, blob["kind"], blob["verified"]) == (0, "lifting", False)
+    assert blob["zero_positions"] == [[i, 0] for i in range(1, 9)]
+
+
+def test_assemble_with_a_design_file_as_ingredient(tmp_path, capsys):
+    fdf = tmp_path / "fdf.json"
+    serialize.dump(serialize.family_to_dict(lift_sdf(catalog.lifting_datum("fdf_z7xF89"))), fdf)
+    design, res = designs.trivial_rbibd(8)
+    serialize.dump(serialize.design_to_dict(design, res), tmp_path / "trivial8.json")
+    serialize.dump(serialize.design_to_dict(design), tmp_path / "unresolved8.json")
+    for ingredient in ("trivial", str(tmp_path / "trivial8.json")):
+        out = tmp_path / f"with_{Path(ingredient).stem}.json"
+        assert run(capsys, "assemble", "--fdf", str(fdf), "--ingredient", ingredient,
+                   "--out", str(out))[0] == 0
+    assert (tmp_path / "with_trivial.json").read_bytes() == \
+        (tmp_path / "with_trivial8.json").read_bytes()
+    rc, out, err = run(capsys, "assemble", "--fdf", str(fdf), "--ingredient",
+                       str(tmp_path / "unresolved8.json"))
+    assert (rc, out, err) == (2, "", "error: ingredient file carries no resolution\n")

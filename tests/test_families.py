@@ -564,11 +564,17 @@ def test_verify_dm_against_dictionary_counting(data, base):
     n, rows, lam = base
     rows, lam = data.draw(_faulty_dm(rows, lam, n))
     if len({len(row) for row in rows}) != 1:        # ragged or no rows: not a matrix
-        with pytest.raises(ValueError, match="ragged difference matrix"):
+        problem = "ragged difference matrix" if rows else "difference matrix has no rows"
+        with pytest.raises(ValueError, match=problem):
             DifferenceMatrix(AbelianGroup.cyclic(n), rows)
         return
     assert verify_dm(DifferenceMatrix(AbelianGroup.cyclic(n), rows), lam) == \
         dm_oracle(n, rows, lam)
+
+
+def test_an_empty_difference_matrix_is_reported_as_empty():
+    with pytest.raises(ValueError, match="^difference matrix has no rows$"):
+        DifferenceMatrix(AbelianGroup.cyclic(3), ())
 
 
 def test_the_sdf_relative_and_dm_suites_start_from_valid_inputs():
