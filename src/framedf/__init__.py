@@ -15,8 +15,8 @@ from .families import (DesignFamily, DifferenceMatrix, Report, delta_block, rela
                        verify_sdf, verify_relative_df, verify_fdf, verify_pdf, verify_dm)
 from .lifting import (LiftingData, check_lifting_conditions, lift_sdf, mul_table_dm,
                       homogenize, compose_fdf_dm, fdf_to_pdf)
-from .search import (q_bound, generic_system, paired_pattern_system,
-                     paley3_pattern_system, z125_system, solve, repair_block)
+from .search import (q_bound, generic_system, paired_pattern_system, z125_system, solve,
+                     repair_block)
 from .designs import (BlockDesign, Resolution, rbibd_from_fdf, trivial_rbibd,
                       affine_plane, verify_bibd, verify_resolution,
                       verify_one_rotational, recursion_params)

@@ -120,7 +120,7 @@ def cmd_fhs_from_fdf(args) -> int:
 
 def cmd_search(args) -> int:
     return _construct(args, ["solve"], None, lambda r, _, ok: r,
-                      system=args.system, q=args.q, d=args.d, lam=args.lam, p=args.p,
+                      system=args.system, q=args.q, d=args.d, lam=args.lam,
                       sdf=args.sdf, budget=args.budget)
 
 
@@ -170,8 +170,9 @@ def cmd_verify_fhs(args) -> int:
 def cmd_verify_ccc(args) -> int:
     import numpy as np
     ccc, want = serialize.ccc_from_dict(serialize.load(args.ccc))
-    comp_ok = all(sorted(np.bincount(row, minlength=len(ccc.composition)))
-                  == sorted(ccc.composition) for row in ccc.codewords)
+    X, m = ccc.codewords, len(ccc.composition)     # the symbols are 0..m-1
+    comp_ok = bool(((X >= 0) & (X < m)).all()) and all(
+        sorted(np.bincount(row, minlength=m)) == sorted(ccc.composition) for row in X)
     d = ccc.min_distance()
     ok = comp_ok and (want is None or d == want)
     _emit({"M": ccc.size, "d": d, "composition_ok": bool(comp_ok), "verified": bool(ok)},
@@ -219,7 +220,7 @@ _INPUT_TYPE = {**dict.fromkeys(("repair", "check-conditions", "lift"), lifting.L
                **dict.fromkeys(("assemble", "crt", "pdf", "ccc", "fhs"), families.DesignFamily)}
 
 # the parameters each system of the solve op needs besides system and q
-_SYSTEM_NEEDS = {"generic": ("sdf", "d"), "paired": ("sdf",), "paley3": ("p",), "z125": ()}
+_SYSTEM_NEEDS = {"generic": ("sdf", "d"), "paired": ("sdf",), "z125": ()}
 
 
 def _require(mapping, key, problem: str):
@@ -332,8 +333,6 @@ def _run_step(op, step, env, workdir):
                                              param("lam", int, 1))
             elif system == "paired":
                 sysm = search.paired_pattern_system(sdf, q)
-            elif system == "paley3":
-                sysm = search.paley3_pattern_system(param("p", int), q)
             else:
                 sysm = search.z125_system(q)
             res = search.solve(sysm, budget=budget)
@@ -379,7 +378,6 @@ def main(argv=None) -> int:
     c.add_argument("--q", type=int, required=True)
     c.add_argument("--d", type=int)
     c.add_argument("--lam", type=int, default=1)
-    c.add_argument("--p", type=int)
     c.add_argument("--sdf")
     c.add_argument("--budget", type=int, default=10**8)
     c.add_argument("--out")

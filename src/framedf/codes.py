@@ -246,8 +246,11 @@ def fhs_bound(n: int, l: int, L: int) -> int:
 
 def verify_strictly_optimal(x: FHS) -> Report:
     """Full scan: the windowed maximum must meet the lower bound at every
-    window length L in [1, n]; the failing lengths are the witnesses."""
+    window length L in [1, n]; the failing lengths are the witnesses, and a
+    one-symbol sequence, which has no bound, fails with ("alphabet", 1)."""
     n, l = x.n, x.alphabet_size
+    if l < 2:
+        return Report(False, f"alphabet size {l} < 2 has no bound", [("alphabet", l)])
     maxima = fhs_correlations(x)
     failing = [L for L in range(1, n + 1) if maxima[L - 1] != fhs_bound(n, l, L)]
     if not failing:

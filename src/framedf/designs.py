@@ -15,6 +15,7 @@ scan takes _PAIR_CHUNK points at a time.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -208,7 +209,9 @@ def verify_bibd(design: BlockDesign) -> Report:
     y = x0..v-1 per x, from the chunk's first point x0, and the cells y > x
     are compared with lam, so memory is O(b*k + _PAIR_CHUNK*v).  The sorted
     rows are held in the narrowest dtype that holds v-1.  Pair
-    witnesses are (point, point, count), in lexicographic order."""
+    witnesses are (point, point, count), in lexicographic order.  When b*k < v,
+    a block count other than lam*v(v-1)/(k(k-1)) is reported first; with no
+    blocks every pair count is 0, read off without a scan."""
     v = design.v
     k = design.k
     if k < 2:
@@ -223,8 +226,25 @@ def verify_bibd(design: BlockDesign) -> Report:
         bi, pos = stray[0]
         return Report(False, f"block {bi} holds point {mat[bi, pos]} outside 0..{v - 1}",
                       [(int(b), int(mat[b, p])) for b, p in stray])
+    b, expected_b = len(mat), design.lam * v * (v - 1) // (k * (k - 1))
+    blocks_off = Report(False, f"{b} blocks, expected {expected_b}", [("blocks", b)])
+    if b * k < v and b != expected_b:       # some point lies in no block
+        return blocks_off
+    # with no blocks every pair lies in none
+    unmet = ((x, y, 0) for x in range(v if design.lam else 0) for y in range(x + 1, v))
+    bad = _pair_scan(mat, v, design.lam) if b else list(itertools.islice(unmet, WITNESSES))
+    if bad:
+        x, y, count = bad[0]
+        return Report(False, f"pair ({x}, {y}) lies in {count} blocks, not {design.lam}", bad)
+    # every pair is right: only blocks that repeat a point give another count
+    return Report(True) if b == expected_b else blocks_off
+
+
+def _pair_scan(mat: np.ndarray, v: int, lam: int) -> list[tuple[int, int, int]]:
+    """verify_bibd's pair scan: the first WITNESSES pairs (x, y, count) off lam."""
     # sorted rows hold every pair x < y of a block at positions p < q: a block
     # holding x a times and y b times covers the pair a*b times
+    k = mat.shape[1]
     rows = np.sort(mat.astype(np.min_scalar_type(v - 1)), axis=1)
     heads = [rows[:, p] for p in range(k - 1)]
     by_head = [np.argsort(h, kind="stable") for h in heads]
@@ -237,21 +257,13 @@ def verify_bibd(design: BlockDesign) -> Report:
         parts = [_pair_cells(rows[order[start[x0]:start[x1]], p:], x0, width)
                  for p, order, start in zip(range(k - 1), by_head, starts)]
         counts = np.bincount(np.concatenate(parts), minlength=(x1 - x0) * width)
-        wrong = (counts != design.lam).reshape(x1 - x0, width)
+        wrong = (counts != lam).reshape(x1 - x0, width)
         wrong[:, :x1 - x0] &= ~np.tri(x1 - x0, dtype=bool)     # y > x only
         xs, ys = np.divmod(np.flatnonzero(wrong)[:WITNESSES - len(bad)], width)
         bad += zip((xs + x0).tolist(), (ys + x0).tolist(), counts[xs * width + ys].tolist())
         if len(bad) == WITNESSES:
             break
-    if bad:
-        x, y, count = bad[0]
-        return Report(False, f"pair ({x}, {y}) lies in {count} blocks, not {design.lam}", bad)
-    expected_b = design.lam * v * (v - 1) // (k * (k - 1))
-    if len(mat) != expected_b:
-        # only blocks that repeat a point get here: they cover fewer pairs
-        return Report(False, f"{len(mat)} blocks, expected {expected_b}",
-                      [("blocks", len(mat))])
-    return Report(True)
+    return bad
 
 
 def verify_resolution(design: BlockDesign, res: Resolution) -> Report:

@@ -25,13 +25,14 @@ Every lifting system comes from one builder, _lifting_system, which turns
 one symbolic row per SDF block (an unknown times a prime-subfield
 coefficient, or a field constant per entry), scaled-copy links and a
 partition into one group per slot and one per part, cutting +- pairs of
-forms to one representative where the caller asks.  generic_system, the
-sign-paired pattern systems, z125_system and repair state only their
-rows, links and partition, beside their own checks and hints; repair's
+forms to one representative where the caller asks.  generic_system,
+paired_pattern_system, z125_system and repair state only their rows,
+links and partition, beside their own checks and hints; repair's
 unknowns are the suspect entries, every other entry a constant.  The
-restricted spaces come from the builder too: generic_system's
-sign-paired restriction is a second call whose rows give each position
-its leader unknown with a sign.
+sign-paired tuples of the pattern lemmas come from one function,
+_sign_pairs, which gives each block position a leader unknown with a
+sign: paired_pattern_system's rows, and generic_system's sign-paired
+restriction, a second builder call searched before the full space.
 
 Field arithmetic in the search runs on discrete logs through three lists
 of O(q) entries per field, exp, log and the Zech logarithms
@@ -74,7 +75,6 @@ import numpy as np
 
 from .fields import FiniteField, field_of_order
 from .families import DesignFamily, SDF
-from .groups import AbelianGroup
 from .lifting import LiftingData, check_lifting_conditions, in_orbit_normal_form
 
 __all__ = [
@@ -85,7 +85,6 @@ __all__ = [
     "ConstraintSystem",
     "generic_system",
     "paired_pattern_system",
-    "paley3_pattern_system",
     "z125_system",
     "solve",
     "SolveResult",
@@ -194,7 +193,6 @@ class UniformityGroup:
 @dataclass
 class ConstraintSystem:
     field: FiniteField
-    d: int
     unknowns: tuple[str, ...]
     forms: tuple[Form, ...]
     groups: tuple[UniformityGroup, ...]
@@ -381,7 +379,7 @@ def _lifting_system(sdf: DesignFamily, fld: FiniteField, e: int, d: int, lam: in
                            else datum_provenance)
 
     forms = tuple(Form(_form_name(k, unknowns), *k) for k in keys)
-    return ConstraintSystem(fld, d, tuple(unknowns), forms, tuple(groups),
+    return ConstraintSystem(fld, tuple(unknowns), forms, tuple(groups),
                             lifting_builder=builder, provenance=provenance)
 
 
@@ -420,10 +418,22 @@ def generic_system(sdf: DesignFamily, q: int, e: int, d: int, lam: int) -> Const
         datum_provenance=f"generic({sdf.provenance},q={q})")
     system = build(names, [tuple((i * k + a, 1) for a in range(k)) for i in range(n)], "")
 
-    # the sign-paired restriction (the pattern lemmas): each position takes
-    # its leader unknown with a sign, the right-hand copy of an adjacent
-    # repeated value -1, a later block equal to an earlier one the negated
-    # row of its partner
+    leaders, signs = _sign_pairs(sdf)
+    if all(s > 0 for _, s in signs):
+        return system
+    restricted = build([names[u] for u in leaders],
+                       [tuple(signs[i * k:(i + 1) * k]) for i in range(n)], "|sign-paired")
+    return replace(system, restricted=(restricted, tuple(signs)))
+
+
+def _sign_pairs(sdf: DesignFamily) -> tuple[list[int], list[tuple[int, int]]]:
+    """The sign-paired tuples of the pattern lemmas: (leaders, signs), the
+    block positions (numbered block by block) that carry an unknown, and
+    per position (r, sign), the position taking sign times leader r's
+    unknown.  The right-hand copy of an adjacent repeated value takes -1
+    times its left neighbour; a later block equal to an earlier one takes
+    its partner's row negated."""
+    n, k = len(sdf.blocks), len(sdf.blocks[0])
     partner: dict[int, int] = {}
     for i in range(n):
         if i not in partner:
@@ -431,83 +441,44 @@ def generic_system(sdf: DesignFamily, q: int, e: int, d: int, lam: int) -> Const
                       if j not in partner and sdf.blocks[j] == sdf.blocks[i]), None)
             if j is not None:
                 partner[j] = i
-    signs: list[tuple[int, int]] = []           # full unknown -> (leader, sign)
+    signs: list[tuple[int, int]] = []           # position -> (leader position, sign)
     for i, frow in enumerate(sdf.blocks):
         if i in partner:
             signs += [(u, -s) for u, s in signs[partner[i] * k:(partner[i] + 1) * k]]
         else:
             signs += [(i * k + a - 1, -1) if a % 2 and frow[a - 1] == frow[a]
                       else (i * k + a, 1) for a in range(k)]
-    if all(s > 0 for _, s in signs):
-        return system
-    leaders = {u: r for r, u in enumerate(sorted({u for u, _ in signs}))}
-    signs = [(leaders[u], s) for u, s in signs]
-    restricted = build([names[u] for u in leaders],
-                       [tuple(signs[i * k:(i + 1) * k]) for i in range(n)], "|sign-paired")
-    return replace(system, restricted=(restricted, tuple(signs)))
-
-
-def _pattern_values(block: Sequence[int]) -> list[int]:
-    if len(block) % 2:
-        raise ValueError("pattern block must have even size")
-    xs = []
-    for i in range(0, len(block), 2):
-        if block[i] != block[i + 1]:
-            raise ValueError("pattern block must repeat each value twice, adjacently")
-        xs.append(block[i])
-    if len(set(xs)) != len(xs):
-        raise ValueError("pattern values must be distinct")
-    return xs
-
-
-def _sign_paired_rows(sizes: Sequence[int]) -> list[tuple]:
-    """Rows (y_b, -y_b, y_b+1, -y_b+1, ...) over consecutive unknown pools."""
-    rows, base = [], 0
-    for m in sizes:
-        rows.append(tuple((u, s) for u in range(base, base + m) for s in (1, -1)))
-        base += m
-    return rows
+    leaders = sorted({u for u, _ in signs})
+    rank = {u: r for r, u in enumerate(leaders)}
+    return leaders, [(rank[u], s) for u, s in signs]
 
 
 def paired_pattern_system(sdf: DesignFamily, q: int) -> ConstraintSystem:
-    """System for a one-block SDF (x0,x0,...,x_{(l-1)/2},x_{(l-1)/2}) lifted
-    with the sign-paired tuple (y_0,-y_0,...); d = (l+1)/2 unknowns.
-    Needs q = 1 (mod l+1) so classes mod d are sign-invariant.  Slot 0
-    (the values 2y_i) carries the one part's condition (the values +-y_i),
-    so there is no part group."""
-    if len(sdf.blocks) != 1:
-        raise ValueError("paired pattern needs a single base block")
-    xs = _pattern_values(sdf.blocks[0])
-    l = 2 * len(xs) - 1
-    if (q - 1) % (l + 1):
-        raise ValueError("need q = 1 (mod l+1)")
-    return _lifting_system(sdf, field_of_order(q), (q - 1) // 2, (l + 1) // 2, 1,
-                           [f"y_{u}" for u in range(len(xs))], _sign_paired_rows([len(xs)]),
-                           ((0,),), parts=(), pairs="signed",
+    """System for an SDF whose every block lists each of its distinct values
+    twice, adjacently, (x_0, x_0, x_1, x_1, ...), lifted with the
+    sign-paired tuples of _sign_pairs, (y_0, -y_0, y_1, -y_1, ...): one
+    unknown per leader, d half the positions, e = (q-1)/2 and lambda 1.
+    Needs q = 1 (mod 2d), so that the classes mod d are sign-invariant.
+    One part holds every block, and slot 0 (the values 2y_i) carries its
+    condition (the values +-y_i), so there is no part group.  Refuses a
+    family that is not an SDF, and a block with an unpaired value or a
+    value listed more than twice."""
+    if sdf.kind != SDF:
+        raise ValueError("need an SDF")
+    for frow in sdf.blocks:
+        if frow[0::2] != frow[1::2]:
+            raise ValueError("paired pattern needs each value of a block twice, adjacently")
+        if 2 * len(set(frow)) != len(frow):
+            raise ValueError("paired pattern needs the values of a block distinct")
+    leaders, signs = _sign_pairs(sdf)
+    d, k = len(signs) // 2, len(sdf.blocks[0])
+    if (q - 1) % (2 * d):
+        raise ValueError(f"need q = 1 (mod 2d): d = {d}, q = {q}")
+    return _lifting_system(sdf, field_of_order(q), (q - 1) // 2, d, 1,
+                           [f"y_{r}" for r in range(len(leaders))],
+                           [tuple(signs[i * k:(i + 1) * k]) for i in range(len(sdf.blocks))],
+                           (tuple(range(len(sdf.blocks))),), parts=(), pairs="signed",
                            provenance=f"paired({sdf.provenance},q={q})")
-
-
-def paley3_pattern_system(p: int, q: int) -> ConstraintSystem:
-    """Two-block third-type Paley pattern over F_p (p = 1 mod 4): the even
-    generator powers doubled in one block, the odd powers in the other,
-    zipped with sign-paired tuples sharing the unknown pool y_0..y_p;
-    d = p + 1, q = 1 (mod 2p+2).  As in paired_pattern_system, slot 0
-    carries the one part's condition."""
-    if p % 4 != 1:
-        raise ValueError("need p = 1 (mod 4)")
-    if (q - 1) % (2 * p + 2):
-        raise ValueError("need q = 1 (mod 2p+2)")
-    pfld = field_of_order(p)
-    G = AbelianGroup.of_field(pfld)
-    evens = [0] + [pfld.pow_generator(2 * j) for j in range(1, (p - 1) // 2 + 1)]
-    odds = [0] + [pfld.pow_generator(2 * j + 1) for j in range((p - 1) // 2)]
-    b1 = tuple(v for x in evens for v in (x, x))
-    b2 = tuple(v for x in odds for v in (x, x))
-    sdf = DesignFamily(SDF, G, 2 * p + 2, (b1, b2), provenance=f"paley3({p})")
-    return _lifting_system(sdf, field_of_order(q), (q - 1) // 2, p + 1, 1,
-                           [f"y_{u}" for u in range(p + 1)],
-                           _sign_paired_rows([len(evens), len(odds)]), ((0, 1),), parts=(),
-                           pairs="signed", provenance=f"paley3({p},q={q})")
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +512,7 @@ def z125_system(q: int) -> ConstraintSystem:
     for i in range(1, 13):
         names += [f"y_{2 * i}_{s}" for s in (1, 2, 3, 4)]
     u2 = lambda i, s: 3 + 4 * (i - 1) + (s - 1)
-    rows = _sign_paired_rows([3])
+    rows = [((0, 1), (0, -1), (1, 1), (1, -1), (2, 1), (2, -1))]
     for i in range(1, 13):
         row = ((u2(i, 1), 1), (u2(i, 1), -1), (u2(i, 2), 1), (u2(i, 2), -1),
                (u2(i, 3), 1), (u2(i, 4), 1))

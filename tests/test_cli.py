@@ -1,6 +1,8 @@
 import functools
 import hashlib
 import json
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -334,16 +336,24 @@ def test_search_command_produces_datum(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("params,problem", [
-    ({"system": "paired", "sdf": "fdf_z7xF89", "q": 17},
-     "paired pattern needs a single base block"),
+    ({"system": "paired", "sdf": "fdf_z7xF89", "q": 17}, "need an SDF"),
+    ({"system": "paired", "sdf": "z125_6_6", "q": 17},
+     "paired pattern needs each value of a block twice, adjacently"),
+    ({"system": "paired", "sdf": "quadrupled", "q": 17},
+     "paired pattern needs the values of a block distinct"),
     ({"system": "generic", "sdf": "z7_8_8", "q": 17, "d": 8},
      "odd lambda requires q = d+1 (mod 2d)"),
     # even lambda skips the congruence guard, not the check that d | q - 1
     ({"system": "generic", "sdf": "paley3:5", "q": 11, "d": 6, "lam": 2},
      "need d | q-1: d = 6, q = 11")],
-    ids=["paired", "generic", "generic-d"])
-def test_a_system_refusing_its_input_exits_2_from_search_and_run(tmp_path, capsys, params,
-                                                                  problem):
+    ids=["paired", "paired-unpaired", "paired-four-times", "generic", "generic-d"])
+def test_a_system_refusing_its_input_exits_2_from_search_and_run(tmp_path, capsys, monkeypatch,
+                                                                  params, problem):
+    # a catalog entry whose block lists 0 four times
+    quadrupled = families.DesignFamily(families.SDF, AbelianGroup.cyclic(3), 4,
+                                       ((0, 0, 0, 0, 1, 1, 2, 2),))
+    monkeypatch.setitem(catalog._REGISTRY, "quadrupled",
+                        catalog._Entry(lambda: quadrupled, "a value four times"))
     args = [x for key, value in params.items() for x in (f"--{key}", str(value))]
     rc, out, err = run(capsys, "search", *args)
     assert (rc, out, err) == (2, "", f"error: {problem}\n")
@@ -486,11 +496,12 @@ def test_run_solve_step_on_the_paired_system(tmp_path, capsys):
 
 def test_search_proving_no_solution_exits_1(tmp_path, capsys):
     # "exhausted" is a completed search, a proof; exit 3 is for a budget spent
-    rc, _, err = run(capsys, "search", "--system", "paley3", "--p", "5", "--q", "13")
+    rc, _, err = run(capsys, "search", "--system", "paired", "--sdf", "paley3:5", "--q", "13")
     assert (rc, err) == (1, "search: exhausted after 288 nodes\n")
     recipe = tmp_path / "solve_paley3.json"
-    recipe.write_text(json.dumps({"steps": [{"id": "solve", "op": "solve", "out": "$d",
-                                             "params": {"system": "paley3", "p": 5, "q": 13}}]}))
+    recipe.write_text(json.dumps({"steps": [
+        {"id": "solve", "op": "solve", "out": "$d",
+         "params": {"system": "paired", "sdf": "paley3:5", "q": 13}}]}))
     rc, out, _ = run(capsys, "--format", "json", "run", str(recipe))
     [record] = json.loads(out)
     assert rc == 1 and record["status"] == "exhausted" and not record["verified"]
@@ -537,6 +548,43 @@ def test_verify_ccc_names_a_ragged_or_malformed_codeword(tmp_path, capsys):
         path.write_text(json.dumps({"n": 2, "codewords": codewords, "composition": [1, 1]}))
         rc, out, err = run(capsys, "verify-ccc", str(path))
         assert (rc, out, err) == (2, "", f"error: {problem}\n")
+
+
+def test_verify_fhs_fails_a_one_symbol_sequence(tmp_path, capsys):
+    # a sequence over one symbol is well formed but has no bound to meet
+    path = tmp_path / "fhs.json"
+    path.write_text(json.dumps({"alphabet": 1, "n": 3, "seq": [0, 0, 0]}))
+    rc, out, err = run(capsys, "--format", "json", "verify-fhs", str(path))
+    assert (rc, json.loads(out), err) == (
+        1, {"n": 3, "strictly_optimal": False, "failing_L": [["alphabet", 1]]}, "")
+
+
+@pytest.mark.parametrize("symbol", [-1, 3])
+def test_verify_ccc_fails_the_composition_of_a_symbol_out_of_range(tmp_path, capsys, symbol):
+    # the composition names symbols 0..2: -1 and 3 are both outside
+    path = tmp_path / "ccc.json"
+    path.write_text(json.dumps({"n": 3, "composition": [1, 1, 1],
+                                "codewords": [[symbol, 0, 1], [1, symbol, 0], [0, 1, symbol]]}))
+    rc, out, err = run(capsys, "--format", "json", "verify-ccc", str(path))
+    assert (rc, json.loads(out), err) == (
+        1, {"M": 3, "d": 3, "composition_ok": False, "verified": False}, "")
+
+
+@pytest.mark.parametrize("cmd", ["verify-design", "import"])
+def test_a_design_with_fewer_cells_than_points_fails_in_small_memory(tmp_path, capsys, cmd):
+    # b*k < v: some point lies in no block, and the block count is wrong, so
+    # neither command counts pairs over the 10**10 points
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps({"v": 10**10, "k": 2, "lambda": 1, "blocks": [[0, 1]]}))
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        rc, _, _ = run(capsys, cmd, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    assert time.perf_counter() - start < 1.0 and peak < 8 * 2**20, peak
 
 
 # a hopping sequence or code file read as the design readers read theirs:
@@ -632,9 +680,8 @@ def test_lift_rejects_a_phi_entry_that_is_not_an_int(tmp_path, capsys):
     ({"system": "z125", "q": 79, "budget": "5"}, "budget"),
     ({"system": "generic", "sdf": "z7_8_8", "q": 41, "d": "8"}, "d"),
     ({"system": "generic", "sdf": "z7_8_8", "q": 41, "d": 8, "lam": True}, "lam"),
-    ({"system": "paley3", "p": 5.0, "q": 13}, "p"),
     ({"system": "paired", "sdf": 7, "q": 17}, "sdf"),
-], ids=["budget-str", "d-str", "lam-bool", "p-float", "sdf-int"])
+], ids=["budget-str", "d-str", "lam-bool", "sdf-int"])
 def test_run_solve_rejects_a_wrongly_typed_param(tmp_path, capsys, params, named):
     recipe = tmp_path / "solve.json"
     recipe.write_text(json.dumps({"steps": [

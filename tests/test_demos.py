@@ -8,9 +8,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-# 03_search_and_repair.py is left out: it takes about 10 s, and test_search
-# covers the calls it makes
-@pytest.mark.parametrize("demo", ["01_catalog_tour.py", "02_design_624.py", "04_codes.py"])
+@pytest.mark.parametrize("demo", ["01_catalog_tour.py", "02_design_624.py",
+                                  "03_search_and_repair.py", "04_codes.py"])
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),

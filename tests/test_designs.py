@@ -118,6 +118,33 @@ def test_verify_bibd_against_dict_oracle():
         assert verify_bibd(design).ok == expect
 
 
+def test_verify_bibd_counts_blocks_before_an_o_v_scan():
+    # b*k < v: some point lies in no block, so a wrong block count is read
+    # off before the pair scan, whose cells would take O(v) memory
+    cases = [(BlockDesign(10**10, 2, 1, ((0, 1),)),
+              Report(False, "1 blocks, expected 49999999995000000000", [("blocks", 1)])),
+             (BlockDesign(10**10, 2, 1, ()),
+              Report(False, "0 blocks, expected 49999999995000000000", [("blocks", 0)])),
+             (BlockDesign(10**10, 2, 0, ()), Report(True)),
+             (BlockDesign(3, 4, 1, ()),
+              Report(False, "pair (0, 1) lies in 0 blocks, not 1", [(0, 1, 0), (0, 2, 0),
+                                                                   (1, 2, 0)]))]
+    tracemalloc.start()
+    try:
+        reports = [verify_bibd(design) for design, _ in cases]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reports == [want for _, want in cases]
+    assert peak < 4 * 2**20, peak
+    for v, k, lam in ((3, 4, 1), (5, 2, 0), (5, 2, 1), (6, 2, 1)):
+        design = BlockDesign(v, k, lam, ())
+        assert verify_bibd(design) == bibd_oracle(design)
+    design = BlockDesign(7, 2, 1, ((0, 1), (2, 3), (4, 5)))      # point 6 in no block
+    assert verify_bibd(design) == bibd_oracle(design) == \
+        Report(False, "3 blocks, expected 21", [("blocks", 3)])
+
+
 def test_verify_bibd_rejects_out_of_range_point():
     # point 5 of v = 3 would alias onto the pair index of (1, 2)
     rep = verify_bibd(BlockDesign(3, 2, 1, ((0, 1), (0, 2), (0, 5))))
@@ -242,6 +269,10 @@ def bibd_oracle(design):
     if stray:
         i, x = stray[0]
         return Report(False, f"block {i} holds point {x} outside 0..{v - 1}", stray)
+    expected = lam * v * (v - 1) // (k * (k - 1))
+    if len(design.blocks) * k < v and len(design.blocks) != expected:
+        return Report(False, f"{len(design.blocks)} blocks, expected {expected}",
+                      [("blocks", len(design.blocks))])
     cover = Counter()
     for blk in design.blocks:
         for i in range(k):
@@ -253,7 +284,6 @@ def bibd_oracle(design):
     if bad:
         x, y, count = bad[0]
         return Report(False, f"pair ({x}, {y}) lies in {count} blocks, not {lam}", bad)
-    expected = lam * v * (v - 1) // (k * (k - 1))
     if len(design.blocks) != expected:
         return Report(False, f"{len(design.blocks)} blocks, expected {expected}",
                       [("blocks", len(design.blocks))])

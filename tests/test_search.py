@@ -26,8 +26,12 @@ from framedf.lifting import check_lifting_conditions, lift_sdf
 from framedf.search import (ConstraintSystem, Form, RepairBudgetExceeded, RepairError,
                             SolveResult, UniformityGroup, _clusters_of,
                             _repair_system, generic_system, paired_pattern_system,
-                            paley3_pattern_system,
                             q_bound, q_bound_bracket, repair_block, solve, z125_system)
+
+
+def _paley3(p, q):
+    """The paired system of the third-type Paley family over F_p at q."""
+    return paired_pattern_system(catalog.family("paley3", p), q)
 
 
 def sig6(x: Decimal) -> str:
@@ -144,13 +148,12 @@ def test_zech_arithmetic_matches_the_field_on_every_pair(q):
 
 
 def test_paired_pattern_shapes():
-    assert len(paired_pattern_system(catalog.family("paley2", 7), 113).unknowns) == 4
-    assert paired_pattern_system(catalog.family("paley2", 7), 113).d == 4
+    sysm = paired_pattern_system(catalog.family("paley2", 7), 113)
+    assert len(sysm.unknowns) == 4 and {g.modulus for g in sysm.groups} == {4}
     tw = paired_pattern_system(catalog.family("twinPrime", 3), 17)
-    assert len(tw.unknowns) == 8 and tw.d == 8
+    assert len(tw.unknowns) == 8 and {g.modulus for g in tw.groups} == {8}
     for m in (3, 4, 5):
-        s = paired_pattern_system(catalog.family("singer", 2, m), 2 ** m + 1
-                                  if False else _first_q(2 ** m))
+        s = paired_pattern_system(catalog.family("singer", 2, m), _first_q(2 ** m))
         assert len(s.unknowns) == 2 ** (m - 1)
 
 
@@ -174,26 +177,31 @@ def test_paired_solve_small():
 
 
 def test_paley3_structure_and_solve():
-    sysm = paley3_pattern_system(5, 61)
-    assert len(sysm.unknowns) == 6 and sysm.d == 6
+    sysm = _paley3(5, 61)
+    assert len(sysm.unknowns) == 6 and {g.modulus for g in sysm.groups} == {6}
     sdf = solve(sysm, seed=0)
     assert sdf.status == "sat"
     data = sysm.lifting_builder([sdf.assignment[u] for u in sysm.unknowns])
-    # block layout per the third-type pattern: (0,0,w^2,w^2,w^4,w^4) / (0,0,w,w,w^3,w^3)
-    f5 = make_field(5)
+    # the catalog's sorted blocks: {0} + squares and {0} + nonsquares of F_5,
+    # each value doubled
     b1, b2 = data.sdf.blocks
-    w = f5.generator
-    assert b1 == (0, 0, pow(w, 2, 5), pow(w, 2, 5), pow(w, 4, 5), pow(w, 4, 5))
-    assert b2 == (0, 0, w, w, pow(w, 3, 5), pow(w, 3, 5))
+    assert b1 == (0, 0, 1, 1, 4, 4)
+    assert b2 == (0, 0, 2, 2, 3, 3)
     assert verify_fdf(lift_sdf(data)).ok
-    assert len(paley3_pattern_system(13, 337).unknowns) == 14
+    assert len(_paley3(13, 337).unknowns) == 14
 
 
 def test_paley3_congruence_guards():
-    with pytest.raises(ValueError):
-        paley3_pattern_system(7, 61)      # 7 = 3 (mod 4)
-    with pytest.raises(ValueError):
-        paley3_pattern_system(5, 37 + 1)  # not 1 (mod 12) prime structure
+    with pytest.raises(ValueError, match=r"need q = 1 \(mod 2d\): d = 6, q = 38"):
+        _paley3(5, 37 + 1)
+
+
+def test_paired_pattern_solves_paley3_3_and_lifts():
+    sysm = _paley3(3, 17)
+    res = solve(sysm)
+    assert (res.status, res.nodes) == ("sat", 4)
+    fdf = lift_sdf(sysm.lifting_builder([res.assignment[u] for u in sysm.unknowns]))
+    assert verify_fdf(fdf).ok and fdf.group.order == 3 * 17
 
 
 def test_z125_system_statics():
@@ -277,7 +285,7 @@ def test_solver_determinism():
 
 
 @pytest.mark.parametrize("make,clusters", [
-    (lambda: paley3_pattern_system(5, 61), 2),                               # cluster path
+    (lambda: _paley3(5, 61), 2),                                             # cluster path
     (lambda: paired_pattern_system(catalog.family("twinPrime", 3), 17), 1),  # _dfs_direct
     (lambda: generic_system(catalog.family("z7_8_8"), 41, 40, 8, 1), 1),     # _dfs_direct
 ])
@@ -332,7 +340,7 @@ def z63_widened():
      ("sat", 346, "5c9cde680073df6873022fc80741298f75296723a8b295728bad37bd78c3085f")),
     (lambda: paired_pattern_system(catalog.family("twinPrime", 3), 49),
      ("exhausted", 44563, None)),
-    (lambda: paley3_pattern_system(5, 61),
+    (lambda: _paley3(5, 61),
      ("sat", 17, "ac25706f4a1f37c3de94cf3eac0040a167e4cc15682667bf5296a0b268890991")),
     (lambda: generic_system(catalog.family("paley3", 5), 7, 6, 6, 2),
      ("sat", 6, "11759f76e11ae9abc6a900e3403195002c61251fc80dafb6aaf0364a3f49e331")),
@@ -605,7 +613,7 @@ def test_a_helper_ahead_of_the_caller_merges_in_order(helpers, monkeypatch, q, l
     *((lambda: z125_system(79), limit,
        ("sat", 464, "9f439c2b74340d5eab7c3b5208b4c467fa048d87b4129d42dd956befe75a0cae"))
       for limit in (1, 10, 100, 463, 464)),
-    *((lambda: paley3_pattern_system(5, 61), limit,
+    *((lambda: _paley3(5, 61), limit,
        ("sat", 17, "ac25706f4a1f37c3de94cf3eac0040a167e4cc15682667bf5296a0b268890991"))
       for limit in (16, 17))],
     ids=[*(f"z125@79-{n}" for n in (1, 10, 100, 463, 464)), "paley3_5@61-16", "paley3_5@61-17"])
@@ -619,7 +627,7 @@ def test_cluster_search_stops_on_a_budget_at_limit_plus_one(make, limit, pinned)
 
 def test_a_negative_budget_raises():
     with pytest.raises(ValueError, match="budget -1 is negative"):
-        solve(paley3_pattern_system(5, 61), budget=-1)
+        solve(_paley3(5, 61), budget=-1)
     data = catalog.lifting_datum("fdf_z63xF25")
     with pytest.raises(ValueError, match="budget -1 is negative"):
         repair_block(data, data.zero_positions(), budget=-1)
@@ -677,8 +685,7 @@ def _gf25_system(groups, n=4):
     y0, -2*y0 + 6*y1, y2, 6*y2 - 2*y3 that use only those unknowns."""
     forms = (Form("y0", ((0, 1),)), Form("-2y0+6y1", ((0, -2), (1, 6))),
              Form("y2", ((2, 1),)), Form("6y2-2y3", ((2, 6), (3, -2))))
-    return ConstraintSystem(make_field(5, 2), 2, ("y0", "y1", "y2", "y3")[:n], forms[:n],
-                            groups)
+    return ConstraintSystem(make_field(5, 2), ("y0", "y1", "y2", "y3")[:n], forms[:n], groups)
 
 
 def _reference_value(sysm, fi, values):
@@ -719,7 +726,7 @@ def test_gf25_coefficients_act_through_the_prime_subfield():
 def test_solver_exhausts_toy_unsat():
     fld = make_field(7)
     sysm = ConstraintSystem(
-        fld, 2, ("y",),
+        fld, ("y",),
         (Form("y", ((0, 1),)), Form("y", ((0, 1),))),
         (UniformityGroup((0, 1), 2, 1),),
     )
@@ -732,7 +739,7 @@ def test_solve_refuses_a_group_whose_classes_do_not_divide_q_minus_1(modulus, or
     # sound only when they divide q - 1 = 6
     forms = tuple(Form(f"{c}y", ((0, c),)) for c in range(1, 7))
     group = UniformityGroup(tuple(i % 6 for i in range(modulus * orbit)), modulus, 1, orbit)
-    sysm = ConstraintSystem(make_field(7), modulus, ("y",), forms, (group,))
+    sysm = ConstraintSystem(make_field(7), ("y",), forms, (group,))
     with pytest.raises(ValueError, match="^group 0: need orbit"):
         solve(sysm)
 
@@ -742,12 +749,12 @@ def test_constant_forms_are_counted_before_the_first_node():
     fld = make_field(7)
     forms = (Form("a", ((0, 1),)), Form("b", ((1, 1),)), Form("3", (), 3),
              Form("a-1", ((0, 1),), 6), Form("0", ()))
-    sysm = ConstraintSystem(fld, 2, ("a", "b"), forms[:4],
+    sysm = ConstraintSystem(fld, ("a", "b"), forms[:4],
                             (UniformityGroup((0, 2), 2), UniformityGroup((1, 3), 2)))
     res = solve(sysm)
     assert res.status == "sat"
     assert sysm.check_assignment([res.assignment["a"], res.assignment["b"]])
-    zero = ConstraintSystem(fld, 2, ("a", "b"), forms,
+    zero = ConstraintSystem(fld, ("a", "b"), forms,
                             sysm.groups + (UniformityGroup((4,), 1),))
     assert solve(zero) == SolveResult("exhausted", nodes=0)
 
@@ -771,7 +778,7 @@ def _tiny_systems(draw):
         us = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
         terms = tuple((u, draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))) for u in us)
         forms.append(Form(f"f{i}", terms, draw(st.integers(0, q1)) if draw(st.booleans()) else 0))
-    sysm = ConstraintSystem(fld, 1, tuple(f"y{u}" for u in range(n)), tuple(forms), ())
+    sysm = ConstraintSystem(fld, tuple(f"y{u}" for u in range(n)), tuple(forms), ())
     planted = [draw(st.integers(1, q1)) for _ in range(n)]
     logs = [int(fld.dlog(v)) if v else None
             for v in (sysm.eval_form(fi, planted) for fi in range(len(forms)))]
@@ -835,7 +842,7 @@ def _cluster_systems(draw):
         for terms in shapes:
             forms.append(Form(f"f{len(forms)}", tuple((u, draw(coeff)) for u in terms)))
             owner.append(ci)
-    sysm = ConstraintSystem(fld, 1, tuple(f"y{u}" for u in range(n)), tuple(forms), ())
+    sysm = ConstraintSystem(fld, tuple(f"y{u}" for u in range(n)), tuple(forms), ())
     planted = [draw(st.integers(1, q - 1)) for _ in range(n)]
     logs = [int(fld.dlog(v)) if v else None
             for v in (sysm.eval_form(fi, planted) for fi in range(len(forms)))]
@@ -903,7 +910,7 @@ def test_a_cross_form_in_groups_of_two_moduli_leaves_the_cluster_path():
     # solutions
     forms = (Form("f0", ((0, -3), (1, -3))), *(Form(f"f{i}", ((0, -3),)) for i in (1, 2, 3)),
              Form("f4", ((2, -3), (3, -3))), Form("f5", ((2, -3),)))
-    sysm = ConstraintSystem(field_of_order(5), 1, ("y0", "y1", "y2", "y3"), forms,
+    sysm = ConstraintSystem(field_of_order(5), ("y0", "y1", "y2", "y3"), forms,
                             (UniformityGroup((0, 1, 4, 5), 4), UniformityGroup((0, 5), 2)))
     assert len(_clusters_of(sysm)) == 2 and _mixed_cross_moduli(sysm)
     assert sum(map(sysm.check_assignment, itertools.product(range(1, 5), repeat=4))) == 16
@@ -1045,9 +1052,9 @@ def _form_groups(sysm):
 @pytest.mark.parametrize("make,ci,pinned", [
     (lambda: z125_system(67), 1,
      "2da05cb2d07d00ac6031f4b04ce326af12305e91a11bc9067e936c26bc9fe3ca"),
-    (lambda: paley3_pattern_system(5, 61), 0,
+    (lambda: _paley3(5, 61), 0,
      "e571cebe6cc6754e38e0a6abaca198b26913e491cd885a87dfe88732eb25b134"),
-    (lambda: paley3_pattern_system(5, 61), 1,
+    (lambda: _paley3(5, 61), 1,
      "e571cebe6cc6754e38e0a6abaca198b26913e491cd885a87dfe88732eb25b134"),
 ], ids=["z125@67:y_2", "paley3_5@61:0", "paley3_5@61:1"])
 def test_cluster_enumeration_is_chunk_invariant(monkeypatch, make, ci, pinned):
@@ -1133,7 +1140,7 @@ def test_cluster_enumeration_work_cap_threshold(monkeypatch):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: z125_system(67), lambda: z125_system(79), lambda: paley3_pattern_system(5, 61),
+    lambda: z125_system(67), lambda: z125_system(79), lambda: _paley3(5, 61),
 ], ids=["z125@67", "z125@79", "paley3_5@61"])
 def test_cluster_witnesses_start_coset_least(make):
     """Scaling a cluster by t with M | log t (M the lcm of the moduli of the
@@ -1156,7 +1163,7 @@ def test_cluster_witnesses_start_coset_least(make):
 @pytest.mark.parametrize("make,enumerations", [
     (lambda: z125_system(67), 10), (lambda: z125_system(79), 10),
     (lambda: z125_system(103), 10), (lambda: z125_system(127), 10),
-    (lambda: paley3_pattern_system(5, 61), 1),
+    (lambda: _paley3(5, 61), 1),
 ], ids=["z125@67", "z125@79", "z125@103", "z125@127", "paley3_5@61"])
 def test_clusters_of_one_shape_share_one_enumeration(monkeypatch, make, enumerations):
     """solve enumerates each cluster shape once (z125: 13 clusters, 4 of them
@@ -1200,7 +1207,7 @@ def test_clusters_that_pair_their_forms_apart_are_enumerated_apart(monkeypatch):
     exhausted."""
     forms = tuple(Form(f"{c}y{u}", ((u, c),)) for u in (0, 1) for c in (1, 2, 3, 5))
     groups = tuple(UniformityGroup(g, 2) for g in ((0, 2), (1, 3), (4, 5), (6, 7)))
-    sysm = ConstraintSystem(make_field(7), 2, ("y0", "y1"), forms, groups)
+    sysm = ConstraintSystem(make_field(7), ("y0", "y1"), forms, groups)
     calls, real = [], search._enumerate_cluster
     monkeypatch.setattr(search, "_enumerate_cluster",
                         lambda *args: calls.append(args[2]) or real(*args))
@@ -1275,7 +1282,8 @@ def _z63_repair(widened):
 
 # recorded before the system builders shared one implementation; the five
 # generic ones again once their sign-paired restriction came from the
-# builder too (the full systems are unchanged)
+# builder too (the full systems are unchanged); the two paley3 ones again
+# once they were built from the catalog's family, whose blocks are sorted
 @pytest.mark.parametrize("make,pinned", [
     (lambda: generic_system(catalog.family("z7_8_8"), 25, 24, 8, 1),
      "2f936968e625b00ab30aca68adb235e7fc2cd37ab76ea6f3fa05ab5bfb2d1b6f"),
@@ -1291,10 +1299,10 @@ def _z63_repair(widened):
      "524960df67a67eb0f0e9c77a1f96d6f7cb2b599d507c97cd10498638ddf2c9e1"),
     (lambda: paired_pattern_system(catalog.family("twinPrime", 3), 17),
      "7b118a250468551bbc80e1d50137218854a37f88160b9b82a64278317648073e"),
-    (lambda: paley3_pattern_system(5, 61),
-     "763fdb8ce210b9703c0b127793871694552c7d147aa955778afe8d7848b019b6"),
-    (lambda: paley3_pattern_system(13, 337),
-     "62ea5746a4691a8a5b85e770116a0797931e22b0093d0f34b9961b504fee9bcf"),
+    (lambda: _paley3(5, 61),
+     "28b8c4eca4242d15de30ad6a9398610cc6a9b9df084a656abed2c360fdc19927"),
+    (lambda: _paley3(13, 337),
+     "fc3ea2052869beacf3aff8998e6f5cddcaee9592605872c57da634ca1fe0197c"),
     (lambda: z125_system(67),
      "ca126368266758196f7e154b5999ac617086304d352792b6ddb1b58db1dad7e0"),
     (lambda: z125_system(79),
