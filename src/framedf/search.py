@@ -393,6 +393,7 @@ def generic_system(sdf: DesignFamily, q: int, e: int, d: int, lam: int) -> Const
     """
     if sdf.kind != SDF:
         raise ValueError("need an SDF")
+    leaders, signs = _sign_pairs(sdf)
     if e != q - 1:
         raise ValueError("the symbolic system requires e = q - 1")
     G = sdf.group
@@ -417,8 +418,6 @@ def generic_system(sdf: DesignFamily, q: int, e: int, d: int, lam: int) -> Const
         provenance=f"generic({sdf.provenance},q={q},d={d}){tag}",
         datum_provenance=f"generic({sdf.provenance},q={q})")
     system = build(names, [tuple((i * k + a, 1) for a in range(k)) for i in range(n)], "")
-
-    leaders, signs = _sign_pairs(sdf)
     if all(s > 0 for _, s in signs):
         return system
     restricted = build([names[u] for u in leaders],
@@ -432,8 +431,12 @@ def _sign_pairs(sdf: DesignFamily) -> tuple[list[int], list[tuple[int, int]]]:
     per position (r, sign), the position taking sign times leader r's
     unknown.  The right-hand copy of an adjacent repeated value takes -1
     times its left neighbour; a later block equal to an earlier one takes
-    its partner's row negated."""
+    its partner's row negated.  Refuses blocks of other sizes than block
+    0's, naming the first."""
     n, k = len(sdf.blocks), len(sdf.blocks[0])
+    ragged = next((i for i, b in enumerate(sdf.blocks) if len(b) != k), None)
+    if ragged is not None:
+        raise ValueError(f"block {ragged} has {len(sdf.blocks[ragged])} entries, block 0 has {k}")
     partner: dict[int, int] = {}
     for i in range(n):
         if i not in partner:
@@ -606,8 +609,9 @@ def _enumerate_cluster(system: ConstraintSystem, form_groups: list[list[int]],
     each, or None when the expansion is too large, when a form is or has a
     constant or has more than two terms, when a group has multiplicity or
     orbit > 1, or when a cross form's straddling groups differ in modulus
-    (one label per form could not stand for both).  Witnesses are int64
-    rows, signatures int8 rows.
+    (one label per form could not stand for both).  Witnesses are rows of
+    field encodings in the narrowest unsigned dtype holding q - 1,
+    signatures int8 rows.
 
     The frontier holds the logs of the values, column-major in the
     narrowest dtype holding q - 1: one row per placed unknown, one column
@@ -774,14 +778,15 @@ def _enumerate_cluster(system: ConstraintSystem, form_groups: list[list[int]],
         extends and its value; class by class under a plan, else each
         column with every value in turn."""
         n = st.shape[1]
+        index = np.min_scalar_type(n - 1)
         plan = expansion_plan(order[level]) if level else None
         if plan is None:
-            return np.repeat(np.arange(n), len(values)), np.tile(values, n)
+            return np.repeat(np.arange(n, dtype=index), len(values)), np.tile(values, n)
         col, m, by_class = plan
         srcs, news = [], []
         for c in range(m):
             free = np.arange(n) if col is None else np.flatnonzero((st[col] >> c) & 1 == 0)
-            srcs.append(np.repeat(free, len(by_class[c])))
+            srcs.append(np.repeat(free.astype(index), len(by_class[c])))
             news.append(np.tile(by_class[c], len(free)))
         return np.concatenate(srcs), np.concatenate(news)
 
@@ -816,7 +821,8 @@ def _enumerate_cluster(system: ConstraintSystem, form_groups: list[list[int]],
             return None
         frontier, state = grow(frontier, state, level)
     keep = first_rows(state)        # chunks kept column order: first overall too
-    return (np.ascontiguousarray(system.field._exp.take(frontier[:, keep]).T),
+    exp = system.field._exp.astype(values.dtype)
+    return (np.ascontiguousarray(exp.take(frontier[:, keep]).T),
             state[len(masked):, keep].T.astype(np.int8, order="C"), cross_forms)
 
 
@@ -824,18 +830,21 @@ def _fc_over_clusters(system: ConstraintSystem, form_groups: list[list[int]], cl
                       domains, budget: _Budget):
     """Forward-checking DFS over enumerated cluster domains (complete).
 
-    Each cluster's rows are put in hint order, a stable sort by the number
-    of cross labels that differ from the system's hints, and its live
-    domain is one int: bit i stands for row hint_order[ci][i], so scanning
-    the set bits from the lowest visits the live rows in hint order.  A
-    node takes the unassigned cluster with the fewest live rows (the lower
-    index on a tie) and tries its rows in turn, one node each.  A row's
-    cross labels are forbidden in every unassigned cluster whose cross
-    column shares a group with them: that cluster's domain is and-ed with
-    the bits of its rows whose label in the column differs, an int built
-    on first use for each (cluster, column, label) and kept for the
+    Each cluster's rows are taken in hint order, a stable sort by the
+    number of cross labels that differ from the system's hints, kept as a
+    narrow permutation through which the shared signatures are read, and
+    its live domain is one int: bit i stands for row order[ci][i], so
+    scanning the set bits from the lowest visits the live rows in hint
+    order.  A node takes the unassigned cluster with the fewest live rows
+    (the lower index on a tie) and tries its rows in turn, one node each.
+    A row's cross labels are forbidden in every unassigned cluster whose
+    cross column shares a group with them: that cluster's domain is and-ed
+    with the bits of its rows whose label in the column differs, an int
+    built on first use for each (cluster, column, label) and kept for the
     solve.  So a live row never repeats a label of an assigned cluster in
     a shared group, and a cluster left with no live row fails the node.
+    The search loops over an explicit path, not by recursion, so nothing
+    it holds outlives the call.
     """
     ncl = len(clusters)
     bygroup: dict[int, list[tuple[int, int]]] = {}
@@ -849,55 +858,63 @@ def _fc_over_clusters(system: ConstraintSystem, form_groups: list[list[int]], cl
     allowed = [[{} for _ in cross] for _, _, cross in domains]
     targets = [[[(cj, kk, allowed[cj][kk]) for gi in form_groups[fi] for cj, kk in bygroup[gi]
                  if cj != ci] for fi in cross] for ci, (_, _, cross) in enumerate(domains)]
-    hint_order, sigs = [], []            # sigs[ci]: the signatures in bit order
+    order = []                           # order[ci][i]: the row that bit i stands for
     for _, sigl, cross in domains:
         if len(sigl) == 0:
             return SolveResult("exhausted", nodes=budget.nodes)
-        score = np.zeros(len(sigl), dtype=np.int64)
+        score = np.zeros(len(sigl), dtype=np.min_scalar_type(len(cross)))
         for k, fi in enumerate(cross):
             if fi in system.hints:
                 score += sigl[:, k] != system.hints[fi]
-        hint_order.append(np.argsort(score, kind="stable"))
-        sigs.append(sigl[hint_order[-1]])
+        order.append(np.argsort(score, kind="stable").astype(np.min_scalar_type(len(sigl) - 1)))
     assigned: dict[int, int] = {}        # cluster -> bit of its row
-
-    def dfs(masks):
-        if len(assigned) == ncl:
-            return True
-        cnt, ci = min((masks[c].bit_count(), c) for c in range(ncl) if c not in assigned)
-        if cnt == 0:
-            return False
-        live = masks[ci]
-        while live:
-            low = live & -live
-            live ^= low
-            if not budget.spend():
-                return False
-            assigned[ci] = low.bit_length() - 1
-            child = masks[:]
-            for k, lab in enumerate(sigs[ci][assigned[ci]].tolist()):
-                for cj, kk, bits in targets[ci][k]:
-                    if cj not in assigned:
-                        if lab not in bits:
-                            packed = np.packbits(sigs[cj][:, kk] != lab, bitorder="little")
-                            bits[lab] = int.from_bytes(packed.tobytes(), "little")
-                        child[cj] &= bits[lab]
-            if dfs(child):
-                return True
+    path = []                            # per assigned cluster: (its rows left, masks before it)
+    masks, live = [(1 << len(o)) - 1 for o in order], None
+    while len(assigned) < ncl:
+        if live is None:                 # a new node: the fewest live rows
+            _, ci = min((masks[c].bit_count(), c) for c in range(ncl) if c not in assigned)
+            live = masks[ci]
+        while not live:                  # back to the deepest node with a row left
+            if not path:
+                return SolveResult("exhausted", nodes=budget.nodes)
+            ci, live, masks = path.pop()
             del assigned[ci]
-            if budget.nodes > budget.limit:
-                return False
-        return False
+        low = live & -live
+        if not budget.spend():
+            return SolveResult("budget_exceeded", nodes=budget.nodes)
+        assigned[ci] = low.bit_length() - 1
+        path.append((ci, live ^ low, masks))
+        masks = masks[:]
+        row = domains[ci][1][order[ci][assigned[ci]]]
+        for k, lab in enumerate(row.tolist()):
+            for cj, kk, bits in targets[ci][k]:
+                if cj not in assigned:
+                    if lab not in bits:
+                        differs = domains[cj][1][:, kk].take(order[cj]) != lab
+                        bits[lab] = int.from_bytes(
+                            np.packbits(differs, bitorder="little").tobytes(), "little")
+                    masks[cj] &= bits[lab]
+        live = None
+    assignment = {}
+    for ci, cl in enumerate(clusters):
+        wit = domains[ci][0][order[ci][assigned[ci]]]
+        for i, u in enumerate(cl):
+            assignment[u] = int(wit[i])
+    return SolveResult("sat", assignment, budget.nodes)
 
-    if dfs([(1 << len(s)) - 1 for s in sigs]):
-        assignment = {}
-        for ci, cl in enumerate(clusters):
-            wit = domains[ci][0][hint_order[ci][assigned[ci]]]
-            for i, u in enumerate(cl):
-                assignment[u] = int(wit[i])
-        return SolveResult("sat", assignment, budget.nodes)
-    status = "exhausted" if budget.nodes <= budget.limit else "budget_exceeded"
-    return SolveResult(status, nodes=budget.nodes)
+
+class _Bans(dict):
+    """(a, lc, width, mask) -> the bits of the x = g^i with s*x + c zero or
+    in a class of `mask` (see _direct_search), each built on first use."""
+
+    def __init__(self, lines: list[int], q1: int):
+        self.lines, self.q1 = lines, q1
+
+    def __missing__(self, key):
+        a, lc, width, mask = key
+        self[key] = out = sum(1 << i for i, t in enumerate(self.lines[a:a + self.q1])
+                              if t < 0 or mask >> ((lc + t) % width) & 1)
+        return out
 
 
 def _direct_search(system: ConstraintSystem, form_groups: list[list[int]]) -> SimpleNamespace:
@@ -948,7 +965,9 @@ def _direct_search(system: ConstraintSystem, form_groups: list[list[int]]) -> Si
     that depth it reaches instead of searching below it, and stops once
     visit() returns True.  framedf._split walks the tree above a depth
     this way, in the caller and in a helper forked in the middle of the
-    walk, and searches the subtrees below it in place.
+    walk, and searches the subtrees below it in place.  dfs loops over an
+    explicit path, not by recursion, so no closure refers to itself and
+    the search's state is freed once the namespace is dropped.
     """
     fl = _field_logs(system.field)
     log, exp, zech, lines, q1 = fl.log, fl.exp, fl.zech, fl.lines, fl.q1
@@ -981,19 +1000,7 @@ def _direct_search(system: ConstraintSystem, form_groups: list[list[int]]) -> Si
             forms_by_unknown[u].append(fi)
     domains = [(1 << q1) - 1] * n
 
-    class Bans(dict):
-        def __missing__(self, key):
-            """The bits of the x = g^i with s*x + c zero or in a class of `mask`."""
-            a, lc, width, mask = key
-            out = 0
-            for i in range(q1):
-                t = lines[a + i]
-                if t < 0 or mask >> ((lc + t) % width) & 1:
-                    out |= 1 << i
-            self[key] = out
-            return out
-
-    bans = Bans()
+    bans = _Bans(lines, q1)
 
     def count(fis, i, touched, grown):
         """Add to their groups the labels of the forms in fis, each with
@@ -1107,32 +1114,44 @@ def _direct_search(system: ConstraintSystem, form_groups: list[list[int]]) -> Si
         undo(u, touched, saved)
         return None
 
+    def complete():
+        return all(c == cap for cnt, cap in zip(counts, caps) for c in cnt) and \
+            all(c % o == 0 for ecnt, o in zip(ecounts, orbits) if o > 1 for c in ecnt)
+
     def dfs(depth, budget, stop=-1, visit=None):
-        if depth == stop:
-            return visit()
-        if depth == n:
-            return all(c == cap for cnt, cap in zip(counts, caps) for c in cnt) and \
-                all(c % o == 0 for ecnt, o in zip(ecounts, orbits) if o > 1 for c in ecnt)
-        _, u = min((domains[u].bit_count(), u) for u in range(n) if not assigned[u])
-        # scaling gauge at the root (bit 0 is generator^0 = 1); elsewhere
-        # the live domain, lowest discrete log first
-        dom = 1 if depth == 0 and gauge else domains[u]
-        # the forms u completes: the same for every value, each undone in full
-        fis = [fi for fi in forms_by_unknown[u] if nfree[fi] == 1]
-        while dom:
-            low = dom & -dom
-            dom ^= low
-            if not budget.spend():
-                return False
-            token = do_assign(u, low.bit_length() - 1, fis)
-            if token is None:
-                continue
-            if dfs(depth + 1, budget, stop, visit):
-                return True
-            undo(*token)
-            if budget.nodes > budget.limit:
-                return False
-        return False
+        path = []              # per placement below depth: [u, values left, fis, undo token]
+        d = depth
+        while True:
+            if d == stop or d == n:
+                if (visit if d == stop else complete)():
+                    return True
+            else:
+                _, u = min((domains[u].bit_count(), u) for u in range(n) if not assigned[u])
+                # scaling gauge at the root (bit 0 is generator^0 = 1); elsewhere
+                # the live domain, lowest discrete log first; and the forms u
+                # completes: the same for every value, each undone in full
+                path.append([u, 1 if d == 0 and gauge else domains[u],
+                             [fi for fi in forms_by_unknown[u] if nfree[fi] == 1], None])
+            while True:                # the next value of the deepest unknown with one left
+                if not path:
+                    return False
+                step = path[-1]
+                u, dom, fis, token = step
+                if token is not None:
+                    undo(*token)
+                if not dom:
+                    path.pop()
+                    continue
+                low = dom & -dom
+                step[1] = dom ^ low
+                if not budget.spend():
+                    for *_, token in reversed(path[:-1]):
+                        undo(*token)
+                    return False
+                step[3] = do_assign(u, low.bit_length() - 1, fis)
+                if step[3] is not None:
+                    break
+            d = depth + len(path)
 
     gauge = all(lc < 0 for lc in clogs)
     fixed = [fi for fi, ts in enumerate(terms) if not ts]
