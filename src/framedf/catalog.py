@@ -60,6 +60,8 @@ def paley3(p: int) -> DesignFamily:
 def twin_prime(p: int) -> DesignFamily:
     """Twin prime power difference multiset on F_p x F_{p+2}, doubled complement
     of the classical twin-prime-power difference set."""
+    if p % 2 == 0:
+        raise CatalogDataError("twinPrime needs odd prime powers p, p + 2")
     f1 = field_of_order(p)
     f2 = field_of_order(p + 2)
     group = AbelianGroup.product(AbelianGroup.of_field(f1), AbelianGroup.of_field(f2))

@@ -20,7 +20,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import catalog, codes, designs, families, lifting, search, serialize
+from . import catalog, codes, designs, families, lifting, serialize
 from .groups import crt_iso
 
 USAGE_ERROR = 2
@@ -67,6 +67,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_qbound(args) -> int:
+    from . import search
     val = search.q_bound(args.d, args.m)
     _emit({"d": args.d, "m": args.m, "Q": f"{val:.6E}"}, args.format)
     return 0
@@ -193,6 +194,10 @@ def cmd_run(args) -> int:
               args.format)
         return USAGE_ERROR
     workdir = Path(args.workdir or Path(args.recipe).parent)
+    if not workdir.is_dir():
+        _emit([{"step": "recipe", "verified": False,
+                "error": f"workdir {str(workdir)!r} is not a directory"}], args.format)
+        return USAGE_ERROR
     summary = []
     status = 0
     env: dict[str, object] = {}
@@ -267,6 +272,7 @@ def _run_step(op, step, env, workdir):
         name = param("name")
         product, record = catalog.lifting_datum(name), {"name": name}
     elif op == "repair":
+        from . import search
         try:
             product = search.repair_block(data, data.zero_positions())
         except search.RepairError as exc:
@@ -327,6 +333,7 @@ def _run_step(op, step, env, workdir):
                 sdf = catalog.family(name, *([int(x) for x in rest.split(",")] if rest else []))
             except (KeyError, ValueError) as exc:   # an unknown name, or a parameter refused
                 return USAGE_ERROR, {"error": f"step {sid!r}: params.sdf {spec!r}: {exc.args[0]}"}
+        from . import search
         try:
             if system == "generic":
                 sysm = search.generic_system(sdf, q, q - 1, param("d", int),

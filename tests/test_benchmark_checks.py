@@ -9,7 +9,9 @@ benchmark's recipe operation fails on the file's SHA-256.
 
 It also runs the benchmark's z125@79 solve against perfbench/golden.json,
 so that a change of the cluster path's node count or assignment fails
-here as well as in the benchmark."""
+here as well as in the benchmark, and checks that the benchmark's tracer
+sees a search the CLI runs, although the CLI imports the search layer only
+when a command searches."""
 
 import dataclasses
 import importlib
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from framedf import search, serialize
+from framedf import cli, search, serialize
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 OP = "recipe_s.rbibd624"
@@ -29,6 +31,12 @@ SOLVE_OP = "solve_s.z125_79"
 def bench(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     return importlib.import_module("run")
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("tracing")
 
 
 def _run_op(bench, workload, op, wd):
@@ -72,3 +80,14 @@ def test_benchmark_z125_79_solve_matches_its_golden(bench, tmp_path, monkeypatch
     runner = _run_op(bench, "search", SOLVE_OP, tmp_path / "drifted")
     assert runner.failed == 1
     assert runner.errors[0].startswith(f"{SOLVE_OP}: solve.z125_79: got ")
+
+
+def test_tracer_records_a_cli_search_and_restores_solve(tracing, capsys):
+    solve = search.solve
+    with tracing.Tracer() as tracer:
+        rc = cli.main(["search", "--system", "generic", "--sdf", "z7_8_8", "--q", "41",
+                       "--d", "8"])
+    assert rc == 0
+    [span] = [s for s in tracer.spans if s[0] == "search.solve"]
+    assert tracer.spans[span[3]][0] == "cli.main" and span[6] == 27
+    assert search.solve is solve

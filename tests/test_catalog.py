@@ -40,6 +40,8 @@ def test_congruence_errors():
         catalog.family("singer", 2, 2)
     with pytest.raises(catalog.CatalogDataError):
         catalog.family("paley3", 8)
+    with pytest.raises(catalog.CatalogDataError, match="odd prime powers"):
+        catalog.family("twinPrime", 2)
 
 
 @pytest.mark.parametrize("name,params", [
@@ -69,3 +71,24 @@ def test_twin_prime_is_difference_multiset():
     assert fam.group.order == 15
     assert len(fam.blocks) == 1 and len(fam.blocks[0]) == 16
     assert verify_sdf(fam).ok
+
+
+# parameters of every parametrized entry, negative and non-prime-power ones included
+SWEEP = {"paley2": [(p,) for p in range(-2, 40)], "paley3": [(p,) for p in range(-2, 40)],
+         "twinPrime": [(p,) for p in range(-2, 40)],
+         "singer": [(p, m) for p in range(-1, 8) for m in range(-1, 5)]}
+
+
+@pytest.mark.parametrize("name", [n for n in catalog.catalog_names()
+                                  if catalog.entry_info(n)["parametrized"]])
+def test_a_parametrized_entry_builds_a_verified_family_or_refuses(name):
+    built = 0
+    for params in SWEEP[name]:
+        try:
+            fam = catalog.family(name, *params)
+        except catalog.CatalogDataError:
+            continue
+        rep = verify_sdf(fam)
+        assert rep.ok, (name, params, rep.detail)
+        built += 1
+    assert built > 0

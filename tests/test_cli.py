@@ -1,6 +1,9 @@
 import functools
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -12,6 +15,9 @@ from framedf.cli import main
 from framedf.designs import BlockDesign, affine_plane
 from framedf.groups import AbelianGroup
 from framedf.lifting import lift_sdf
+
+
+RECIPES = Path(__file__).resolve().parents[1] / "src" / "framedf" / "recipes"
 
 
 def run(capsys, *argv):
@@ -206,6 +212,20 @@ def test_run_recipe_624(tmp_path, capsys):
     steps = json.loads(out)
     assert all(s["verified"] for s in steps)
     assert (tmp_path / "rbibd_624.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_run_refuses_a_workdir_that_is_not_a_directory_before_any_step(tmp_path, capsys,
+                                                                       kind):
+    workdir = tmp_path / kind
+    if kind == "file":
+        workdir.write_text("")
+    rc, out, _ = run(capsys, "--format", "json", "run", str(RECIPES / "thm_2_3_624.json"),
+                     "--workdir", str(workdir))
+    assert rc == 2
+    assert json.loads(out) == [{"step": "recipe", "verified": False,
+                                "error": f"workdir {str(workdir)!r} is not a directory"}]
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["file"] if kind == "file" else [])
 
 
 def test_run_recipe_ccc(tmp_path, capsys):
@@ -845,3 +865,42 @@ def test_assemble_with_a_design_file_as_ingredient(tmp_path, capsys):
     rc, out, err = run(capsys, "assemble", "--fdf", str(fdf), "--ingredient",
                        str(tmp_path / "unresolved8.json"))
     assert (rc, out, err) == (2, "", "error: ingredient file carries no resolution\n")
+
+
+def _loaded_after(cwd, *commands):
+    """{module: loaded} for framedf.search and framedf._split after cli.main
+    has run `commands` in a fresh interpreter that writes no bytecode; each
+    command must exit 0."""
+    code = ("import contextlib, io, json, sys\n"
+            "from framedf import cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "print(json.dumps({m: m in sys.modules for m in ('framedf.search', 'framedf._split')}))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                         capture_output=True, text=True, check=True, cwd=cwd,
+                         env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"))
+    return json.loads(out.stdout)
+
+
+def test_commands_that_do_not_search_leave_search_unloaded(tmp_path):
+    recipes = [["run", str(RECIPES / name), "--workdir", str(tmp_path)] for name in
+               ("thm_2_3_624.json", "thm_6_5_ccc623.json", "thm_6_8_fhs623.json")]
+    design = str(tmp_path / "rbibd_624.json")
+    loaded = _loaded_after(tmp_path, *recipes, ["catalog"], ["catalog", "fdf_z7xF89"],
+                           ["verify-design", design], ["import", design])
+    assert loaded == {"framedf.search": False, "framedf._split": False}
+    assert {p.name for p in tmp_path.iterdir()} >= {"rbibd_624.json", "fhs_623.json"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["qbound", "3", "7"],
+    ["search", "--system", "generic", "--sdf", "z7_8_8", "--q", "41", "--d", "8"],
+    ["run", "solve.json"],
+], ids=["qbound", "search", "run-solve"])
+def test_commands_that_search_load_search(tmp_path, argv):
+    (tmp_path / "solve.json").write_text(json.dumps({"steps": [
+        {"op": "solve", "out": "$s", "params": {"system": "generic", "sdf": "z7_8_8",
+                                                 "q": 41, "d": 8}}]}))
+    assert _loaded_after(tmp_path, argv)["framedf.search"]

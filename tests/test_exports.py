@@ -1,9 +1,14 @@
 """Export lists name only what exists: every name in a module's __all__
-resolves and star-imports, and every top-level framedf name is exported by
-the module that defines it."""
+resolves and star-imports, and the package namespace holds no layer's
+names, only its version."""
 
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,9 +30,14 @@ def test_module_all_resolves_and_star_imports(name):
     assert set(exported) <= set(namespace)
 
 
-def test_top_level_names_are_exported_by_their_modules():
-    for attr, obj in vars(framedf).items():
-        if attr.startswith("_") or attr in MODULES:
-            continue
-        home = importlib.import_module(obj.__module__)
-        assert attr in home.__all__, f"framedf.{attr} is not in {obj.__module__}.__all__"
+def test_a_fresh_import_binds_only_the_version():
+    # every caller names the layer it uses; the package itself loads none
+    code = ("import json, sys, framedf; "
+            "names = sorted(set(vars(framedf)) - {'__name__', '__doc__', '__package__', "
+            "'__loader__', '__spec__', '__path__', '__file__', '__cached__', '__builtins__'}); "
+            "[exec(f'from framedf import {m}') for m in json.loads(sys.argv[1])]; "
+            "print(json.dumps(names))")
+    src = str(Path(framedf.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(MODULES)], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert json.loads(out.stdout) == ["__version__"]

@@ -678,18 +678,23 @@ def test_no_helper_is_forked_beside_another_thread(helpers):
 
 
 def test_importing_framedf_loads_no_multiprocessing():
-    # the split search loads on first use, so no import of the package pays
-    # for it, and its helper is forked without multiprocessing
-    code = ("import framedf, framedf.cli, sys; "
-            "print(*(m in sys.modules for m in ('multiprocessing', 'framedf._split'))); "
+    # importing the package binds no layer; the search and the split search
+    # load on first use, so importing the CLI pays for neither, and the split
+    # search's helper is forked without multiprocessing
+    code = ("import sys, framedf; "
+            "print(len([m for m in sys.modules if m.startswith('framedf.')])); "
+            "import framedf.cli; "
+            "print(*(m in sys.modules for m in ('multiprocessing', 'framedf.search', "
+            "'framedf._split'))); "
             "from framedf import _split, catalog, search; "
             "_split.FORK_AFTER = 0; _split.can_fork = lambda: True; "
             "res = search.solve(search.generic_system(catalog.family('z7_8_8'), 25, 24, 8, 1)); "
             "print(res.nodes, 'multiprocessing' in sys.modules)")
     src = str(Path(search.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.split() == ["False", "False", "8777", "False"]
+                         check=True, env=dict(os.environ, PYTHONPATH=src,
+                                              PYTHONDONTWRITEBYTECODE="1"))
+    assert out.stdout.split() == ["0", "False", "False", "False", "8777", "False"]
 
 
 def _gf25_system(groups, n=4):
