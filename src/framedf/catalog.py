@@ -1,10 +1,14 @@
 """Built-in catalog of strong difference families and lifting data.
 
-Printed tables are ingested verbatim; negative residues are normalized at
-parse time.  The z63xF25 lifting datum contains two second coordinates
-equal to zero (and their scaled copies), so its conditions fail as
-printed: family() refuses to lift it and points at search.repair_block.
-Nothing in here silently alters ingested values.
+Printed tables are stated once, as printed, and each kind is expanded by
+one rule.  An SDF table gives its first row once and each later row
+`copies` times, residues mod n.  A lifting table gives its first row once
+and each later row followed by its copies times a fixed list of
+multipliers, one part per block; its GF(25) rows are exponents of the
+field's generator w.  The z63xF25 lifting datum contains two second
+coordinates equal to zero (and their scaled copies), so its conditions
+fail as printed: family() refuses to lift it and points at
+search.repair_block.  Nothing in here silently alters ingested values.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Callable
 from .fields import FiniteField, field_of_order, make_field
 from .groups import AbelianGroup
 from .families import SDF, DesignFamily
-from .lifting import LiftingData, check_lifting_conditions, lift_sdf
+from .lifting import LiftingData, lift_sdf
 
 __all__ = ["catalog_names", "family", "lifting_datum", "entry_info", "CatalogDataError"]
 
@@ -39,8 +43,7 @@ def paley2(p: int) -> DesignFamily:
         raise CatalogDataError("paley2 needs a prime power p = 3 (mod 4)")
     fld = field_of_order(p)
     group = AbelianGroup.of_field(fld)
-    block = tuple(sorted([0] + _squares(fld)) * 2)
-    block = tuple(sorted(block))
+    block = tuple(sorted(([0] + _squares(fld)) * 2))
     return DesignFamily(SDF, group, p + 1, (block,), provenance="paley2(%d)" % p)
 
 
@@ -91,13 +94,10 @@ def singer(p: int, m: int) -> DesignFamily:
     group = AbelianGroup.cyclic(v)
     hyper = set()
     for i in range(p**m - 1):
-        enc = fld.pow_generator(i)
-        # absolute trace to GF(p): sum of Frobenius images
+        # absolute trace to GF(p): Tr(w^i) is the sum of the Frobenius images w^(i p^j)
         tr = 0
-        x = enc
-        for _ in range(m):
-            tr = fld.add(tr, x)
-            x = _frob(fld, x)
+        for j in range(m):
+            tr = fld.add(tr, fld.pow_generator(i * p**j))
         if tr == 0:
             hyper.add(i % v)
     ds = sorted(hyper)
@@ -109,20 +109,19 @@ def singer(p: int, m: int) -> DesignFamily:
                         provenance="singer(%d,%d)" % (p, m))
 
 
-def _frob(fld: FiniteField, enc: int) -> int:
-    out = enc
-    for _ in range(fld.p - 1):
-        out = int(fld.mul(out, enc))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Verbatim SDF tables
 
 
+def _sdf_table(name: str, n: int, lam: int, rows, copies: int) -> DesignFamily:
+    blocks = [tuple(x % n for x in rows[0])]
+    for row in rows[1:]:
+        blocks += [tuple(x % n for x in row)] * copies
+    return DesignFamily(SDF, AbelianGroup.cyclic(n), lam, tuple(blocks), provenance=name)
+
+
 def z7_8_8() -> DesignFamily:
-    return DesignFamily(SDF, AbelianGroup.cyclic(7), 8,
-                        ((0, 0, 1, 1, 2, 2, 4, 4),), provenance="z7_8_8")
+    return _sdf_table("z7_8_8", 7, 8, [[0, 0, 1, 1, 2, 2, 4, 4]], 0)
 
 
 _Z63_ROWS = [
@@ -139,128 +138,117 @@ _Z119_ROWS = [
     [0, 4, 10, 38, 54, 62, 86, 93],
 ]
 
-
-def _norm(row, mod):
-    return tuple(x % mod for x in row)
+# the rows of blocks 1, 2, 4, ..., 24
+_Z125_ROWS = [
+    [0, 0, 19, 19, 71, 71],
+    [0, 10, 28, 51, 78, 97],
+    [0, 3, 62, 75, 86, 110],
+    [0, 5, 12, 58, 70, 112],
+    [0, 7, 27, 44, 70, 96],
+    [0, 1, 42, 93, 85, 45],
+    [0, 1, 100, 104, 109, 88],
+    [0, 1, 90, 81, 21, 32],
+    [0, 3, 16, 40, 46, 50],
+    [0, 2, 7, 29, 35, 68],
+    [0, 2, 8, 57, 102, 116],
+    [0, 2, 22, 32, 36, 96],
+    [0, 8, 23, 38, 72, 86],
+]
 
 
 def z63_8_8() -> DesignFamily:
-    blocks = [_norm(_Z63_ROWS[0], 63)]
-    blocks += [_norm(_Z63_ROWS[1], 63)] * 4
-    blocks += [_norm(_Z63_ROWS[2], 63)] * 4
-    return DesignFamily(SDF, AbelianGroup.cyclic(63), 8, tuple(blocks), provenance="z63_8_8")
+    return _sdf_table("z63_8_8", 63, 8, _Z63_ROWS, 4)
 
 
 def z119_8_8() -> DesignFamily:
-    blocks = [_norm(_Z119_ROWS[0], 119)]
-    for row in _Z119_ROWS[1:]:
-        blocks += [_norm(row, 119)] * 4
-    return DesignFamily(SDF, AbelianGroup.cyclic(119), 8, tuple(blocks), provenance="z119_8_8")
-
-
-_Z125_ROWS = {
-    1: [0, 0, 19, 19, 71, 71],
-    2: [0, 10, 28, 51, 78, 97],
-    4: [0, 3, 62, 75, 86, 110],
-    6: [0, 5, 12, 58, 70, 112],
-    8: [0, 7, 27, 44, 70, 96],
-    10: [0, 1, 42, 93, 85, 45],
-    12: [0, 1, 100, 104, 109, 88],
-    14: [0, 1, 90, 81, 21, 32],
-    16: [0, 3, 16, 40, 46, 50],
-    18: [0, 2, 7, 29, 35, 68],
-    20: [0, 2, 8, 57, 102, 116],
-    22: [0, 2, 22, 32, 36, 96],
-    24: [0, 8, 23, 38, 72, 86],
-}
+    return _sdf_table("z119_8_8", 119, 8, _Z119_ROWS, 4)
 
 
 def z125_6_6() -> DesignFamily:
-    blocks = [_norm(_Z125_ROWS[1], 125)]
-    for i in range(2, 26, 2):
-        blocks += [_norm(_Z125_ROWS[i], 125)] * 2
-    return DesignFamily(SDF, AbelianGroup.cyclic(125), 6, tuple(blocks), provenance="z125_6_6")
+    return _sdf_table("z125_6_6", 125, 6, _Z125_ROWS, 2)
 
 
 # ---------------------------------------------------------------------------
 # Verbatim lifting data
 
 
+def _lifting_table(name: str, sdf: DesignFamily, fld: FiniteField, e: int, d: int, rows,
+                   multipliers=()) -> LiftingData:
+    phi = [rows[0]]
+    for row in rows[1:]:
+        phi += [row] + [tuple(int(fld.mul(v, m)) for v in row) for m in multipliers]
+    return LiftingData(sdf, fld, e=e, d=d, lam=1, phi=tuple(phi),
+                       partition=tuple((i,) for i in range(len(phi))), provenance=name)
+
+
+def _powers(fld: FiniteField, logs) -> tuple[int, ...]:
+    """The encodings of w^i for the exponents i, None standing for 0."""
+    return tuple(0 if i is None else fld.pow_generator(i) for i in logs)
+
+
 def lifting_z7xF89() -> LiftingData:
     """Unique base block over Z7 zipped with eight nonzero residues of GF(89)."""
-    fld = make_field(89)
-    phi = ((1, 20, 14, 58, 18, 61, 26, 73),)
-    return LiftingData(z7_8_8(), fld, e=88, d=8, lam=1, phi=phi,
-                       partition=((0,),), provenance="fdf_z7xF89")
+    return _lifting_table("fdf_z7xF89", z7_8_8(), make_field(89), 88, 8,
+                          [(1, 20, 14, 58, 18, 61, 26, 73)])
+
+
+# GF(25) rows as exponents of its generator w, None for a printed 0; every
+# later row is followed by its copies times w^12, w^6, w^18 = -1, xi, -xi
+_F25_ROW1 = (0, 12, 6, 18, 1, 13, 7, 19)
+_F25_MULTIPLIERS = (12, 6, 18)
+
+# the rows of blocks 1, 2 and 6
+_Z63_F25_LOGS = [_F25_ROW1, (None, 2, 18, 13, 4, 9, 6, 0), (None, 9, 13, 18, 4, 6, 2, 0)]
+
+# the rows of blocks 1, 2, 6, 10 and 14
+_Z119_F25_LOGS = [
+    _F25_ROW1,
+    (1, 7, 0, 6, 18, 13, 12, 19),
+    (0, 12, 1, 18, 13, 7, 6, 19),
+    (1, 7, 12, 6, 19, 18, 0, 13),
+    (1, 4, 10, 7, 22, 19, 16, 13),
+]
+
+
+def _f25_table(name: str, sdf: DesignFamily, logs) -> LiftingData:
+    fld = field_of_order(25)
+    return _lifting_table(name, sdf, fld, 6, 2, [_powers(fld, row) for row in logs],
+                          _powers(fld, _F25_MULTIPLIERS))
 
 
 def lifting_z63xF25() -> LiftingData:
     """Verbatim z63 x GF(25) data; note the zero second coordinates in the
     rows for the second and sixth base blocks (and their scaled copies)."""
-    fld = field_of_order(25)
-    w = fld.pow_generator
-    xi = w(6)
-    neg = fld.neg
-    mulv = lambda row, m: tuple(int(fld.mul(v, m)) for v in row)
-    b1 = (w(0), neg(w(0)), xi, neg(xi), w(1), neg(w(1)),
-          int(fld.mul(w(1), xi)), neg(int(fld.mul(w(1), xi))))
-    b2 = (0, w(2), w(18), w(13), w(4), w(9), w(6), w(0))
-    b6 = (0, w(9), w(13), w(18), w(4), w(6), w(2), w(0))
-    orbit = (neg(w(0)), xi, neg(xi))
-    phi = [b1, b2] + [mulv(b2, m) for m in orbit] + [b6] + [mulv(b6, m) for m in orbit]
-    return LiftingData(z63_8_8(), fld, e=6, d=2, lam=1, phi=tuple(phi),
-                       partition=tuple((i,) for i in range(9)), provenance="fdf_z63xF25")
+    return _f25_table("fdf_z63xF25", z63_8_8(), _Z63_F25_LOGS)
 
 
 def lifting_z119xF25() -> LiftingData:
-    fld = field_of_order(25)
-    w = fld.pow_generator
-    xi = w(6)
-    neg = fld.neg
-    mulv = lambda row, m: tuple(int(fld.mul(v, m)) for v in row)
-    b1 = (w(0), neg(w(0)), xi, neg(xi), w(1), neg(w(1)),
-          int(fld.mul(w(1), xi)), neg(int(fld.mul(w(1), xi))))
-    rows = {
-        2: (w(1), w(7), w(0), w(6), w(18), w(13), w(12), w(19)),
-        6: (w(0), w(12), w(1), w(18), w(13), w(7), w(6), w(19)),
-        10: (w(1), w(7), w(12), w(6), w(19), w(18), w(0), w(13)),
-        14: (w(1), w(4), w(10), w(7), w(22), w(19), w(16), w(13)),
-    }
-    orbit = (neg(w(0)), xi, neg(xi))
-    phi = [b1]
-    for lead in (2, 6, 10, 14):
-        phi.append(rows[lead])
-        phi += [mulv(rows[lead], m) for m in orbit]
-    return LiftingData(z119_8_8(), fld, e=6, d=2, lam=1, phi=tuple(phi),
-                       partition=tuple((i,) for i in range(17)), provenance="fdf_z119xF25")
+    return _f25_table("fdf_z119xF25", z119_8_8(), _Z119_F25_LOGS)
 
 
-_Z125_F67_C = {
-    1: [1, -1, 6, -6, 7, -7],
-    2: [1, -1, 2, -2, 4, 20],
-    4: [1, -1, 2, -2, 4, 11],
-    6: [1, -1, 17, -17, 12, 29],
-    8: [2, -2, 1, -1, 4, 32],
-    10: [1, -1, 30, -30, 12, 35],
-    12: [2, -2, 5, -5, 20, 4],
-    14: [1, 43, 13, 19, 4, 46],
-    16: [1, 5, 13, 16, 31, 36],
-    18: [1, 3, 10, 44, 46, 33],
-    20: [1, 53, 17, 50, 63, 21],
-    22: [2, 37, 63, 4, 42, 9],
-    24: [2, 6, 53, 1, 35, 12],
-}
+# the rows of blocks 1, 2, 4, ..., 24; every later row is followed by its negative
+_Z125_F67_ROWS = [
+    [1, -1, 6, -6, 7, -7],
+    [1, -1, 2, -2, 4, 20],
+    [1, -1, 2, -2, 4, 11],
+    [1, -1, 17, -17, 12, 29],
+    [2, -2, 1, -1, 4, 32],
+    [1, -1, 30, -30, 12, 35],
+    [2, -2, 5, -5, 20, 4],
+    [1, 43, 13, 19, 4, 46],
+    [1, 5, 13, 16, 31, 36],
+    [1, 3, 10, 44, 46, 33],
+    [1, 53, 17, 50, 63, 21],
+    [2, 37, 63, 4, 42, 9],
+    [2, 6, 53, 1, 35, 12],
+]
 
 
 def lifting_z125xF67() -> LiftingData:
     fld = make_field(67)
-    phi = [_norm(_Z125_F67_C[1], 67)]
-    for i in range(2, 26, 2):
-        row = _norm(_Z125_F67_C[i], 67)
-        phi.append(row)
-        phi.append(tuple((-x) % 67 for x in row))
-    return LiftingData(z125_6_6(), fld, e=66, d=6, lam=1, phi=tuple(phi),
-                       partition=tuple((i,) for i in range(25)), provenance="fdf_z125xF67")
+    return _lifting_table("fdf_z125xF67", z125_6_6(), fld, 66, 6,
+                          [tuple(x % 67 for x in row) for row in _Z125_F67_ROWS],
+                          (fld.neg(1),))
 
 
 # ---------------------------------------------------------------------------
@@ -326,17 +314,11 @@ def family(name: str, *params) -> DesignFamily:
     if len(params) != e.arity:
         raise CatalogDataError(f"catalog entry {name!r} takes {e.arity} parameter(s), "
                                f"got {len(params)}")
-    if e.lifting:
-        data = e.builder()
-        report = check_lifting_conditions(data)
-        if not report.ok:
-            raise CatalogDataError(
-                f"catalog entry {name!r} fails its lifting conditions as printed "
-                f"({report.detail or 'see report'}); repair it explicitly with "
-                "framedf.search.repair_block")
-        return lift_sdf(data).with_provenance(name)
     try:
-        fam = e.builder(*params)
-    except ValueError as exc:       # e.g. an order that is not a prime power
+        return lift_sdf(e.builder()) if e.lifting else e.builder(*params)
+    except ValueError as exc:       # conditions that fail, an order that is not a prime power
+        if e.lifting:
+            raise CatalogDataError(
+                f"catalog entry {name!r} fails its lifting conditions as printed ({exc}); "
+                "repair it explicitly with framedf.search.repair_block") from exc
         raise CatalogDataError(str(exc)) from exc
-    return fam.with_provenance("%s(%s)" % (name, ",".join(map(str, params))) if params else name)

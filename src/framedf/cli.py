@@ -7,9 +7,9 @@ search) run their input as a one-step recipe: each op has one implementation.
 Exit codes: 0 success, 1 verification failure (a recipe step that raises
 ValueError, or a search that proved its system has no solution, counts as
 one), 2 usage error (a recipe step without a key it needs, naming an
-undefined reference, whose sdf the catalog refuses, or whose system
-refuses its q, d or sdf or has a group solve refuses, counts as one), 3
-search or repair budget exhausted.
+undefined reference, whose sdf the catalog refuses, whose file cannot be
+read or written, or whose system refuses its q, d or sdf or has a group
+solve refuses, counts as one), 3 search or repair budget exhausted.
 Searches are deterministic; their order does not depend on --seed.
 """
 
@@ -187,10 +187,11 @@ def cmd_run(args) -> int:
     if not isinstance(steps, list) or not all(
             isinstance(s, dict) and isinstance(s.get("op"), str)
             and isinstance(s.get("params", {}), dict) and isinstance(s.get("file", ""), str)
-            for s in steps):
+            and isinstance(s.get("out", ""), str) for s in steps):
         _emit([{"step": "recipe", "verified": False,
                 "error": "a recipe is an object whose 'steps' lists {'op': ...} objects, "
-                         "with any 'params' an object and any 'file' a string"}],
+                         "with any 'params' an object, any 'file' a string and any 'out' "
+                         "a string"}],
               args.format)
         return USAGE_ERROR
     workdir = Path(args.workdir or Path(args.recipe).parent)
@@ -208,6 +209,8 @@ def cmd_run(args) -> int:
             rc, info = _run_step(op, step, env, workdir)
         except KeyError as exc:
             rc, info = USAGE_ERROR, {"error": str(exc.args[0]) if exc.args else repr(exc)}
+        except OSError as exc:          # a file the step reads or writes
+            rc, info = USAGE_ERROR, {"error": str(exc)}
         except ValueError as exc:
             rc, info = VERIFY_FAIL, {"error": str(exc)}
         summary.append({"step": step.get("id", op), "op": op,

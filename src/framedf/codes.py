@@ -87,7 +87,6 @@ class CCC:
 class FHS:
     seq: np.ndarray
     alphabet_size: int
-    provenance: str = ""
 
     def __post_init__(self):
         s = np.asarray(self.seq)
@@ -166,8 +165,7 @@ def fhs_from_elementary_fdf(fdf: DesignFamily) -> FHS:
     seq[np.asarray(fdf.subgroup, dtype=np.int64)] = 0
     for idx, part in enumerate(parts, start=1):
         seq[part] = idx
-    return FHS(seq, len(parts) + 1,
-               provenance=(fdf.provenance + " -> FHS") if fdf.provenance else "FHS")
+    return FHS(seq, len(parts) + 1)
 
 
 def partial_hamming(x: FHS, tau: int, j: int, L: int) -> int:

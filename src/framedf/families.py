@@ -49,10 +49,6 @@ class DesignFamily:
     frame_partition: Optional[tuple[tuple[int, ...], ...]] = None  # parts of block indices
     provenance: str = ""
 
-    def with_provenance(self, text: str) -> "DesignFamily":
-        return DesignFamily(self.kind, self.group, self.lam, self.blocks,
-                            self.subgroup, self.frame_partition, text)
-
 
 def relabel_family(fam: DesignFamily, iso) -> DesignFamily:
     """The image of a family under a group isomorphism (e.g. crt_iso onto

@@ -69,6 +69,8 @@ class LiftingData:
             raise ValueError("each phi row must have block length")
         n = self.sdf.group.order
         for i, block in enumerate(self.sdf.blocks):
+            if len(block) != k:
+                raise ValueError(f"SDF block {i} has {len(block)} entries, block 0 has {k}")
             for a, x in enumerate(block):
                 if not 0 <= x < n:
                     raise ValueError(f"SDF block {i} entry {a} = {x} lies outside 0..{n - 1}")

@@ -198,7 +198,6 @@ class ConstraintSystem:
     groups: tuple[UniformityGroup, ...]
     hints: dict = dc_field(default_factory=dict)        # form index -> preferred label
     lifting_builder: Optional[Callable] = None           # assignment -> LiftingData
-    provenance: str = ""
     # a restriction searched before the full space, the sign-paired tuples
     # behind the pattern lemmas: (system, signs), unknown u of this system
     # taking the value of the restricted unknown signs[u][0] times signs[u][1]
@@ -263,8 +262,7 @@ def _halved(d: int, lam: int, orbit: int, q: int) -> Optional[tuple[int, int, in
 
 def _lifting_system(sdf: DesignFamily, fld: FiniteField, e: int, d: int, lam: int,
                     unknowns: Sequence[str], rows, partition, *, links=None, parts=None,
-                    pairs: str = "", provenance: str = "",
-                    datum_provenance: Optional[str] = None) -> ConstraintSystem:
+                    pairs: str = "", provenance: str = "") -> ConstraintSystem:
     """The lifting conditions of a symbolic datum as a constraint system.
 
     rows[j] is block j's symbolic tuple: each entry is (unknown,
@@ -284,7 +282,8 @@ def _lifting_system(sdf: DesignFamily, fld: FiniteField, e: int, d: int, lam: in
 
     A group of constants is checked here and left out; a failing one
     raises ValueError naming its slot or part.  The lifting builder
-    assembles the datum (with `partition`) from an assignment.
+    assembles the datum (with `partition` and its one `provenance`) from an
+    assignment.
     """
     fl, q1 = _field_logs(fld), fld.q - 1
     G, orbit = sdf.group, q1 // e
@@ -375,12 +374,11 @@ def _lifting_system(sdf: DesignFamily, fld: FiniteField, e: int, d: int, lam: in
         return LiftingData(sdf, fld, e=e, d=d, lam=lam,
                            phi=tuple(phi[j] for j in range(len(sdf.blocks))),
                            partition=tuple(tuple(p) for p in partition),
-                           provenance=provenance if datum_provenance is None
-                           else datum_provenance)
+                           provenance=provenance)
 
     forms = tuple(Form(_form_name(k, unknowns), *k) for k in keys)
     return ConstraintSystem(fld, tuple(unknowns), forms, tuple(groups),
-                            lifting_builder=builder, provenance=provenance)
+                            lifting_builder=builder)
 
 
 def generic_system(sdf: DesignFamily, q: int, e: int, d: int, lam: int) -> ConstraintSystem:
@@ -413,15 +411,14 @@ def generic_system(sdf: DesignFamily, q: int, e: int, d: int, lam: int) -> Const
     if (q - 1) % d:
         raise ValueError(f"need d | q-1: d = {d}, q = {q}")
     fld, names = field_of_order(q), [f"phi_{i}_{a}" for i in range(n) for a in range(k)]
-    build = lambda unknowns, rows, tag: _lifting_system(
+    build = lambda unknowns, rows: _lifting_system(
         sdf, fld, e, d, lam, unknowns, rows, partition, pairs="torsion",
-        provenance=f"generic({sdf.provenance},q={q},d={d}){tag}",
-        datum_provenance=f"generic({sdf.provenance},q={q})")
-    system = build(names, [tuple((i * k + a, 1) for a in range(k)) for i in range(n)], "")
+        provenance=f"generic({sdf.provenance},q={q})")
+    system = build(names, [tuple((i * k + a, 1) for a in range(k)) for i in range(n)])
     if all(s > 0 for _, s in signs):
         return system
     restricted = build([names[u] for u in leaders],
-                       [tuple(signs[i * k:(i + 1) * k]) for i in range(n)], "|sign-paired")
+                       [tuple(signs[i * k:(i + 1) * k]) for i in range(n)])
     return replace(system, restricted=(restricted, tuple(signs)))
 
 
@@ -1332,8 +1329,7 @@ def _repair_system(data: LiftingData, suspects: set) -> ConstraintSystem:
             for i, row in enumerate(data.phi) if i not in links}
     system = _lifting_system(data.sdf, data.field, data.e, data.d, data.lam,
                              [f"phi_{i}_{a}" for i, a in leads], rows, data.partition,
-                             links=links, provenance=f"repair({data.provenance})",
-                             datum_provenance=data.provenance)
+                             links=links, provenance=data.provenance)
     stray = [pos for pos in data.zero_positions() if pos not in suspects]
     if stray:
         raise ValueError(f"precondition violated: zero entries at {stray} are not suspects")

@@ -1,8 +1,12 @@
+import hashlib
+import json
+
 import pytest
 
 from framedf import catalog
 from framedf.families import verify_sdf
 from framedf.lifting import check_lifting_conditions
+from framedf.serialize import family_to_dict, lifting_to_dict
 
 
 def test_listing_and_info():
@@ -92,3 +96,43 @@ def test_a_parametrized_entry_builds_a_verified_family_or_refuses(name):
         assert rep.ok, (name, params, rep.detail)
         built += 1
     assert built > 0
+
+
+# sha256 of json.dumps(family_to_dict(...) or lifting_to_dict(...), sort_keys=True):
+# every entry without parameters (a lifting entry's datum, and its lifted
+# family where it lifts as printed) and four parametrized ones
+CATALOG_SHA256 = {
+    "fdf_z119xF25": "a96a5de767b6452c455d583e088d5541921c29c3ffa271a88381f6f4a90d98c9",
+    "fdf_z119xF25 lifted": "1ffc92b7a65669e3b430ee2d82da6e4856b0b9610f4e24e9ba483ed7a73ae71e",
+    "fdf_z125xF67": "a8e812612801e4c034ff8b9787cd13a5959265a653da4ec3cfeca5ef92d98181",
+    "fdf_z125xF67 lifted": "19fae79393abb4d6639d91786b99ed115cabac3e80bb8627f2ea3b917bf0c97a",
+    "fdf_z63xF25": "106cd30d8bdd4d62db41d886ec525bbbffebaa804ea28433801157f9495eb71c",
+    "fdf_z7xF89": "a1e220a0eff760045e99752330eae04d6435b536721b7b78ec75e8369e322528",
+    "fdf_z7xF89 lifted": "915c5c1f1caee162cd90ab54c8a07e4544dcc4d1cef12429a52756f13ff12300",
+    "z119_8_8": "f89d76b977741d6ccf2d1cb17bb7a77a4a071eaf310a702d2e9d872520b39dcd",
+    "z125_6_6": "6df5f2a3bf8217d2b36e44dc63e226a0ddde762cbefd65cdcd6dcea9f4806da2",
+    "z63_8_8": "49b9e9fd4112aac60f484e1d26c0ddd6d1a18eb4783d2e97c7222cdf1cf9d48c",
+    "z7_8_8": "b9b14f1c0b4bbc83ac5806d581d708a07d6ac59b1c61d5f6a189c7dcc06dffde",
+    "paley2:7": "c9c44b8b0f9ac53ebe0bd23d21437e7a6881e6307ac6393b9604371b8ee79f63",
+    "paley3:5": "0241da0b657465e9f159d0c152a0388edf01c88e5d5548f02795624585a8947a",
+    "twinPrime:3": "e7e145ac9f65de80775268dc4fef8121efbf32c3017b8b227fb167fb6754954d",
+    "singer:2,3": "c7844215b22096d15ab33cccf98d165c9df8a12883931d7df49896acaa699002",
+}
+
+
+def _entry_dict(key):
+    """The dict a CATALOG_SHA256 key names: 'name', 'name:p,m' or 'name lifted'."""
+    spec, _, lifted = key.partition(" ")
+    name, _, params = spec.partition(":")
+    if catalog.entry_info(name)["kind"] == "lifting" and not lifted:
+        return lifting_to_dict(catalog.lifting_datum(name))
+    return family_to_dict(catalog.family(name, *(int(x) for x in params.split(",") if x)))
+
+
+def test_entries_are_pinned():
+    unpinned = [n for n in catalog.catalog_names()
+                if not catalog.entry_info(n)["parametrized"] and n not in CATALOG_SHA256]
+    assert not unpinned
+    for key, digest in CATALOG_SHA256.items():
+        blob = json.dumps(_entry_dict(key), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest, key

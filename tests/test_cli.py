@@ -96,6 +96,19 @@ def test_lift_rejects_an_sdf_element_outside_the_group(tmp_path, capsys):
     assert rc == 2 and "SDF block 0 entry 0 = 7 lies outside 0..6" in err
 
 
+def test_lift_rejects_an_sdf_whose_blocks_differ_in_size(tmp_path, capsys):
+    # Z3 at lambda 6 counts 3*2 + 4*3 = 18 differences, as a (Z3, 6) SDF should
+    blob = {"sdf": {"kind": "SDF", "group": {"type": "cyclic", "n": 3}, "lambda": 6,
+                    "blocks": [[0, 1, 2], [0, 0, 1, 1]]},
+            "field": {"p": 7, "m": 1, "modulus": [0, 1], "generator": [3]},
+            "e": 6, "d": 3, "lambda": 2, "phi": [[1, 2, 3], [1, 2, 3]],
+            "partition": [[0], [1]]}
+    bad = tmp_path / "ragged.json"
+    bad.write_text(json.dumps(blob))
+    rc, out, err = run(capsys, "lift", "--data", str(bad))
+    assert (rc, out, err) == (2, "", "error: SDF block 1 has 4 entries, block 0 has 3\n")
+
+
 def _fdf_file_with_wrapped_element(tmp_path):
     """The z7xF89 frame with one block element x replaced by x + |G|, which
     names x again once reduced modulo the group order."""
@@ -290,6 +303,26 @@ def test_run_step_usage_error_exits_2(tmp_path, capsys, step, problem):
     assert steps[1]["error"] == problem
 
 
+@pytest.mark.parametrize("step,problem", [
+    ({"id": "datum2", "op": "catalog-lifting", "params": {"name": "fdf_z7xF89"},
+      "out": "$e", "file": "nodir/d.json"}, "No such file or directory"),
+    ({"id": "assemble", "op": "assemble", "in": "$fdf", "out": "$design",
+      "params": {"ingredient": "missing.json"}}, "No such file or directory"),
+], ids=["unwritable-file", "missing-ingredient"])
+def test_run_step_that_cannot_read_or_write_a_file_exits_2(tmp_path, capsys, step, problem):
+    recipe = tmp_path / "files.json"
+    recipe.write_text(json.dumps({"steps": [
+        {"id": "datum", "op": "catalog-lifting", "params": {"name": "fdf_z7xF89"},
+         "out": "$d"},
+        {"id": "lift", "op": "lift", "in": "$d", "out": "$fdf"}, step]}))
+    rc, out, _ = run(capsys, "--format", "json", "run", str(recipe))
+    assert rc == 2
+    steps = json.loads(out)
+    assert [(s["step"], s["verified"]) for s in steps] == [
+        ("datum", True), ("lift", True), (step["id"], False)]
+    assert problem in steps[2]["error"]
+
+
 def test_run_rejects_recipe_without_steps_list(tmp_path, capsys):
     recipe = tmp_path / "list.json"
     recipe.write_text(json.dumps([{"id": "datum", "op": "catalog-lifting"}]))
@@ -424,7 +457,9 @@ def test_recipe_outputs_byte_stable(tmp_path, capsys):
      "'params' an object"),
     ({"id": "datum2", "op": "catalog-lifting", "params": {"name": "fdf_z7xF89"},
       "out": "$e", "file": ["datum.json"]}, "'file' a string"),
-], ids=["params-list", "params-string", "file-list"])
+    ({"id": "datum2", "op": "catalog-lifting", "params": {"name": "fdf_z7xF89"},
+      "out": ["$e"]}, "'out' a string"),
+], ids=["params-list", "params-string", "file-list", "out-list"])
 def test_run_rejects_malformed_params_or_file(tmp_path, capsys, step, problem):
     recipe = tmp_path / "malformed.json"
     recipe.write_text(json.dumps({"steps": [
