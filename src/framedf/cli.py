@@ -292,7 +292,7 @@ def _run_step(op, step, env, workdir):
             return VERIFY_FAIL, {"error": str(exc)}
         ok, record = families.verify_fdf(product).ok, {"blocks": len(product.blocks)}
     elif op == "assemble":
-        name = p.get("ingredient", "trivial")
+        name = param("ingredient", str, "trivial")
         if name in ("trivial", "affine"):   # built on the block size of the verified family
             ing, ing_res = designs.affine_plane if name == "affine" else designs.trivial_rbibd, None
         else:

@@ -104,18 +104,30 @@ def delta_block(group: AbelianGroup, elems: Sequence[int]) -> np.ndarray:
     two equal entries yields zeros).
     """
     elems = np.asarray(elems, dtype=np.int64)
-    k = len(elems)
-    if k < 2:
+    if len(elems) < 2:
         raise ValueError("delta of a singleton block is empty")
-    ai, bi = np.nonzero(~np.eye(k, dtype=bool))
-    return group.sub(elems[ai], elems[bi])
+    return _row_differences(group, elems[None, :])
+
+
+def _row_differences(group: AbelianGroup, rows: np.ndarray) -> np.ndarray:
+    """delta_block of each row of the (blocks, k) array `rows`, k >= 2, in
+    row order, as one flat array made by one group.sub call."""
+    ai, bi = np.nonzero(~np.eye(rows.shape[1], dtype=bool))
+    return group.sub(rows[:, ai], rows[:, bi]).ravel()
 
 
 def delta_counts(group: AbelianGroup, blocks: Sequence[Sequence[int]]) -> np.ndarray:
     """Multiplicity of every group element in the full difference list.
+    The blocks of each length are stacked and differenced together
+    (_row_differences), then all differences are counted by one bincount.
     Singleton blocks contribute nothing (families with size-1 blocks occur
     among partitioned families)."""
-    diffs = [delta_block(group, blk) for blk in blocks if len(blk) >= 2]
+    by_length: dict[int, list] = {}
+    for blk in blocks:
+        if len(blk) >= 2:
+            by_length.setdefault(len(blk), []).append(blk)
+    diffs = [_row_differences(group, np.array(rows, dtype=np.int64))
+             for rows in by_length.values()]
     if not diffs:
         return np.zeros(group.order, dtype=np.int64)
     return np.bincount(np.concatenate(diffs), minlength=group.order)
@@ -198,12 +210,31 @@ def _outside(arr: np.ndarray, n: int, what: str) -> tuple:
     return (f"{what} {bad[0]} lies outside 0..{n - 1}", bad.tolist()) if len(bad) else ()
 
 
+def _digit_slice(group: AbelianGroup, sub: np.ndarray) -> Optional[list[int]]:
+    """The mixed-radix leaves that the in-range elements `sub` leave free,
+    when `sub` is a digit slice: each leaf takes all of its values across
+    `sub` or is 0 throughout, and the free leaves' radices multiply to
+    |sub|.  Then distinct elements are exactly the elements that are 0 on
+    the other leaves, a subgroup (the N x H subgroups of lifted and
+    composed families).  Otherwise None."""
+    digits = group._digits(sub)
+    free = []
+    for j, r in enumerate(group._radices):
+        col = np.unique(digits[:, j])
+        if len(col) == r:
+            free.append(j)
+        elif len(col) != 1 or col[0]:
+            return None
+    return free if math.prod(group._radices[j] for j in free) == len(sub) else None
+
+
 def _subgroup_error(group: AbelianGroup, subgroup: Sequence[int]) -> tuple:
     """Why the in-range elements `subgroup` are not a subgroup of `group`,
     naming the first offending element (a nonempty finite set closed under
-    the group law is a subgroup).  The addition table is scanned in chunks
-    of about _CLOSURE_CELLS sums, row by row; witnesses are (a, b, a + b)
-    in row-major order."""
+    the group law is a subgroup).  Distinct elements that form a digit
+    slice (_digit_slice) are a subgroup without further work; any other
+    set has its addition table scanned in chunks of about _CLOSURE_CELLS
+    sums, row by row; witnesses are (a, b, a + b) in row-major order."""
     sub = np.asarray(subgroup, dtype=np.int64)
     if len(sub) == 0:
         return "designated subgroup is empty", [("subgroup", ())]
@@ -211,6 +242,8 @@ def _subgroup_error(group: AbelianGroup, subgroup: Sequence[int]) -> tuple:
     twice = sub[listed[sub] > 1]
     if len(twice):
         return f"subgroup element {twice[0]} is listed twice", twice.tolist()
+    if _digit_slice(group, sub) is not None:
+        return ()
     sums: list[tuple[int, int, int]] = []
     step = max(1, _CLOSURE_CELLS // len(sub))
     for lo in range(0, len(sub), step):
@@ -271,23 +304,13 @@ def _partition_error(idx: np.ndarray, nblocks: int, what: str) -> tuple:
 def coset_labels(group: AbelianGroup, subgroup: Sequence[int]) -> np.ndarray:
     """label[x] = a canonical member of x + N, constant exactly on cosets.
 
-    When N is a digit slice (each mixed-radix leaf either free or pinned to
-    zero across N, as with the N x H subgroups of lifted and composed
-    families), the label zeroes the free digits in O(order).  Otherwise the
-    minimal element of each coset is found by chunked translation.
+    When N is a digit slice (_digit_slice, the test _subgroup_error uses),
+    the label zeroes the free digits in O(order).  Otherwise the minimal
+    element of each coset is found by chunked translation.
     """
     sub = np.asarray(subgroup, dtype=np.int64)
-    digits = group._digits(sub)
-    free = []
-    is_slice = True
-    for j, r in enumerate(group._radices):
-        col = np.unique(digits[:, j])
-        if len(col) == r:
-            free.append(j)
-        elif not (len(col) == 1 and col[0] == 0):
-            is_slice = False
-            break
-    if is_slice and math.prod(group._radices[j] for j in free) == len(sub):
+    free = _digit_slice(group, sub)
+    if free is not None:
         alldig = group._digits(np.arange(group.order, dtype=np.int64))
         alldig[:, free] = 0
         return group._undigits(alldig)

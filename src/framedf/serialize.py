@@ -19,9 +19,12 @@ when the rows have one nonzero length.
 `load_design` is the one reader of design files, and mirrors the writer:
 a file laid out exactly as dump(design_to_dict(...)) writes it has its
 blocks and classes parsed from the text into int64 arrays a chunk of rows
-at a time, and is taken only if writing those arrays again gives the
-text read (_canonical_rows), so no Python int outlives its chunk; any
-other file goes through json and design_from_dict, with their errors.
+at a time, and is taken only if each chunk is byte for byte the writer's
+text for its values (_canonical_rows): its bytes other than [0-9-] are
+the writer's layout, and its [0-9-] bytes lie where the writer puts each
+str(v), found from each value's digit count, without writing the values
+as text.  No Python int outlives its chunk; any other file goes through
+json and design_from_dict, with their errors.
 
 `dump` and `dumps` are the package's one JSON writer (product files and
 CLI output).  For a value whose dict keys are all str, their text is
@@ -311,8 +314,8 @@ def _canonical_rows(data: bytes, start: int) -> tuple[np.ndarray, int] | None:
     data[start], and the offset just past its text, when that text is
     exactly what _pieces writes for the rows; else None.  The values are
     parsed a chunk of about _CHUNK entries at a time, each cut after a
-    row's "]", and are taken only if the writer's text for them, written
-    piece by piece, is the text read."""
+    row's "]", and a chunk is taken only if it is the writer's text for
+    its values (_chunk_is_written)."""
     end = data.find(b"\n ]", start)        # the array's closing line
     first = data.find(b"]", start)          # the first row's end
     if not start < first < end:
@@ -323,6 +326,7 @@ def _canonical_rows(data: bytes, start: int) -> tuple[np.ndarray, int] | None:
         return None
     out = np.empty((rows, width), dtype=np.int64)
     flat = out.reshape(-1)
+    row = _row_template(width, " ").encode().split(b"%d")
     step = max(1, _CHUNK // width) * (first - start)
     done, pos = 0, start
     with warnings.catch_warnings():
@@ -330,24 +334,69 @@ def _canonical_rows(data: bytes, start: int) -> tuple[np.ndarray, int] | None:
         warnings.simplefilter("error", DeprecationWarning)
         while pos < end:
             cut = data.find(b"]", min(pos + step, end - 1), end) + 1 or end
+            chunk = data[pos:cut]
             try:
-                values = np.fromstring(data[pos:cut].translate(_LAYOUT_TO_SPACE),
-                                       dtype=np.int64, sep=" ")
+                values = np.fromstring(chunk.translate(_LAYOUT_TO_SPACE), dtype=np.int64, sep=" ")
             except (ValueError, DeprecationWarning):
                 return None
-            if done + len(values) > len(flat):
+            n = len(values) // width
+            if (not n or n * width != len(values) or done + len(values) > len(flat)
+                    or not _chunk_is_written(chunk, values.reshape(n, width), row, pos == start)):
                 return None
             flat[done:done + len(values)] = values
             done, pos = done + len(values), cut
     if done != len(flat):
         return None
-    pos = start
-    for piece in _pieces(out, " "):
-        piece = piece.encode()
-        if not data.startswith(piece, pos):
-            return None
-        pos += len(piece)
-    return out, pos
+    return out, end + len(b"\n ]")
+
+
+def _chunk_is_written(chunk: bytes, values: np.ndarray, row: list[bytes], first: bool) -> bool:
+    """Whether `chunk` is the writer's text for the rows `values`: "[" (the
+    first chunk) or ",", then the rows joined by ",", each the pieces of
+    `row` (the writer's row template cut at its values) around its values.
+    The bytes other than [0-9-] must be the layout, the pieces joined; the
+    [0-9-] bytes must be the runs where the writer puts each str(v), found
+    from len(str(v)) (_str_lens) alone; and the only "-" bytes must be the
+    first bytes of the negative values' runs.
+
+    This is exact: each run is then "-" and digits for v < 0 and digits
+    for v >= 0, which numpy reads as one value each, so the run read as v
+    is a literal of v with len(str(v)) bytes, hence str(v) (no leading
+    zero, no "-0").  Only a value of 19 digits or more, which the parse
+    may have saturated, is compared with its bytes."""
+    rows, width = values.shape
+    layout = b"".join(row)
+    if chunk.translate(None, b"-0123456789") != (b"[" if first else b",") + b",".join([layout] * rows):
+        return False
+    values = values.ravel()
+    size = _str_lens(values)
+    ends = np.cumsum(size)
+    ends += (1 + np.arange(rows)[:, None] * (len(layout) + 1)
+             + np.cumsum([len(piece) for piece in row[:-1]])).ravel()
+    if ends[-1] + len(row[-1]) != len(chunk):     # the runs must fit before they index
+        return False
+    starts = ends - size
+    text = np.frombuffer(chunk, dtype=np.uint8)
+    digit = (text >= ord("-")) & (text <= ord("9"))   # past the layout check, [0-9-]
+    edges = np.zeros(len(chunk) - 1, dtype=bool)
+    edges[starts - 1] = edges[ends - 1] = True
+    negative = text[starts] == ord("-")
+    if not (np.array_equal(digit[1:] != digit[:-1], edges)
+            and np.array_equal(negative, values < 0)
+            and chunk.count(b"-") == np.count_nonzero(negative)):
+        return False
+    big = np.flatnonzero(size >= 19)
+    return all(chunk[a:b] == str(v).encode()
+               for a, b, v in zip(starts[big].tolist(), ends[big].tolist(), values[big].tolist()))
+
+
+def _str_lens(values: np.ndarray) -> np.ndarray:
+    """len(str(v)) for each int64 v, by np.searchsorted on the least value
+    of each length."""
+    tens = 10 ** np.arange(1, 19)
+    bounds = np.concatenate([1 - tens[::-1], [0], tens])
+    lens = np.concatenate([[20], np.arange(19, 1, -1), np.arange(1, 20)])
+    return lens[np.searchsorted(bounds, values, side="right")]
 
 
 def _typed(x, kind: type, what: str):
@@ -474,16 +523,22 @@ def _row_pieces(rows, ind: str, ints) -> Iterator[str]:
     """Non-empty rows of one nonzero length, as _pieces writes them: one
     row template filled by one `%` per chunk of _CHUNK entries in whole
     rows, whose ints come from ints(chunk) in row order."""
-    inner = ind + " "
-    cell = inner + " "
-    row = "[\n" + cell + (",\n" + cell).join(["%d"] * len(rows[0])) + "\n" + inner + "]"
-    sep = "[\n" + inner
+    row = _row_template(len(rows[0]), ind)
+    sep = "["
     step = max(1, _CHUNK // len(rows[0]))
     for lo in range(0, len(rows), step):
         chunk = rows[lo:lo + step]
-        yield sep + (",\n" + inner).join([row] * len(chunk)) % tuple(ints(chunk))
-        sep = ",\n" + inner
+        yield sep + ",".join([row] * len(chunk)) % tuple(ints(chunk))
+        sep = ","
     yield "\n" + ind + "]"
+
+
+def _row_template(width: int, ind: str) -> str:
+    """The text of one row of `width` ints in an array nested at `ind`,
+    after the "[" or "," before it, with %d for each int."""
+    inner = ind + " "
+    cell = inner + " "
+    return "\n" + inner + "[\n" + cell + (",\n" + cell).join(["%d"] * width) + "\n" + inner + "]"
 
 
 def dumps(obj: Any) -> str:

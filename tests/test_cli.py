@@ -450,25 +450,28 @@ def test_recipe_outputs_byte_stable(tmp_path, capsys):
 
 
 
-@pytest.mark.parametrize("step,problem", [
+@pytest.mark.parametrize("step,steps,problem", [
     ({"id": "datum2", "op": "catalog-lifting", "params": ["fdf_z7xF89"], "out": "$e"},
-     "'params' an object"),
+     ["recipe"], "'params' an object"),
     ({"id": "assemble", "op": "assemble", "in": "$d", "params": "affine", "out": "$x"},
-     "'params' an object"),
+     ["recipe"], "'params' an object"),
     ({"id": "datum2", "op": "catalog-lifting", "params": {"name": "fdf_z7xF89"},
-      "out": "$e", "file": ["datum.json"]}, "'file' a string"),
+      "out": "$e", "file": ["datum.json"]}, ["recipe"], "'file' a string"),
     ({"id": "datum2", "op": "catalog-lifting", "params": {"name": "fdf_z7xF89"},
-      "out": ["$e"]}, "'out' a string"),
-], ids=["params-list", "params-string", "file-list", "out-list"])
-def test_run_rejects_malformed_params_or_file(tmp_path, capsys, step, problem):
+      "out": ["$e"]}, ["recipe"], "'out' a string"),
+    ({"id": "assemble", "op": "assemble", "in": "$fdf", "params": {"ingredient": ["a.json"]},
+      "out": "$x"}, ["datum", "lift", "assemble"], "params.ingredient is not a str"),
+], ids=["params-list", "params-string", "file-list", "out-list", "ingredient-list"])
+def test_run_rejects_malformed_params_or_file(tmp_path, capsys, step, steps, problem):
+    # a malformed recipe is refused before any step; a malformed parameter
+    # stops the run at its step
     recipe = tmp_path / "malformed.json"
-    recipe.write_text(json.dumps({"steps": [
-        {"id": "datum", "op": "catalog-lifting", "params": {"name": "fdf_z7xF89"},
-         "out": "$d"}, step]}))
+    recipe.write_text(json.dumps({"steps": _lifted(step)}))
     rc, out, _ = run(capsys, "--format", "json", "run", str(recipe))
     assert rc == 2
-    [record] = json.loads(out)
-    assert record["step"] == "recipe" and not record["verified"] and problem in record["error"]
+    *ran, record = json.loads(out)
+    assert [r["step"] for r in (*ran, record)] == steps
+    assert all(r["verified"] for r in ran) and not record["verified"] and problem in record["error"]
 
 
 def test_run_rejects_a_name_that_is_not_a_string(tmp_path, capsys):

@@ -51,6 +51,25 @@ def test_delta_block_matches_brute_force_and_is_symmetric():
         assert all(counts[x] == counts[(n - x) % n] for x in counts)
 
 
+_RAGGED_GROUPS = [AbelianGroup.cyclic(n) for n in (1, 2, 7, 40)] + [
+    AbelianGroup.product(AbelianGroup.cyclic(7), AbelianGroup.additive(make_field(3, 2)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_RAGGED_GROUPS).flatmap(lambda g: st.tuples(st.just(g), st.lists(
+    st.sampled_from([1, 3, 4]).flatmap(
+        lambda k: st.lists(st.integers(0, g.order - 1), min_size=k, max_size=k)), max_size=8))))
+def test_delta_counts_on_blocks_of_several_sizes(case):
+    # blocks of two sizes and singletons, grouped by length, count what the
+    # per-block delta_block sums count
+    g, blocks = case
+    want = np.zeros(g.order, dtype=np.int64)
+    for blk in blocks:
+        if len(blk) >= 2:
+            want += np.bincount(delta_block(g, blk), minlength=g.order)
+    assert np.array_equal(families.delta_counts(g, blocks), want)
+
+
 def test_verify_sdf_catalog_and_necessary_conditions():
     fam = catalog.family("z7_8_8")
     assert verify_sdf(fam).ok and fam.lam == 8
@@ -213,11 +232,12 @@ def test_verify_pdf_reports_elements_outside_group():
 
 
 def test_subgroup_closure_scan_memory_is_bounded():
-    # C63 x {0} x GF(9) in C63 x GF(25) x GF(9): the subgroup N x H of the
-    # order-14175 family composed from the z63 frame, |N x H| = 567
-    g = AbelianGroup.product(AbelianGroup.cyclic(63), AbelianGroup.additive(make_field(5, 2)),
-                             AbelianGroup.additive(make_field(3, 2)))
-    sub = [c + 1575 * h for h in range(9) for c in range(63)]
+    # the diagonal {(t, t)} of C567 x C567: a subgroup of the order of the
+    # N x H of the order-14175 composed family, but not a digit slice, so
+    # its closure is scanned
+    g = AbelianGroup.product(AbelianGroup.cyclic(567), AbelianGroup.cyclic(567))
+    sub = [t + 567 * t for t in range(567)]
+    assert families._digit_slice(g, np.array(sub)) is None
     tracemalloc.start()
     try:
         error = families._subgroup_error(g, sub)
@@ -226,6 +246,25 @@ def test_subgroup_closure_scan_memory_is_bounded():
         tracemalloc.stop()
     assert error == ()
     assert peak < 8 * 2**20, peak
+
+
+def test_a_digit_slice_subgroup_is_accepted_without_the_closure_scan(monkeypatch):
+    def closure_scan(*args):
+        raise AssertionError("the closure of a digit slice was scanned")
+    # C63 x {0} x GF(9) in C63 x GF(25) x GF(9): the N x H of the order-14175 family
+    g = AbelianGroup.product(AbelianGroup.cyclic(63), AbelianGroup.additive(make_field(5, 2)),
+                             AbelianGroup.additive(make_field(3, 2)))
+    sub = [c + 1575 * h for h in range(9) for c in range(63)]
+    with monkeypatch.context() as mp:
+        mp.setattr(g, "add", closure_scan)
+        assert families._subgroup_error(g, sub) == ()
+    # 3.C63 x {0} in C63 x GF(25) is a subgroup but not a slice: it is scanned
+    g = AbelianGroup.product(AbelianGroup.cyclic(63), AbelianGroup.additive(make_field(5, 2)))
+    sums = []
+    add = g.add
+    monkeypatch.setattr(g, "add", lambda a, b: sums.append(1) or add(a, b))
+    assert families._subgroup_error(g, list(range(0, 63, 3))) == ()
+    assert sums
 
 
 @pytest.mark.parametrize("cells", [1, 50, 1 << 20])

@@ -281,8 +281,11 @@ def test_load_design_agrees_with_json_on_a_file_one_edit_away(tmp_path, data, ed
     (b"   45", b"  4[5"),         # digits moved out of a slot into the glue
     (b"   45,", b"  4 5,"),       # a slot split in two
     (b"   6\n", b"   -\n"),       # a lone minus
+    (b"   89\n", b"   -\n"),      # a lone minus at the end of the rows, which numpy reads as 0
     (b"  [\n   -3", b"  -[\n   3"),   # a minus moved before a row's bracket
-    (b"   70", b"   070"), (b"   89\n", b"   -0\n"), (b"   1,", b"   ,")])
+    (b"   70", b"   070"), (b"   89\n", b"   -0\n"), (b"   1,", b"   ,"),
+    # every layout byte kept, a value moved inside its line or onto the "[" line
+    (b"   45,", b"  45 ,"), (b"   45,", b"   ,45"), (b"  [\n   123,", b"  [1\n   23,")])
 def test_load_design_falls_back_on_a_slot_that_is_not_canonical(tmp_path, edit):
     path = _canonical_file(tmp_path)
     text = path.read_bytes()
@@ -290,6 +293,26 @@ def test_load_design_falls_back_on_a_slot_that_is_not_canonical(tmp_path, edit):
     path.write_bytes(text.replace(*edit))
     assert serialize._canonical_design(path.read_bytes()) is None
     _assert_same_read(_read(serialize.load_design, path), _read(_json_design, path))
+
+
+@pytest.mark.parametrize("chunk", [1, 4096])
+def test_load_design_reads_int64_extremes_and_refuses_wider_entries(tmp_path, chunk, monkeypatch):
+    monkeypatch.setattr(serialize, "_CHUNK", chunk)
+    extremes = [10**18 - 1, 1 - 10**18, 10**18, -10**18, 2**63 - 1, -2**63]
+    design = BlockDesign(9, 3, 1, designs._stored(np.array([extremes[:3], extremes[3:]])))
+    path = tmp_path / "design.json"
+    serialize.dump(serialize.design_to_dict(design), path)
+    text = path.read_bytes()
+    got = serialize._canonical_design(text)
+    assert got is not None
+    _assert_same_read(got, _json_design(path))
+    # 19 digits past int64 of either sign, which the parse saturates, and 20 digits
+    for wide in (b"9999999999999999999", b"-9999999999999999999", b"10000000000000000000"):
+        path.write_bytes(text.replace(b"9223372036854775807", wide))
+        assert serialize._canonical_design(path.read_bytes()) is None
+        want = _read(_json_design, path)
+        assert want[0] is ValueError and "is not an int64 integer" in want[1]
+        assert _read(serialize.load_design, path) == want
 
 
 def test_load_design_reads_a_canonical_files_arrays_without_json(tmp_path, monkeypatch):
