@@ -122,9 +122,9 @@ def subtree(search: SimpleNamespace, depth: int, room: int) -> tuple[int, Option
 
 
 def split_search(search: SimpleNamespace, budget: _Budget) -> SolveResult:
-    """Run the direct search `search` (framedf.search._direct_search) from
-    the node count and limit of `budget` as described above, and leave the
-    merged node count in it."""
+    """Run the direct search `search` (framedf.search._direct_search, whose
+    dfs is framedf.search._backtrack) from the node count and limit of
+    `budget` as described above, and leave the merged node count in it."""
     depth = split_depth(search.n)
     base, limit = budget.nodes, budget.limit
     above = _Budget(limit - base)          # the nodes the walk spends above depth

@@ -4,9 +4,9 @@ A group is described by a descriptor tree (Cyclic(n) | AdditiveField(field) |
 Product(...)) and its elements are integer encodings 0..order-1 in mixed
 radix over the flattened tree leaves.  Addition is componentwise modular
 addition on the leaf digits; all operations accept plain ints or numpy
-arrays of encodings and are pure.  This law is the only additive
-arithmetic in the package: FiniteField.add, sub and neg are the law of
-the field's additive group.
+arrays of encodings, refuse an entry outside 0..order-1 with ValueError,
+and are pure.  This law is the only additive arithmetic in the package:
+FiniteField.add, sub and neg are the law of the field's additive group.
 """
 
 from __future__ import annotations
@@ -80,7 +80,12 @@ class AbelianGroup:
     # -- digit helpers --------------------------------------------------------
 
     def _digits(self, a):
+        """The leaf digits of encodings a; ValueError names the first outside 0..order-1."""
         a = np.asarray(a, dtype=np.int64)
+        bad = (a < 0) | (a >= self.order)
+        if bad.any():
+            raise ValueError(f"{a.flat[np.argmax(bad)]} is not an encoding of {self!r} "
+                             f"(0..{self.order - 1})")
         out = np.empty(a.shape + (len(self._radices),), dtype=np.int64)
         for j, r in enumerate(self._radices):
             out[..., j] = a % r

@@ -10,16 +10,16 @@ C_0^{e,q} orbits and cover every class mod the group modulus an exact
 number of times.  The solver first searches the sign-paired restriction
 that a system may carry (the pattern structure of the underlying
 constructions), then splits the unknowns into clusters (connected
-components of the form graph) and
+components of the form graph).  One depth-first kernel, _backtrack
+(fail-first, lowest bit first, a budget node per value), searches over
 
-* enumerates each cluster's feasible label signatures by vectorized
-  frontier expansion and runs forward-checking DFS over the clusters
-  (fail-first, hint-preferred order) when every cluster is enumerable;
-* otherwise runs one complete depth-first search over unknown values with
-  value-level forward checking, a scaling gauge on the first unknown when
-  no form has a constant, and candidates in ascending discrete-log order;
-  once it runs long, a forked helper searches its subtrees beside the
-  caller, merged in the order of the one-process search.
+* the clusters when every cluster is enumerable, each domain its feasible
+  label signatures found by vectorized frontier expansion, in hint order;
+* otherwise the unknowns, with value-level forward checking, a scaling
+  gauge on the first unknown when no form has a constant, and values in
+  ascending discrete-log order; once it runs long, a forked helper
+  searches its subtrees beside the caller, merged in the order of the
+  one-process search.
 
 Every lifting system comes from one builder, _lifting_system, which turns
 one symbolic row per SDF block (an unknown times a prime-subfield
@@ -48,7 +48,7 @@ Each level gathers only what its completing forms read and copies out the
 candidates that pass; at the last level each chunk extends only the
 candidates whose first value is least in its coset of the scalings that
 fix every tracked class (only those can come first for their signature)
-and keeps only its first candidate per signature.  The depth-first search
+and keeps only its first candidate per signature.  The search over unknowns
 keeps each placed value as its log, each unknown's live domain as an int
 bitset indexed by discrete log and each group's closed classes as one
 bitmask.  A placement first counts the labels it completes against the
@@ -559,9 +559,51 @@ class _Budget:
         self.limit = limit
         self.nodes = 0
 
-    def spend(self, k: int = 1) -> bool:
-        self.nodes += k
+    def spend(self) -> bool:
+        self.nodes += 1
         return self.nodes <= self.limit
+
+
+def _backtrack(n: int, domains: list[int], assigned: list[bool], enter, place, undo, complete,
+               budget: _Budget, depth: int = 0, stop: int = -1, visit=None,
+               root: Optional[int] = None) -> bool:
+    """The depth-first search of both solver paths, below the placements in
+    force at `depth`.  A node takes the unassigned variable u with the
+    fewest live bits in its int bitset domain (the lower index on a tie),
+    calls enter(u) once, and tries u's set bits i from the lowest (at depth
+    0 those of `root`, if given), one budget node each: place(u, i,
+    enter(u)) returns an undo token, or None when i fails at once; place
+    and undo keep domains and assigned.  Returns True once complete() at
+    depth n, or visit() at depth `stop`, returns True, the path's
+    placements left in force; else False, every placement undone.  The
+    path is explicit, not recursion, so nothing it holds outlives the call."""
+    path = []                  # per placement below depth: [u, values left, enter(u), token]
+    while True:
+        d = depth + len(path)
+        if d == stop or d == n:
+            if (visit if d == stop else complete)():
+                return True
+        else:
+            _, u = min((domains[u].bit_count(), u) for u in range(n) if not assigned[u])
+            path.append([u, root if d == 0 and root is not None else domains[u], enter(u), None])
+        while True:                    # the next value of the deepest variable with one left
+            if not path:
+                return False
+            u, dom, entered, token = step = path[-1]
+            if token is not None:
+                undo(token)
+            if not dom:
+                path.pop()
+                continue
+            low = dom & -dom
+            step[1] = dom ^ low
+            if not budget.spend():
+                for *_, token in reversed(path[:-1]):
+                    undo(token)
+                return False
+            step[3] = place(u, low.bit_length() - 1, entered)
+            if step[3] is not None:
+                break
 
 
 def _clusters_of(system: ConstraintSystem) -> list[list[int]]:
@@ -586,7 +628,7 @@ def _clusters_of(system: ConstraintSystem) -> list[list[int]]:
     return [sorted(v) for _, v in sorted(out.items())]
 
 
-# Cluster enumeration gives up (and the solver falls back to _dfs_direct) once
+# Cluster enumeration gives up (and the solver falls back to _direct_search) once
 # the candidate rows it has expanded exceed _WORK_CAP.  Frontiers are expanded
 # in chunks of at most _FRONTIER_CAP rows; at the last level each chunk expands
 # only its coset-least columns and keeps the first row per signature, so the
@@ -825,23 +867,19 @@ def _enumerate_cluster(system: ConstraintSystem, form_groups: list[list[int]],
 
 def _fc_over_clusters(system: ConstraintSystem, form_groups: list[list[int]], clusters,
                       domains, budget: _Budget):
-    """Forward-checking DFS over enumerated cluster domains (complete).
+    """Forward-checking _backtrack over enumerated cluster domains (complete).
 
     Each cluster's rows are taken in hint order, a stable sort by the
     number of cross labels that differ from the system's hints, kept as a
     narrow permutation through which the shared signatures are read, and
     its live domain is one int: bit i stands for row order[ci][i], so
     scanning the set bits from the lowest visits the live rows in hint
-    order.  A node takes the unassigned cluster with the fewest live rows
-    (the lower index on a tie) and tries its rows in turn, one node each.
-    A row's cross labels are forbidden in every unassigned cluster whose
-    cross column shares a group with them: that cluster's domain is and-ed
-    with the bits of its rows whose label in the column differs, an int
-    built on first use for each (cluster, column, label) and kept for the
-    solve.  So a live row never repeats a label of an assigned cluster in
-    a shared group, and a cluster left with no live row fails the node.
-    The search loops over an explicit path, not by recursion, so nothing
-    it holds outlives the call.
+    order.  A row's cross labels are forbidden in every unassigned cluster
+    whose cross column shares a group with them: that cluster's domain is
+    and-ed with the bits of its rows whose label in the column differs, an
+    int built on first use for each (cluster, column, label) and kept for
+    the solve.  So a live row never repeats a label of an assigned cluster
+    in a shared group, and a cluster left with no live row fails the node.
     """
     ncl = len(clusters)
     bygroup: dict[int, list[tuple[int, int]]] = {}
@@ -857,46 +895,43 @@ def _fc_over_clusters(system: ConstraintSystem, form_groups: list[list[int]], cl
                  if cj != ci] for fi in cross] for ci, (_, _, cross) in enumerate(domains)]
     order = []                           # order[ci][i]: the row that bit i stands for
     for _, sigl, cross in domains:
-        if len(sigl) == 0:
-            return SolveResult("exhausted", nodes=budget.nodes)
         score = np.zeros(len(sigl), dtype=np.min_scalar_type(len(cross)))
         for k, fi in enumerate(cross):
             if fi in system.hints:
                 score += sigl[:, k] != system.hints[fi]
         order.append(np.argsort(score, kind="stable").astype(np.min_scalar_type(len(sigl) - 1)))
-    assigned: dict[int, int] = {}        # cluster -> bit of its row
-    path = []                            # per assigned cluster: (its rows left, masks before it)
-    masks, live = [(1 << len(o)) - 1 for o in order], None
-    while len(assigned) < ncl:
-        if live is None:                 # a new node: the fewest live rows
-            _, ci = min((masks[c].bit_count(), c) for c in range(ncl) if c not in assigned)
-            live = masks[ci]
-        while not live:                  # back to the deepest node with a row left
-            if not path:
-                return SolveResult("exhausted", nodes=budget.nodes)
-            ci, live, masks = path.pop()
-            del assigned[ci]
-        low = live & -live
-        if not budget.spend():
-            return SolveResult("budget_exceeded", nodes=budget.nodes)
-        assigned[ci] = low.bit_length() - 1
-        path.append((ci, live ^ low, masks))
-        masks = masks[:]
-        row = domains[ci][1][order[ci][assigned[ci]]]
-        for k, lab in enumerate(row.tolist()):
-            for cj, kk, bits in targets[ci][k]:
-                if cj not in assigned:
-                    if lab not in bits:
-                        differs = domains[cj][1][:, kk].take(order[cj]) != lab
-                        bits[lab] = int.from_bytes(
-                            np.packbits(differs, bitorder="little").tobytes(), "little")
+    masks = [(1 << len(o)) - 1 for o in order]
+    assigned, chosen = [False] * ncl, [0] * ncl      # chosen[ci]: the bit of ci's row
+
+    def place(ci, i, ci_targets):
+        """Take ci's row i; the token lists each (cluster, mask) it narrowed."""
+        assigned[ci], chosen[ci] = True, i
+        narrowed = []
+        for lab, ts in zip(domains[ci][1][order[ci][i]].tolist(), ci_targets):
+            for cj, kk, bits in ts:
+                if assigned[cj]:
+                    continue
+                if lab not in bits:
+                    differs = domains[cj][1][:, kk].take(order[cj]) != lab
+                    bits[lab] = int.from_bytes(
+                        np.packbits(differs, bitorder="little").tobytes(), "little")
+                if masks[cj] & ~bits[lab]:
+                    narrowed.append((cj, masks[cj]))
                     masks[cj] &= bits[lab]
-        live = None
-    assignment = {}
-    for ci, cl in enumerate(clusters):
-        wit = domains[ci][0][order[ci][assigned[ci]]]
-        for i, u in enumerate(cl):
-            assignment[u] = int(wit[i])
+        return ci, narrowed
+
+    def undo(token):
+        ci, narrowed = token
+        for cj, old in reversed(narrowed):
+            masks[cj] = old
+        assigned[ci] = False
+
+    if not _backtrack(ncl, masks, assigned, targets.__getitem__, place, undo, lambda: True,
+                      budget):
+        status = "budget_exceeded" if budget.nodes > budget.limit else "exhausted"
+        return SolveResult(status, nodes=budget.nodes)
+    assignment = {u: int(x) for ci, cl in enumerate(clusters)
+                  for u, x in zip(cl, domains[ci][0][order[ci][chosen[ci]]])}
     return SolveResult("sat", assignment, budget.nodes)
 
 
@@ -915,34 +950,32 @@ class _Bans(dict):
 
 
 def _direct_search(system: ConstraintSystem, form_groups: list[list[int]]) -> SimpleNamespace:
-    """The state and moves of a complete DFS over unknown values with
-    value-level forward checking, the search behind _dfs_direct.
+    """The state and moves of a complete _backtrack over unknown values
+    with value-level forward checking.
 
     Without constant terms every requirement is a uniformity group, which
     is invariant under scaling every unknown by a common nonzero element,
-    so the first unknown searched is pinned to 1 (completeness is
-    preserved: every satisfiable system has a solution in that gauge).
-    The next unknown is always one of minimal live domain, and its
-    candidate values are tried in ascending discrete-log order.
+    so the first unknown searched is pinned to 1, its `root` (completeness
+    is preserved: every satisfiable system has a solution in that gauge).
 
-    The loop runs on plain ints.  Each live domain is an int bitset in
-    which bit i stands for g^i, g the generator, so reading the set bits
-    from the lowest gives ascending discrete-log order and int.bit_count()
-    the live size; a placed value is kept as its log i.  Terms whose
-    coefficient vanishes mod p are dropped.  A form listed k times in a
-    group is counted once with weight k.  Each group keeps one `closed`
-    bitmask, over its classes mod the modulus when orbit = 1 and over its
-    e-classes when orbit > 1: a class closes once it holds multiplicity *
-    orbit labels, and in a group with orbit > 1 the empty e-classes of a
-    class close once `multiplicity` of its e-classes are occupied.  Both
-    caps hold in every completion.  A form left with one free unknown x
-    reads s*x + c, kept as (x, a, lc): at x = g^i its label is
-    lc + lines[a + i] (lines: zech twice over, then the identity), with
-    a = log s - log c mod q-1 and lc = log c when c != 0, and a = 2(q-1),
-    lc = log s when c = 0; its root is the i with lines[a + i] = -1.
-    Labels are left unreduced, below 2(q-1): solve checks that the moduli
-    and widths they are read by divide q-1.  For each (a, lc, width, mask)
-    the bits of the x that vanish or land in a closed class are built once.
+    The search runs on plain ints.  Each live domain is an int bitset in
+    which bit i stands for g^i, g the generator, so values are tried in
+    ascending discrete-log order; a placed value is kept as its log i.
+    Terms whose coefficient vanishes mod p are dropped.  A form listed k
+    times in a group is counted once with weight k.  Each group keeps one
+    `closed` bitmask, over its classes mod the modulus when orbit = 1 and
+    over its e-classes when orbit > 1: a class closes once it holds
+    multiplicity * orbit labels, and in a group with orbit > 1 the empty
+    e-classes of a class close once `multiplicity` of its e-classes are
+    occupied.  Both caps hold in every completion.  A form left with one
+    free unknown x reads s*x + c, kept as (x, a, lc): at x = g^i its label
+    is lc + lines[a + i] (lines: zech twice over, then the identity),
+    with a = log s - log c mod q-1 and lc = log c when c != 0, and
+    a = 2(q-1), lc = log s when c = 0; its root is the i with
+    lines[a + i] = -1.  Labels are left unreduced, below 2(q-1): solve
+    checks that the moduli and widths they are read by divide q-1.  For
+    each (a, lc, width, mask) the bits of the x that vanish or land in a
+    closed class are built once.
 
     Placing a value runs in two stages.  First the labels of the forms it
     completes are counted against the caps; a clash (124,739 of z7@89's
@@ -955,16 +988,12 @@ def _direct_search(system: ConstraintSystem, form_groups: list[list[int]]) -> Si
     such forms after each placement would.
 
     The namespace returned holds n, feasible, dfs and solution.
-    dfs(depth, budget) searches below the placements in force, spending
-    one node per value tried and undoing its own placements unless it
-    finds a solution, whose values solution() gives as encodings; given a
-    depth `stop` and a callable `visit`, it calls visit() at each node of
-    that depth it reaches instead of searching below it, and stops once
-    visit() returns True.  framedf._split walks the tree above a depth
-    this way, in the caller and in a helper forked in the middle of the
-    walk, and searches the subtrees below it in place.  dfs loops over an
-    explicit path, not by recursion, so no closure refers to itself and
-    the search's state is freed once the namespace is dropped.
+    dfs(depth, budget, stop=-1, visit=None) is _backtrack below the
+    placements in force, whose solution's values solution() gives as
+    encodings.  framedf._split walks the tree above a depth `stop`, in the
+    caller and in a helper forked in the middle of the walk, and searches
+    the subtrees below it in place.  No closure refers to itself, so the
+    search's state is freed once the namespace is dropped.
     """
     fl = _field_logs(system.field)
     log, exp, zech, lines, q1 = fl.log, fl.exp, fl.zech, fl.lines, fl.q1
@@ -1084,13 +1113,18 @@ def _direct_search(system: ConstraintSystem, form_groups: list[list[int]]) -> Si
                         return False
         return True
 
-    def undo(u, touched, saved):
+    def undo(token):
+        u, touched, saved = token
         for x, old in reversed(saved):
             domains[x] = old
         uncount(touched)
         for fi in forms_by_unknown[u]:
             nfree[fi] += 1
         assigned[u] = False
+
+    def enter(u):
+        """The forms u completes: the same for every value of u."""
+        return [fi for fi in forms_by_unknown[u] if nfree[fi] == 1]
 
     def do_assign(u, i, fis):
         """Place u = g^i; returns an undo token, or None on contradiction.
@@ -1108,49 +1142,18 @@ def _direct_search(system: ConstraintSystem, form_groups: list[list[int]]) -> Si
         saved = []
         if prune(mine, grown, saved):
             return u, touched, saved
-        undo(u, touched, saved)
+        undo((u, touched, saved))
         return None
 
     def complete():
         return all(c == cap for cnt, cap in zip(counts, caps) for c in cnt) and \
             all(c % o == 0 for ecnt, o in zip(ecounts, orbits) if o > 1 for c in ecnt)
 
-    def dfs(depth, budget, stop=-1, visit=None):
-        path = []              # per placement below depth: [u, values left, fis, undo token]
-        d = depth
-        while True:
-            if d == stop or d == n:
-                if (visit if d == stop else complete)():
-                    return True
-            else:
-                _, u = min((domains[u].bit_count(), u) for u in range(n) if not assigned[u])
-                # scaling gauge at the root (bit 0 is generator^0 = 1); elsewhere
-                # the live domain, lowest discrete log first; and the forms u
-                # completes: the same for every value, each undone in full
-                path.append([u, 1 if d == 0 and gauge else domains[u],
-                             [fi for fi in forms_by_unknown[u] if nfree[fi] == 1], None])
-            while True:                # the next value of the deepest unknown with one left
-                if not path:
-                    return False
-                step = path[-1]
-                u, dom, fis, token = step
-                if token is not None:
-                    undo(*token)
-                if not dom:
-                    path.pop()
-                    continue
-                low = dom & -dom
-                step[1] = dom ^ low
-                if not budget.spend():
-                    for *_, token in reversed(path[:-1]):
-                        undo(*token)
-                    return False
-                step[3] = do_assign(u, low.bit_length() - 1, fis)
-                if step[3] is not None:
-                    break
-            d = depth + len(path)
+    root = 1 if all(lc < 0 for lc in clogs) else None    # bit 0 is g^0 = 1
 
-    gauge = all(lc < 0 for lc in clogs)
+    dfs = lambda depth, budget, stop=-1, visit=None: _backtrack(
+        n, domains, assigned, enter, do_assign, undo, complete, budget, depth, stop, visit, root)
+
     fixed = [fi for fi, ts in enumerate(terms) if not ts]
     for fi in fixed:
         pending[fi] = None, 2 * q1, clogs[fi]       # counted at i = 0: the label log c
@@ -1158,17 +1161,6 @@ def _direct_search(system: ConstraintSystem, form_groups: list[list[int]]) -> Si
         and prune(range(len(terms)), [], [])
     return SimpleNamespace(n=n, feasible=feasible, dfs=dfs,
                            solution=lambda: [exp[i] for i in assign])
-
-
-def _dfs_direct(system: ConstraintSystem, form_groups: list[list[int]],
-                budget: _Budget) -> SolveResult:
-    """Complete DFS over unknown values (see _direct_search), with the same
-    nodes, result and node count as one process walking the tree; once it
-    runs long, a helper forked in the middle of the walk claims subtrees
-    beside the caller (see framedf._split, compiled only when a direct
-    search runs)."""
-    from ._split import split_search
-    return split_search(_direct_search(system, form_groups), budget)
 
 
 def _cluster_shape(system: ConstraintSystem, form_groups: list[list[int]],
@@ -1203,24 +1195,26 @@ def _solve_one(system: ConstraintSystem, bud: _Budget) -> SolveResult:
         for fi in g.forms:
             form_groups[fi].append(gi)
     clusters = _clusters_of(system)
-    if len(clusters) <= 1:
-        return _dfs_direct(system, form_groups, bud)
-    # one enumeration per cluster shape: its arrays are shared read-only,
-    # its cross forms placed among each cluster's own inner forms
-    shapes: dict[tuple, tuple] = {}
-    domains = []
-    for cl in clusters:
-        key, inner = _cluster_shape(system, form_groups, cl)
-        if key not in shapes:
-            dom = _enumerate_cluster(system, form_groups, cl)
-            if dom is None:
-                return _dfs_direct(system, form_groups, bud)
-            wit, sig, cross = dom
-            wit.flags.writeable = sig.flags.writeable = False
-            shapes[key] = wit, sig, [inner.index(fi) for fi in cross]
-        wit, sig, at = shapes[key]
-        domains.append((wit, sig, [inner[j] for j in at]))
-    return _fc_over_clusters(system, form_groups, clusters, domains, bud)
+    if len(clusters) > 1:
+        # one enumeration per cluster shape: its arrays are shared read-only,
+        # its cross forms placed among each cluster's own inner forms
+        shapes: dict[tuple, tuple] = {}
+        domains = []
+        for cl in clusters:
+            key, inner = _cluster_shape(system, form_groups, cl)
+            if key not in shapes:
+                dom = _enumerate_cluster(system, form_groups, cl)
+                if dom is None:
+                    break
+                wit, sig, cross = dom
+                wit.flags.writeable = sig.flags.writeable = False
+                shapes[key] = wit, sig, [inner.index(fi) for fi in cross]
+            wit, sig, at = shapes[key]
+            domains.append((wit, sig, [inner[j] for j in at]))
+        else:
+            return _fc_over_clusters(system, form_groups, clusters, domains, bud)
+    from ._split import split_search          # compiled only when a direct search runs
+    return split_search(_direct_search(system, form_groups), bud)
 
 
 def solve(system: ConstraintSystem, seed: int = 0, budget: int = 10**8) -> SolveResult:
@@ -1237,7 +1231,7 @@ def solve(system: ConstraintSystem, seed: int = 0, budget: int = 10**8) -> Solve
     assignment is re-verified against the whole system, and against the
     lifting conditions when the system can assemble a lifting datum.
 
-    A direct search (see _dfs_direct) that runs past 1,000 nodes forks a
+    A direct search (see _direct_search) that runs past 1,000 nodes forks a
     helper process, where this process may run on two CPUs or more: a
     copy of the search in the middle of its walk, which searches the
     subtrees it claims first beside the caller; it is gone when solve

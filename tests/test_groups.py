@@ -1,6 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
+from framedf import lifting
+from framedf.families import DifferenceMatrix
 from framedf.fields import field_of_order, make_field
 from framedf.groups import AbelianGroup, crt_iso
 
@@ -15,6 +19,27 @@ def test_group_ops_basics():
     assert g.add(100, 50) == 25
     assert g.neg(0) == 0
     assert sorted(g.enumerate().tolist()) == list(range(125))
+
+
+def test_an_entry_outside_the_encodings_is_refused_not_reduced():
+    z7, z3 = AbelianGroup.cyclic(7), AbelianGroup.cyclic(3)
+    c3xc5 = AbelianGroup.product(z3, AbelianGroup.cyclic(5))
+    gf9 = field_of_order(9)
+    for call, bad, text in [
+        (lambda: z7.add(10, 1), 10, "Z7 (0..6)"),
+        (lambda: z7.add(-1, 0), -1, "Z7 (0..6)"),
+        (lambda: c3xc5.add(20, 0), 20, "Z3 x Z5 (0..14)"),
+        (lambda: z7.sub(np.array([[1, 2], [7, 3]]), 0), 7, "Z7 (0..6)"),
+        (lambda: z7.neg(np.array([0, -2, 9])), -2, "Z7 (0..6)"),
+        (lambda: crt_iso(c3xc5).apply(np.array([3, 15])), 15, "Z3 x Z5 (0..14)"),
+        (lambda: gf9.add(np.arange(10), 1), 9, "GF(3^2)+ (0..8)"),
+        # verify_dm refuses this matrix's entry 5; homogenize reduced it to 2
+        (lambda: lifting.homogenize(DifferenceMatrix(z3, ((0, 0, 0), (0, 1, 5)))), 5,
+         "Z3 (0..2)"),
+    ]:
+        with pytest.raises(ValueError, match=rf"^{bad} is not an encoding of {re.escape(text)}$"):
+            call()
+    assert z7.add(np.array([6, 0]), 1).tolist() == [0, 1] and c3xc5.add(14, 1) == 12
 
 
 def test_product_pack_unpack():

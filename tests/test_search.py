@@ -298,8 +298,8 @@ def test_solver_determinism():
 
 @pytest.mark.parametrize("make,clusters", [
     (lambda: _paley3(5, 61), 2),                                             # cluster path
-    (lambda: paired_pattern_system(catalog.family("twinPrime", 3), 17), 1),  # _dfs_direct
-    (lambda: generic_system(catalog.family("z7_8_8"), 41, 40, 8, 1), 1),     # _dfs_direct
+    (lambda: paired_pattern_system(catalog.family("twinPrime", 3), 17), 1),  # _direct_search
+    (lambda: generic_system(catalog.family("z7_8_8"), 41, 40, 8, 1), 1),     # _direct_search
 ])
 def test_solve_does_not_depend_on_seed(make, clusters):
     assert len(_clusters_of(make())) == clusters
@@ -341,7 +341,7 @@ def z63_widened():
 
 # (status, nodes, assignment digest) as the numpy-based solver returned them,
 # and (from generic:paley3_5@7 on) as the solver before the two-stage
-# placement in _dfs_direct returned them; any change of search order shows
+# placement in _direct_search returned them; any change of search order shows
 # up here
 @pytest.mark.parametrize("make,pinned", [
     (lambda: generic_system(catalog.family("z7_8_8"), 25, 24, 8, 1),
@@ -479,7 +479,7 @@ def _no_child_left():
     return False
 
 
-# _dfs_direct with its helper forked at its first subtree must reproduce
+# _direct_search with its helper forked at its first subtree must reproduce
 # the one-process search node for node and leave no process behind
 @pytest.fixture(params=[1], ids=["1helper"])
 def helpers(request, monkeypatch):
@@ -618,7 +618,7 @@ def test_a_helper_ahead_of_the_caller_merges_in_order(helpers, monkeypatch, q, l
     assert helpers
 
 
-# The cluster path stops where _dfs_direct does: at limit + 1, or with the
+# The cluster path stops where _direct_search does: at limit + 1, or with the
 # pinned result (z125@79 sat at 464, paley3_5@61 sat at 17) once the limit
 # allows its nodes.
 @pytest.mark.parametrize("make,limit,pinned", [
@@ -635,6 +635,93 @@ def test_cluster_search_stops_on_a_budget_at_limit_plus_one(make, limit, pinned)
     res = solve(sysm, budget=limit)
     expected = pinned if limit >= pinned[1] else ("budget_exceeded", limit + 1, None)
     assert (res.status, res.nodes, _digest(res.assignment)) == expected
+
+
+# 3-colouring by forward checking: a 3-colourable graph on which the search
+# backtracks (13 nodes from the unrestricted root), and the wheel on a
+# 5-cycle (an odd wheel is not 3-colourable)
+_BACKTRACKS = ((0, 2), (0, 3), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (4, 5))
+_WHEEL5 = ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4), *((5, v) for v in range(5)))
+
+
+def _colouring(edges, n=6):
+    """(domains, assigned, colour, enter, place, undo) of 3-colouring the
+    graph: enter(u) gives u's neighbours, place(u, c, nbrs) takes colour c
+    off each unassigned neighbour and returns None, leaving nothing behind,
+    when one is left without a colour."""
+    adj = [[v for e in edges for v in e if u in e and v != u] for u in range(n)]
+    domains, assigned, colour = [0b111] * n, [False] * n, [None] * n
+
+    def undo(token):
+        u, saved = token
+        for v, old in reversed(saved):
+            domains[v] = old
+        assigned[u], colour[u] = False, None
+
+    def place(u, c, nbrs):
+        assigned[u], colour[u] = True, c
+        saved = []
+        for v in nbrs:
+            if not assigned[v] and domains[v] >> c & 1:
+                saved.append((v, domains[v]))
+                domains[v] &= ~(1 << c)
+                if not domains[v]:
+                    undo((u, saved))
+                    return None
+        return u, saved
+
+    return domains, assigned, colour, adj.__getitem__, place, undo
+
+
+def _plain_dfs(edges, root, n=6):
+    """The same search as a plain recursion over colourings: (colouring or
+    None, nodes)."""
+    adj = [[v for e in edges for v in e if u in e and v != u] for u in range(n)]
+    colour, nodes = [None] * n, 0
+
+    def live(u):
+        return [c for c in range(3) if all(colour[v] != c for v in adj[u])]
+
+    def rec(depth):
+        nonlocal nodes
+        free = [u for u in range(n) if colour[u] is None]
+        if not free:
+            return True
+        _, u = min((len(live(u)), u) for u in free)
+        for c in live(u) if depth or root is None else [c for c in range(3) if root >> c & 1]:
+            nodes += 1
+            colour[u] = c
+            if all(live(v) for v in adj[u] if colour[v] is None) and rec(depth + 1):
+                return True
+            colour[u] = None
+        return False
+
+    return (list(colour) if rec(0) else None), nodes
+
+
+@pytest.mark.parametrize("edges,status", [(_BACKTRACKS, "sat"), (_WHEEL5, "exhausted")],
+                         ids=["sat", "wheel5"])
+@pytest.mark.parametrize("root", [None, 0b001, 0b110])
+def test_backtrack_matches_a_plain_dfs_and_undoes_every_stop(edges, status, root):
+    """_backtrack spends the nodes of a plain recursive DFS with the same
+    rules and finds its first colouring; after exhausting the space, and
+    after a budget stop at every limit below its node count, every domain
+    and assigned flag is back where it started."""
+    expected, nodes = _plain_dfs(edges, root)
+    assert (expected is not None) == (status == "sat") and nodes > 6
+    for limit in range(nodes + 1):
+        domains, assigned, colour, enter, place, undo = _colouring(edges)
+        budget = search._Budget(limit)
+        found = search._backtrack(6, domains, assigned, enter, place, undo, lambda: True,
+                                  budget, root=root)
+        if limit < nodes:
+            assert not found and budget.nodes == limit + 1
+        else:
+            assert found == (status == "sat") and budget.nodes == nodes
+            if found:
+                assert colour == expected and all(assigned)
+                continue
+        assert domains == [0b111] * 6 and assigned == [False] * 6 and colour == [None] * 6
 
 
 def test_a_negative_budget_raises():
@@ -724,7 +811,7 @@ def test_gf25_coefficients_act_through_the_prime_subfield():
             vals = (a, b, a, b)
             for fi in range(4):
                 assert sysm.eval_form(fi, vals) == _reference_value(sysm, fi, vals)
-    # one cluster (_dfs_direct); two clusters, joined by a group or not
+    # one cluster (_direct_search); two clusters, joined by a group or not
     # (cluster path)
     one = _gf25_system((UniformityGroup((0, 1), 2),), n=2)
     apart = _gf25_system((UniformityGroup((0, 1), 2), UniformityGroup((2, 3), 2)))
@@ -762,7 +849,7 @@ def test_solve_refuses_a_group_whose_classes_do_not_divide_q_minus_1(modulus, or
 
 
 def test_constant_forms_are_counted_before_the_first_node():
-    # two one-unknown clusters; constants send the system to _dfs_direct
+    # two one-unknown clusters; constants send the system to _direct_search
     fld = make_field(7)
     forms = (Form("a", ((0, 1),)), Form("b", ((1, 1),)), Form("3", (), 3),
              Form("a-1", ((0, 1),), 6), Form("0", ()))
@@ -885,7 +972,7 @@ def _cluster_systems(draw):
 
 def _mixed_cross_moduli(sysm):
     """True when some form lies in two groups of different moduli that each
-    straddle clusters: the cluster path then gives way to _dfs_direct."""
+    straddle clusters: the cluster path then gives way to _direct_search."""
     cluster_of = {u: ci for ci, cl in enumerate(_clusters_of(sysm)) for u in cl}
     straddle = [g for g in sysm.groups
                 if len({cluster_of[sysm.forms[fi].terms[0][0]] for fi in g.forms}) > 1]
@@ -896,10 +983,10 @@ def _mixed_cross_moduli(sysm):
 @settings(max_examples=200, deadline=None)
 @given(_cluster_systems(), st.data())
 def test_cluster_search_agrees_with_brute_force(sysm, data):
-    """The cluster path (enumeration, then _fc_over_clusters, or _dfs_direct
-    when a cross form straddles groups of different moduli) against a full
-    scan: the same status, a valid assignment when sat, and a budget below
-    its node count stops at limit + 1."""
+    """The cluster path (enumeration, then _fc_over_clusters, or
+    _direct_search when a cross form straddles groups of different moduli)
+    against a full scan: the same status, a valid assignment when sat, and
+    a budget below its node count stops at limit + 1."""
     q, n = sysm.field.q, len(sysm.unknowns)
     assert len(_clusters_of(sysm)) > 1
     found = any(sysm.check_assignment(a) for a in itertools.product(range(1, q), repeat=n))
@@ -923,7 +1010,7 @@ def test_cluster_search_agrees_with_brute_force(sysm, data):
 
 def test_a_cross_form_in_groups_of_two_moduli_leaves_the_cluster_path():
     # f0 straddles in a group mod 4 and one mod 2: no one label of f0 serves
-    # both, so the system goes to _dfs_direct, which finds one of its 16
+    # both, so the system goes to _direct_search, which finds one of its 16
     # solutions
     forms = (Form("f0", ((0, -3), (1, -3))), *(Form(f"f{i}", ((0, -3),)) for i in (1, 2, 3)),
              Form("f4", ((2, -3), (3, -3))), Form("f5", ((2, -3),)))
