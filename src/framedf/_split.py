@@ -1,7 +1,16 @@
-"""The direct search of framedf.search split into subtrees, searched in DFS
-order by the caller and, once the search runs long, by a forked helper,
-and merged so that nodes, result and node count are those of one process
-walking the tree.
+"""A search of framedf.search split into subtrees, searched in DFS order by
+the caller and, once the search runs long, by a forked helper, and merged
+so that nodes, result and node count are those of one process walking the
+tree.
+
+Both solver paths hand split_search the same namespace, _direct_search's
+over unknown values and _fc_over_clusters' over cluster rows: n, the
+number of variables; feasible, False when the search fails before its
+first node; dfs(depth, budget, stop=-1, visit=None), framedf.search's
+_backtrack below the placements in force at `depth`; and solution(), one
+encoding per unknown of the system, read from the placements in force.
+No closure refers to itself, so a search's state is freed once the
+namespace is dropped.
 
 The tree is split at depth split_depth(n).  The caller walks the part
 above that depth with the search's own dfs, which calls visit() at each
@@ -38,7 +47,7 @@ error and leaving by os._exit.
 
 The helper is a plain os.fork child that talks through a pipe, so that
 neither an import of framedf nor a search loads multiprocessing.  This
-module is imported by the first direct search, not by framedf.
+module is imported by the first search, not by framedf.
 """
 
 from __future__ import annotations
@@ -70,11 +79,11 @@ def can_fork() -> bool:
 
 
 def split_depth(n: int) -> int:
-    """The depth of the subtree roots for n unknowns: 3 for z7@89's 8 (527
-    subtrees up to its solution, 766 nodes at most) and for twinPrime3@49's
-    (1,512 subtrees of about 32 nodes), and 4 for the widened z63 repair's
-    16 (368 subtrees, 3,803 nodes at most).  Each process walks every node
-    above this depth."""
+    """The depth of the subtree roots for n variables: 3 for z7@89's 8
+    unknowns (527 subtrees up to its solution, 766 nodes at most), for
+    twinPrime3@49's (1,512 subtrees of about 32 nodes) and for z125's 13
+    clusters, and 4 for the widened z63 repair's 16 unknowns (368 subtrees,
+    3,803 nodes at most).  Each process walks every node above this depth."""
     return min(n, 2 + n // 8)
 
 
@@ -122,9 +131,8 @@ def subtree(search: SimpleNamespace, depth: int, room: int) -> tuple[int, Option
 
 
 def split_search(search: SimpleNamespace, budget: _Budget) -> SolveResult:
-    """Run the direct search `search` (framedf.search._direct_search, whose
-    dfs is framedf.search._backtrack) from the node count and limit of
-    `budget` as described above, and leave the merged node count in it."""
+    """Run `search`, either path's namespace, from the node count and limit
+    of `budget` as described above, and leave the merged node count in it."""
     depth = split_depth(search.n)
     base, limit = budget.nodes, budget.limit
     above = _Budget(limit - base)          # the nodes the walk spends above depth

@@ -162,7 +162,8 @@ def verify_sdf(fam: DesignFamily) -> Report:
     """Delta(S) must cover every group element (0 included) exactly lam times.
 
     Block sizes and elements are checked first, then the necessary
-    conditions lam even and lam|G| = 0 mod k(k-1), then the counts.
+    conditions lam even, lam|G| = 0 mod k(k-1) and b*k(k-1) = lam|G| for b
+    blocks, then the counts.
     """
     if fam.kind != SDF:
         raise ValueError("verify_sdf expects an SDF family")
@@ -181,6 +182,9 @@ def verify_sdf(fam: DesignFamily) -> Report:
     if lam_g % (k * (k - 1)):
         return Report(False, f"lam|G| = {lam_g} is not divisible by k(k-1) = {k * (k - 1)}",
                       [("lam", lam)])
+    error = _total_error(len(fam.blocks) * k * (k - 1), lam_g, "differences", "lam|G|")
+    if error:
+        return Report(False, *error)
     return _count_report(delta_counts(fam.group, fam.blocks), lam, "difference")
 
 
@@ -210,6 +214,15 @@ def _outside(arr: np.ndarray, n: int, what: str) -> tuple:
     return (f"{what} {bad[0]} lies outside 0..{n - 1}", bad.tolist()) if len(bad) else ()
 
 
+def _total_error(have: int, want: int, what: str, formula: str) -> tuple:
+    """The blocks' `have` differences or points against the `want`, that is
+    `formula`, of a valid family: an identity on the input alone, checked
+    before any array sized by |G|, so that a family on a huge group fails
+    at once."""
+    return (f"the blocks hold {have} {what}, not {formula} = {want}",
+            [(what, have), (formula, want)]) if have != want else ()
+
+
 def _digit_slice(group: AbelianGroup, sub: np.ndarray) -> Optional[list[int]]:
     """The mixed-radix leaves that the in-range elements `sub` leave free,
     when `sub` is a digit slice: each leaf takes all of its values across
@@ -234,12 +247,13 @@ def _subgroup_error(group: AbelianGroup, subgroup: Sequence[int]) -> tuple:
     the group law is a subgroup).  Distinct elements that form a digit
     slice (_digit_slice) are a subgroup without further work; any other
     set has its addition table scanned in chunks of about _CLOSURE_CELLS
-    sums, row by row; witnesses are (a, b, a + b) in row-major order."""
+    sums, row by row; witnesses are (a, b, a + b) in row-major order.
+    Nothing it holds is sized by |G|."""
     sub = np.asarray(subgroup, dtype=np.int64)
     if len(sub) == 0:
         return "designated subgroup is empty", [("subgroup", ())]
-    listed = np.bincount(sub, minlength=group.order)
-    twice = sub[listed[sub] > 1]
+    members, at, listed = np.unique(sub, return_inverse=True, return_counts=True)
+    twice = sub[listed[at] > 1]
     if len(twice):
         return f"subgroup element {twice[0]} is listed twice", twice.tolist()
     if _digit_slice(group, sub) is not None:
@@ -248,7 +262,7 @@ def _subgroup_error(group: AbelianGroup, subgroup: Sequence[int]) -> tuple:
     step = max(1, _CLOSURE_CELLS // len(sub))
     for lo in range(0, len(sub), step):
         table = group.add(sub[lo:lo + step, None], sub[None, :])
-        rows, cols = np.nonzero(listed[table] == 0)
+        rows, cols = np.nonzero(np.isin(table, members, invert=True))
         rows, cols = rows[:WITNESSES - len(sums)], cols[:WITNESSES - len(sums)]
         sums += zip(sub[lo + rows].tolist(), sub[cols].tolist(), table[rows, cols].tolist())
         if len(sums) == WITNESSES:
@@ -261,25 +275,33 @@ def _subgroup_error(group: AbelianGroup, subgroup: Sequence[int]) -> tuple:
 
 def _relative_input_error(fam: DesignFamily) -> tuple:
     """Why the subgroup or the block elements of a relative family are
-    malformed, naming the first offending element."""
+    malformed, naming the first offending element, or why the blocks'
+    sum of |B|(|B| - 1) differences is not lam(|G| - |N|)."""
     order = fam.group.order
     if fam.subgroup is None:
         return "relative family without subgroup", [("subgroup", None)]
-    return (_outside(np.asarray(fam.subgroup, dtype=np.int64), order, "subgroup element")
+    sub = np.asarray(fam.subgroup, dtype=np.int64)
+    return (_outside(sub, order, "subgroup element")
             or _outside(_flat(fam.blocks), order, "block element")
-            or _subgroup_error(fam.group, fam.subgroup))
+            or _subgroup_error(fam.group, sub)
+            or _total_error(sum(len(b) * (len(b) - 1) for b in fam.blocks),
+                            fam.lam * (order - len(sub)), "differences", "lam(|G| - |N|)"))
 
 
 def verify_relative_df(fam: DesignFamily) -> Report:
     """Delta(B) = lambda * (G \\ N): exact multiplicity lambda off N, zero on N.
 
-    A missing, out-of-range or non-closed subgroup, or a block element
-    outside the group, fails the report before any difference is counted."""
+    A missing, out-of-range or non-closed subgroup, a block element outside
+    the group, or a number of differences other than lam(|G| - |N|) fails
+    the report before any difference is counted; with lam = 0 the blocks
+    then have no difference and the report passes."""
     if fam.kind not in (RELATIVE_DF, FDF):
         raise ValueError("verify_relative_df expects a relative DF or FDF")
     error = _relative_input_error(fam)
     if error:
         return Report(False, *error)
+    if not fam.lam:                    # then no block has two elements
+        return Report(True)
     group = fam.group
     want = np.full(group.order, fam.lam, dtype=np.int64)
     want[np.asarray(fam.subgroup, dtype=np.int64)] = 0
@@ -348,6 +370,8 @@ def verify_fdf(fam: DesignFamily) -> Report:
     if len(parts) != expected_parts:
         return Report(False, f"frame partition has {len(parts)} parts, expected "
                              f"{expected_parts}", [("parts", len(parts))])
+    if not parts:                      # (lam = 0, or N = G) no part to check
+        return Report(True)
     expected_size = (g - n) // (n * k) if n * k else 0
     labels = coset_labels(fam.group, fam.subgroup)
     # labels[0] is the coset of 0, i.e. N itself
@@ -370,14 +394,17 @@ def verify_fdf(fam: DesignFamily) -> Report:
 def verify_pdf(fam: DesignFamily) -> Report:
     """Blocks must partition G (or G \\ N when a subgroup is designated) exactly,
     with the delta condition at index lambda.  A subgroup or block element
-    outside the group fails the report, and `detail` names it."""
+    outside the group fails the report, and `detail` names it; so does a
+    number of points other than |G| - |N|, before any point is counted."""
     if fam.kind != PDF:
         raise ValueError("verify_pdf expects a PDF family")
     group = fam.group
     sub = np.asarray(fam.subgroup or (), dtype=np.int64)
     everything = _flat(fam.blocks)
     error = (_outside(sub, group.order, "subgroup element")
-             or _outside(everything, group.order, "block element"))
+             or _outside(everything, group.order, "block element")
+             or _total_error(len(everything), group.order - len(np.unique(sub)), "points",
+                             "|G| - |N|"))
     if error:
         return Report(False, *error)
     want = np.ones(group.order, dtype=np.int64)

@@ -17,9 +17,11 @@ components of the form graph).  One depth-first kernel, _backtrack
   label signatures found by vectorized frontier expansion, in hint order;
 * otherwise the unknowns, with value-level forward checking, a scaling
   gauge on the first unknown when no form has a constant, and values in
-  ascending discrete-log order; once it runs long, a forked helper
-  searches its subtrees beside the caller, merged in the order of the
-  one-process search.
+  ascending discrete-log order.
+
+One function, framedf._split.split_search, runs either search: once it
+runs long, a forked helper searches its subtrees beside the caller, merged
+in the order of the one-process search.
 
 Every lifting system comes from one builder, _lifting_system, which turns
 one symbolic row per SDF block (an unknown times a prime-subfield
@@ -866,8 +868,9 @@ def _enumerate_cluster(system: ConstraintSystem, form_groups: list[list[int]],
 
 
 def _fc_over_clusters(system: ConstraintSystem, form_groups: list[list[int]], clusters,
-                      domains, budget: _Budget):
-    """Forward-checking _backtrack over enumerated cluster domains (complete).
+                      domains) -> SimpleNamespace:
+    """A complete forward-checking _backtrack over enumerated cluster
+    domains, as framedf._split.split_search runs it.
 
     Each cluster's rows are taken in hint order, a stable sort by the
     number of cross labels that differ from the system's hints, kept as a
@@ -926,13 +929,13 @@ def _fc_over_clusters(system: ConstraintSystem, form_groups: list[list[int]], cl
             masks[cj] = old
         assigned[ci] = False
 
-    if not _backtrack(ncl, masks, assigned, targets.__getitem__, place, undo, lambda: True,
-                      budget):
-        status = "budget_exceeded" if budget.nodes > budget.limit else "exhausted"
-        return SolveResult(status, nodes=budget.nodes)
-    assignment = {u: int(x) for ci, cl in enumerate(clusters)
-                  for u, x in zip(cl, domains[ci][0][order[ci][chosen[ci]]])}
-    return SolveResult("sat", assignment, budget.nodes)
+    dfs = lambda depth, budget, stop=-1, visit=None: _backtrack(
+        ncl, masks, assigned, targets.__getitem__, place, undo, lambda: True, budget, depth,
+        stop, visit)
+    solution = lambda: [x for _, x in sorted(   # the clusters partition the unknowns
+        (u, x) for ci, cl in enumerate(clusters)
+        for u, x in zip(cl, domains[ci][0][order[ci][chosen[ci]]].tolist()))]
+    return SimpleNamespace(n=ncl, feasible=True, dfs=dfs, solution=solution)
 
 
 class _Bans(dict):
@@ -950,8 +953,8 @@ class _Bans(dict):
 
 
 def _direct_search(system: ConstraintSystem, form_groups: list[list[int]]) -> SimpleNamespace:
-    """The state and moves of a complete _backtrack over unknown values
-    with value-level forward checking.
+    """A complete _backtrack over unknown values with value-level forward
+    checking, as framedf._split.split_search runs it.
 
     Without constant terms every requirement is a uniformity group, which
     is invariant under scaling every unknown by a common nonzero element,
@@ -986,14 +989,6 @@ def _direct_search(system: ConstraintSystem, form_groups: list[list[int]]) -> Si
     unknown pruned, before the first node (`feasible` is False when that
     already fails).  This leaves every domain where a full re-check of all
     such forms after each placement would.
-
-    The namespace returned holds n, feasible, dfs and solution.
-    dfs(depth, budget, stop=-1, visit=None) is _backtrack below the
-    placements in force, whose solution's values solution() gives as
-    encodings.  framedf._split walks the tree above a depth `stop`, in the
-    caller and in a helper forked in the middle of the walk, and searches
-    the subtrees below it in place.  No closure refers to itself, so the
-    search's state is freed once the namespace is dropped.
     """
     fl = _field_logs(system.field)
     log, exp, zech, lines, q1 = fl.log, fl.exp, fl.zech, fl.lines, fl.q1
@@ -1194,7 +1189,7 @@ def _solve_one(system: ConstraintSystem, bud: _Budget) -> SolveResult:
     for gi, g in enumerate(system.groups):
         for fi in g.forms:
             form_groups[fi].append(gi)
-    clusters = _clusters_of(system)
+    clusters, search = _clusters_of(system), None
     if len(clusters) > 1:
         # one enumeration per cluster shape: its arrays are shared read-only,
         # its cross forms placed among each cluster's own inner forms
@@ -1212,9 +1207,9 @@ def _solve_one(system: ConstraintSystem, bud: _Budget) -> SolveResult:
             wit, sig, at = shapes[key]
             domains.append((wit, sig, [inner[j] for j in at]))
         else:
-            return _fc_over_clusters(system, form_groups, clusters, domains, bud)
-    from ._split import split_search          # compiled only when a direct search runs
-    return split_search(_direct_search(system, form_groups), bud)
+            search = _fc_over_clusters(system, form_groups, clusters, domains)
+    from ._split import split_search          # compiled only when a search runs
+    return split_search(search or _direct_search(system, form_groups), bud)
 
 
 def solve(system: ConstraintSystem, seed: int = 0, budget: int = 10**8) -> SolveResult:
@@ -1231,7 +1226,7 @@ def solve(system: ConstraintSystem, seed: int = 0, budget: int = 10**8) -> Solve
     assignment is re-verified against the whole system, and against the
     lifting conditions when the system can assemble a lifting datum.
 
-    A direct search (see _direct_search) that runs past 1,000 nodes forks a
+    A search that runs past 1,000 nodes, over clusters or unknowns, forks a
     helper process, where this process may run on two CPUs or more: a
     copy of the search in the middle of its walk, which searches the
     subtrees it claims first beside the caller; it is gone when solve

@@ -86,6 +86,31 @@ def test_lift_rejects_an_sdf_without_differences(tmp_path, capsys, blocks, probl
     assert (rc, out, err) == (2, "", f"error: {problem}\n")
 
 
+def _sdf_of_order(blob, n, mu):
+    blob["sdf"].update(group={"type": "cyclic", "n": n}, **{"lambda": mu})
+
+
+# each edit of the z7xF89 datum file passes the reader's own checks and is
+# refused by LiftingData: Z8 at SDF index 7 and Z14 at 4 keep the block's 56
+# differences at lambda * |G|
+@pytest.mark.parametrize("edit,problem", [
+    (lambda b: b["sdf"].update(kind="PDF"), "lifting data requires an SDF"),
+    (lambda b: b.update(phi=[]), "phi rows must align with SDF blocks"),
+    (lambda b: b["phi"][0].pop(), "each phi row must have block length"),
+    (lambda b: b.update(d=4), "d(q-1) must be divisible by ek"),
+    (lambda b: _sdf_of_order(b, 8, 7), "lambda|G| must be divisible by k-1"),
+    (lambda b: b.update(partition=[[0], [0]]),
+     "partition must cover block indices exactly once"),
+    (lambda b: _sdf_of_order(b, 14, 4), "SDF index 4 != k*t*lambda = 8"),
+], ids=["not-sdf", "phi-rows", "phi-row-length", "d", "lambda", "partition", "sdf-index"])
+def test_lift_refuses_a_datum_that_lifting_data_refuses(tmp_path, capsys, edit, problem):
+    blob = serialize.lifting_to_dict(catalog.lifting_datum("fdf_z7xF89"))
+    edit(blob)
+    bad = tmp_path / "refused.json"
+    serialize.dump(blob, bad)
+    assert run(capsys, "lift", "--data", str(bad)) == (2, "", f"error: {problem}\n")
+
+
 def test_lift_rejects_an_sdf_element_outside_the_group(tmp_path, capsys):
     # the SDF's 0s written as 7, which Z7 would reduce to 0 again
     blob = serialize.lifting_to_dict(catalog.lifting_datum("fdf_z7xF89"))
@@ -215,6 +240,22 @@ def test_run_step_that_raises_reports_and_exits_1(tmp_path, capsys):
     assert [s["step"] for s in steps] == ["datum", "lift"]
     assert steps[0]["verified"] and not steps[1]["verified"]
     assert "lifting conditions fail" in steps[1]["error"]
+
+
+def test_run_step_whose_input_is_refused_reports_and_exits_1(tmp_path, capsys):
+    # fhs needs a cyclic group, and the lifted z7xF89 frame is over Z7 x GF(89)
+    recipe = tmp_path / "fhs_uncyclic.json"
+    recipe.write_text(json.dumps({"steps": [
+        {"id": "datum", "op": "catalog-lifting", "params": {"name": "fdf_z7xF89"},
+         "out": "$d"},
+        {"id": "lift", "op": "lift", "in": "$d", "out": "$fdf"},
+        {"id": "fhs", "op": "fhs", "in": "$fdf", "out": "$x"}]}))
+    rc, out, _ = run(capsys, "--format", "json", "run", str(recipe))
+    assert rc == 1
+    steps = json.loads(out)
+    assert [(s["step"], s["verified"]) for s in steps] == \
+        [("datum", True), ("lift", True), ("fhs", False)]
+    assert steps[2]["error"] == "need a cyclic group; apply crt_iso to the family first"
 
 
 def test_run_recipe_624(tmp_path, capsys):
@@ -398,8 +439,17 @@ def test_search_command_produces_datum(tmp_path, capsys):
      "odd lambda requires q = d+1 (mod 2d)"),
     # even lambda skips the congruence guard, not the check that d | q - 1
     ({"system": "generic", "sdf": "paley3:5", "q": 11, "d": 6, "lam": 2},
-     "need d | q-1: d = 6, q = 11")],
-    ids=["paired", "paired-unpaired", "paired-four-times", "generic", "generic-d"])
+     "need d | q-1: d = 6, q = 11"),
+    ({"system": "generic", "sdf": "fdf_z7xF89", "q": 17, "d": 8}, "need an SDF"),
+    ({"system": "generic", "sdf": "z7_8_8", "q": 89, "d": 5}, "d(q-1) must be divisible by ek"),
+    # singer:3,3 is a (Z13, 27, 54) SDF: 13 is not a multiple of k - 1 = 26
+    ({"system": "generic", "sdf": "singer:3,3", "q": 109, "d": 27},
+     "lambda|G| must be divisible by k-1"),
+    # paley3:7's 16 blocks are not lam|G|/(k - 1) = 1 part of t = 1 block
+    ({"system": "generic", "sdf": "paley3:7", "q": 41, "d": 8},
+     "cannot derive a partition: block count mismatch")],
+    ids=["paired", "paired-unpaired", "paired-four-times", "generic", "generic-d",
+         "generic-not-sdf", "generic-ek", "generic-lambda", "generic-blocks"])
 def test_a_system_refusing_its_input_exits_2_from_search_and_run(tmp_path, capsys, monkeypatch,
                                                                   params, problem):
     # a catalog entry whose block lists 0 four times
@@ -903,6 +953,28 @@ def test_assemble_with_a_design_file_as_ingredient(tmp_path, capsys):
     rc, out, err = run(capsys, "assemble", "--fdf", str(fdf), "--ingredient",
                        str(tmp_path / "unresolved8.json"))
     assert (rc, out, err) == (2, "", "error: ingredient file carries no resolution\n")
+
+
+@pytest.mark.parametrize("argv", [["assemble", "--ingredient", "trivial"], ["fhs-from-fdf"]],
+                         ids=["assemble", "fhs-from-fdf"])
+def test_a_frame_family_on_a_huge_group_is_refused_with_its_report(tmp_path, argv):
+    # over C_{10^12} an array sized by |G| takes 7.28 TiB; the child's
+    # address space is capped at 4 GiB, so such an array fails there
+    fdf = families.DesignFamily(families.FDF, AbelianGroup.cyclic(10 ** 12), 1,
+                                ((1, 2, 4), (1, 5, 10)), (0,), ((0,), (1,)))
+    path = tmp_path / "fdf.json"
+    serialize.dump(serialize.family_to_dict(fdf), path)
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+            "from framedf.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code, *argv, "--fdf", str(path)],
+                         capture_output=True, text=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"))
+    assert (run.returncode, run.stdout, run.stderr) == (
+        2, "", "error: family fails verify_fdf: the blocks hold 12 differences, "
+               "not lam(|G| - |N|) = 999999999999\n")
 
 
 def _loaded_after(cwd, *commands):

@@ -1,3 +1,7 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -231,6 +235,63 @@ def test_verify_pdf_reports_elements_outside_group():
     assert not rep.ok and f"subgroup element {order} lies outside" in rep.detail
 
 
+# Families over C_{10^12}, where an array sized by |G| takes 7.28 TiB:
+# verifier, (kind, lam, blocks, subgroup, frame partition), the failing
+# detail or "" for a pass.  Each fails on its count of all differences or
+# points, or passes a lam = 0 family with no difference, at once.
+_HUGE_CASES = {
+    "sdf": ("verify_sdf", (SDF, 6, ((0, 1, 3), (0, 4, 9)), None, None),
+            "the blocks hold 12 differences, not lam|G| = 6000000000000"),
+    "sdf-lam0": ("verify_sdf", (SDF, 0, ((0, 1, 3), (0, 4, 9)), None, None),
+                 "the blocks hold 12 differences, not lam|G| = 0"),
+    "rdf": ("verify_relative_df", (RELATIVE_DF, 1, ((1, 2, 4), (1, 5, 10)), (0,), None),
+            "the blocks hold 12 differences, not lam(|G| - |N|) = 999999999999"),
+    "rdf-lam0": ("verify_relative_df", (RELATIVE_DF, 0, ((1,), (2,)), (0,), None), ""),
+    "fdf": ("verify_fdf", (FDF, 1, ((1, 2, 4), (1, 5, 10)), (0,), ((0,), (1,))),
+            "the blocks hold 12 differences, not lam(|G| - |N|) = 999999999999"),
+    "fdf-lam0": ("verify_fdf", (FDF, 0, ((1, 2), (3, 5)), (0,), ((0, 1),)),
+                 "the blocks hold 4 differences, not lam(|G| - |N|) = 0"),
+    "fdf-lam0-empty": ("verify_fdf", (FDF, 0, (), (0,), ()), ""),
+    "pdf": ("verify_pdf", (PDF, 1, ((1, 2, 4), (5, 10)), (0,), None),
+            "the blocks hold 5 points, not |G| - |N| = 999999999999"),
+    "pdf-lam0": ("verify_pdf", (PDF, 0, ((1,), (2,)), (0,), None),
+                 "the blocks hold 2 points, not |G| - |N| = 999999999999"),
+}
+
+
+@pytest.fixture(scope="module")
+def huge_reports():
+    """{case: [ok, detail, seconds]} of _HUGE_CASES, each verified in one
+    child process whose address space is capped at 4 GiB: a verifier that
+    sized an array by |G| fails there with MemoryError."""
+    code = ("import json, resource, sys, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+            "from framedf import families\n"
+            "from framedf.groups import AbelianGroup\n"
+            "out = {}\n"
+            "for name, (verifier, args, _) in json.loads(sys.argv[1]).items():\n"
+            "    kind, lam, blocks, sub, parts = args\n"
+            "    fam = families.DesignFamily(kind, AbelianGroup.cyclic(10 ** 12), lam,\n"
+            "        tuple(map(tuple, blocks)), None if sub is None else tuple(sub),\n"
+            "        None if parts is None else tuple(map(tuple, parts)))\n"
+            "    start = time.perf_counter()\n"
+            "    rep = getattr(families, verifier)(fam)\n"
+            "    out[name] = [rep.ok, rep.detail, time.perf_counter() - start]\n"
+            "print(json.dumps(out))")
+    src = os.path.dirname(os.path.dirname(families.__file__))
+    run = subprocess.run([sys.executable, "-c", code, json.dumps(_HUGE_CASES)],
+                         capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"))
+    return json.loads(run.stdout)
+
+
+@pytest.mark.parametrize("case", list(_HUGE_CASES))
+def test_verifiers_stay_total_on_a_huge_group(huge_reports, case):
+    ok, detail, seconds = huge_reports[case]
+    assert (ok, detail) == (not _HUGE_CASES[case][2], _HUGE_CASES[case][2])
+    assert seconds < 1
+
+
 def test_subgroup_closure_scan_memory_is_bounded():
     # the diagonal {(t, t)} of C567 x C567: a subgroup of the order of the
     # N x H of the order-14175 composed family, but not a digit slice, so
@@ -297,6 +358,13 @@ def _differences(n, blocks):
                    for j, b in enumerate(blk) if i != j)
 
 
+def _total_oracle(have, want, what, formula):
+    """The count of all differences or points against what a valid family
+    holds, checked before any count per element."""
+    return Report(False, f"the blocks hold {have} {what}, not {formula} = {want}",
+                  [(what, have), (formula, want)]) if have != want else Report(True)
+
+
 def relative_oracle(fam):
     """verify_relative_df on a cyclic group by dictionary counting."""
     n = fam.group.order
@@ -318,8 +386,10 @@ def relative_oracle(fam):
         a, b, c = sums[0]
         return Report(False, f"designated subgroup is not closed: {a} + {b} = {c} lies "
                              "outside it", sums)
-    return _counts_oracle(_differences(n, fam.blocks),
-                          lambda x: 0 if x in listed else fam.lam, n, "difference")
+    diffs = _differences(n, fam.blocks)
+    return (_total_oracle(sum(diffs.values()), fam.lam * (n - len(sub)), "differences",
+                          "lam(|G| - |N|)")
+            and _counts_oracle(diffs, lambda x: 0 if x in listed else fam.lam, n, "difference"))
 
 
 def fdf_oracle(fam):
@@ -375,7 +445,8 @@ def pdf_oracle(fam):
              or _outside_oracle(elems, n, "block element"))
     if error:
         return Report(False, *error)
-    rep = _counts_oracle(Counter(elems), lambda x: 0 if x in sub else 1, n, "point")
+    rep = _total_oracle(len(elems), n - len(sub), "points", "|G| - |N|") \
+        and _counts_oracle(Counter(elems), lambda x: 0 if x in sub else 1, n, "point")
     if not rep.ok:
         return rep
     return _counts_oracle(_differences(n, fam.blocks),
@@ -506,7 +577,9 @@ def sdf_oracle(fam):
     if lam * n % (k * (k - 1)):
         return Report(False, f"lam|G| = {lam * n} is not divisible by k(k-1) = {k * (k - 1)}",
                       [("lam", lam)])
-    return _counts_oracle(_differences(n, fam.blocks), lambda x: lam, n, "difference")
+    diffs = _differences(n, fam.blocks)
+    return (_total_oracle(sum(diffs.values()), lam * n, "differences", "lam|G|")
+            and _counts_oracle(diffs, lambda x: lam, n, "difference"))
 
 
 def dm_oracle(n, rows, lam):

@@ -23,7 +23,7 @@ from framedf import _split, catalog, search
 from framedf.families import SDF, DesignFamily, verify_fdf
 from framedf.fields import field_of_order, make_field
 from framedf.groups import AbelianGroup
-from framedf.lifting import check_lifting_conditions, lift_sdf
+from framedf.lifting import LiftingData, check_lifting_conditions, lift_sdf
 from framedf.search import (ConstraintSystem, Form, RepairBudgetExceeded, RepairError,
                             SolveResult, UniformityGroup, _clusters_of,
                             _repair_system, generic_system, paired_pattern_system,
@@ -92,6 +92,11 @@ def test_generic_system_refuses_a_d_not_dividing_q_minus_1():
     # even lambda skips the congruence guard; d = 6 does not divide 10
     with pytest.raises(ValueError, match=r"^need d \| q-1: d = 6, q = 11$"):
         generic_system(catalog.family("paley3", 5), 11, 10, 6, 2)
+
+
+def test_generic_system_refuses_e_other_than_q_minus_1():
+    with pytest.raises(ValueError, match=r"^the symbolic system requires e = q - 1$"):
+        generic_system(catalog.family("z7_8_8"), 89, 44, 8, 1)
 
 
 def test_generic_solve_z7_at_89():
@@ -286,8 +291,7 @@ def test_type_iv_expressions_sit_in_two_slots():
 def test_z125_accepts_printed_solution_and_solves_fresh():
     assert check_lifting_conditions(catalog.lifting_datum("fdf_z125xF67")).ok
     res = solve(z125_system(79), seed=0)
-    assert (res.status, res.nodes, _digest(res.assignment)) == (
-        "sat", 464, "9f439c2b74340d5eab7c3b5208b4c467fa048d87b4129d42dd956befe75a0cae")
+    assert (res.status, res.nodes, _digest(res.assignment)) == _Z125_79_PIN
 
 
 def test_solver_determinism():
@@ -316,6 +320,8 @@ def _digest(assignment):
 
 _WIDENED_PIN = ("sat", 212366,
                 "5439d9ad9dca0538fdebda85f4b992cdf5ddb17d99e53fa69d045084e1f65578")
+_Z125_79_PIN = ("sat", 464, "9f439c2b74340d5eab7c3b5208b4c467fa048d87b4129d42dd956befe75a0cae")
+_Z125_67_PIN = ("sat", 861, "3096e343e12a54f3ff8d3d21522f2f13ba910b47e314dd73ba2ac73da9431c47")
 
 
 @pytest.fixture(scope="module")
@@ -479,7 +485,7 @@ def _no_child_left():
     return False
 
 
-# _direct_search with its helper forked at its first subtree must reproduce
+# Either search with its helper forked at its first subtree must reproduce
 # the one-process search node for node and leave no process behind
 @pytest.fixture(params=[1], ids=["1helper"])
 def helpers(request, monkeypatch):
@@ -515,7 +521,9 @@ def helpers(request, monkeypatch):
     (lambda: paired_pattern_system(catalog.family("twinPrime", 3), 49),
      ("exhausted", 44563, None)),
     (lambda: _z63_repair(True), _WIDENED_PIN),
-], ids=["z7@25", "twinPrime3@49", "repair:z63_widened"])
+    (lambda: z125_system(79), _Z125_79_PIN),
+    (lambda: z125_system(67), _Z125_67_PIN),
+], ids=["z7@25", "twinPrime3@49", "repair:z63_widened", "z125@79", "z125@67"])
 def test_helpers_keep_the_pinned_search_order(helpers, make, pinned):
     res = solve(make(), seed=0)
     assert (res.status, res.nodes, _digest(res.assignment)) == pinned
@@ -530,7 +538,9 @@ def test_helpers_keep_the_pinned_search_order(helpers, make, pinned):
     (lambda: paired_pattern_system(catalog.family("twinPrime", 3), 49),
      ("exhausted", 44563, None)),
     (lambda: _z63_repair(True), _WIDENED_PIN),
-], ids=["z7@25", "twinPrime3@49", "repair:z63_widened"])
+    (lambda: z125_system(79), _Z125_79_PIN),
+    (lambda: z125_system(67), _Z125_67_PIN),
+], ids=["z7@25", "twinPrime3@49", "repair:z63_widened", "z125@79", "z125@67"])
 def test_subtrees_searched_by_both_processes_merge_once(helpers, monkeypatch, tmp_path,
                                                         make, pinned):
     searched = _split.subtree
@@ -556,7 +566,7 @@ def test_subtrees_searched_by_both_processes_merge_once(helpers, monkeypatch, tm
     res = solve(make(), seed=0)
     assert (res.status, res.nodes, _digest(res.assignment)) == pinned
     # the caller searched every subtree it would search alone, and the
-    # helpers (one per direct search: a reduction first, for z7@25) searched
+    # helpers (one per search: a reduction first, for z7@25) searched
     # some of them again
     assert searched_by(os.getpid()) == roots
     assert helpers and sum(map(searched_by, helpers)) > 0
@@ -620,21 +630,29 @@ def test_a_helper_ahead_of_the_caller_merges_in_order(helpers, monkeypatch, q, l
 
 # The cluster path stops where _direct_search does: at limit + 1, or with the
 # pinned result (z125@79 sat at 464, paley3_5@61 sat at 17) once the limit
-# allows its nodes.
-@pytest.mark.parametrize("make,limit,pinned", [
-    *((lambda: z125_system(79), limit,
-       ("sat", 464, "9f439c2b74340d5eab7c3b5208b4c467fa048d87b4129d42dd956befe75a0cae"))
+# allows its nodes, with no helper (the ids without a suffix) and with one.
+_CLUSTER_STOPS = [
+    *((f"z125@79-{limit}", lambda: z125_system(79), limit, _Z125_79_PIN)
       for limit in (1, 10, 100, 463, 464)),
-    *((lambda: _paley3(5, 61), limit,
+    *((f"paley3_5@61-{limit}", lambda: _paley3(5, 61), limit,
        ("sat", 17, "ac25706f4a1f37c3de94cf3eac0040a167e4cc15682667bf5296a0b268890991"))
-      for limit in (16, 17))],
-    ids=[*(f"z125@79-{n}" for n in (1, 10, 100, 463, 464)), "paley3_5@61-16", "paley3_5@61-17"])
-def test_cluster_search_stops_on_a_budget_at_limit_plus_one(make, limit, pinned):
+      for limit in (16, 17))]
+
+
+@pytest.mark.parametrize(
+    "helpers,make,limit,pinned",
+    [(n, *case) for n in (0, 1) for _, *case in _CLUSTER_STOPS],
+    ids=[name + suffix for suffix in ("", "-1helper") for name, *_ in _CLUSTER_STOPS],
+    indirect=["helpers"])
+def test_cluster_search_stops_on_a_budget_at_limit_plus_one(helpers, request, make, limit,
+                                                             pinned):
     sysm = make()
     assert len(_clusters_of(sysm)) > 1
     res = solve(sysm, budget=limit)
     expected = pinned if limit >= pinned[1] else ("budget_exceeded", limit + 1, None)
     assert (res.status, res.nodes, _digest(res.assignment)) == expected
+    if limit >= pinned[1]:        # the walk reached a subtree root, where a helper forks
+        assert bool(helpers) == (request.node.callspec.params["helpers"] == 1)
 
 
 # 3-colouring by forward checking: a 3-colourable graph on which the search
@@ -1084,6 +1102,26 @@ def test_repair_rejects_suspects_outside_the_table(stray):
     assert not isinstance(info.value, RepairError)
 
 
+# a zero entry outside the suspects breaks the precondition (ValueError,
+# not RepairError); the all-zero z7_8_8 datum over GF(25) has no completion,
+# and its narrow suspect set is already the whole block
+_ZEROS25 = LiftingData(catalog.family("z7_8_8"), field_of_order(25), 24, 8, 1, ((0,) * 8,),
+                       ((0,),))
+
+
+@pytest.mark.parametrize("data,suspects,error,problem", [
+    (replace(catalog.lifting_datum("fdf_z7xF89"),
+             phi=((0,) + catalog.lifting_datum("fdf_z7xF89").phi[0][1:],)), [(0, 1)],
+     ValueError, "precondition violated: zero entries at [(0, 0)] are not suspects"),
+    (_ZEROS25, [(0, a) for a in range(8)], RepairError,
+     "no completion exists even on the widened suspect set")],
+    ids=["stray-zero", "widened"])
+def test_repair_refusals(data, suspects, error, problem):
+    with pytest.raises(ValueError) as info:
+        repair_block(data, suspects)
+    assert (type(info.value), str(info.value)) == (error, problem)
+
+
 _VALID = {name: catalog.lifting_datum(name) for name in ("fdf_z119xF25", "fdf_z7xF89")}
 
 
@@ -1137,8 +1175,7 @@ def test_repair_system_agrees_with_lifting_conditions(case):
 def test_z125_solves_at_67_too():
     sysm = z125_system(67)
     res = solve(sysm, seed=0)
-    assert (res.status, res.nodes, _digest(res.assignment)) == (
-        "sat", 861, "3096e343e12a54f3ff8d3d21522f2f13ba910b47e314dd73ba2ac73da9431c47")
+    assert (res.status, res.nodes, _digest(res.assignment)) == _Z125_67_PIN
     data = sysm.lifting_builder([res.assignment[u] for u in sysm.unknowns])
     assert check_lifting_conditions(data).ok
 
@@ -1282,9 +1319,9 @@ def test_clusters_of_one_shape_share_one_enumeration(monkeypatch, make, enumerat
         calls.append(args[2])
         return real_enum(*args)
 
-    def fc_spy(system, form_groups, clusters, domains, budget):
+    def fc_spy(system, form_groups, clusters, domains):
         handed.append((clusters, domains))
-        return real_fc(system, form_groups, clusters, domains, budget)
+        return real_fc(system, form_groups, clusters, domains)
 
     monkeypatch.setattr(search, "_enumerate_cluster", enumerate_spy)
     monkeypatch.setattr(search, "_fc_over_clusters", fc_spy)
